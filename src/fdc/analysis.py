@@ -12,15 +12,15 @@ from typing import Optional
 
 from .printer import print_node
 from .reduction import (
-    Hit, Miss, NotReady, match_pattern, top_redexes, _zeta_reachable,
-    _find_kappa,
+    ALL_FRAMES, OPEN_RULES, Decomposition, Hit, Miss, NotReady,
+    match_pattern, normalize,
 )
 from .subst import instantiate
 from .syntax import (
     Node, TCon, Var, Con, Ref, Lam, App, TyLam, TyApp, Cast, Pattern, If,
-    Guard, Zero, Choice, Sym, Trans, CApp, Fst, Snd, Univ, CInst, Sim, Env,
-    MethodSig, InstanceDef, LetDef, OpenSig, Decl, ZERO, spine, plug_spine,
-    split_ctor_type, spine_head, subnodes, map_children, children,
+    Guard, Zero, Choice, Env, MethodSig, InstanceDef, LetDef, OpenSig, Decl,
+    spine, plug_spine, split_ctor_type, spine_head, subnodes, map_children,
+    children,
 )
 from .typecheck import Diagnostic, check_program
 
@@ -181,7 +181,7 @@ def _guard_binder_tags(body: Node):
                 walk(cons, tags, guards, _binder_prefix_len(cons))
                 walk(alt, tags, guards, 0)
             case _:
-                for child in _term_children(node):
+                for child in children(node):
                     walk(child, tags, guards, 0)
 
     walk(body, (), 0, 0)
@@ -194,27 +194,6 @@ def _binder_prefix_len(n: Node) -> int:
         count += 1
         n = n.body
     return count
-
-
-def _term_children(n: Node) -> list[Node]:
-    match n:
-        case App(f, a):
-            return [f, a]
-        case TyApp(f, _):
-            return [f]
-        case Cast(s, c):
-            return [s, c]
-        case Choice(l, r):
-            return [l, r]
-        case Trans(l, r) | CApp(l, r) | Sim(l, r):
-            return [l, r]
-        case Lam(_, b) | TyLam(_, b) | Univ(_, b):
-            return [b]
-        case Fst(a) | Snd(a) | Sym(a):
-            return [a]
-        case CInst(c, _):
-            return [c]
-    return []
 
 
 def _check_calls(env: Env, owner: Optional[str], body: Node,
@@ -310,59 +289,34 @@ def _subst_lets(env: Env, m: Node, active: frozenset[str] = frozenset()) -> Node
     return map_children(m, lambda c: _subst_lets(env, c, active))
 
 
-def _admin_step(env: Env, m: Node) -> Optional[Node]:
-    """One deterministic non-open reduction, applied anywhere in the term
-    (including under binders)."""
-    for tag, contractum in top_redexes(env, m):
-        if tag not in ("β_open", "β_let"):
-            return contractum
-    if _zeta_reachable(m):
-        return ZERO
-    kappa = _find_kappa(m)
-    if kappa is not None:
-        return Choice(kappa[0], kappa[1])
-    changed = False
-
-    def visit(child: Node) -> Node:
-        nonlocal changed
-        if changed:
-            return child
-        stepped = _admin_step(env, child)
-        if stepped is not None:
-            changed = True
-            return stepped
-        return child
-
-    rebuilt = map_children(m, visit)
-    return rebuilt if changed else None
-
-
 def _admin_normalize(env: Env, m: Node, budget: list[int]) -> Node:
-    while budget[0] > 0:
-        stepped = _admin_step(env, m)
-        if stepped is None:
-            return m
-        m = stepped
-        budget[0] -= 1
-    raise AnalysisError(Diagnostic(
-        "specialize-budget", "specialization did not terminate within budget"))
+    """Every non-open reduction, anywhere in the term (under binders too),
+    in the deterministic order."""
+    m, budget[0] = normalize(env, m, budget[0], ALL_FRAMES, OPEN_RULES)
+    if budget[0] <= 0:
+        raise AnalysisError(Diagnostic(
+            "specialize-budget",
+            "specialization did not terminate within budget"))
+    return m
 
 
-def _find_method_site(env: Env, m: Node,
-                      in_spine_fun: bool = False) -> Optional[Node]:
+def _method_site(env: Env, m: Node) -> Optional[Decomposition]:
     """Innermost maximal open-function spine, so evidence-computing calls
-    unfold before any call that scrutinizes their result."""
-    for i, child in enumerate(children(m)):
-        child_in_fun = isinstance(m, (App, TyApp)) and i == 0
-        found = _find_method_site(env, child, child_in_fun)
-        if found is not None:
-            return found
-    if in_spine_fun:
-        return None
-    head, _ = spine(m)
-    if isinstance(head, Ref) and env.method_sig(head.name) is not None:
-        return m
-    return None
+    unfold before any call that scrutinizes their result: the first such
+    spine in postorder. The preorder walk keeps the last one it met and
+    stops on leaving that one's subtree."""
+    d, site = Decomposition(m, ALL_FRAMES), None
+    while site is None or len(d.frames) > len(site.frames):
+        head, _ = spine(d.node)
+        in_spine_fun = d.frames and d.frames[-1][2] == 0 and isinstance(
+            d.frames[-1][0], (App, TyApp))
+        if (not in_spine_fun and isinstance(head, Ref)
+                and env.method_sig(head.name) is not None):
+            site = Decomposition(d.node, ALL_FRAMES)
+            site.frames = [frame.copy() for frame in d.frames]
+        if not d.advance():
+            break
+    return site
 
 
 def _apply_instance(env: Env, body: Node, args: list[tuple[bool, Node]],
@@ -414,10 +368,10 @@ def specialize(env: Env, m: Node,
     fuel = [budget]
     while True:
         m = _admin_normalize(env, _subst_lets(env, m), fuel)
-        site = _find_method_site(env, m)
+        site = _method_site(env, m)
         if site is None:
             break
-        head, args = spine(site)
+        head, args = spine(site.node)
         assert isinstance(head, Ref)
         sig = env.method_sig(head.name)
         positions = dict_param_positions(env, sig.type)
@@ -437,26 +391,9 @@ def specialize(env: Env, m: Node,
             raise AnalysisError(Diagnostic(
                 "unsaturated",
                 f"no instance of {head.name!r} matches the call site "
-                f"{print_node(site)}"))
+                f"{print_node(site.node)}"))
         replacement = survivors[-1]
         for s in reversed(survivors[:-1]):
             replacement = Choice(s, replacement)
-        m = _replace_once(m, site, replacement)
+        m = site.plug(replacement)
     return m
-
-
-def _replace_once(m: Node, target: Node, new: Node) -> Node:
-    done = False
-
-    def go(n: Node) -> Node:
-        nonlocal done
-        if done:
-            return n
-        if n is target:
-            done = True
-            return new
-        return map_children(n, go)
-
-    out = go(m)
-    assert done
-    return out

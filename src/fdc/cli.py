@@ -1,7 +1,8 @@
 """Command-line driver: parse, check, elaborate, evaluate, specialize,
 analyze, and fuzz over `.fd` core files and `.hsk` surface files.
 
-Exit codes: 0 on success, 1 when diagnostics are reported, 2 on usage
+Exit codes: 0 on success, 1 when diagnostics are reported (input nested
+too deeply to process is a `depth-limit` diagnostic), 2 on usage
 errors.
 """
 
@@ -325,6 +326,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as e:
         print(f"fdc: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the parser, checker, elaborator and printer recurse on nesting
+        _report([Diagnostic("depth-limit",
+                            "recursion limit reached: input nested too "
+                            "deeply to process")], args.json)
+        return 1
 
 
 if __name__ == "__main__":

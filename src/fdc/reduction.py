@@ -1,22 +1,34 @@
 """Values, evaluation contexts, and the small-step reduction relation, with
-an exhaustive successor enumerator and a deterministic driver.
+one decomposition engine behind the deterministic evaluator (`whnf`), the
+successor enumerator (`step_all`) and the specializer's normalizer.
 
-Two context grammars matter: absorptive frames (function position of
-applications, coercion position of casts, scrutinees, all coercion
-combinator positions) through which `0` absorbs and choices distribute, and
-full frames which additionally descend into both sides of a choice.
-Argument positions of constructor spines are not contexts: evaluation is
-lazy.
+Absorptive frames (function position of applications, coercion position of
+casts, scrutinees, all coercion combinator positions) are those through
+which `0` absorbs (ζ) and choices distribute (κ); evaluation contexts also
+enter both sides of a choice. Arguments of constructor spines are not
+contexts: evaluation is lazy. The nodes below a node on absorptive paths
+form its region, and a region root is the whole term or a node in a
+non-absorptive position (a choice side; for the specializer, which also
+descends under binders and into arguments, any such position).
+
+A `Decomposition` holds the focus and an explicit stack of frames above it
+and walks the term in preorder. The deterministic strategy takes the first
+step of that walk, a redex or ζ/κ, and checks ζ/κ only at region roots,
+since an absorptive child's region lies inside its parent's. After each
+step, `normalize` refocuses (Danvy & Nielsen, "Refocusing in reduction
+semantics", 2004): it re-runs only the checks the contractum can change
+and resumes the walk from the frame stack, rebuilding the whole term only
+for a `trace` callback.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Union
 
 from .syntax import (
     Node, Star, KArr, TVar, TCon, TApp, EqTy, Forall, Con, Ref, Lam,
-    App, TyLam, TyApp, Cast, Pattern, If, Guard, Choice, Refl, Sym,
+    App, TyLam, TyApp, Cast, Pattern, If, Guard, Zero, Choice, Refl, Sym,
     Trans, CApp, Fst, Snd, Univ, CInst, Sim, Env, ZERO, node_eq, spine,
     plug_spine,
 )
@@ -196,53 +208,219 @@ def top_redexes(env: Env, m: Node) -> list[tuple[str, Node]]:
 
 # ------------------------------------------------------------- contexts
 
-Plug = Callable[[Node], Node]
+# Absorptive positions per node class, in evaluation order.
+_ABSORPTIVE = {
+    App: ("fun",), TyApp: ("fun",), Cast: ("coercion",), If: ("scrut",),
+    Guard: ("scrut",), Sym: ("arg",), Trans: ("left", "right"),
+    CApp: ("left", "right"), Fst: ("arg",), Snd: ("arg",), Univ: ("body",),
+    CInst: ("coercion",), Sim: ("left", "right"),
+}
+_FIELDS = {cls: [f.name for f in fields(cls)] for cls in Node.__subclasses__()}
 
 
-def a_children(m: Node) -> list[tuple[Node, Plug]]:
-    """Absorptive-frame children, in evaluation order."""
-    match m:
-        case App(f, a):
-            return [(f, lambda x: App(x, a))]
-        case TyApp(f, t):
-            return [(f, lambda x: TyApp(x, t))]
-        case Cast(subj, co):
-            return [(co, lambda x: Cast(subj, x))]
-        case If(s, p, c, alt):
-            return [(s, lambda x: If(x, p, c, alt))]
-        case Guard(s, p, c):
-            return [(s, lambda x: Guard(x, p, c))]
-        case Sym(a):
-            return [(a, Sym)]
-        case Trans(l, r):
-            return [(l, lambda x: Trans(x, r)), (r, lambda x: Trans(l, x))]
-        case CApp(l, r):
-            return [(l, lambda x: CApp(x, r)), (r, lambda x: CApp(l, x))]
-        case Fst(a):
-            return [(a, Fst)]
-        case Snd(a):
-            return [(a, Snd)]
-        case Univ(k, b):
-            return [(b, lambda x: Univ(k, x))]
-        case CInst(co, t):
-            return [(co, lambda x: CInst(x, t))]
-        case Sim(l, r):
-            return [(l, lambda x: Sim(x, r)), (r, lambda x: Sim(l, x))]
-    return []
+def _frames(positions: dict) -> dict:
+    """Per node class, the positions a walk enters, in order, each as
+    (field, absorptive?)."""
+    return {cls: tuple((name, name in _ABSORPTIVE.get(cls, ()))
+                       for name in names) for cls, names in positions.items()}
 
 
-def e_children(m: Node) -> list[tuple[Node, Plug]]:
-    """Full-frame children: absorptive frames plus both choice sides."""
-    match m:
-        case Choice(l, r):
-            return [(l, lambda x: Choice(x, r)), (r, lambda x: Choice(l, x))]
-    return a_children(m)
+# Regions; evaluation contexts, which also enter both sides of a choice; and
+# the specializer's contexts, every field annotated `Node`, under binders
+# too (kinds and types included, though no rule fires in them).
+ABSORB_FRAMES = _frames(_ABSORPTIVE)
+EVAL_FRAMES = _frames({**_ABSORPTIVE, Choice: ("left", "right")})
+ALL_FRAMES = _frames({cls: [f.name for f in fields(cls) if f.type == "Node"]
+                      for cls in Node.__subclasses__()})
+OPEN_RULES = frozenset({"β_open", "β_let"})
+
+
+def _rebuild(parent: Node, name: str, x: Node) -> Node:
+    cls = type(parent)
+    return cls(*[x if f == name else getattr(parent, f) for f in _FIELDS[cls]])
+
+
+class Decomposition:
+    """A term split into a focus and the frames above it, walked in preorder.
+
+    A frame is `[parent, positions, index]`. After a contraction, the
+    parents above the focus still hold the old child at their index; the
+    walk rebuilds a parent when it leaves that child, `plug` all of them.
+    """
+
+    __slots__ = ("node", "frames", "table")
+
+    def __init__(self, term: Node, table: dict):
+        self.node, self.frames, self.table = term, [], table
+
+    def plug(self, x: Node, depth: int = 0) -> Node:
+        """The subterm at `depth` (the whole term at 0), with `x` in place
+        of the focus."""
+        for parent, positions, i in reversed(self.frames[depth:]):
+            x = _rebuild(parent, positions[i][0], x)
+        return x
+
+    def advance(self) -> bool:
+        """Move to the next node in preorder; at the end, return False with
+        the whole term as the focus."""
+        frames = self.frames
+        positions = self.table.get(type(self.node))
+        if positions:
+            frames.append([self.node, positions, 0])
+            self.node = getattr(self.node, positions[0][0])
+            return True
+        while frames:
+            frame = frames[-1]
+            parent, positions, i = frame
+            if getattr(parent, positions[i][0]) is not self.node:
+                parent = frame[0] = _rebuild(parent, positions[i][0],
+                                             self.node)
+            if i + 1 < len(positions):
+                frame[2] = i + 1
+                self.node = getattr(parent, positions[i + 1][0])
+                return True
+            frames.pop()
+            self.node = parent
+        return False
+
+
+def _absorbed(frames: list, depth: int) -> bool:
+    """Whether the node at `depth` > 0 sits in an absorptive position."""
+    _, positions, i = frames[depth - 1]
+    return positions[i][1]
+
+
+def _region_root(frames: list, depth: int) -> int:
+    while depth and _absorbed(frames, depth):
+        depth -= 1
+    return depth
+
+
+def _region(m: Node):
+    """Each `0` and choice below `m` on a nonempty absorptive path, with
+    the walk of the region of `m` stopped at it."""
+    region = Decomposition(m, ABSORB_FRAMES)
+    while region.advance():
+        if isinstance(region.node, (Zero, Choice)):
+            yield region
+
+
+def _distribute(region: Decomposition) -> tuple[str, Node]:
+    n = region.node
+    if isinstance(n, Zero):
+        return "ζ", ZERO
+    return "κ", Choice(region.plug(n.left), region.plug(n.right))
+
+
+def _zeta_kappa(m: Node) -> Optional[tuple[str, Node]]:
+    """ζ when the region of `m` holds a `0`, else κ on its first choice of
+    two values."""
+    kappa = None
+    for region in _region(m):
+        n = region.node
+        if isinstance(n, Zero):
+            return "ζ", ZERO
+        if kappa is None and is_value(n.left) and is_value(n.right):
+            kappa = _distribute(region)
+    return kappa
+
+
+def _steps(env: Env, d: Decomposition, skip: frozenset = frozenset(),
+           every: bool = False):
+    """The steps from the focus on, in the walk's order, with `d` at the
+    node each one rewrites: its redexes, then ζ/κ. With `every`, ζ and κ
+    fire on each `0` and choice of each node's region; otherwise only the
+    first ζ/κ of a region root, since an absorptive child's region lies
+    inside its parent's and the first step is all the strategy takes."""
+    while True:
+        for tag, contractum in top_redexes(env, d.node):
+            if tag not in skip:
+                yield tag, contractum
+        if every:
+            yield from map(_distribute, _region(d.node))
+        elif not d.frames or not _absorbed(d.frames, len(d.frames)):
+            hit = _zeta_kappa(d.node)
+            if hit is not None:
+                yield hit
+        if not d.advance():
+            return
+
+
+def _refocus(env: Env, d: Decomposition,
+             skip: frozenset) -> Optional[tuple[str, Node]]:
+    """The next step after the focus became the contractum `c`.
+
+    Every ancestor's checks failed on the old term and the subterms left of
+    the path are unchanged, so only the checks `c` can change run again,
+    top-down: the redex of its parent and of an `if` or guard whose
+    scrutinee has `c` at the head of its spine; ζ/κ at the region root
+    above `c` when `c` or its region holds a `0` or a choice of values; and
+    κ at the region root above a choice that `c` turned into a value. Then
+    the walk goes on from `c`.
+    """
+    frames, c = d.frames, d.node
+    k = len(frames)
+    redo = {k - 1: False} if k else {}  # depth -> run ζ/κ there too
+    # c and its region make up the region of Sym(c)
+    if k and _absorbed(frames, k) and _zeta_kappa(Sym(c)) is not None:
+        redo[_region_root(frames, k - 1)] = True
+    # only a value `c` can make a choice above it a value, and only a
+    # constant-headed one decides an `if` or guard above its spine
+    value, head = is_value(c), _const_head(c)
+    for j in range(k - 1, -1, -1):
+        parent, _, i = frames[j]
+        if not value:
+            break
+        if i == 0 and type(parent) in (App, TyApp):
+            value = head
+        elif type(parent) is Choice:
+            value = is_value(parent.right if i == 0 else parent.left)
+            head = False
+            if value and j and _absorbed(frames, j):
+                redo[_region_root(frames, j - 1)] = True
+                break
+        else:
+            if head and i == 0 and type(parent) in (If, Guard):
+                redo.setdefault(j, False)
+            break
+    for j in sorted(redo):
+        node = d.plug(c, j)
+        hit = next((r for r in top_redexes(env, node) if r[0] not in skip),
+                   None)
+        if hit is None and redo[j]:
+            hit = _zeta_kappa(node)
+        if hit is not None:
+            del frames[j:]
+            d.node = node
+            return hit
+    return next(_steps(env, d, skip), None)
+
+
+def normalize(env: Env, m: Node, fuel: int, table: dict = EVAL_FRAMES,
+              skip: frozenset = frozenset(),
+              trace: Optional[Callable[[str, Node], None]] = None,
+              ) -> tuple[Node, int]:
+    """Take the first step at most `fuel` times, refocusing after each, with
+    the rules in `skip` left out. Returns the last term and the fuel left,
+    which is 0 only when the fuel ran out."""
+    d = Decomposition(m, table)
+    hit = next(_steps(env, d, skip), None) if fuel > 0 else None
+    while hit is not None:
+        tag, d.node = hit
+        fuel -= 1
+        if trace is not None:
+            trace(tag, d.plug(d.node))
+        if fuel <= 0:
+            return d.plug(d.node), fuel
+        hit = _refocus(env, d, skip)
+    return d.node, fuel
 
 
 # ------------------------------------------------------------- step_all
 
 def step_all(env: Env, m: Node) -> list[Node]:
-    """Every one-step successor derivable by the reduction relation."""
+    """Every one-step successor: at each focus, its redexes, then ζ and κ on
+    every `0` and choice in its region."""
     out: list[Node] = []
     seen: set[Node] = set()
 
@@ -251,72 +429,20 @@ def step_all(env: Env, m: Node) -> list[Node]:
             seen.add(n)
             out.append(n)
 
-    def absorb_scan(node: Node, replace: Plug, rebuild: Plug) -> None:
-        # zeta collapses any nonempty A-path to a 0; kappa lifts a choice
-        # over any nonempty A-path
-        for child, plug in a_children(node):
-            composed = lambda x, r=replace, p=plug: r(p(x))
-            if child == ZERO:
-                emit(rebuild(ZERO))
-            if isinstance(child, Choice):
-                emit(rebuild(Choice(composed(child.left),
-                                    composed(child.right))))
-            absorb_scan(child, composed, rebuild)
-
-    def at_focus(focus: Node, rebuild: Plug) -> None:
-        for _, contractum in top_redexes(env, focus):
-            emit(rebuild(contractum))
-        absorb_scan(focus, lambda x: x, rebuild)
-        for child, plug in e_children(focus):
-            at_focus(child, lambda x, p=plug: rebuild(p(x)))
-
-    at_focus(m, lambda x: x)
+    d = Decomposition(m, EVAL_FRAMES)
+    for _, contractum in _steps(env, d, every=True):
+        emit(d.plug(contractum))
     return out
 
 
 # ------------------------------------------------------------- step_det
 
-def _zeta_reachable(m: Node) -> bool:
-    for child, _ in a_children(m):
-        if child == ZERO or _zeta_reachable(child):
-            return True
-    return False
-
-
-def _find_kappa(m: Node) -> Optional[tuple[Node, Node]]:
-    """First value-choice under a nonempty absorptive path; returns the two
-    distributed pluggings of the whole focus."""
-
-    def go(node: Node, replace: Plug) -> Optional[tuple[Node, Node]]:
-        for child, plug in a_children(node):
-            composed = lambda x, r=replace, p=plug: r(p(x))
-            if (isinstance(child, Choice) and is_value(child.left)
-                    and is_value(child.right)):
-                return composed(child.left), composed(child.right)
-            found = go(child, composed)
-            if found is not None:
-                return found
-        return None
-
-    return go(m, lambda x: x)
-
-
 def step_det_tagged(env: Env, m: Node) -> Optional[tuple[str, Node]]:
     """Leftmost-outermost strategy: redex, then zeta, then kappa, then
     descend into the first reducible evaluation frame."""
-    redexes = top_redexes(env, m)
-    if redexes:
-        return redexes[0]
-    if _zeta_reachable(m):
-        return ("ζ", ZERO)
-    kappa = _find_kappa(m)
-    if kappa is not None:
-        return ("κ", Choice(kappa[0], kappa[1]))
-    for child, plug in e_children(m):
-        inner = step_det_tagged(env, child)
-        if inner is not None:
-            return (inner[0], plug(inner[1]))
-    return None
+    d = Decomposition(m, EVAL_FRAMES)
+    hit = next(_steps(env, d), None)
+    return None if hit is None else (hit[0], d.plug(hit[1]))
 
 
 def step_det(env: Env, m: Node) -> StepOutcome:
@@ -359,23 +485,14 @@ DEFAULT_FUEL = 100_000
 
 def whnf(env: Env, m: Node, fuel: int = DEFAULT_FUEL,
          trace: Optional[Callable[[str, Node], None]] = None) -> WhnfResult:
-    """Iterate the deterministic step at most `fuel` times."""
-    current = m
-    remaining = fuel
-    while True:
-        if is_value(current):
-            return Value(current)
-        if current == ZERO:
-            return ZeroResult()
-        if remaining <= 0:
-            return OutOfFuel(current)
-        stepped = step_det_tagged(env, current)
-        if stepped is None:
-            return StuckResult(current)
-        if trace is not None:
-            trace(stepped[0], stepped[1])
-        current = stepped[1]
-        remaining -= 1
+    """Take the deterministic step at most `fuel` times. A value has no
+    step, so the walk stops at one without testing for it."""
+    term, left = normalize(env, m, fuel, trace=trace)
+    if is_value(term):
+        return Value(term)
+    if term == ZERO:
+        return ZeroResult()
+    return OutOfFuel(term) if left <= 0 else StuckResult(term)
 
 
 def eval_all(env: Env, m: Node, fuel: int = DEFAULT_FUEL,

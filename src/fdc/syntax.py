@@ -269,6 +269,28 @@ class Sim(Node):
 COERCION_FORMS = (Refl, Sym, Trans, CApp, Fst, Snd, Univ, CInst, Sim)
 
 
+def _cache_hash(cls: type) -> None:
+    """Keep the dataclass's structural hash, computed once per node and
+    stored on it; equality stays structural. Nodes are immutable, so the
+    stored value never goes stale, and a parent's hash reuses its
+    children's instead of walking the whole tree."""
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+
+
+for _cls in Node.__subclasses__():
+    _cache_hash(_cls)
+
+
 # ----------------------------------------------------------- declarations
 
 class Decl:

@@ -201,3 +201,14 @@ def test_check_accepts_surface_files(capsys):
 def test_check_prelude_itself(capsys):
     code, out, err = run_cli(capsys, "check", corpus_path("prelude.fd"))
     assert code == 0
+
+
+def test_eval_deep_expression_is_a_depth_limit_diagnostic(capsys):
+    expr = "not (" * 150 + "True" + ")" * 150
+    path = corpus_path("superclasses.fd")
+    code, out, err = run_cli(capsys, "eval", path, "-e", expr)
+    assert code == 1
+    assert "depth-limit" in err and "Traceback" not in err
+    code, out, err = run_cli(capsys, "eval", "--json", path, "-e", expr)
+    assert code == 1
+    assert json.loads(out.splitlines()[-1])["code"] == "depth-limit"

@@ -1,5 +1,10 @@
+import time
+
 import pytest
 
+import reduction_oracle as oracle
+from fdc import analysis
+from fdc.analysis import AnalysisError, specialize
 from fdc.parser import parse_term, parse_type
 from fdc.propcheck import GenConfig, gen_well_typed
 from fdc.reduction import (
@@ -8,8 +13,8 @@ from fdc.reduction import (
     step_all, step_det, step_det_tagged, whnf,
 )
 from fdc.syntax import (
-    App, Cast, Choice, Con, Env, Guard, If, Lam, Pattern, Ref, Refl, TApp,
-    TCon, TyApp, Var, ZERO, STAR, arrow, node_eq,
+    App, Cast, Choice, Con, Env, Guard, If, Lam, Node, Pattern, Ref, Refl, Sym,
+    TApp, TCon, Trans, TyApp, Var, ZERO, STAR, arrow, node_eq,
 )
 
 BOOL = TCon("Bool")
@@ -207,3 +212,145 @@ def test_match_pattern_same_head_different_type_args():
     scrut = parse_term("EqBool [Bool] refl(Bool)")
     got = match_pattern(scrut, Pattern("EqBool", (TCon("Int"),)))
     assert got == Miss()
+
+
+# ------------------------------------------------------------ deep terms
+
+def sym_tower(depth):
+    term = Trans(Refl(BOOL), Refl(BOOL))
+    for _ in range(depth):
+        term = Sym(term)
+    return term
+
+
+def not_chain(depth, leaf):
+    term = Con(leaf)
+    for _ in range(depth):
+        term = App(Ref("not"), term)
+    return term
+
+
+def xor_chain(bits):
+    term = Con(bits[-1])
+    for b in reversed(bits[:-1]):
+        term = App(App(Ref("xor"), Con(b)), term)
+    return term
+
+
+def test_whnf_sym_400_under_half_a_second(prelude):
+    term = sym_tower(400)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert whnf(prelude, term) == Value(Refl(BOOL))
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.5
+
+
+def test_whnf_sym_3000_needs_no_recursion(prelude):
+    assert whnf(prelude, sym_tower(3000)) == Value(Refl(BOOL))
+
+
+# -------------------------------------- differential tests against the oracle
+
+def _whnf_trace(whnf_fn, env, term, fuel):
+    steps = []
+    result = whnf_fn(env, term, fuel, lambda tag, n: steps.append((tag, n)))
+    return result, steps
+
+
+def assert_agrees_with_oracle(env, term, fuel, samples):
+    """The same whnf trace as the original walkers, and the same step_all
+    successor lists, in order, on about `samples` terms along it."""
+    result, steps = _whnf_trace(whnf, env, term, fuel)
+    assert (result, steps) == _whnf_trace(oracle.whnf, env, term, fuel)
+    terms = [term, *(n for _, n in steps)]
+    for n in terms[::max(1, len(terms) // samples)]:
+        assert step_all(env, n) == oracle.step_all(env, n)
+
+
+def _admin_normal_form(normalize, env, term):
+    try:
+        return normalize(env, term, [300])
+    except AnalysisError as e:
+        return e.diagnostic
+
+
+def _specialized(specialize_fn, env, term):
+    try:
+        return specialize_fn(env, term)
+    except AnalysisError as e:
+        return e.diagnostic
+
+
+def assert_specializes_like_oracle(monkeypatch, env, term):
+    ours = _specialized(specialize, env, term)
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_admin_normalize", oracle._admin_normalize)
+        assert ours == _specialized(oracle.specialize, env, term)
+
+
+def assert_same_method_site(env, term):
+    site = analysis._method_site(env, term)
+    want = oracle._find_method_site(env, term)
+    assert (site and site.node) is want
+    if want is not None:
+        assert site.plug(ZERO) == oracle._replace_once(term, want, ZERO)
+
+
+@pytest.mark.parametrize("prelude_index", range(4))
+def test_engine_matches_oracle_on_generated_terms(prelude_index):
+    """The first 200 acceptance-5 cases (seed 42) of each bundled prelude.
+    Full specialization of a generated term can unfold `absurdCo` without
+    end, so the specializer's normalizer and call-site search are compared
+    on their own."""
+    cfg = GenConfig(seed=42, size=30)
+    for i in range(prelude_index, 800, 4):
+        env, term, _ = gen_well_typed(cfg, i)
+        assert_agrees_with_oracle(env, term, fuel=300, samples=6)
+        normal = _admin_normal_form(analysis._admin_normalize, env, term)
+        assert normal == _admin_normal_form(oracle._admin_normalize, env,
+                                            term)
+        assert_same_method_site(env, term)
+        if isinstance(normal, Node):
+            assert_same_method_site(env, normal)
+
+
+def test_engine_matches_oracle_on_chains(prelude, monkeypatch):
+    for depth in (1, 2, 3, 5, 10, 20, 40):
+        bits = (["True", "False", "False"] * depth)[:depth + 1]
+        for term in (not_chain(depth, "True"), xor_chain(bits)):
+            assert_agrees_with_oracle(prelude, term, fuel=5000, samples=10)
+            assert_specializes_like_oracle(monkeypatch, prelude, term)
+    for depth in (0, 1, 2, 5, 10, 20, 40, 80):
+        assert_agrees_with_oracle(prelude, sym_tower(depth), fuel=5000,
+                                  samples=10)
+
+
+def test_refocus_rechecks_if_above_a_reduced_spine_head(prelude):
+    # after β_let, `just True` has a constructor head, so the `if` two
+    # frames up becomes a redex although its child did not change class
+    from fdc.syntax import LetDef, LetSig
+    env = prelude.push(LetSig("just", parse_type("Bool -> Maybe Bool")),
+                       LetDef("just", TyApp(Con("Just"), BOOL)))
+    term = If(App(Ref("just"), Con("True")), Pattern("Just", (BOOL,)),
+              Lam(BOOL, Var(0)), Con("False"))
+    assert_agrees_with_oracle(env, term, fuel=50, samples=5)
+    assert whnf(env, term) == Value(Con("True"))
+
+
+def test_engine_matches_oracle_on_corpus_calls(superclasses_env, fundeps_env,
+                                               monkeypatch):
+    fib = "(FIB [Int] [Bool] refl(Int) refl(Bool))"
+    ord_bool = "(OrdBool [Bool] refl(Bool))"
+    eq_bool = "(EqBool [Bool] refl(Bool))"
+    calls = [
+        (superclasses_env, f"lte [Bool] {ord_bool} False True"),
+        (superclasses_env, f"eq [Bool] {eq_bool} True False"),
+        (fundeps_env, f"f [Bool] {fib} True"),
+        (fundeps_env, f"fdFwd [Int] [Bool] [Bool] {fib} {fib}"),
+    ]
+    for env, text in calls:
+        term = parse_term(text)
+        assert_agrees_with_oracle(env, term, fuel=5000, samples=20)
+        assert_specializes_like_oracle(monkeypatch, env, term)

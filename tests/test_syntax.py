@@ -159,3 +159,20 @@ def test_free_indices_print_env_relative():
     t = Lam(TCon("Bool"), Var(1))
     assert print_term(t) == "\\x0:Bool. #0"
     assert parse_term(print_term(t)) == t
+
+
+def test_node_hash_is_cached_and_structural():
+    def build():
+        return App(Lam(TCon("Bool"), Var(0)), Choice(Con("True"), ZERO))
+
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a in {b} and b in {a}
+    # the same hash whether the parent or a child is hashed first
+    parent_first, child_first = build(), build()
+    hash(parent_first)
+    hash(child_first.arg)
+    hash(child_first.fun.body)
+    assert hash(child_first) == hash(parent_first)
+    assert hash(child_first.arg) == hash(parent_first.arg)
+    assert hash(child_first.fun) == hash(parent_first.fun)
