@@ -367,7 +367,11 @@ def specialize(env: Env, m: Node,
         return m
     fuel = [budget]
     while True:
-        m = _admin_normalize(env, _subst_lets(env, m), fuel)
+        m = _subst_lets(env, m)
+        # charge the pass for its two walks of the term (let substitution,
+        # call-site search) too, so that a cycle of unfoldings ends
+        fuel[0] -= 2 * sum(1 for _ in subnodes(m))
+        m = _admin_normalize(env, m, fuel)
         site = _method_site(env, m)
         if site is None:
             break

@@ -25,7 +25,7 @@ from .syntax import (
     App, TyLam, TyApp, Cast, Pattern, If, Guard, Zero, Choice, Refl, Sym,
     Trans, CApp, Fst, Snd, Univ, CInst, Sim, Env,
     CtorSig, LetSig, MethodSig, STAR, ZERO, arrow, node_eq, spine,
-    split_ctor_type, type_spine, un_arrow,
+    split_ctor_type, subnodes, type_spine, un_arrow,
 )
 from .typecheck import AnyType, CheckError, check_term, infer_term
 
@@ -509,7 +509,7 @@ def _prop_canonicity_function(env, term, ty) -> Optional[str]:
 
 
 def _prop_uniqueness(env, term, ty) -> Optional[str]:
-    if any(sub == ZERO for sub in _subnodes(term)):
+    if any(sub == ZERO for sub in subnodes(term)):
         return None
     first = infer_term(env, term)
     second = infer_term(env, term)
@@ -521,11 +521,6 @@ def _prop_uniqueness(env, term, ty) -> Optional[str]:
         return (f"inferred type differs from the generated type: "
                 f"{print_type(first.type)} vs {print_type(ty)}")
     return None
-
-
-def _subnodes(term):
-    from .syntax import subnodes
-    return subnodes(term)
 
 
 def _prop_types_are_values(env, term, ty) -> Optional[str]:
@@ -548,14 +543,12 @@ PROPERTIES: dict[str, Callable] = {
 
 
 def _node_count(n: Node) -> int:
-    from .syntax import subnodes
     return sum(1 for _ in subnodes(n))
 
 
 def shrink(env: Env, term: Node, ty: Node, prop: Callable) -> Node:
     """Best-effort structural shrinking: replace the counterexample with any
     strictly smaller well-typed subterm of the same type that still fails."""
-    from .syntax import subnodes
     current = term
     improved = True
     while improved:

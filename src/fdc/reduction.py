@@ -23,14 +23,14 @@ for a `trace` callback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .syntax import (
     Node, Star, KArr, TVar, TCon, TApp, EqTy, Forall, Con, Ref, Lam,
     App, TyLam, TyApp, Cast, Pattern, If, Guard, Zero, Choice, Refl, Sym,
-    Trans, CApp, Fst, Snd, Univ, CInst, Sim, Env, ZERO, node_eq, spine,
-    plug_spine,
+    Trans, CApp, Fst, Snd, Univ, CInst, Sim, Env, ZERO, FIELDS, DATA,
+    PATTERN, node_eq, spine, plug_spine,
 )
 from .subst import instantiate
 from .typecheck import CheckError, kind_of
@@ -215,7 +215,6 @@ _ABSORPTIVE = {
     CApp: ("left", "right"), Fst: ("arg",), Snd: ("arg",), Univ: ("body",),
     CInst: ("coercion",), Sim: ("left", "right"),
 }
-_FIELDS = {cls: [f.name for f in fields(cls)] for cls in Node.__subclasses__()}
 
 
 def _frames(positions: dict) -> dict:
@@ -226,18 +225,20 @@ def _frames(positions: dict) -> dict:
 
 
 # Regions; evaluation contexts, which also enter both sides of a choice; and
-# the specializer's contexts, every field annotated `Node`, under binders
+# the specializer's contexts, every field that holds a node, under binders
 # too (kinds and types included, though no rule fires in them).
 ABSORB_FRAMES = _frames(_ABSORPTIVE)
 EVAL_FRAMES = _frames({**_ABSORPTIVE, Choice: ("left", "right")})
-ALL_FRAMES = _frames({cls: [f.name for f in fields(cls) if f.type == "Node"]
-                      for cls in Node.__subclasses__()})
+ALL_FRAMES = _frames({cls: [name for name, role in shape
+                            if role not in (DATA, PATTERN)]
+                      for cls, shape in FIELDS.items()})
 OPEN_RULES = frozenset({"β_open", "β_let"})
 
 
 def _rebuild(parent: Node, name: str, x: Node) -> Node:
     cls = type(parent)
-    return cls(*[x if f == name else getattr(parent, f) for f in _FIELDS[cls]])
+    return cls(*[x if f == name else getattr(parent, f)
+                 for f, _ in FIELDS[cls]])
 
 
 class Decomposition:

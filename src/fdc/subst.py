@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .syntax import (
-    Node, Star, KArr, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, Lam,
-    App, TyLam, TyApp, Cast, Pattern, If, Guard, Zero, Choice, Refl, Sym,
-    Trans, CApp, Fst, Snd, Univ, CInst, Sim, children,
+    BINDER, DATA, FIELDS, KIND, PATTERN, Node, Pattern, TVar, Var,
 )
 
 
@@ -89,59 +87,28 @@ def _resolve(s: Subst, index: int, make_var) -> Node:
     raise TypeError
 
 
+# The classes with a position that substitution enters; the others (leaves,
+# and `KArr`, whose fields are all kinds) are returned as they are.
+_SUBST_FIELDS = {cls: shape for cls, shape in FIELDS.items()
+                 if any(role not in (KIND, DATA) for _, role in shape)}
+
+
 def _apply(s: Subst, n: Node) -> Node:
-    match n:
-        case Var(i):
-            return _resolve(s, i, Var)
-        case TVar(i):
-            return _resolve(s, i, TVar)
-        case Star() | KArr() | TCon() | Con() | Ref() | Zero():
-            return n
-        case TApp(f, a):
-            return TApp(_apply(s, f), _apply(s, a))
-        case EqTy(l, r, k):
-            return EqTy(_apply(s, l), _apply(s, r), k)
-        case Forall(k, b):
-            return Forall(k, _apply(lift(s), b))
-        case Lam(ann, b):
-            return Lam(_apply(s, ann), _apply(lift(s), b))
-        case App(f, a):
-            return App(_apply(s, f), _apply(s, a))
-        case TyLam(k, b):
-            return TyLam(k, _apply(lift(s), b))
-        case TyApp(f, a):
-            return TyApp(_apply(s, f), _apply(s, a))
-        case Cast(m, c):
-            return Cast(_apply(s, m), _apply(s, c))
-        case If(sc, p, c, a):
-            return If(_apply(s, sc), _apply_pat(s, p), _apply(s, c), _apply(s, a))
-        case Guard(sc, p, c):
-            return Guard(_apply(s, sc), _apply_pat(s, p), _apply(s, c))
-        case Choice(l, r):
-            return Choice(_apply(s, l), _apply(s, r))
-        case Refl(t):
-            return Refl(_apply(s, t))
-        case Sym(a):
-            return Sym(_apply(s, a))
-        case Trans(l, r):
-            return Trans(_apply(s, l), _apply(s, r))
-        case CApp(l, r):
-            return CApp(_apply(s, l), _apply(s, r))
-        case Fst(a):
-            return Fst(_apply(s, a))
-        case Snd(a):
-            return Snd(_apply(s, a))
-        case Univ(k, b):
-            return Univ(k, _apply(lift(s), b))
-        case CInst(c, t):
-            return CInst(_apply(s, c), _apply(s, t))
-        case Sim(l, r):
-            return Sim(_apply(s, l), _apply(s, r))
-    raise TypeError(f"not a syntax node: {n!r}")
-
-
-def _apply_pat(s: Subst, p: Pattern) -> Pattern:
-    return Pattern(p.head, tuple(_apply(s, t) for t in p.type_args))
+    cls = type(n)
+    if cls is Var or cls is TVar:
+        return _resolve(s, n.index, cls)
+    shape = _SUBST_FIELDS.get(cls)
+    if shape is None:
+        return n
+    args = []
+    for name, role in shape:
+        x = getattr(n, name)
+        if role is PATTERN:
+            x = Pattern(x.head, tuple(_apply(s, t) for t in x.type_args))
+        elif role is not KIND:
+            x = _apply(lift(s) if role is BINDER else s, x)
+        args.append(x)
+    return cls(*args)
 
 
 def compose(s1: Subst, s2: Subst) -> Subst:
@@ -172,23 +139,18 @@ def instantiate(body: Node, arg: Node) -> Node:
 def min_free_index(n: Node) -> int:
     """Smallest free de Bruijn index in `n` (large sentinel when closed)."""
     best = 1 << 60
-
-    def go(m: Node, depth: int) -> None:
-        nonlocal best
-        match m:
-            case Var(i) | TVar(i):
-                if i >= depth:
-                    best = min(best, i - depth)
-            case Forall(_, b) | TyLam(_, b) | Univ(_, b):
-                go(b, depth + 1)
-            case Lam(ann, b):
-                go(ann, depth)
-                go(b, depth + 1)
-            case _:
-                for c in children(m):
-                    go(c, depth)
-
-    go(n, 0)
+    stack = [(n, 0)]
+    while stack:
+        m, depth = stack.pop()
+        cls = type(m)
+        if (cls is Var or cls is TVar) and m.index >= depth:
+            best = min(best, m.index - depth)
+        for name, role in _SUBST_FIELDS.get(cls, ()):
+            x = getattr(m, name)
+            if role is PATTERN:
+                stack.extend((t, depth) for t in x.type_args)
+            elif role is not KIND:
+                stack.append((x, depth + 1 if role is BINDER else depth))
     return best
 
 

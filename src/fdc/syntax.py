@@ -10,7 +10,7 @@ open functions, lets) are strings resolved against the environment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
 
@@ -18,6 +18,10 @@ class Node:
     """Base class for all syntax nodes."""
 
     __slots__ = ()
+
+
+# Annotations that mark a field as a binder body or a kind (see `FIELDS`).
+Body = Kind = Node
 
 
 # ---------------------------------------------------------------- kinds
@@ -31,8 +35,8 @@ class Star(Node):
 class KArr(Node):
     """Kind of type constructors: `k1 -> k2`."""
 
-    left: Node
-    right: Node
+    left: Kind
+    right: Kind
 
 
 STAR = Star()
@@ -68,15 +72,15 @@ class EqTy(Node):
 
     lhs: Node
     rhs: Node
-    kind: Node
+    kind: Kind
 
 
 @dataclass(frozen=True)
 class Forall(Node):
     """Universally quantified type; binds one type variable."""
 
-    kind: Node
-    body: Node
+    kind: Kind
+    body: Body
 
 
 ARROW = TCon("->")
@@ -122,7 +126,7 @@ class Lam(Node):
     """Term abstraction; the annotation is the bound variable's type."""
 
     ann: Node
-    body: Node
+    body: Body
 
 
 @dataclass(frozen=True)
@@ -135,8 +139,8 @@ class App(Node):
 class TyLam(Node):
     """Type abstraction; binds one type variable of the given kind."""
 
-    kind: Node
-    body: Node
+    kind: Kind
+    body: Body
 
 
 @dataclass(frozen=True)
@@ -246,8 +250,8 @@ class Snd(Node):
 class Univ(Node):
     """`forallc t:k. h` — congruence under a quantifier; binds one type var."""
 
-    kind: Node
-    body: Node
+    kind: Kind
+    body: Body
 
 
 @dataclass(frozen=True)
@@ -287,8 +291,18 @@ def _cache_hash(cls: type) -> None:
     cls.__hash__ = __hash__
 
 
+# Per node class, its dataclass fields in order, each with its role, read
+# off its annotation: an open position (`Node`); a binder body (`Body`), one
+# telescope slot deeper; a closed kind (`Kind`: no variable or reference); a
+# pattern, whose type arguments are open positions; or data (index, name).
+OPEN, BINDER, KIND, PATTERN, DATA = "open", "binder", "kind", "pattern", "data"
+_ROLES = {"Node": OPEN, "Body": BINDER, "Kind": KIND, "Pattern": PATTERN}
+FIELDS: dict[type, tuple[tuple[str, str], ...]] = {}
+
 for _cls in Node.__subclasses__():
     _cache_hash(_cls)
+    FIELDS[_cls] = tuple((f.name, _ROLES.get(f.type, DATA))
+                         for f in fields(_cls))
 
 
 # ----------------------------------------------------------- declarations
@@ -562,31 +576,14 @@ def split_ctor_type(ty: Node) -> tuple[list[Node], list[Node], Node]:
 
 
 def children(n: Node) -> list[Node]:
-    """Immediate sub-nodes, patterns flattened to their type args."""
-    match n:
-        case Star() | TVar() | TCon() | Var() | Con() | Ref() | Zero():
-            return []
-        case KArr(l, r) | TApp(l, r) | App(l, r) | TyApp(l, r):
-            return [l, r]
-        case EqTy(l, r, k):
-            return [l, r, k]
-        case Forall(k, b) | TyLam(k, b) | Univ(k, b) | Lam(k, b):
-            return [k, b]
-        case Cast(s, c):
-            return [s, c]
-        case If(s, p, c, a):
-            return [s, *p.type_args, c, a]
-        case Guard(s, p, c):
-            return [s, *p.type_args, c]
-        case Choice(l, r) | Trans(l, r) | CApp(l, r) | Sim(l, r):
-            return [l, r]
-        case Refl(t):
-            return [t]
-        case Sym(a) | Fst(a) | Snd(a):
-            return [a]
-        case CInst(c, t):
-            return [c, t]
-    raise TypeError(f"not a syntax node: {n!r}")
+    """Immediate sub-nodes, kinds included, pattern type args flattened."""
+    out: list[Node] = []
+    for name, role in FIELDS[type(n)]:
+        if role is PATTERN:
+            out.extend(getattr(n, name).type_args)
+        elif role is not DATA:
+            out.append(getattr(n, name))
+    return out
 
 
 def subnodes(n: Node) -> Iterator[Node]:
@@ -599,52 +596,14 @@ def subnodes(n: Node) -> Iterator[Node]:
 
 
 def map_children(n: Node, f) -> Node:
-    """Rebuild `n` with every immediate sub-node passed through `f`."""
-    match n:
-        case Star() | TVar() | TCon() | Var() | Con() | Ref() | Zero():
-            return n
-        case KArr(l, r):
-            return KArr(f(l), f(r))
-        case TApp(l, r):
-            return TApp(f(l), f(r))
-        case App(l, r):
-            return App(f(l), f(r))
-        case TyApp(l, r):
-            return TyApp(f(l), f(r))
-        case EqTy(l, r, k):
-            return EqTy(f(l), f(r), k)
-        case Forall(k, b):
-            return Forall(k, f(b))
-        case TyLam(k, b):
-            return TyLam(k, f(b))
-        case Univ(k, b):
-            return Univ(k, f(b))
-        case Lam(a, b):
-            return Lam(f(a), f(b))
-        case Cast(s, c):
-            return Cast(f(s), f(c))
-        case If(s, p, c, a):
-            pat = Pattern(p.head, tuple(f(t) for t in p.type_args))
-            return If(f(s), pat, f(c), f(a))
-        case Guard(s, p, c):
-            pat = Pattern(p.head, tuple(f(t) for t in p.type_args))
-            return Guard(f(s), pat, f(c))
-        case Choice(l, r):
-            return Choice(f(l), f(r))
-        case Refl(t):
-            return Refl(f(t))
-        case Sym(a):
-            return Sym(f(a))
-        case Trans(l, r):
-            return Trans(f(l), f(r))
-        case CApp(l, r):
-            return CApp(f(l), f(r))
-        case Fst(a):
-            return Fst(f(a))
-        case Snd(a):
-            return Snd(f(a))
-        case CInst(c, t):
-            return CInst(f(c), f(t))
-        case Sim(l, r):
-            return Sim(f(l), f(r))
-    raise TypeError(f"not a syntax node: {n!r}")
+    """Rebuild `n` with every immediate sub-node passed through `f`, kinds
+    and pattern type args included; a leaf (fields of data) stays as it is."""
+    shape = FIELDS[type(n)]
+    if not shape or shape[0][1] is DATA:
+        return n
+    args = []
+    for name, role in shape:
+        x = getattr(n, name)
+        args.append(Pattern(x.head, tuple(map(f, x.type_args)))
+                    if role is PATTERN else f(x))
+    return type(n)(*args)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from fdc.analysis import (
@@ -6,6 +8,7 @@ from fdc.analysis import (
 )
 from fdc.parser import parse_core, parse_term
 from fdc.printer import print_term
+from fdc.propcheck import GenConfig, gen_well_typed
 from fdc.reduction import Value, whnf
 from fdc.surface import parse_surface
 from fdc.elaborate import elaborate_program
@@ -177,6 +180,18 @@ def test_specialize_non_concrete_evidence(superclasses_env):
     with pytest.raises(AnalysisError) as exc:
         specialize(superclasses_env, term)
     assert exc.value.diagnostic.code == "not-hssdi"
+
+
+def test_specialize_budget_ends_an_unfolding_cycle():
+    # acceptance-5 case 3 (seed 42) calls `absurdCo`, whose unfolding cycles
+    # through the same term; each pass is charged for its walks of the term,
+    # so the default budget runs out although few normalizer steps are taken
+    env, term, _ = gen_well_typed(GenConfig(seed=42, size=30), 3)
+    start = time.perf_counter()
+    with pytest.raises(AnalysisError) as exc:
+        specialize(env, term)
+    assert exc.value.diagnostic.code == "specialize-budget"
+    assert time.perf_counter() - start < 5
 
 
 def test_specialize_keeps_choice_for_overlap(prelude):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -212,3 +213,29 @@ def test_eval_deep_expression_is_a_depth_limit_diagnostic(capsys):
     code, out, err = run_cli(capsys, "eval", "--json", path, "-e", expr)
     assert code == 1
     assert json.loads(out.splitlines()[-1])["code"] == "depth-limit"
+
+
+def test_seeded_corpus_edits_never_crash(tmp_path, capsys):
+    """Single-character deletions, insertions and replacements across the
+    bundled corpus files each end in an exit code; no exception escapes."""
+    corpus = os.path.dirname(corpus_path("prelude.fd"))
+    names = sorted(n for n in os.listdir(corpus)
+                   if n.endswith((".fd", ".hsk")))
+    assert len(names) == 8
+    rng = random.Random(20250)
+    alphabet = "()[]{};:.,|~<>=-+*@/\\ \n0aAzK_'#"
+    for i in range(152):
+        name = names[i % len(names)]
+        text = corpus_text(name)
+        pos = rng.randrange(len(text))
+        op = rng.choice(("delete", "insert", "replace"))
+        ch = rng.choice(alphabet)
+        edited = {"delete": text[:pos] + text[pos + 1:],
+                  "insert": text[:pos] + ch + text[pos:],
+                  "replace": text[:pos] + ch + text[pos + 1:]}[op]
+        path = tmp_path / name
+        path.write_text(edited)
+        command = "elab" if name.endswith(".hsk") else "check"
+        code = main([command, str(path)])
+        capsys.readouterr()
+        assert code in (0, 1, 2), (name, op, pos, ch, code)

@@ -7,7 +7,8 @@ from fdc.subst import (
     shift, shift_subst, singleton, try_unshift,
 )
 from fdc.syntax import (
-    App, Con, Lam, TCon, TVar, Var, arrow, node_eq, STAR, TyLam, Forall,
+    App, Con, EqTy, KArr, Lam, Refl, TCon, TVar, Var, arrow, node_eq, STAR,
+    TyLam, Forall,
 )
 
 
@@ -103,8 +104,10 @@ def test_shift_and_unshift():
 def test_binders_lift_under_every_binding_form():
     rng = random.Random(6)
     s = singleton(Con("K"))
+    karr = KArr(STAR, STAR)  # the substitution generators never build one
     for make in (lambda b: Lam(TCon("Bool"), b), lambda b: TyLam(STAR, b),
-                 lambda b: Forall(STAR, b)):
+                 lambda b: Forall(STAR, b),
+                 lambda b: TyLam(karr, Refl(EqTy(b, b, karr)))):
         n = make(Var(1))
         # index 1 under one binder is index 0 outside: replaced by K
         assert apply(s, n) == make(Con("K"))

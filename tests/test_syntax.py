@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -9,7 +10,7 @@ from fdc.syntax import (
     App, CApp, Cast, Choice, CInst, Con, CtorSig, EqTy, Forall, Fst, Guard,
     If, KArr, Lam, OpenCtorDecl, OpenTypeDecl, Pattern, Ref, Refl, Sim, Snd,
     Star, Sym, TApp, TCon, Trans, TVar, TyApp, TyLam, Univ, Var, Zero, ZERO,
-    STAR, arrow, node_eq,
+    STAR, BINDER, DATA, FIELDS, KIND, OPEN, PATTERN, Node, arrow, node_eq,
 )
 
 
@@ -176,3 +177,23 @@ def test_node_hash_is_cached_and_structural():
     assert hash(child_first) == hash(parent_first)
     assert hash(child_first.arg) == hash(parent_first.arg)
     assert hash(child_first.fun) == hash(parent_first.fun)
+
+
+def test_field_table_classifies_every_field_once():
+    assert set(FIELDS) == set(Node.__subclasses__())
+    where: dict[str, set[str]] = {}
+    for cls, shape in FIELDS.items():
+        assert [name for name, _ in shape] == [f.name for f in fields(cls)]
+        roles = {role for _, role in shape}
+        assert roles <= {OPEN, BINDER, KIND, PATTERN, DATA}
+        # a leaf holds data only; `map_children` returns it as it is
+        assert DATA not in roles or roles == {DATA}
+        for name, role in shape:
+            where.setdefault(role, set()).add(f"{cls.__name__}.{name}")
+    assert where[BINDER] == {"Forall.body", "Lam.body", "TyLam.body",
+                             "Univ.body"}
+    assert where[KIND] == {"KArr.left", "KArr.right", "EqTy.kind",
+                           "Forall.kind", "TyLam.kind", "Univ.kind"}
+    assert where[PATTERN] == {"If.pat", "Guard.pat"}
+    assert where[DATA] == {"TVar.index", "Var.index", "TCon.name",
+                           "Con.name", "Ref.name"}
