@@ -25,18 +25,18 @@ from .reduction import (
     OutOfFuel, StuckResult, Value, ZeroResult, eval_all, whnf, DEFAULT_FUEL,
 )
 from .surface import parse_surface
-from .syntax import Env
+from .syntax import DataDecl, Decl, Env, InstanceDecl, OpenTypeDecl
 from .typecheck import CheckError, Diagnostic, check_program, infer_term
 
 
 def _load_env_and_decls(path: str, options: ElabOptions,
                         ) -> tuple[Env, list, list[Diagnostic]]:
-    """Parse a .fd or .hsk file and check it against the prelude; the
-    prelude file itself is checked from the builtin environment."""
-    from .corpus import prelude_text
+    """Parse a .fd or .hsk file and check it against the prelude; a .fd
+    file that redeclares a prelude name (the prelude itself, or an edited
+    copy of it) is checked from the builtin environment."""
     with open(path) as fh:
         text = fh.read()
-    base = Env() if text == prelude_text() else prelude_env()
+    base = prelude_env()
     spans = None
     if path.endswith(".hsk"):
         decls, diags = elaborate_program(parse_surface(text), base, options)
@@ -44,8 +44,17 @@ def _load_env_and_decls(path: str, options: ElabOptions,
             return base, [], diags
     else:
         decls, spans = parse_core_with_spans(text)
+        if any(_redeclares(base, d) for d in decls):
+            base = Env()
     env, diags = check_program(base, decls, spans)
     return env, decls, diags
+
+
+def _redeclares(env: Env, d: Decl) -> bool:
+    """Whether `d` declares a name that `env` already declares."""
+    if isinstance(d, (DataDecl, OpenTypeDecl)):
+        return env.type_name_taken(d.name)
+    return not isinstance(d, InstanceDecl) and env.term_name_taken(d.name)
 
 
 def _report(diags: list[Diagnostic], as_json: bool, path: str = "") -> None:

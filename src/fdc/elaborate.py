@@ -426,33 +426,29 @@ class Elaborator:
 
     def _method_instance(self, info: ClassInfo, inst: InstanceInfo,
                          ivars: list, mname: str, surface_body) -> None:
-        n = len(info.param_kinds)
-        env = self.env
-        for k in info.param_kinds:
-            env = env.push(TyVarBind(k))
-        c_applied = _applied(info.name, [TVar(n - 1 - i) for i in range(n)])
-        env = env.push(TmVarBind(c_applied))
-        names: list = [None] * (n + 1)
-        pat_args = [TVar(n - 1 - i + 1) for i in range(n)]
-        pat, res_kinds, arg_tys = self._guard_skeleton(env, names, 0,
-                                                       inst.ctor_name,
-                                                       pat_args)
-        env3, names3 = self._extend_with_pattern(env, names, res_kinds,
-                                                 arg_tys, ivars)
         method_ty = info.methods[mname]
-        for _ in range(n):
+        for _ in range(len(info.param_kinds)):
             assert isinstance(method_ty, Forall)
             method_ty = method_ty.body
         sigma = un_arrow(method_ty)[1]  # drop the dictionary arrow
-        expected = shift(sigma, 1 + len(res_kinds) + len(arg_tys))
-        body = self.check(env3, names3, surface_body, expected)
-        cons = self._wrap_consequent(res_kinds, arg_tys, body)
-        term = _tylams(list(info.param_kinds),
-                       Lam(c_applied, Guard(Var(0), pat, cons)))
-        self.emit(InstanceDecl(mname, term))
+        self._instance_clause(
+            info, inst, ivars, mname,
+            lambda env, names, k: self.check(env, names, surface_body,
+                                             shift(sigma, k)))
 
     def _super_instance(self, info: ClassInfo, inst: InstanceInfo,
                         ivars: list, proj: str, pred: Node) -> None:
+        self._instance_clause(
+            info, inst, ivars, proj,
+            lambda env, names, k: self._resolve(env, names, shift(pred, k)))
+
+    def _instance_clause(self, info: ClassInfo, inst: InstanceInfo,
+                         ivars: list, name: str, body_of) -> None:
+        """Emit the instance of open function `name` for `inst`: under the
+        class parameters and a dictionary binder, a guard on the dictionary
+        for `inst`'s constructor. `body_of(env, names, k)` gives the guard's
+        consequent in the scope the guard opens, `k` binders inside the
+        class parameters."""
         n = len(info.param_kinds)
         env = self.env
         for k in info.param_kinds:
@@ -466,12 +462,11 @@ class Elaborator:
                                                        pat_args)
         env3, names3 = self._extend_with_pattern(env, names, res_kinds,
                                                  arg_tys, ivars)
-        goal = shift(pred, 1 + len(res_kinds) + len(arg_tys))
-        dict_term = self._resolve(env3, names3, goal)
-        cons = self._wrap_consequent(res_kinds, arg_tys, dict_term)
+        body = body_of(env3, names3, 1 + len(res_kinds) + len(arg_tys))
+        cons = self._wrap_consequent(res_kinds, arg_tys, body)
         term = _tylams(list(info.param_kinds),
                        Lam(c_applied, Guard(Var(0), pat, cons)))
-        self.emit(InstanceDecl(proj, term))
+        self.emit(InstanceDecl(name, term))
 
     def _fd_witness(self, info: ClassInfo, fd: FundepInfo,
                     inst1: InstanceInfo, inst2: InstanceInfo) -> None:

@@ -99,10 +99,12 @@ def tokenize(text: str) -> list[Token]:
 
 
 @dataclass
-class Parser:
+class Cursor:
+    """A position in a token list, and the grammar of kinds; shared by the
+    core and the surface parser."""
+
     tokens: list[Token]
     pos: int = 0
-    stack: list[str] = field(default_factory=list)  # binder names, outer first
 
     @property
     def cur(self) -> Token:
@@ -153,6 +155,11 @@ class Parser:
             self.expect(")")
             return k
         self.fail("expected a kind", frozenset({"*", "("}))
+
+
+@dataclass
+class Parser(Cursor):
+    stack: list[str] = field(default_factory=list)  # binder names, outer first
 
     # ---------------------------------------------------------- types
 

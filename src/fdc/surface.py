@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .parser import ParseError, Token, tokenize, RESERVED_NAME
+from .parser import Cursor, ParseError, tokenize, RESERVED_NAME
 from .printer import print_kind
 from .syntax import Node, KArr, STAR
 
@@ -208,18 +208,7 @@ SurfaceProgram = list  # list[SDecl]
 
 # ---------------------------------------------------------------- parser
 
-@dataclass
-class SurfaceParser:
-    tokens: list[Token]
-    pos: int = 0
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def at(self, *kinds: str) -> bool:
-        return self.cur.kind in kinds
-
+class SurfaceParser(Cursor):
     def at_kw(self, *words: str) -> bool:
         # the core lexer is reused; surface keywords arrive as names or kws
         return ((self.cur.kind == "kw" or self.cur.kind == "name")
@@ -228,32 +217,12 @@ class SurfaceParser:
     def at_name(self) -> bool:
         return self.cur.kind == "name"
 
-    def advance(self) -> Token:
-        tok = self.cur
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        if self.cur.kind != kind:
-            raise ParseError(f"unexpected {self.cur.text or 'end of input'!r}",
-                             self.cur.line, self.cur.col, frozenset({kind}))
-        return self.advance()
-
     def expect_dcolon(self) -> None:
         self.expect(":")
         self.expect(":")
 
     def at_dcolon(self) -> bool:
         return (self.cur.kind == ":" and self.tokens[self.pos + 1].kind == ":")
-
-    def expect_kw(self, word: str) -> Token:
-        if not self.at_kw(word):
-            raise ParseError(f"unexpected {self.cur.text or 'end of input'!r}",
-                             self.cur.line, self.cur.col, frozenset({word}))
-        return self.advance()
-
-    def fail(self, message: str, expected: frozenset[str] = frozenset()):
-        raise ParseError(message, self.cur.line, self.cur.col, expected)
 
     def name(self, upper: Optional[bool] = None) -> str:
         tok = self.expect("name")
@@ -266,26 +235,6 @@ class SurfaceParser:
         if upper is False and not (text[0].islower() or text[0] == "_"):
             raise ParseError(f"{text!r} must start lowercase", tok.line, tok.col)
         return text
-
-    # ---- kinds (shared with the core grammar)
-
-    def kind(self) -> Node:
-        left = self.kind_atom()
-        if self.at("->"):
-            self.advance()
-            return KArr(left, self.kind())
-        return left
-
-    def kind_atom(self) -> Node:
-        if self.at("*"):
-            self.advance()
-            return STAR
-        if self.at("("):
-            self.advance()
-            k = self.kind()
-            self.expect(")")
-            return k
-        self.fail("expected a kind", frozenset({"*", "("}))
 
     # ---- types
 

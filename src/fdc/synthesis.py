@@ -1,17 +1,22 @@
 """Instance resolution and coercion synthesis.
 
-Coercions are found by depth-first search over a graph whose nodes are types
-and whose edges come from: equality hypotheses in scope (both directions),
-component projections of derivable equalities between type applications, and
-improvement edges obtained by applying a functional-dependency witness to a
-pair of dictionaries that share determiners. Structural congruence bridges
-the remaining gaps.
+Coercions are found by one depth-first path search, `find_path`, over an
+adjacency map from each type to its outgoing (type, coercion) edges, in the
+order found. The edges come from: equality hypotheses in scope (both
+directions), component projections of equalities between type applications
+that the hypotheses alone derive (found by the same search), and improvement
+edges obtained by applying a functional-dependency witness to a pair of
+dictionaries that share determiners. Structural congruence bridges the
+remaining gaps. Collections of nodes are sets and dicts keyed by the nodes,
+whose hash and equality are both structural; the dicts keep the order in
+which nodes and edges were found, and that order fixes the coercion chosen.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from itertools import chain
+from typing import Callable, Iterable, Optional
 
 from .syntax import (
     Node, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, App, TyApp,
@@ -127,15 +132,12 @@ def _rigid_clash(a: Node, b: Node) -> bool:
 def hyps_inconsistent(pairs: list[tuple[Node, Node]], limit: int = 200) -> bool:
     """Close equality hypotheses under symmetry, transitivity, and
     decomposition; report whether two rigidly distinct types get equated."""
-    known: list[tuple[Node, Node]] = []
+    known: dict[tuple[Node, Node], None] = {}  # ordered: `limit` cuts it
 
     def add(a: Node, b: Node) -> bool:
-        if node_eq(a, b):
+        if a == b or (a, b) in known:
             return False
-        for (x, y) in known:
-            if node_eq(x, a) and node_eq(y, b):
-                return False
-        known.append((a, b))
+        known[a, b] = None
         return True
 
     for a, b in pairs:
@@ -151,9 +153,53 @@ def hyps_inconsistent(pairs: list[tuple[Node, Node]], limit: int = 200) -> bool:
                 if add(b.fun, a.fun) or add(b.arg, a.arg):
                     changed = True
             for (c, d) in list(known):
-                if node_eq(b, c) and add(a, d):
+                if b == c and add(a, d):
                     changed = True
     return any(_rigid_clash(a, b) for a, b in known)
+
+
+# ------------------------------------------------------------ path search
+
+# Each node's outgoing edges, in the order they were found: (next, coercion).
+Graph = dict[Node, list[tuple[Node, Node]]]
+
+
+def _add_edge(graph: Graph, frm: Node, to: Node, co: Node) -> None:
+    graph.setdefault(frm, []).append((to, co))
+
+
+def find_path(frm: Node, to: Node, graph: Graph,
+              bridges: Callable[[Node, set[Node]],
+                                Iterable[tuple[Node, Node]]]
+              = lambda cur, visited: (),
+              ) -> Optional[Node]:
+    """Depth-first search for a coercion `frm ~ to`: the `Trans` chain of
+    the steps on the first path found. From each node it tries the graph's
+    edges in order, then the `(next, coercion)` steps that
+    `bridges(node, visited)` yields; these are drawn lazily, so a bridge is
+    only computed once every step before it has failed."""
+    visited: set[Node] = set()
+
+    def walk(cur: Node) -> Optional[list[Node]]:
+        if cur == to:
+            return []
+        visited.add(cur)
+        for nxt, co in chain(graph.get(cur, ()), bridges(cur, visited)):
+            if nxt not in visited:
+                rest = walk(nxt)
+                if rest is not None:
+                    return [co] + rest
+        return None
+
+    parts = walk(frm)
+    if parts is None:
+        return None
+    if not parts:
+        return Refl(frm)
+    eta = parts[-1]
+    for p in reversed(parts[:-1]):
+        eta = Trans(p, eta)
+    return eta
 
 
 # ------------------------------------------------------------- resolver
@@ -167,39 +213,34 @@ class Resolver:
     synth_depth: int = 64
     resolve_depth: int = 32
 
+    def __post_init__(self) -> None:
+        self._scope = []
+        for i in range(self.env.binder_depth()):
+            entry = self.env.binder(i)
+            if isinstance(entry, TmVarBind):
+                self._scope.append((i, shift(entry.type, i + 1)))
+
     # -- scope inspection
 
     def scope_entries(self) -> list[tuple[int, Node]]:
-        """(index, type) for every term binder in scope, innermost first."""
-        out = []
-        depth = self.env.binder_depth()
-        for i in range(depth):
-            entry = self.env.binder(i)
-            if isinstance(entry, TmVarBind):
-                out.append((i, shift(entry.type, i + 1)))
-        return out
+        """(index, type) for every term binder in scope, innermost first;
+        built once, when the resolver is made."""
+        return self._scope
 
     def hypotheses(self, exclude: frozenset[int]) -> list[tuple[Node, Node, Node]]:
-        hyps = []
-        for i, ty in self.scope_entries():
-            if i in exclude:
-                continue
-            match ty:
-                case EqTy(l, r, _):
-                    hyps.append((l, r, Var(i)))
-        return hyps
+        return [(ty.lhs, ty.rhs, Var(i)) for i, ty in self.scope_entries()
+                if i not in exclude and isinstance(ty, EqTy)]
 
     def scope_dicts(self, exclude: frozenset[int]) -> list[tuple[Node, Node]]:
         """(term, type) pairs for class-typed binders, with superclass
         projections chased transitively."""
         out: list[tuple[Node, Node]] = []
-        seen_types: list[Node] = []
+        seen_types: set[Node] = set()
 
         def push(term: Node, ty: Node) -> None:
-            for t in seen_types:
-                if node_eq(t, ty):
-                    return
-            seen_types.append(ty)
+            if ty in seen_types:
+                return
+            seen_types.add(ty)
             out.append((term, ty))
             info = self.registry.class_of_type(ty)
             if info is None:
@@ -241,9 +282,7 @@ class Resolver:
                 found=_show(goal)))
         # 1. a local dictionary of exactly the goal type
         for i, ty in self.scope_entries():
-            if i in exclude:
-                continue
-            if node_eq(ty, goal):
+            if i not in exclude and ty == goal:
                 return Var(i)
         head = spine_head(goal)
         _, goal_args = type_spine(goal)
@@ -255,10 +294,7 @@ class Resolver:
                     spec = sum(_size(h) for h in inst.head)
                     candidates.append((spec, term))
         if candidates:
-            distinct = []
-            for _, t in candidates:
-                if not any(node_eq(t, u) for u in distinct):
-                    distinct.append(t)
+            distinct = {t for _, t in candidates}
             if len(distinct) > 1 and self.overlap == "reject":
                 raise SynthError(Diagnostic(
                     "ambiguous-instance",
@@ -366,7 +402,7 @@ class Resolver:
     def _synth(self, frm: Node, to: Node, depth: int,
                exclude: frozenset[int],
                active: frozenset) -> Optional[Node]:
-        if node_eq(frm, to):
+        if frm == to:
             return Refl(frm)
         if depth <= 0:
             return None
@@ -375,64 +411,27 @@ class Resolver:
             return None
         active = active | {key}
         hyps = self.hypotheses(exclude)
-        edges: list[tuple[Node, Node, Node]] = []
+        graph: Graph = {}
         for l, r, term in hyps:
-            edges.append((l, r, term))
-            edges.append((r, l, Sym(term)))
-        nodeset: list[Node] = []
-        for l, r, _ in hyps:
-            _add_node(nodeset, l)
-            _add_node(nodeset, r)
-        _add_node(nodeset, frm)
-        _add_node(nodeset, to)
-        edges.extend(self._decomposition_edges(nodeset, edges))
-        edges.extend(self._improvement_edges(hyps, depth, exclude, active))
-        path = self._dfs(frm, to, edges, nodeset, depth, exclude, active)
-        return path
+            _add_edge(graph, l, r, term)
+            _add_edge(graph, r, l, Sym(term))
+        nodes = dict.fromkeys([n for l, r, _ in hyps for n in (l, r)]
+                              + [frm, to])
+        extra = self._decomposition_edges(nodes, graph)
+        extra += self._improvement_edges(hyps, depth, exclude, active)
+        for a, b, term in extra:
+            _add_edge(graph, a, b, term)
 
-    def _dfs(self, frm: Node, to: Node, edges, nodeset, depth,
-             exclude, active) -> Optional[Node]:
-        visited: list[Node] = []
-
-        def seen(t: Node) -> bool:
-            return any(node_eq(t, v) for v in visited)
-
-        def walk(cur: Node) -> Optional[list[Node]]:
-            if node_eq(cur, to):
-                return []
-            visited.append(cur)
-            for (a, b, term) in edges:
-                if node_eq(cur, a) and not seen(b):
-                    rest = walk(b)
-                    if rest is not None:
-                        return [term] + rest
+        def bridges(cur: Node, visited: set[Node]):
             # structural congruence, direct and via known nodes
-            targets = [to] + [n for n in nodeset if not seen(n)
-                              and not node_eq(n, to)]
-            for target in targets:
-                if node_eq(cur, target):
-                    continue
-                bridge = self._congruence(cur, target, depth - 1,
-                                          exclude, active)
-                if bridge is None:
-                    continue
-                if node_eq(target, to):
-                    return [bridge]
-                if not seen(target):
-                    rest = walk(target)
-                    if rest is not None:
-                        return [bridge] + rest
-            return None
+            for target in [to] + [n for n in nodes
+                                  if n not in visited and n != to]:
+                bridge = self._congruence(cur, target, depth - 1, exclude,
+                                          active)
+                if bridge is not None:
+                    yield target, bridge
 
-        parts = walk(frm)
-        if parts is None:
-            return None
-        if not parts:
-            return Refl(frm)
-        eta = parts[-1]
-        for p in reversed(parts[:-1]):
-            eta = Trans(p, eta)
-        return eta
+        return find_path(frm, to, graph, bridges)
 
     def _congruence(self, a: Node, b: Node, depth: int, exclude,
                     active) -> Optional[Node]:
@@ -446,10 +445,8 @@ class Resolver:
                     return None
                 return CApp(ef, ea)
             case (Forall(k1, b1), Forall(k2, b2)) if node_eq(k1, k2):
-                inner = Resolver(self.env.push(TyVarBind(k1)),
-                                 self.names + [None], self.registry,
-                                 self.overlap, self.synth_depth,
-                                 self.resolve_depth)
+                inner = replace(self, env=self.env.push(TyVarBind(k1)),
+                                names=self.names + [None])
                 shifted_exclude = frozenset(i + 1 for i in exclude)
                 eb = inner._synth(b1, b2, depth, shifted_exclude, active)
                 if eb is None:
@@ -465,15 +462,15 @@ class Resolver:
                 return Sim(el, er)
         return None
 
-    def _decomposition_edges(self, nodeset, hyp_edges):
+    def _decomposition_edges(self, nodes, hyp_graph: Graph):
         """Components of derivable equalities between type applications."""
         out = []
-        apps = [n for n in nodeset if isinstance(n, TApp)]
-        for i, a in enumerate(apps):
+        apps = [n for n in nodes if isinstance(n, TApp)]
+        for a in apps:
             for b in apps:
-                if a is b or node_eq(a, b):
+                if a == b:
                     continue
-                path = _hyp_path(a, b, hyp_edges)
+                path = find_path(a, b, hyp_graph)
                 if path is None:
                     continue
                 out.append((a.fun, b.fun, Fst(path)))
@@ -581,38 +578,6 @@ def apply_projection(name: str, type_args: list[Node], term_arg: Node) -> Node:
     for t in type_args:
         out = TyApp(out, t)
     return App(out, term_arg)
-
-
-def _hyp_path(frm: Node, to: Node, edges) -> Optional[Node]:
-    """DFS over plain hypothesis edges only."""
-    visited: list[Node] = []
-
-    def seen(t: Node) -> bool:
-        return any(node_eq(t, v) for v in visited)
-
-    def walk(cur: Node) -> Optional[list[Node]]:
-        if node_eq(cur, to):
-            return []
-        visited.append(cur)
-        for (a, b, term) in edges:
-            if node_eq(cur, a) and not seen(b):
-                rest = walk(b)
-                if rest is not None:
-                    return [term] + rest
-        return None
-
-    parts = walk(frm)
-    if parts is None or not parts:
-        return None if parts is None else Refl(frm)
-    eta = parts[-1]
-    for p in reversed(parts[:-1]):
-        eta = Trans(p, eta)
-    return eta
-
-
-def _add_node(nodeset: list[Node], n: Node) -> None:
-    if not any(node_eq(n, m) for m in nodeset):
-        nodeset.append(n)
 
 
 def _size(t: Node) -> int:

@@ -21,6 +21,16 @@ def corpus_path(name):
     return os.path.join(os.path.dirname(fdc.__file__), "corpus", name)
 
 
+def checkout_env():
+    """The environment with the imported `fdc`'s source root on
+    PYTHONPATH, so that a child `python -m fdc.cli` imports the same code."""
+    import fdc
+    src = os.path.dirname(os.path.dirname(fdc.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def test_check_ok(capsys):
     code, out, err = run_cli(capsys, "check", corpus_path("superclasses.fd"))
     assert code == 0
@@ -156,7 +166,7 @@ def test_fuzz_unknown_property(capsys):
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "fdc.cli", "frobnicate"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 2
 
 
@@ -164,7 +174,7 @@ def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fdc.cli", "eval",
          corpus_path("superclasses.fd"), "-e", "xor True False"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "True"
 
@@ -202,6 +212,20 @@ def test_check_accepts_surface_files(capsys):
 def test_check_prelude_itself(capsys):
     code, out, err = run_cli(capsys, "check", corpus_path("prelude.fd"))
     assert code == 0
+
+
+def test_check_edited_prelude_copy(tmp_path, capsys):
+    # a file that redeclares prelude names is checked as a prelude
+    commented = tmp_path / "commented.fd"
+    commented.write_text(corpus_text("prelude.fd") + "-- a comment\n")
+    code, out, err = run_cli(capsys, "check", str(commented))
+    assert code == 0
+    broken = tmp_path / "broken.fd"
+    broken.write_text(corpus_text("prelude.fd") + "ctor MkFoo : Bar;\n")
+    code, out, err = run_cli(capsys, "check", "--json", str(broken))
+    assert code == 1
+    assert [json.loads(line)["code"] for line in out.splitlines()] == [
+        "unbound-con"]
 
 
 def test_eval_deep_expression_is_a_depth_limit_diagnostic(capsys):

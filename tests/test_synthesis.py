@@ -1,0 +1,202 @@
+"""Differential tests: the path search in `fdc.synthesis` against the list-based
+search kept in `synthesis_oracle`."""
+
+import random
+
+import pytest
+
+import synthesis_oracle as oracle
+from fdc import elaborate
+from fdc.corpus import corpus_text
+from fdc.elaborate import ElabOptions, Elaborator, elaborate_program
+from fdc.printer import print_core
+from fdc.subst import shift
+from fdc.surface import parse_surface
+from fdc.synthesis import Resolver, SynthError, hyps_inconsistent
+from fdc.syntax import (
+    EqTy, STAR, TApp, TCon, TmVarBind, TVar, TyVarBind,
+)
+
+CORPUS = ("superclasses.hsk", "fundeps.hsk", "fundeps_invalid.hsk")
+
+
+def fundep_program(rng: random.Random, tag: str, ground: int,
+                   structural: int, use: str) -> str:
+    """A class `t -> u, u -> t` with `ground` ground instances,
+    `structural` instances `F a b => F (S a) (R b)`, and a use site that is
+    absent, resolves a dictionary, or types only through an improvement
+    cast."""
+    cls = f"F{tag}"
+    dets = ["Int" if i == 0 and rng.random() < 0.5 else f"D{tag}{i}"
+            for i in range(ground)]
+    outs = ["Bool"] + [f"E{tag}{i}" for i in range(1, ground)]
+    shells = [("Maybe", "Maybe") if j == 0 and rng.random() < 0.5
+              else (f"S{tag}{j}", f"R{tag}{j}") for j in range(structural)]
+    lines = [f"data {t} :: *;" for t in dets + outs if t not in ("Int", "Bool")]
+    lines += [f"data {t} :: * -> *;" for pair in shells for t in pair
+              if t != "Maybe"]
+    lines.append(f"class {cls} t u | t -> u, u -> t;")
+    order = list(range(ground))
+    rng.shuffle(order)
+    lines += [f"instance G{tag}{i} : {cls} {dets[i]} {outs[i]};"
+              for i in order]
+    lines += [f"instance H{tag}{j} : {cls} a b => {cls} ({s} a) ({r} b);"
+              for j, (s, r) in enumerate(shells)]
+    if use == "nocast":
+        lines.append(f"let d{tag} :: {cls} {dets[0]} Bool "
+                     f"= (_ :: {cls} {dets[0]} Bool);")
+    elif use == "cast":
+        lines.append(f"let f{tag} :: forall t. {cls} {dets[0]} t => t -> t"
+                     f" = /\\ t. \\ d :: {cls} {dets[0]} t. not;")
+    return "\n".join(lines) + "\n"
+
+
+def superclass_program(rng: random.Random, tag: str, depth: int,
+                       types: int) -> str:
+    """A chain of `depth` classes, each the superclass of the next, an
+    instance of each at `types` data types, and a use site that reaches the
+    root's method from a dictionary of the last class."""
+    classes = [f"C{tag}{i}" for i in range(depth)]
+    tys = [f"T{tag}{i}" for i in range(types)]
+    lines = [f"data {t} :: *;" for t in tys]
+    for i, c in enumerate(classes):
+        sup = f"{classes[i - 1]} a => " if i else ""
+        lines.append(f"class {sup}{c} a where {{ m{tag}{i} :: a -> a -> Bool; }};")
+    for t in tys:
+        for i, c in enumerate(classes):
+            body = rng.choice(["True", "False"])
+            lines.append(f"instance I{tag}{t}{i} : {c} {t} where {{ m{tag}{i} = "
+                         f"((\\ x :: {t}. \\ y :: {t}. {body}) "
+                         f":: {t} -> {t} -> Bool); }};")
+    top, root = classes[-1], classes[0]
+    lines.append(f"let u{tag} :: forall a. {top} a => a -> a -> Bool = /\\ a. "
+                 f"\\ d :: {top} a. \\ x :: a. \\ y :: a. "
+                 f"m{tag}0 [a] (_ :: {root} a) x y;")
+    lines.append(f"let t{tag} :: {top} {tys[0]} = (_ :: {top} {tys[0]});")
+    return "\n".join(lines) + "\n"
+
+
+def seeded_programs() -> list[tuple[str, str]]:
+    """25 programs: fundep classes with 1-2 ground and 0-2 structural
+    instances under every use site (an improvement cast with one ground
+    instance only: with two it recurses without end on both searches),
+    superclass chains of depth 2-4 at 1-2 types, and overlapping
+    instances."""
+    rng = random.Random(4)
+    out = []
+    for k, (g, use, s) in enumerate(
+            [(g, use, s) for g in (1, 2) for use in ("absent", "nocast", "cast")
+             for s in (0, 1, 2) if not (g == 2 and use == "cast")]):
+        out.append((f"fundep g={g} use={use} s={s}",
+                    fundep_program(rng, f"x{k}", g, s, use)))
+    for k, (depth, types) in enumerate([(2, 1), (2, 2), (3, 1), (3, 2),
+                                        (4, 1), (4, 2), (2, 1), (3, 2),
+                                        (4, 1)]):
+        out.append((f"superclass depth={depth} types={types}",
+                    superclass_program(rng, f"y{k}", depth, types)))
+    out.append(("overlapping instances", OVERLAP))
+    return out
+
+
+# Two instances match `Ov Bool`: an ambiguity under "reject", the more
+# specific one under "first".
+OVERLAP = """data Tz :: *;
+class Ov a where { ov :: a -> Bool; };
+instance OvA : Ov a where { ov = ((\\ x :: a. True) :: a -> Bool); };
+instance OvB : Ov Bool where { ov = ((\\ x :: Bool. False) :: Bool -> Bool); };
+let dOv :: Ov Bool = (_ :: Ov Bool);
+let eOv :: Ov Tz = (_ :: Ov Tz);
+"""
+
+
+def _elab(text: str, options: ElabOptions):
+    decls, diags = elaborate_program(parse_surface(text), None, options)
+    return print_core(decls), [str(d) for d in diags]
+
+
+CASES = [(name, corpus_text(name)) for name in CORPUS] + seeded_programs()
+
+
+@pytest.mark.parametrize("overlap", ["reject", "first"])
+def test_elaboration_matches_the_list_search(monkeypatch, overlap):
+    options = ElabOptions(overlap=overlap)
+    new = [_elab(text, options) for _, text in CASES]
+    monkeypatch.setattr(elaborate, "Resolver", oracle.OracleResolver)
+    monkeypatch.setattr(elaborate, "hyps_inconsistent",
+                        oracle.hyps_inconsistent)
+    old = [_elab(text, options) for _, text in CASES]
+    for (name, _), got, want in zip(CASES, new, old):
+        assert got == want, name
+    failed = [name for (name, _), (_, diags) in zip(CASES, new) if diags]
+    assert failed == ["fundeps_invalid.hsk"] + (
+        ["overlapping instances"] if overlap == "reject" else [])
+
+
+def _random_type(rng: random.Random, depth: int):
+    pick = rng.random()
+    if depth <= 0 or pick < 0.45:
+        return rng.choice([TCon("Bool"), TCon("Int"), TVar(0), TVar(1),
+                           TVar(2)])
+    head = rng.choice([TCon("Maybe"), TVar(3)])
+    if pick < 0.8:
+        return TApp(head, _random_type(rng, depth - 1))
+    return TApp(TApp(TCon("->"), _random_type(rng, depth - 1)),
+                _random_type(rng, depth - 1))
+
+
+def test_hyps_inconsistent_matches_the_list_closure():
+    rng = random.Random(7)
+    verdicts = []
+    for _ in range(120):
+        pairs = [(_random_type(rng, 3), _random_type(rng, 3))
+                 for _ in range(rng.randint(1, 5))]
+        limit = rng.choice([4, 12, 200])
+        got = hyps_inconsistent(pairs, limit)
+        assert got == oracle.hyps_inconsistent(pairs, limit), (pairs, limit)
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+def _scoped_resolvers(rng: random.Random, elab):
+    """Three type variables, then 2-5 equality hypotheses or `F` dictionaries
+    over them: the same scope for both searches, and the types in it."""
+    env = elab.env.push(TyVarBind(STAR), TyVarBind(STAR), TyVarBind(STAR))
+    n = rng.randint(2, 5)
+    sides = []
+    for m in range(n):
+        pair = (_random_type(rng, 2), _random_type(rng, 2))
+        sides += pair
+        if rng.random() < 0.25:
+            ty = TApp(TApp(TCon("F"), pair[0]), pair[1])
+        else:
+            ty = EqTy(*pair, STAR)
+        env = env.push(TmVarBind(shift(ty, m)))
+    names = [None] * (3 + n)
+    resolvers = [cls(env, names, elab.registry, synth_depth=3, resolve_depth=3)
+                 for cls in (Resolver, oracle.OracleResolver)]
+    return resolvers, [shift(t, n) for t in sides], n
+
+
+def _outcome(resolver, frm, to, exclude):
+    try:
+        return resolver.synth(frm, to, exclude=exclude)
+    except SynthError as e:
+        return e.diagnostic.code
+
+
+def test_synth_matches_the_list_search(prelude):
+    elab = Elaborator(prelude)
+    for d in parse_surface(corpus_text("fundeps.hsk")):
+        elab.do_decl(d)
+    rng = random.Random(11)
+    found = 0
+    for _ in range(80):
+        (new, old), sides, n = _scoped_resolvers(rng, elab)
+        for _ in range(4):
+            frm, to = (rng.choice(sides) if rng.random() < 0.7
+                       else shift(_random_type(rng, 2), n) for _ in range(2))
+            exclude = frozenset(i for i in range(n) if rng.random() < 0.2)
+            got = _outcome(new, frm, to, exclude)
+            assert got == _outcome(old, frm, to, exclude), (frm, to)
+            found += not isinstance(got, str)
+    assert found > 50
