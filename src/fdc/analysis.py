@@ -18,7 +18,8 @@ from .reduction import (
 from .subst import instantiate
 from .syntax import (
     Node, TCon, Var, Con, Ref, Lam, App, TyLam, TyApp, Cast, Pattern, If,
-    Guard, Zero, Choice, Env, MethodSig, InstanceDef, LetDef, OpenSig, Decl,
+    Guard, Zero, Choice, Env, MethodDecl, InstanceDecl, LetDecl,
+    OpenTypeDecl, Decl,
     spine, plug_spine, split_ctor_type, spine_head, subnodes, map_children,
     children,
 )
@@ -113,7 +114,7 @@ def dict_param_positions(env: Env, method_type: Node) -> list[tuple[int, Node]]:
     for i, a in enumerate(args):
         head = spine_head(a)
         if isinstance(head, TCon) and isinstance(env.type_sig(head.name),
-                                                 OpenSig):
+                                                 OpenTypeDecl):
             out.append((i, head.name))
     return out
 
@@ -134,7 +135,7 @@ def _check_condition3(env: Env, report: HssdiReport) -> None:
     """Every constructor tuple over an open function's dictionary parameters
     needs an instance whose guard preamble matches it exactly."""
     for entry in env.entries:
-        if not isinstance(entry, MethodSig):
+        if not isinstance(entry, MethodDecl):
             continue
         rep = report.functions.setdefault(entry.name,
                                           FunctionReport(entry.name))
@@ -234,22 +235,30 @@ def _check_calls(env: Env, owner: Optional[str], body: Node,
                 f"{evidence_size} under {guards} guard(s)")
 
 
-def check_hssdi(program: list[Decl], env: Optional[Env] = None) -> HssdiReport:
-    """Run all three conditions over a typechecked program."""
-    base = env if env is not None else Env()
-    full, diags = check_program(base, program)
+def _checked(program: list[Decl], env: Optional[Env]) -> Env:
+    full, diags = check_program(env if env is not None else Env(), program)
     if diags:
         raise AnalysisError(diags[0])
+    return full
+
+
+def check_hssdi(program: list[Decl], env: Optional[Env] = None) -> HssdiReport:
+    """Run all three conditions over a typechecked program."""
+    return hssdi_report(_checked(program, env))
+
+
+def hssdi_report(env: Env) -> HssdiReport:
+    """All three conditions over a checked environment."""
     report = HssdiReport()
-    for entry in full.entries:
+    for entry in env.entries:
         match entry:
-            case MethodSig(name, _):
+            case MethodDecl(name, _):
                 report.functions.setdefault(name, FunctionReport(name))
-            case InstanceDef(name, body):
-                _check_calls(full, name, body, report)
-            case LetDef(_, body):
-                _check_calls(full, None, body, report)
-    _check_condition3(full, report)
+            case InstanceDecl(name, body):
+                _check_calls(env, name, body, report)
+            case LetDecl(_, _, body):
+                _check_calls(env, None, body, report)
+    _check_condition3(env, report)
     return report
 
 
@@ -257,13 +266,10 @@ def check_saturation(program: list[Decl],
                      env: Optional[Env] = None) -> dict[str, list[tuple[str, ...]]]:
     """Condition three alone: per open function, the constructor tuples with
     no exactly-matching guard preamble."""
-    base = env if env is not None else Env()
-    full, diags = check_program(base, program)
-    if diags:
-        raise AnalysisError(diags[0])
+    full = _checked(program, env)
     report = HssdiReport()
     for entry in full.entries:
-        if isinstance(entry, MethodSig):
+        if isinstance(entry, MethodDecl):
             report.functions.setdefault(entry.name,
                                         FunctionReport(entry.name))
     _check_condition3(full, report)

@@ -14,11 +14,11 @@ import sys
 from typing import Optional
 
 from .analysis import (
-    AnalysisError, check_hssdi, check_no_zero_syntactic, specialize,
+    AnalysisError, check_no_zero_syntactic, hssdi_report, specialize,
 )
 from .corpus import prelude_env
 from .elaborate import ElabOptions, elaborate_program
-from .parser import ParseError, parse_core, parse_core_with_spans, parse_term
+from .parser import ParseError, parse_core_with_spans, parse_term
 from .printer import print_core, print_term
 from .propcheck import ALL_PROPERTIES, GenConfig, run_property
 from .reduction import (
@@ -185,26 +185,15 @@ def cmd_analyze(args) -> int:
     status = 0
     for path in args.files:
         try:
-            with open(path) as fh:
-                text = fh.read()
-            base = prelude_env()
-            if path.endswith(".hsk"):
-                decls, diags = elaborate_program(parse_surface(text), base,
-                                                 _elab_options(args))
-                if diags:
-                    _report(diags, args.json, path)
-                    status = 1
-                    continue
-            else:
-                decls = parse_core(text)
-            report = check_hssdi(decls, base)
+            env, _, diags = _load_env_and_decls(path, _elab_options(args))
         except ParseError as e:
             status = max(status, _parse_failure(e, args.json, path))
             continue
-        except AnalysisError as e:
-            _report([e.diagnostic], args.json, path)
+        if diags:
+            _report(diags, args.json, path)
             status = 1
             continue
+        report = hssdi_report(env)
         for rec in report.to_records():
             if args.json:
                 rec["file"] = path

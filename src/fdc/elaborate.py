@@ -103,8 +103,8 @@ class Elaborator:
                             f"{e.diagnostic}"))
         self.output.append(decl)
 
-    def resolver(self, env: Env, names: list) -> Resolver:
-        return Resolver(env, names, self.registry, self.opts.overlap,
+    def resolver(self, env: Env) -> Resolver:
+        return Resolver(env, self.registry, self.opts.overlap,
                         self.opts.synth_depth, self.opts.resolve_depth)
 
     def fresh_term_name(self, base: str, alt: str = "") -> str:
@@ -237,14 +237,14 @@ class Elaborator:
     def _cast(self, env: Env, names: list, core: Node, frm: Node,
               to: Node) -> Node:
         try:
-            eta = self.resolver(env, names).synth(frm, to)
+            eta = self.resolver(env).synth(frm, to)
         except SynthError as e:
             raise ElabError(e.diagnostic)
         return Cast(core, eta)
 
     def _resolve(self, env: Env, names: list, goal: Node) -> Node:
         try:
-            return self.resolver(env, names).resolve(goal)
+            return self.resolver(env).resolve(goal)
         except SynthError as e:
             raise ElabError(e.diagnostic)
 
@@ -400,8 +400,8 @@ class Elaborator:
 
     # -- pieces of instance elaboration
 
-    def _guard_skeleton(self, env: Env, names: list, scrut_index: int,
-                        ctor: str, pat_args: list[Node]):
+    def _guard_skeleton(self, env: Env, scrut_index: int, ctor: str,
+                        pat_args: list[Node]):
         """pattern_type bookkeeping for a guard on a dictionary binder."""
         pat = Pattern(ctor, tuple(pat_args))
         got = infer_term(env, Var(scrut_index))
@@ -409,14 +409,13 @@ class Elaborator:
         res_kinds, arg_tys, _ = pattern_type(env, pat, got.type)
         return pat, res_kinds, arg_tys
 
-    def _extend_with_pattern(self, env: Env, names: list,
-                             res_kinds: list[Node], arg_tys: list[Node],
-                             res_names: list) -> tuple[Env, list]:
+    def _extend_with_pattern(self, env: Env, res_kinds: list[Node],
+                             arg_tys: list[Node]) -> Env:
         for k in res_kinds:
             env = env.push(TyVarBind(k))
         for i, t in enumerate(arg_tys):
             env = env.push(TmVarBind(shift(t, i)))
-        return env, names + list(res_names) + [None] * len(arg_tys)
+        return env
 
     def _wrap_consequent(self, res_kinds: list[Node], arg_tys: list[Node],
                          body: Node) -> Node:
@@ -455,13 +454,11 @@ class Elaborator:
             env = env.push(TyVarBind(k))
         c_applied = _applied(info.name, [TVar(n - 1 - i) for i in range(n)])
         env = env.push(TmVarBind(c_applied))
-        names: list = [None] * (n + 1)
         pat_args = [TVar(n - 1 - i + 1) for i in range(n)]
-        pat, res_kinds, arg_tys = self._guard_skeleton(env, names, 0,
-                                                       inst.ctor_name,
+        pat, res_kinds, arg_tys = self._guard_skeleton(env, 0, inst.ctor_name,
                                                        pat_args)
-        env3, names3 = self._extend_with_pattern(env, names, res_kinds,
-                                                 arg_tys, ivars)
+        env3 = self._extend_with_pattern(env, res_kinds, arg_tys)
+        names3 = [None] * (n + 1) + list(ivars) + [None] * len(arg_tys)
         body = body_of(env3, names3, 1 + len(res_kinds) + len(arg_tys))
         cons = self._wrap_consequent(res_kinds, arg_tys, body)
         term = _tylams(list(info.param_kinds),
@@ -488,27 +485,24 @@ class Elaborator:
             env = env.push(TyVarBind(k))
         env = env.push(TmVarBind(d1_ty))
         env = env.push(TmVarBind(shift(d2_ty, 1)))
-        names: list = [None] * (q + 2)
         pat1_args = [qvar(i, 2) for i in range(n)]
-        pat1, res1, args1 = self._guard_skeleton(env, names, 1,
-                                                 inst1.ctor_name, pat1_args)
+        pat1, res1, args1 = self._guard_skeleton(env, 1, inst1.ctor_name,
+                                                 pat1_args)
         len1 = len(res1) + len(args1)
-        env4, names4 = self._extend_with_pattern(env, names, res1, args1,
-                                                 [None] * len(res1))
+        env4 = self._extend_with_pattern(env, res1, args1)
         pat2_args = [
             qvar(i, 2 + len1) if i in fd.dets
             else qvar(n + nondets.index(i), 2 + len1)
             for i in range(n)]
-        pat2, res2, args2 = self._guard_skeleton(env4, names4, len1,
-                                                 inst2.ctor_name, pat2_args)
+        pat2, res2, args2 = self._guard_skeleton(env4, len1, inst2.ctor_name,
+                                                 pat2_args)
         len2 = len(res2) + len(args2)
-        env5, names5 = self._extend_with_pattern(env4, names4, res2, args2,
-                                                 [None] * len(res2))
+        env5 = self._extend_with_pattern(env4, res2, args2)
         offset = 2 + len1 + len2
         lhs = qvar(fd.det, offset)
         rhs = qvar(n + nondets.index(fd.det), offset)
         kappa = info.param_kinds[fd.det]
-        resolver = self.resolver(env5, names5)
+        resolver = self.resolver(env5)
         hyp_pairs = [(l, r) for l, r, _ in resolver.hypotheses(frozenset())]
         d1_index = 1 + len1 + len2
         d2_index = len1 + len2

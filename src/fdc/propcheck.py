@@ -23,8 +23,8 @@ from .subst import (
 from .syntax import (
     Node, Star, KArr, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, Lam,
     App, TyLam, TyApp, Cast, Pattern, If, Guard, Zero, Choice, Refl, Sym,
-    Trans, CApp, Fst, Snd, Univ, CInst, Sim, Env,
-    CtorSig, LetSig, MethodSig, STAR, ZERO, arrow, node_eq, spine,
+    Trans, CApp, Fst, Snd, Univ, CInst, Sim, Env, CtorDecl, OpenCtorDecl,
+    MethodDecl, LetDecl, STAR, ZERO, arrow, node_eq, spine,
     split_ctor_type, subnodes, type_spine, un_arrow,
 )
 from .typecheck import AnyType, CheckError, check_term, infer_term
@@ -156,11 +156,9 @@ class Generator:
         out = []
         for e in self.env.entries:
             match e:
-                case CtorSig(name, ty, _):
+                case CtorDecl(name, ty) | OpenCtorDecl(name, ty):
                     out.append((Con(name), ty))
-                case MethodSig(name, ty):
-                    out.append((Ref(name), ty))
-                case LetSig(name, ty):
+                case MethodDecl(name, ty) | LetDecl(name, ty, _):
                     out.append((Ref(name), ty))
         return out
 

@@ -10,7 +10,7 @@ open functions, lets) are strings resolved against the environment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Union
 
 
@@ -371,148 +371,108 @@ class TmVarBind:
     type: Node
 
 
-@dataclass(frozen=True)
-class DataSig:
-    name: str
-    kind: Node
-
-
-@dataclass(frozen=True)
-class OpenSig:
-    name: str
-    kind: Node
-
-
-@dataclass(frozen=True)
-class CtorSig:
-    name: str
-    type: Node
-    is_open: bool
-
-
-@dataclass(frozen=True)
-class MethodSig:
-    name: str
-    type: Node
-
-
-@dataclass(frozen=True)
-class InstanceDef:
-    name: str
-    body: Node
-
-
-@dataclass(frozen=True)
-class LetSig:
-    name: str
-    type: Node
-
-
-@dataclass(frozen=True)
-class LetDef:
-    name: str
-    body: Node
-
-
-Entry = Union[
-    TyVarBind, TmVarBind, DataSig, OpenSig, CtorSig, MethodSig,
-    InstanceDef, LetSig, LetDef,
-]
-
 BINDERS = (TyVarBind, TmVarBind)
 
 ARROW_KIND = KArr(STAR, KArr(STAR, STAR))
 
+# The namespace each declaration's name is indexed under.
+_NAMESPACE = {DataDecl: "type", OpenTypeDecl: "type", CtorDecl: "ctor",
+              OpenCtorDecl: "ctor", MethodDecl: "method", LetDecl: "let",
+              InstanceDecl: "instances"}
 
-@dataclass(frozen=True)
+
+def _extend(binders: tuple, index: dict, entries) -> tuple[tuple, dict]:
+    """The binder tuple and name index after `entries`. The index is copied
+    before its first change, so pushing binders alone shares it."""
+    copied = False
+    for e in entries:
+        if isinstance(e, BINDERS):
+            binders += (e,)
+            continue
+        if not copied:
+            index, copied = dict(index), True
+        key = (_NAMESPACE[type(e)], e.name)
+        if isinstance(e, InstanceDecl):
+            index[key] = index.get(key, ()) + (e.body,)
+            continue
+        index[key] = e
+        if isinstance(e, (CtorDecl, OpenCtorDecl)):
+            head = spine_head(split_ctor_type(e.type)[2])
+            if isinstance(head, TCon):
+                key = ("ctors_of", head.name)
+                index[key] = index.get(key, ()) + (e,)
+    return binders, index
+
+
 class Env:
-    """Ordered scope; `(->)` is pre-seeded in every environment.
+    """Ordered scope: the checked declarations and the binders above them,
+    with `(->)` pre-seeded.
 
-    Immutable: `push` returns a new Env sharing nothing mutable, so
-    environments are safe to use concurrently.
+    `binders` is the de Bruijn telescope, innermost last. `index` maps
+    (namespace, name) to the last declaration of that name, ("instances",
+    f) to f's instance bodies and ("ctors_of", T) to the constructors whose
+    codomain head is T, both in scope order. Treated as immutable: `push`
+    returns a new Env; pushing a binder shares its parent's index, pushing
+    a declaration extends a copy.
     """
 
-    entries: tuple[Entry, ...] = field(default=(DataSig("->", ARROW_KIND),))
+    __slots__ = ("entries", "binders", "index")
 
-    def push(self, *new: Entry) -> "Env":
-        return Env(self.entries + new)
+    def __init__(self, entries: tuple = (DataDecl("->", ARROW_KIND),)):
+        self.entries = entries
+        self.binders, self.index = _extend((), {}, entries)
 
-    def __iter__(self) -> Iterator[Entry]:
-        return iter(self.entries)
+    def push(self, *new) -> "Env":
+        env = object.__new__(Env)
+        env.entries = self.entries + new
+        env.binders, env.index = _extend(self.binders, self.index, new)
+        return env
 
-    # -- de Bruijn telescope (TyVarBind / TmVarBind entries only)
+    # -- de Bruijn telescope
 
-    def binder(self, index: int) -> Optional[Entry]:
+    def binder(self, index: int) -> Optional[Union[TyVarBind, TmVarBind]]:
         """The binder entry `index` steps in from the innermost end."""
-        seen = 0
-        for e in reversed(self.entries):
-            if isinstance(e, BINDERS):
-                if seen == index:
-                    return e
-                seen += 1
+        if 0 <= index < len(self.binders):
+            return self.binders[-1 - index]
         return None
 
     def binder_depth(self) -> int:
-        return sum(1 for e in self.entries if isinstance(e, BINDERS))
+        return len(self.binders)
 
-    # -- name lookups (names are unique per namespace)
+    # -- name lookups
 
-    def type_sig(self, name: str):
-        for e in reversed(self.entries):
-            if isinstance(e, (DataSig, OpenSig)) and e.name == name:
-                return e
-        return None
+    def type_sig(self, name: str) -> Optional[Union[DataDecl, OpenTypeDecl]]:
+        return self.index.get(("type", name))
 
-    def ctor_sig(self, name: str) -> Optional[CtorSig]:
-        for e in reversed(self.entries):
-            if isinstance(e, CtorSig) and e.name == name:
-                return e
-        return None
+    def ctor_sig(self, name: str) -> Optional[Union[CtorDecl, OpenCtorDecl]]:
+        return self.index.get(("ctor", name))
 
-    def method_sig(self, name: str) -> Optional[MethodSig]:
-        for e in reversed(self.entries):
-            if isinstance(e, MethodSig) and e.name == name:
-                return e
-        return None
+    def method_sig(self, name: str) -> Optional[MethodDecl]:
+        return self.index.get(("method", name))
 
-    def let_sig(self, name: str) -> Optional[LetSig]:
-        for e in reversed(self.entries):
-            if isinstance(e, LetSig) and e.name == name:
-                return e
-        return None
+    def let_sig(self, name: str) -> Optional[LetDecl]:
+        return self.index.get(("let", name))
 
-    def let_def(self, name: str) -> Optional[LetDef]:
-        for e in reversed(self.entries):
-            if isinstance(e, LetDef) and e.name == name:
-                return e
-        return None
+    let_def = let_sig  # one LetDecl carries the type and the body
 
     def instance_defs(self, name: str) -> list[Node]:
-        return [e.body for e in self.entries
-                if isinstance(e, InstanceDef) and e.name == name]
+        return list(self.index.get(("instances", name), ()))
 
-    def ctors_of(self, type_name: str) -> list[CtorSig]:
+    def ctors_of(self, type_name: str) -> list[Union[CtorDecl, OpenCtorDecl]]:
         """Constructors whose declared codomain head is `type_name`."""
-        out = []
-        for e in self.entries:
-            if isinstance(e, CtorSig):
-                _, _, cod = split_ctor_type(e.type)
-                head = spine_head(cod)
-                if isinstance(head, TCon) and head.name == type_name:
-                    out.append(e)
-        return out
+        return list(self.index.get(("ctors_of", type_name), ()))
 
     def type_name_taken(self, name: str) -> bool:
-        return self.type_sig(name) is not None
+        return ("type", name) in self.index
 
     def term_name_taken(self, name: str) -> bool:
-        return (self.ctor_sig(name) is not None
-                or self.method_sig(name) is not None
-                or self.let_sig(name) is not None)
+        index = self.index
+        return (("ctor", name) in index or ("method", name) in index
+                or ("let", name) in index)
 
     def is_lambda_free(self) -> bool:
         """True when no entry is a bare term-variable binding."""
-        return not any(isinstance(e, TmVarBind) for e in self.entries)
+        return not any(isinstance(b, TmVarBind) for b in self.binders)
 
 
 # ------------------------------------------------------------- utilities

@@ -14,6 +14,7 @@ which nodes and edges were found, and that order fixes the coercion chosen.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Callable, Iterable, Optional
@@ -207,18 +208,19 @@ def find_path(frm: Node, to: Node, graph: Graph,
 @dataclass
 class Resolver:
     env: Env
-    names: list  # binder names (surface-visible ones); len == binder depth
     registry: Registry
     overlap: str = "reject"          # "reject" | "first"
     synth_depth: int = 64
     resolve_depth: int = 32
+    # The (from, to) goals already open when `synth` starts. A class
+    # attribute, not a field: only the copy `_instance_det_dict` makes for
+    # a nested search sets it, to its caller's open goals.
+    _active = frozenset()
 
     def __post_init__(self) -> None:
-        self._scope = []
-        for i in range(self.env.binder_depth()):
-            entry = self.env.binder(i)
-            if isinstance(entry, TmVarBind):
-                self._scope.append((i, shift(entry.type, i + 1)))
+        self._scope = [(i, shift(b.type, i + 1))
+                       for i, b in enumerate(reversed(self.env.binders))
+                       if isinstance(b, TmVarBind)]
 
     # -- scope inspection
 
@@ -392,7 +394,7 @@ class Resolver:
               exclude: frozenset[int] = frozenset()) -> Node:
         if depth is None:
             depth = self.synth_depth
-        eta = self._synth(frm, to, depth, exclude, frozenset())
+        eta = self._synth(frm, to, depth, exclude, self._active)
         if eta is None:
             raise SynthError(Diagnostic(
                 "no-coercion", "no coercion path between the types",
@@ -445,8 +447,7 @@ class Resolver:
                     return None
                 return CApp(ef, ea)
             case (Forall(k1, b1), Forall(k2, b2)) if node_eq(k1, k2):
-                inner = replace(self, env=self.env.push(TyVarBind(k1)),
-                                names=self.names + [None])
+                inner = replace(self, env=self.env.push(TyVarBind(k1)))
                 shifted_exclude = frozenset(i + 1 for i in exclude)
                 eb = inner._synth(b1, b2, depth, shifted_exclude, active)
                 if eb is None:
@@ -491,7 +492,7 @@ class Resolver:
                 # pair with resolvable instances whose determiners match
                 for inst in self.registry.instances.get(info.name, []):
                     got = self._instance_det_dict(inst, fd, args, depth,
-                                                  exclude)
+                                                  exclude, active)
                     if got is None:
                         continue
                     inst_dict, inst_args = got
@@ -514,9 +515,10 @@ class Resolver:
         return edges
 
     def _instance_det_dict(self, inst: InstanceInfo, fd: FundepInfo,
-                           args: list[Node], depth: int, exclude):
+                           args: list[Node], depth: int, exclude, active):
         """A dictionary for `inst` whose determiner positions equal the given
-        argument list's, when the instance head allows it."""
+        argument list's, when the instance head allows it. Its search goes
+        on from this one: `depth - 1` deep at most, with `active` open."""
         n_vars = len(inst.var_kinds)
         binding: dict[int, Node] = {}
         for i in fd.dets:
@@ -531,8 +533,10 @@ class Resolver:
         goal: Node = TCon(inst.class_name)
         for a in full_args:
             goal = TApp(goal, a)
+        inner = copy(self)
+        inner.synth_depth, inner._active = depth - 1, active
         try:
-            term = self.resolve(goal, depth - 1, exclude)
+            term = inner.resolve(goal, depth - 1, exclude)
         except SynthError:
             return None
         return term, full_args

@@ -17,9 +17,8 @@ from .syntax import (
     App, TyLam, TyApp, Cast, Pattern, If, Guard, Zero, Choice, Refl, Sym,
     Trans, CApp, Fst, Snd, Univ, CInst, Sim, Decl, DataDecl, CtorDecl,
     OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl, LetDecl, Env,
-    TyVarBind, TmVarBind, DataSig, OpenSig, CtorSig, MethodSig, InstanceDef,
-    LetSig, LetDef, STAR, node_eq, spine_head, split_ctor_type, un_arrow,
-    arrow,
+    TyVarBind, TmVarBind, STAR, node_eq, spine_head, split_ctor_type,
+    un_arrow, arrow,
 )
 from .subst import shift, instantiate, is_closed, try_unshift
 
@@ -142,12 +141,13 @@ def kind_of(env: Env, ty: Node, path: tuple[str, ...] = ()) -> Node:
 
 def is_data_head(env: Env, ty: Node) -> bool:
     head = spine_head(ty)
-    return isinstance(head, TCon) and isinstance(env.type_sig(head.name), DataSig)
+    return isinstance(head, TCon) and isinstance(env.type_sig(head.name), DataDecl)
 
 
 def is_open_head(env: Env, ty: Node) -> bool:
     head = spine_head(ty)
-    return isinstance(head, TCon) and isinstance(env.type_sig(head.name), OpenSig)
+    return isinstance(head, TCon) and isinstance(env.type_sig(head.name),
+                                                   OpenTypeDecl)
 
 
 # ------------------------------------------------------------- patterns
@@ -530,75 +530,40 @@ def _check(env: Env, m: Node, expected: Node, path: tuple[str, ...]) -> None:
 # --------------------------------------------------------- environments
 
 def check_env(env: Env) -> None:
-    """Formation of the whole environment: each entry in its prefix."""
+    """Formation of the whole environment, walking it forward: each binder
+    and each declaration in the scope of the entries before it."""
+    scope = Env(())
     for i, entry in enumerate(env.entries):
-        prefix = Env(env.entries[:i]) if i else Env(())
-        _check_entry(prefix, entry, i)
-
-
-def _check_entry(prefix: Env, entry, index: int) -> None:
-    where = (f"entry-{index}",)
-    match entry:
-        case TyVarBind(k):
-            if not is_kind(k):
-                _fail("bad-kind", "malformed binder kind", where)
-        case TmVarBind(t):
-            k = kind_of(prefix, t, where)
-            if not node_eq(k, STAR):
-                _fail("kind-mismatch", "term binding must have kind *",
-                      where, expected=STAR, found=k)
-        case DataSig(_, k) | OpenSig(_, k):
-            if not is_kind(k):
-                _fail("bad-kind", "malformed constant kind", where)
-        case CtorSig(name, t, _) | MethodSig(name, t) | LetSig(name, t):
-            if not is_closed(t):
-                _fail("closed-required",
-                      f"declared type of {name!r} must be closed", where)
-            k = kind_of(prefix, t, where)
-            if not node_eq(k, STAR):
-                _fail("kind-mismatch",
-                      f"declared type of {name!r} must have kind *",
-                      where, expected=STAR, found=k)
-        case InstanceDef(name, body):
-            sig = prefix.method_sig(name)
-            if sig is None:
-                _fail("instance-no-method",
-                      f"instance for undeclared open function {name!r}", where)
-            check_term(prefix, body, sig.type, where)
-        case LetDef(name, body):
-            sig = prefix.let_sig(name)
-            if sig is None:
-                _fail("let-no-sig", f"definition for undeclared let {name!r}",
-                      where)
-            check_term(prefix, body, sig.type, where)
-        case _:
-            _fail("bad-entry", f"unknown environment entry {entry!r}", where)
+        where = (f"entry-{i}",)
+        match entry:
+            case TyVarBind(k):
+                if not is_kind(k):
+                    _fail("bad-kind", "malformed binder kind", where)
+            case TmVarBind(t):
+                k = kind_of(scope, t, where)
+                if not node_eq(k, STAR):
+                    _fail("kind-mismatch", "term binding must have kind *",
+                          where, expected=STAR, found=k)
+            case _:
+                scope = check_decl(scope, entry)
+                continue
+        scope = scope.push(entry)
 
 
 # --------------------------------------------------------- declarations
 
 def check_decl(env: Env, d: Decl) -> Env:
+    """Check `d` in `env` and return `env` with `d` pushed."""
     match d:
-        case DataDecl(name, k):
+        case DataDecl(name, k) | OpenTypeDecl(name, k):
             _fresh_type_name(env, name)
             if not is_kind(k):
                 _fail("bad-kind", f"malformed kind for {name!r}")
-            return env.push(DataSig(name, k))
-        case OpenTypeDecl(name, k):
-            _fresh_type_name(env, name)
-            if not is_kind(k):
-                _fail("bad-kind", f"malformed kind for {name!r}")
-            return env.push(OpenSig(name, k))
-        case CtorDecl(name, t):
-            _ctor_checks(env, name, t, want_open=False)
-            return env.push(CtorSig(name, t, False))
-        case OpenCtorDecl(name, t):
-            _ctor_checks(env, name, t, want_open=True)
-            return env.push(CtorSig(name, t, True))
+        case CtorDecl(name, t) | OpenCtorDecl(name, t):
+            _ctor_checks(env, name, t, want_open=isinstance(d, OpenCtorDecl))
         case MethodDecl(name, t):
             _fresh_term_name(env, name)
             _closed_star_type(env, name, t)
-            return env.push(MethodSig(name, t))
         case InstanceDecl(name, body):
             sig = env.method_sig(name)
             if sig is None:
@@ -607,15 +572,15 @@ def check_decl(env: Env, d: Decl) -> Env:
             if not is_closed(body):
                 _fail("closed-required", f"instance body for {name!r} must be closed")
             check_term(env, body, sig.type)
-            return env.push(InstanceDef(name, body))
         case LetDecl(name, t, body):
             _fresh_term_name(env, name)
             _closed_star_type(env, name, t)
             if not is_closed(body):
                 _fail("closed-required", f"let body for {name!r} must be closed")
             check_term(env, body, t)
-            return env.push(LetSig(name, t), LetDef(name, body))
-    _fail("bad-decl", f"unknown declaration {d!r}")
+        case _:
+            _fail("bad-decl", f"unknown declaration {d!r}")
+    return env.push(d)
 
 
 def _fresh_type_name(env: Env, name: str) -> None:

@@ -170,10 +170,9 @@ def _collapse(n):
 def test_acceptance_8_reduction_rule_table():
     start = time.time()
     prelude = prelude_env()
-    from fdc.syntax import MethodSig, InstanceDef, LetSig, LetDef
     env = prelude.push(
-        MethodSig("pick", BOOL), InstanceDef("pick", Con("True")),
-        LetSig("alias", BOOL), LetDef("alias", Con("False")))
+        MethodDecl("pick", BOOL), InstanceDecl("pick", Con("True")),
+        LetDecl("alias", BOOL, Con("False")))
     b = BOOL
     refl_b = Refl(b)
     lam_id = Lam(b, Var(0))

@@ -215,17 +215,20 @@ def test_check_prelude_itself(capsys):
 
 
 def test_check_edited_prelude_copy(tmp_path, capsys):
-    # a file that redeclares prelude names is checked as a prelude
+    # a file that redeclares prelude names is checked as a prelude, by
+    # `analyze` as by `check`
     commented = tmp_path / "commented.fd"
     commented.write_text(corpus_text("prelude.fd") + "-- a comment\n")
-    code, out, err = run_cli(capsys, "check", str(commented))
-    assert code == 0
     broken = tmp_path / "broken.fd"
     broken.write_text(corpus_text("prelude.fd") + "ctor MkFoo : Bar;\n")
-    code, out, err = run_cli(capsys, "check", "--json", str(broken))
-    assert code == 1
-    assert [json.loads(line)["code"] for line in out.splitlines()] == [
-        "unbound-con"]
+    for command in ("check", "analyze"):
+        code, out, err = run_cli(capsys, command, str(commented))
+        assert code == 0, command
+        code, out, err = run_cli(capsys, command, "--json", str(broken))
+        assert code == 1, command
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["code"] for r in records] == ["unbound-con"], command
+        assert "line" in records[0], command
 
 
 def test_eval_deep_expression_is_a_depth_limit_diagnostic(capsys):

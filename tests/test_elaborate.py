@@ -196,7 +196,7 @@ def test_resolve_local_dictionary(prelude):
     elab = _superclass_elab(prelude)
     env = elab.env.push(TyVarBind(STAR),
                         TmVarBind(TApp(TCon("Ord"), TVar(0))))
-    r = Resolver(env, [None, "d"], elab.registry)
+    r = Resolver(env, elab.registry)
     goal = TApp(TCon("Ord"), TVar(1))
     assert r.resolve(goal) == Var(0)
 
@@ -205,7 +205,7 @@ def test_resolve_superclass_projection(prelude):
     elab = _superclass_elab(prelude)
     env = elab.env.push(TyVarBind(STAR),
                         TmVarBind(TApp(TCon("Ord"), TVar(0))))
-    r = Resolver(env, [None, "d"], elab.registry)
+    r = Resolver(env, elab.registry)
     goal = TApp(TCon("Eq"), TVar(1))
     got = r.resolve(goal)
     assert got == App(TyApp(Ref("ordEq"), TVar(1)), Var(0))
@@ -213,7 +213,7 @@ def test_resolve_superclass_projection(prelude):
 
 def test_resolve_ground_instance(prelude):
     elab = _fundep_elab(prelude)
-    r = Resolver(elab.env, [], elab.registry)
+    r = Resolver(elab.env, elab.registry)
     goal = TApp(TApp(TCon("F"), TCon("Int")), BOOL)
     got = r.resolve(goal)
     expected = parse_term(
@@ -223,7 +223,7 @@ def test_resolve_ground_instance(prelude):
 
 def test_resolve_structural_instance_recursively(prelude):
     elab = _fundep_elab(prelude)
-    r = Resolver(elab.env, [], elab.registry)
+    r = Resolver(elab.env, elab.registry)
     maybe = TCon("Maybe")
     goal = TApp(TApp(TCon("F"), TApp(maybe, TCon("Int"))),
                 TApp(maybe, BOOL))
@@ -237,13 +237,13 @@ def test_resolve_structural_instance_recursively(prelude):
 
 def test_resolve_no_instance(prelude):
     elab = _fundep_elab(prelude)
-    r = Resolver(elab.env, [], elab.registry)
+    r = Resolver(elab.env, elab.registry)
     with pytest.raises(SynthError):
         r.resolve(TApp(TApp(TCon("F"), BOOL), BOOL))
 
 
 def test_synth_identity_is_refl(prelude):
-    r = Resolver(prelude, [], Elaborator(prelude).registry)
+    r = Resolver(prelude, Elaborator(prelude).registry)
     assert r.synth(BOOL, BOOL) == Refl(BOOL)
 
 
@@ -251,7 +251,7 @@ def test_synth_double_cast_from_hypothesis(prelude):
     elab = _superclass_elab(prelude)
     env = elab.env.push(TyVarBind(STAR),
                         TmVarBind(EqTy(BOOL, TVar(0), STAR)))
-    r = Resolver(env, [None, "h"], elab.registry)
+    r = Resolver(env, elab.registry)
     frm = arrow(BOOL, arrow(BOOL, BOOL))
     a = TVar(1)
     to = arrow(a, arrow(a, BOOL))
@@ -268,7 +268,7 @@ def test_synth_improvement_through_fundep(prelude):
     env = elab.env.push(TyVarBind(STAR),
                         TmVarBind(TApp(TApp(TCon("F"), TCon("Int")),
                                        TVar(0))))
-    r = Resolver(env, [None, "d"], elab.registry)
+    r = Resolver(env, elab.registry)
     eta = r.synth(BOOL, TVar(1))
     expected = parse_term(
         "fdFwd [Int] [Bool] [#1] (FIB [Int] [Bool] refl(Int) refl(Bool)) #0"
@@ -280,7 +280,7 @@ def test_synth_improvement_through_fundep(prelude):
 
 
 def test_synth_failure(prelude):
-    r = Resolver(prelude, [], Elaborator(prelude).registry)
+    r = Resolver(prelude, Elaborator(prelude).registry)
     with pytest.raises(SynthError):
         r.synth(BOOL, TCon("Int"))
 
@@ -352,7 +352,7 @@ def test_synth_congruence_under_quantifier(prelude):
     elab = Elaborator(prelude)
     env = prelude.push(TyVarBind(STAR),
                        TmVarBind(EqTy(TCon("Bool"), TVar(0), STAR)))
-    r = Resolver(env, [None, "h"], elab.registry)
+    r = Resolver(env, elab.registry)
     from fdc.syntax import Forall
     frm = parse_type("forall t:*. Bool -> t")
     to = Forall(STAR, arrow(TVar(2), TVar(0)))  # forall t. u -> t

@@ -92,11 +92,11 @@ def test_step_all_open_unfold(superclasses_env):
 
 
 def test_open_unfold_two_instances_shape(prelude):
-    from fdc.syntax import MethodSig, InstanceDef
+    from fdc.syntax import MethodDecl, InstanceDecl
     env = prelude.push(
-        MethodSig("pick", arrow(BOOL, BOOL)),
-        InstanceDef("pick", parse_term("\\x:Bool. x")),
-        InstanceDef("pick", parse_term("\\x:Bool. not x")))
+        MethodDecl("pick", arrow(BOOL, BOOL)),
+        InstanceDecl("pick", parse_term("\\x:Bool. x")),
+        InstanceDecl("pick", parse_term("\\x:Bool. not x")))
     [unfolded] = step_all(env, Ref("pick"))
     m1 = parse_term("\\x:Bool. x")
     m2 = parse_term("\\x:Bool. not x")
@@ -175,11 +175,11 @@ def test_whnf_fdfwd_reduces_to_refl_tree(fundeps_env):
 
 
 def test_eval_all_enumerates_outcomes(prelude):
-    from fdc.syntax import MethodSig, InstanceDef
+    from fdc.syntax import MethodDecl, InstanceDecl
     env = prelude.push(
-        MethodSig("pick", BOOL),
-        InstanceDef("pick", Con("True")),
-        InstanceDef("pick", Con("False")))
+        MethodDecl("pick", BOOL),
+        InstanceDecl("pick", Con("True")),
+        InstanceDecl("pick", Con("False")))
     terminals, exhausted = eval_all(env, Ref("pick"), fuel=500)
     assert exhausted
     # a choice of values is itself a value: both outcomes live in the tree
@@ -330,9 +330,9 @@ def test_engine_matches_oracle_on_chains(prelude, monkeypatch):
 def test_refocus_rechecks_if_above_a_reduced_spine_head(prelude):
     # after β_let, `just True` has a constructor head, so the `if` two
     # frames up becomes a redex although its child did not change class
-    from fdc.syntax import LetDef, LetSig
-    env = prelude.push(LetSig("just", parse_type("Bool -> Maybe Bool")),
-                       LetDef("just", TyApp(Con("Just"), BOOL)))
+    from fdc.syntax import LetDecl
+    env = prelude.push(LetDecl("just", parse_type("Bool -> Maybe Bool"),
+                               TyApp(Con("Just"), BOOL)))
     term = If(App(Ref("just"), Con("True")), Pattern("Just", (BOOL,)),
               Lam(BOOL, Var(0)), Con("False"))
     assert_agrees_with_oracle(env, term, fuel=50, samples=5)

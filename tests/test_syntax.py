@@ -7,7 +7,7 @@ from fdc.parser import ParseError, parse_core, parse_kind, parse_term, parse_typ
 from fdc.printer import print_core, print_node, print_term, print_type
 from fdc.propcheck import GenConfig, gen_node, gen_well_typed
 from fdc.syntax import (
-    App, CApp, Cast, Choice, CInst, Con, CtorSig, EqTy, Forall, Fst, Guard,
+    App, CApp, Cast, Choice, CInst, Con, EqTy, Forall, Fst, Guard,
     If, KArr, Lam, OpenCtorDecl, OpenTypeDecl, Pattern, Ref, Refl, Sim, Snd,
     Star, Sym, TApp, TCon, Trans, TVar, TyApp, TyLam, Univ, Var, Zero, ZERO,
     STAR, BINDER, DATA, FIELDS, KIND, OPEN, PATTERN, Node, arrow, node_eq,

@@ -2,6 +2,7 @@
 search kept in `synthesis_oracle`."""
 
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from fdc.synthesis import Resolver, SynthError, hyps_inconsistent
 from fdc.syntax import (
     EqTy, STAR, TApp, TCon, TmVarBind, TVar, TyVarBind,
 )
+from fdc.typecheck import check_program
 
 CORPUS = ("superclasses.hsk", "fundeps.hsk", "fundeps_invalid.hsk")
 
@@ -79,8 +81,8 @@ def superclass_program(rng: random.Random, tag: str, depth: int,
 def seeded_programs() -> list[tuple[str, str]]:
     """25 programs: fundep classes with 1-2 ground and 0-2 structural
     instances under every use site (an improvement cast with one ground
-    instance only: with two it recurses without end on both searches),
-    superclass chains of depth 2-4 at 1-2 types, and overlapping
+    instance only; `test_improvement_casts_with_several_ground_instances`
+    takes two and three), superclass chains of depth 2-4 at 1-2 types, and overlapping
     instances."""
     rng = random.Random(4)
     out = []
@@ -132,6 +134,22 @@ def test_elaboration_matches_the_list_search(monkeypatch, overlap):
         ["overlapping instances"] if overlap == "reject" else [])
 
 
+def test_improvement_casts_with_several_ground_instances(prelude):
+    # the instance search inside an improvement edge goes on from the
+    # coercion search around it (its remaining depth, its open goals); when
+    # it restarted at the full depth with no goal open, these recursed
+    # without end
+    for ground in (2, 3):
+        for structural in (0, 1):
+            text = fundep_program(random.Random(1), "q", ground, structural,
+                                  "cast")
+            start = time.perf_counter()
+            decls, diags = elaborate_program(parse_surface(text), prelude)
+            assert time.perf_counter() - start < 5, (ground, structural)
+            assert diags == []
+            assert check_program(prelude, decls)[1] == []
+
+
 def _random_type(rng: random.Random, depth: int):
     pick = rng.random()
     if depth <= 0 or pick < 0.45:
@@ -171,8 +189,7 @@ def _scoped_resolvers(rng: random.Random, elab):
         else:
             ty = EqTy(*pair, STAR)
         env = env.push(TmVarBind(shift(ty, m)))
-    names = [None] * (3 + n)
-    resolvers = [cls(env, names, elab.registry, synth_depth=3, resolve_depth=3)
+    resolvers = [cls(env, elab.registry, synth_depth=3, resolve_depth=3)
                  for cls in (Resolver, oracle.OracleResolver)]
     return resolvers, [shift(t, n) for t in sides], n
 

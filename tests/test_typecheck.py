@@ -1,11 +1,16 @@
+import os
+
 import pytest
 
+from fdc import propcheck
+from fdc.cli import _load_env_and_decls
+from fdc.elaborate import ElabOptions
 from fdc.parser import parse_term, parse_type
 from fdc.propcheck import GenConfig, gen_well_typed
 from fdc.syntax import (
-    App, Con, CtorSig, Env, EqTy, Forall, InstanceDef, KArr, Lam, LetDef,
-    LetSig, MethodSig, OpenSig, Pattern, Ref, Refl, DataSig, TApp, TCon,
-    TmVarBind, TVar, TyVarBind, Var, ZERO, STAR, arrow, node_eq,
+    App, Con, Decl, Env, EqTy, Forall, KArr, Lam, Pattern, Ref, Refl, TApp,
+    TCon, TmVarBind, TVar, TyVarBind, Var, ZERO, STAR, arrow, node_eq,
+    spine_head, split_ctor_type,
 )
 from fdc.typecheck import (
     AnyType, CheckError, Exactly, check_decl, check_env, check_program,
@@ -24,8 +29,8 @@ def test_check_env_empty_and_arrow_seed():
 
 def test_check_env_method_after_open(prelude):
     env = prelude.push(
-        OpenSig("Eq", KArr(STAR, STAR)),
-        MethodSig("eqm", parse_type("forall a:*. Eq a -> a -> a -> Bool")))
+        OpenTypeDecl("Eq", KArr(STAR, STAR)),
+        MethodDecl("eqm", parse_type("forall a:*. Eq a -> a -> a -> Bool")))
     check_env(env)
 
 
@@ -34,15 +39,15 @@ def test_check_env_rejects_wrong_instance_body(prelude):
     # a body typed at a different shape: binders for the two value
     # arguments are swapped with the type abstraction
     body = parse_term("\\d:Bool. \\x:Bool. \\y:Bool. x")
-    env = prelude.push(OpenSig("Eq", KArr(STAR, STAR)),
-                       MethodSig("eqm", sig),
-                       InstanceDef("eqm", body))
+    env = prelude.push(OpenTypeDecl("Eq", KArr(STAR, STAR)),
+                       MethodDecl("eqm", sig),
+                       InstanceDecl("eqm", body))
     with pytest.raises(CheckError):
         check_env(env)
 
 
 def test_kind_of_examples(prelude):
-    env = prelude.push(OpenSig("Eq", KArr(STAR, STAR)))
+    env = prelude.push(OpenTypeDecl("Eq", KArr(STAR, STAR)))
     assert kind_of(env, TCon("Eq")) == KArr(STAR, STAR)
     assert kind_of(env, parse_type("forall t:*. t -> t")) == STAR
     assert kind_of(env, parse_type("Bool ~ Bool")) == STAR
@@ -98,7 +103,7 @@ def test_check_refl(prelude):
 def test_coerce_type_sym_trans():
     # h2 : Bool ~ u, k2 : Bool ~ v  gives  sym h2 ;; k2 : u ~ v
     env = Env().push(
-        DataSig("Bool", STAR), TyVarBind(STAR), TyVarBind(STAR),
+        DataDecl("Bool", STAR), TyVarBind(STAR), TyVarBind(STAR),
         TmVarBind(EqTy(BOOL, TVar(1), STAR)),
         TmVarBind(EqTy(BOOL, TVar(1), STAR)))
     # binder telescope: u, v, h2 : Bool ~ u, k2 : Bool ~ v
@@ -110,7 +115,7 @@ def test_coerce_type_sym_trans():
 
 
 def test_coerce_type_application_of_refls(prelude):
-    env = prelude.push(OpenSig("Eq", KArr(STAR, STAR)))
+    env = prelude.push(OpenTypeDecl("Eq", KArr(STAR, STAR)))
     lhs, rhs, kind = coerce_type(env, parse_term("refl(Eq) @ refl(Bool)"))
     assert lhs == TApp(TCon("Eq"), BOOL)
     assert rhs == TApp(TCon("Eq"), BOOL)
@@ -188,7 +193,7 @@ def test_check_decl_sequences(prelude):
     env = check_decl(env, OpenCtorDecl(
         "FIB", parse_type("forall a:*. forall b:*. "
                           "(Int ~ a) -> (Bool ~ b) -> F a b")))
-    assert env.ctor_sig("FIB").is_open
+    assert isinstance(env.ctor_sig("FIB"), OpenCtorDecl)
     # a closed ctor may not target the open type
     with pytest.raises(CheckError):
         check_decl(env, CtorDecl("K", parse_type("F Int Bool")))
@@ -210,7 +215,7 @@ def test_check_decl_duplicate_names(prelude):
 
 
 def test_is_data_and_open_heads(prelude):
-    env = prelude.push(OpenSig("Eq", KArr(STAR, STAR)))
+    env = prelude.push(OpenTypeDecl("Eq", KArr(STAR, STAR)))
     assert is_data_head(env, TApp(TCon("Maybe"), BOOL))
     assert is_open_head(env, TApp(TCon("Eq"), BOOL))
     assert not is_data_head(env, TApp(TCon("Eq"), BOOL))
@@ -280,3 +285,100 @@ def test_check_succeeds_whenever_infer_is_exact():
         got = infer_term(env, term)
         if isinstance(got, Exactly):
             check_term(env, term, got.type)
+
+
+# -- the indexed environment against a linear scan of its entries
+
+BINDS = (TyVarBind, TmVarBind)
+SIGS = {"type_sig": (DataDecl, OpenTypeDecl), "ctor_sig": (CtorDecl, OpenCtorDecl),
+        "method_sig": MethodDecl, "let_sig": LetDecl, "let_def": LetDecl}
+
+
+def _scan(env, accept):
+    """The innermost entry that `accept` takes, by a reverse scan."""
+    for e in reversed(env.entries):
+        if accept(e):
+            return e
+    return None
+
+
+def _scan_binder(env, index):
+    seen = 0
+    for e in reversed(env.entries):
+        if isinstance(e, BINDS):
+            if seen == index:
+                return e
+            seen += 1
+    return None
+
+
+def _result_head(ctor):
+    head = spine_head(split_ctor_type(ctor.type)[2])
+    return head.name if isinstance(head, TCon) else None
+
+
+def assert_names_match_scan(env):
+    entries = env.entries
+    for name in {e.name for e in entries if isinstance(e, Decl)} | {"nope"}:
+        for method, classes in SIGS.items():
+            want = _scan(env, lambda e: isinstance(e, classes)
+                         and e.name == name)
+            assert getattr(env, method)(name) is want, (method, name)
+        assert env.instance_defs(name) == [
+            e.body for e in entries
+            if isinstance(e, InstanceDecl) and e.name == name]
+        assert env.ctors_of(name) == [
+            e for e in entries if isinstance(e, (CtorDecl, OpenCtorDecl))
+            and _result_head(e) == name]
+        assert env.type_name_taken(name) == (env.type_sig(name) is not None)
+        assert env.term_name_taken(name) == any(
+            _scan(env, lambda e: isinstance(e, SIGS[m]) and e.name == name)
+            is not None for m in ("ctor_sig", "method_sig", "let_sig"))
+
+
+def assert_binders_match_scan(env):
+    depth = sum(isinstance(e, BINDS) for e in env.entries)
+    assert env.binder_depth() == depth
+    for i in range(-1, depth + 1):
+        assert env.binder(i) is _scan_binder(env, i), i
+    assert env.is_lambda_free() == (_scan(
+        env, lambda e: isinstance(e, TmVarBind)) is None)
+
+
+def test_indexed_lookups_match_a_linear_scan(monkeypatch):
+    """Every environment pushed while checking the corpus programs (the
+    .hsk files elaborated first) and the four generator preludes, binder
+    prefixes included, answers each lookup as a reverse scan does."""
+    pushes = []
+    push = Env.push
+
+    def recording(self, *new):
+        out = push(self, *new)
+        pushes.append((self, new, out))
+        return out
+
+    monkeypatch.setattr(Env, "push", recording)
+    corpus = os.path.join(os.path.dirname(propcheck.__file__), "corpus")
+    for name in sorted(os.listdir(corpus)):
+        _load_env_and_decls(os.path.join(corpus, name), ElabOptions())
+    for name in propcheck.PRELUDES:
+        propcheck.prelude_for.__wrapped__(name)
+    monkeypatch.undo()
+    assert len(pushes) > 1000
+    # checked programs declare each name once; unchecked pushes may shadow
+    shadowing = [DataDecl("T", STAR), CtorDecl("K", TCon("T")),
+                 MethodDecl("m", TCon("T")), InstanceDecl("m", Con("K")),
+                 TyVarBind(STAR), OpenTypeDecl("T", STAR),
+                 OpenCtorDecl("K", TCon("T")), LetDecl("m", STAR, ZERO),
+                 TmVarBind(TCon("T")), InstanceDecl("m", ZERO)]
+    env = Env()
+    for entry in shadowing:
+        pushes.append((env, (entry,), env.push(entry)))
+        env = pushes[-1][2]
+    assert_names_match_scan(Env())
+    for parent, new, env in pushes:
+        assert_binders_match_scan(env)
+        if all(isinstance(e, BINDS) for e in new):
+            assert env.index is parent.index  # shared, not copied
+        else:
+            assert_names_match_scan(env)
