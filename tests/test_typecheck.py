@@ -290,7 +290,8 @@ def test_check_succeeds_whenever_infer_is_exact():
 # -- the indexed environment against a linear scan of its entries
 
 BINDS = (TyVarBind, TmVarBind)
-SIGS = {"type_sig": (DataDecl, OpenTypeDecl), "ctor_sig": (CtorDecl, OpenCtorDecl),
+SIGS = {"type_sig": (DataDecl, OpenTypeDecl),
+        "ctor_sig": (CtorDecl, OpenCtorDecl),
         "method_sig": MethodDecl, "let_sig": LetDecl, "let_def": LetDecl}
 
 
@@ -369,12 +370,13 @@ def test_indexed_lookups_match_a_linear_scan(monkeypatch):
     shadowing = [DataDecl("T", STAR), CtorDecl("K", TCon("T")),
                  MethodDecl("m", TCon("T")), InstanceDecl("m", Con("K")),
                  TyVarBind(STAR), OpenTypeDecl("T", STAR),
-                 OpenCtorDecl("K", TCon("T")), LetDecl("m", STAR, ZERO),
+                 OpenCtorDecl("K", TCon("T")), LetDecl("m", TCon("T"), ZERO),
                  TmVarBind(TCon("T")), InstanceDecl("m", ZERO)]
     env = Env()
     for entry in shadowing:
-        pushes.append((env, (entry,), env.push(entry)))
-        env = pushes[-1][2]
+        child = env.push(entry)
+        pushes.append((env, (entry,), child))
+        env = child
     assert_names_match_scan(Env())
     for parent, new, env in pushes:
         assert_binders_match_scan(env)
