@@ -20,7 +20,7 @@ from .corpus import prelude_env
 from .elaborate import ElabOptions, elaborate_program
 from .parser import ParseError, parse_core_with_spans, parse_term
 from .printer import print_core, print_term
-from .propcheck import ALL_PROPERTIES, GenConfig, run_property
+from .propcheck import ALL_PROPERTIES, PRELUDES, GenConfig, run_properties
 from .reduction import (
     OutOfFuel, StuckResult, Value, ZeroResult, eval_all, whnf, DEFAULT_FUEL,
 )
@@ -220,11 +220,10 @@ def cmd_fuzz(args) -> int:
             print(f"unknown property {name!r}; choose from "
                   f"{', '.join(ALL_PROPERTIES)}", file=sys.stderr)
             return 2
+    cfg = GenConfig(seed=args.seed, size=args.size, count=args.count,
+                    prelude=args.prelude)
     status = 0
-    for name in names:
-        cfg = GenConfig(seed=args.seed, size=args.size, count=args.count,
-                        prelude=args.prelude)
-        result = run_property(name, cfg)
+    for result in run_properties(names, cfg):
         if args.json:
             print(json.dumps({"property": result.name, "cases": result.cases,
                               "ok": result.ok,
@@ -234,6 +233,17 @@ def cmd_fuzz(args) -> int:
         if not result.ok:
             status = 1
     return status
+
+
+def _non_negative(text: str) -> int:
+    """An argparse type: a decimal integer that is at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _elab_options(args) -> ElabOptions:
@@ -307,10 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prop", default="all",
                    help=f"one of {', '.join(ALL_PROPERTIES)}, or 'all'")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--size", type=int, default=30)
-    p.add_argument("--prelude", choices=("bool", "maybe", "eqord", "fundep"),
-                   default=None,
+    p.add_argument("--count", type=_non_negative, default=200)
+    p.add_argument("--size", type=_non_negative, default=30)
+    p.add_argument("--prelude", choices=PRELUDES, default=None,
                    help="restrict generation to one bundled prelude")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_fuzz)

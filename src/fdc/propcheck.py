@@ -5,12 +5,22 @@ Generation inverts the typing rules: every production is type-correct by
 construction, so the checker acts as an oracle over the generator's output
 rather than a filter. Environments are built from bundled preludes and are
 lambda-free, which is the premise of the progress suite.
+
+What generation reads off an environment is computed once per `Env`, in
+its `EnvTable`: the callables with their types split, the spine options
+for each goal and the patterns for each scrutinee. Each `Generator` also
+memoizes `shift(ty, k)`, so looking a goal up in the scope does not shift
+every scope entry again. Both only skip repeated work: no random draw
+moves, and the generated terms are the same.
+
+`run_properties` checks many suites over one generation pass: each case
+is generated once per `allow_zero` setting.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -27,7 +37,11 @@ from .syntax import (
     MethodDecl, LetDecl, STAR, ZERO, arrow, node_eq, spine,
     split_ctor_type, subnodes, type_spine, un_arrow,
 )
-from .typecheck import AnyType, CheckError, check_term, infer_term
+from .synthesis import match_type
+from .typecheck import (
+    AnyType, CheckError, check_program, check_term, infer_term, kind_of,
+    pattern_type,
+)
 
 PRELUDES = ("bool", "maybe", "eqord", "fundep")
 
@@ -55,12 +69,15 @@ let f :: forall t. F Int t => t -> t = /\\ t. \\ d :: F Int t. not;
 
 @lru_cache(maxsize=None)
 def prelude_for(name: str) -> Env:
-    env = prelude_env()
-    if name in ("bool", "maybe"):
+    """The checked environment of a bundled prelude: "bool" and "maybe" are
+    both the prelude itself, one `Env`, and the others extend it."""
+    if name == "bool":
+        return prelude_env()
+    env = prelude_for("bool")
+    if name == "maybe":
         return env
     from .elaborate import elaborate_program
     from .surface import parse_surface
-    from .typecheck import check_program
     text = _EQORD_SURFACE if name == "eqord" else _FUNDEP_SURFACE
     decls, diags = elaborate_program(parse_surface(text), env)
     if diags:
@@ -139,27 +156,120 @@ class GiveUp(Exception):
     pass
 
 
+# Entries kept by each memo below. Seed-42 generation of 700 cases meets
+# 288 distinct spine goals in the fundep prelude, most of them once.
+MEMO_SIZE = 256
+
+# The closed-type scrutinees of `If`, with their constructors.
+_CLOSED_SCRUTINEES = ((BOOL, ("True", "False")),
+                      (TApp(TCon("Maybe"), BOOL), ("Just", "Nothing")))
+
+
+class EnvTable:
+    """What generation reads off one environment, computed once: the
+    callables (constructors, open functions and lets) with their types
+    split, the open-type scrutinees, and two bounded memos keyed by type:
+    `spine_options(goal)` and `patterns(scrut_ty, ctors)`. `Env` is
+    immutable, so nothing here goes stale."""
+
+    def __init__(self, env: Env):
+        self.env = env
+        callables = []
+        for e in env.entries:
+            match e:
+                case CtorDecl(name, ty) | OpenCtorDecl(name, ty):
+                    head = Con(name)
+                case MethodDecl(name, ty) | LetDecl(name, ty, _):
+                    head = Ref(name)
+                case _:
+                    continue
+            kinds, args, cod = split_ctor_type(ty)
+            callables.append((head, tuple(kinds), tuple(args), cod))
+        self.callables = tuple(callables)
+        scrutinees = []
+        if env.type_sig("Eq") is not None:
+            scrutinees.append((TApp(TCon("Eq"), BOOL), ("EqBool",)))
+            scrutinees.append((TApp(TCon("Ord"), BOOL), ("OrdBool",)))
+        if env.type_sig("F") is not None:
+            scrutinees.append((TApp(TApp(TCon("F"), TCon("Int")), BOOL),
+                               ("FIB", "FMM")))
+        self.open_scrutinees = tuple(scrutinees)
+        self.spine_options = lru_cache(MEMO_SIZE)(self._spine_options)
+        self.patterns = lru_cache(MEMO_SIZE)(self._patterns)
+
+    def _spine_options(self, goal: Node,
+                       ) -> tuple[tuple[Node, tuple, tuple], ...]:
+        """Each callable whose codomain matches `goal`: its head, the type
+        arguments that make it match (outermost quantifier first) and its
+        declared argument types. The type arguments are parts of `goal` or
+        `Bool`, so an entry holds no node of its own."""
+        options = []
+        for head, kinds, args, cod in self.callables:
+            binding: dict[int, Node] = {}
+            if not match_type(cod, goal, len(kinds), binding):
+                continue
+            for i, k in enumerate(kinds):
+                if i not in binding:
+                    if not node_eq(k, STAR):
+                        break
+                    binding[i] = BOOL  # free quantifier: any * type works
+            if len(binding) < len(kinds):
+                continue
+            n = len(kinds)
+            type_args = tuple(binding[n - 1 - pos] for pos in range(n))
+            options.append((head, type_args, args))
+        return tuple(options)
+
+    def _patterns(self, scrut_ty: Node, ctors: tuple[str, ...],
+                  ) -> tuple[tuple[Pattern, tuple, tuple], ...]:
+        """Fully-instantiated patterns against `scrut_ty`, each with its
+        residual binder kinds and argument types."""
+        _, scrut_args = type_spine(scrut_ty)
+        pats = []
+        for cname in ctors:
+            sig = self.env.ctor_sig(cname)
+            if sig is None:
+                continue
+            kinds, _, _ = split_ctor_type(sig.type)
+            take = min(len(kinds), len(scrut_args))
+            pat = Pattern(cname, tuple(scrut_args[:take]))
+            try:
+                res_kinds, arg_tys, _ = pattern_type(self.env, pat, scrut_ty)
+            except CheckError:
+                continue
+            pats.append((pat, tuple(res_kinds), tuple(arg_tys)))
+        return tuple(pats)
+
+
+@lru_cache(maxsize=len(PRELUDES) * 2)
+def env_table(env: Env) -> EnvTable:
+    """The generation table of `env`, kept for the few most recent
+    environments (an `Env` hashes by identity)."""
+    return EnvTable(env)
+
+
 class Generator:
     """Builds well-typed closed terms against a lambda-free environment."""
 
     def __init__(self, env: Env, rng: random.Random,
                  weights: Optional[dict] = None, allow_zero: bool = True):
         self.env = env
+        self.table = env_table(env)
         self.rng = rng
         self.weights = dict(DEFAULT_WEIGHTS)
         if weights:
             self.weights.update(weights)
         self.allow_zero = allow_zero
-        self.callables = self._collect_callables()
+        self._shifted: dict[tuple[Node, int], Node] = {}
 
-    def _collect_callables(self):
-        out = []
-        for e in self.env.entries:
-            match e:
-                case CtorDecl(name, ty) | OpenCtorDecl(name, ty):
-                    out.append((Con(name), ty))
-                case MethodDecl(name, ty) | LetDecl(name, ty, _):
-                    out.append((Ref(name), ty))
+    def _shift(self, ty: Node, amount: int) -> Node:
+        """`shift(ty, amount)`, memoized for the life of this generator."""
+        key = (ty, amount)
+        out = self._shifted.get(key)
+        if out is None:
+            if len(self._shifted) >= MEMO_SIZE:
+                self._shifted.clear()
+            out = self._shifted[key] = shift(ty, amount)
         return out
 
     # -- scope helpers: the generator threads its own binder stack
@@ -208,7 +318,8 @@ class Generator:
         match goal:
             case TApp(TApp(TCon("->"), dom), cod):
                 out.append((w["lambda"], lambda: Lam(
-                    dom, self.term(scope + [dom], shift(cod, 1), size - 1))))
+                    dom, self.term(scope + [dom], self._shift(cod, 1),
+                                   size - 1))))
             case Forall(k, body):
                 out.append((w["lambda"], lambda: TyLam(
                     k, self.term(scope + [k], body, size - 1))))
@@ -230,7 +341,7 @@ class Generator:
             ty = scope[depth - 1 - i]
             if isinstance(ty, (Star, KArr)):
                 continue  # type binder
-            if node_eq(shift(ty, i + 1), goal):
+            if node_eq(self._shift(ty, i + 1), goal):
                 hits.append(Var(i))
         if not hits:
             raise GiveUp
@@ -239,35 +350,17 @@ class Generator:
     def _spine(self, scope, goal, size):
         """A declared constructor, open function, or let applied to matching
         arguments."""
-        from .synthesis import match_type
-        options = []
-        for head, ty in self.callables:
-            kinds, args, cod = split_ctor_type(ty)
-            binding: dict[int, Node] = {}
-            if not match_type(cod, goal, len(kinds), binding):
-                continue
-            for i, k in enumerate(kinds):
-                if i not in binding:
-                    if not node_eq(k, STAR):
-                        break
-                    binding[i] = BOOL  # free quantifier: any * type works
-            if len(binding) < len(kinds):
-                continue
-            options.append((head, kinds, args, binding))
+        options = self.table.spine_options(goal)
         if not options:
             raise GiveUp
-        head, kinds, args, binding = self.rng.choice(options)
-        n = len(kinds)
-        type_args = [binding[n - 1 - pos] for pos in range(n)]
-        term: Node = head
+        term, type_args, args = self.rng.choice(options)
         for t in type_args:
             term = TyApp(term, t)
-        sub_prefix = tuple(Replace(binding[i]) for i in range(n))
-        sub = Subst(sub_prefix, -n)
+        sub = Subst(tuple(Replace(t) for t in reversed(type_args)),
+                    -len(type_args))
         budget = max(size - 1, 0) // max(len(args), 1)
         for a in args:
-            concrete = apply(sub, a)
-            term = App(term, self.term(scope, concrete, budget))
+            term = App(term, self.term(scope, apply(sub, a), budget))
         return term
 
     def _app(self, scope, goal, size):
@@ -296,52 +389,27 @@ class Generator:
 
     def _consequent(self, scope, res_kinds, arg_tys, goal, size):
         inner_scope = list(scope) + list(res_kinds)
-        shifted_goal = shift(goal, len(res_kinds))
+        shifted_goal = self._shift(goal, len(res_kinds))
         for i, t in enumerate(arg_tys):
-            inner_scope.append(shift(t, i))
-        shifted_goal = shift(shifted_goal, len(arg_tys))
+            inner_scope.append(self._shift(t, i))
+        shifted_goal = self._shift(shifted_goal, len(arg_tys))
         body = self.term(inner_scope, shifted_goal, size)
         for i in reversed(range(len(arg_tys))):
-            body = Lam(shift(arg_tys[i], i), body)
+            body = Lam(self._shift(arg_tys[i], i), body)
         for k in reversed(res_kinds):
             body = TyLam(k, body)
         return body
 
     def _pattern_pool(self, open_types: bool):
-        """A scrutinee type plus fully-instantiated patterns against it."""
-        from .typecheck import pattern_type
-        if not open_types:
-            choices = [(TCon("Bool"),
-                        ["True", "False"]),
-                       (TApp(TCon("Maybe"), BOOL), ["Just", "Nothing"])]
-            scrut_ty, ctors = self.rng.choice(choices)
-        else:
-            eq = self.env.type_sig("Eq")
-            f = self.env.type_sig("F")
-            options = []
-            if eq is not None:
-                options.append((TApp(TCon("Eq"), BOOL), ["EqBool"]))
-                options.append((TApp(TCon("Ord"), BOOL), ["OrdBool"]))
-            if f is not None:
-                options.append((TApp(TApp(TCon("F"), TCon("Int")), BOOL),
-                                ["FIB", "FMM"]))
-            if not options:
-                return None
-            scrut_ty, ctors = self.rng.choice(options)
-        pats = []
-        for cname in ctors:
-            sig = self.env.ctor_sig(cname)
-            if sig is None:
-                continue
-            kinds, _, _ = split_ctor_type(sig.type)
-            _, scrut_args = type_spine(scrut_ty)
-            take = min(len(kinds), len(scrut_args))
-            pat = Pattern(cname, tuple(scrut_args[:take]))
-            try:
-                res_kinds, arg_tys, _ = pattern_type(self.env, pat, scrut_ty)
-            except CheckError:
-                continue
-            pats.append((pat, res_kinds, arg_tys))
+        """A scrutinee type plus fully-instantiated patterns against it;
+        None when `open_types` and the environment declares no open type
+        to match on."""
+        choices = (self.table.open_scrutinees if open_types
+                   else _CLOSED_SCRUTINEES)
+        if not choices:
+            return None
+        scrut_ty, ctors = self.rng.choice(choices)
+        pats = self.table.patterns(scrut_ty, ctors)  # after the draw
         if not pats:
             raise GiveUp
         return scrut_ty, pats
@@ -386,7 +454,7 @@ class Generator:
             ty = scope[depth - 1 - i]
             if isinstance(ty, (Star, KArr)):
                 continue
-            if node_eq(shift(ty, i + 1), goal):
+            if node_eq(self._shift(ty, i + 1), goal):
                 return Var(i)
         match goal:
             case TCon("Bool"):
@@ -401,7 +469,8 @@ class Generator:
                 return App(App(TyApp(TyApp(Con("FIB"), TCon("Int")), BOOL),
                                Refl(TCon("Int"))), Refl(BOOL))
             case TApp(TApp(TCon("->"), dom), cod):
-                return Lam(dom, self.canonical(scope + [dom], shift(cod, 1)))
+                return Lam(dom, self.canonical(scope + [dom],
+                                               self._shift(cod, 1)))
             case Forall(k, body):
                 return TyLam(k, self.canonical(scope + [k], body))
             case EqTy(l, r, _) if node_eq(l, r):
@@ -522,7 +591,6 @@ def _prop_uniqueness(env, term, ty) -> Optional[str]:
 
 
 def _prop_types_are_values(env, term, ty) -> Optional[str]:
-    from .typecheck import kind_of
     kind_of(env, ty)
     if not is_value(ty):
         return f"well-kinded type is not a value: {print_type(ty)}"
@@ -567,25 +635,53 @@ def shrink(env: Env, term: Node, ty: Node, prop: Callable) -> Node:
 
 
 def run_property(name: str, cfg: GenConfig) -> PropResult:
-    if name == "subst_laws":
-        return run_subst_laws(cfg)
-    prop = PROPERTIES[name]
-    uniqueness = name == "uniqueness_mod_zero"
-    if uniqueness and cfg.allow_zero:
-        cfg = GenConfig(cfg.seed, cfg.size, cfg.count, cfg.prelude,
-                        cfg.weights, allow_zero=False)
-    for i in range(cfg.count):
-        env, term, ty = gen_well_typed(cfg, i)
-        failure = prop(env, term, ty)
-        if failure is not None:
-            small = shrink(env, term, ty, prop)
-            detail = (f"seed={cfg.seed} case={i}\n"
-                      f"term: {print_term(term)}\n"
-                      f"type: {print_node(ty)}\n{failure}")
-            if small is not term:
-                detail += f"\nshrunk: {print_term(small)}"
-            return PropResult(name, i + 1, detail)
-    return PropResult(name, cfg.count)
+    return run_properties((name,), cfg)[0]
+
+
+def run_properties(names, cfg: GenConfig) -> list[PropResult]:
+    """The result of each named suite, in the order of `names`, from one
+    generation pass per `allow_zero` setting: case i is generated once and
+    checked by every suite that has not failed yet. A suite stops at its
+    first failure and shrinks it, so each result is the one the suite
+    would give alone. `uniqueness_mod_zero` runs on zero-free cases."""
+    names = tuple(names)
+    results: dict[str, PropResult] = {}
+    passes: dict[bool, list[str]] = {}
+    for name in dict.fromkeys(names):
+        if name == "subst_laws":
+            results[name] = run_subst_laws(cfg)
+            continue
+        if name not in PROPERTIES:
+            raise KeyError(name)
+        allow_zero = cfg.allow_zero and name != "uniqueness_mod_zero"
+        passes.setdefault(allow_zero, []).append(name)
+    for allow_zero, live in passes.items():
+        pass_cfg = replace(cfg, allow_zero=allow_zero)
+        for i in range(pass_cfg.count):
+            if not live:
+                break
+            env, term, ty = gen_well_typed(pass_cfg, i)
+            for name in list(live):
+                prop = PROPERTIES[name]
+                failure = prop(env, term, ty)
+                if failure is not None:
+                    results[name] = _failure(name, pass_cfg, i, env, term,
+                                             ty, prop, failure)
+                    live.remove(name)
+        for name in live:
+            results[name] = PropResult(name, pass_cfg.count)
+    return [results[name] for name in names]
+
+
+def _failure(name: str, cfg: GenConfig, i: int, env: Env, term: Node,
+             ty: Node, prop: Callable, failure: str) -> PropResult:
+    small = shrink(env, term, ty, prop)
+    detail = (f"seed={cfg.seed} case={i}\n"
+              f"term: {print_term(term)}\n"
+              f"type: {print_node(ty)}\n{failure}")
+    if small is not term:
+        detail += f"\nshrunk: {print_term(small)}"
+    return PropResult(name, i + 1, detail)
 
 
 # ------------------------------------------------------- substitution laws

@@ -10,7 +10,7 @@ from fdc.corpus import corpus_text, prelude_env
 from fdc.elaborate import elaborate_program
 from fdc.parser import parse_term, parse_type
 from fdc.printer import print_term
-from fdc.propcheck import GenConfig, run_property, run_subst_laws
+from fdc.propcheck import GenConfig, run_properties, run_subst_laws
 from fdc.reduction import (
     Choice as RChoice, Value, is_value, step_det_tagged, whnf,
 )
@@ -111,8 +111,8 @@ def test_acceptance_5_metatheory_fuzz():
     names = ("progress", "preservation", "value_soundness",
              "canonicity_coercion", "canonicity_function",
              "uniqueness_mod_zero", "types_are_values")
-    for name in names:
-        result = run_property(name, GenConfig(seed=42, size=30, count=1000))
+    results = run_properties(names, GenConfig(seed=42, size=30, count=1000))
+    for result in results:
         assert result.ok, str(result)
         assert result.cases == 1000
     report(5, "seven metatheory suites pass 1000 cases each across all "

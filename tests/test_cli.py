@@ -163,6 +163,25 @@ def test_fuzz_unknown_property(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--count", "--size"])
+def test_fuzz_negative_count_or_size_is_a_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--prop", "progress", flag, "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least 0, got -3" in captured.err
+
+
+def test_fuzz_prelude_choices_are_the_bundled_preludes(capsys):
+    code, out, _ = run_cli(capsys, "fuzz", "--prop", "progress", "--count",
+                           "0", "--prelude", "fundep")
+    assert (code, out) == (0, "progress: pass (0 cases)\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--prelude", "nope"])
+    assert exc.value.code == 2
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "fdc.cli", "frobnicate"],

@@ -1,14 +1,19 @@
+import hashlib
 import random
 
 import pytest
 
+from fdc import propcheck
 from fdc.propcheck import (
-    ALL_PROPERTIES, GenConfig, PropResult, gen_node, gen_subst,
-    gen_well_typed, prelude_for, run_property, run_subst_laws,
+    ALL_PROPERTIES, BOOL, PROPERTIES, GenConfig, PropResult, env_table,
+    gen_node, gen_subst, gen_well_typed, prelude_for, run_properties,
+    run_property, run_subst_laws, shrink,
 )
-from fdc.printer import print_term
+from fdc.printer import print_node, print_term
 from fdc.reduction import is_value, step_all
-from fdc.syntax import Choice, EqTy, Refl, TCon, ZERO, node_eq, subnodes, Zero
+from fdc.syntax import (
+    App, Choice, EqTy, Refl, TApp, TCon, ZERO, node_eq, subnodes, Zero,
+)
 from fdc.typecheck import CheckError, check_term
 
 
@@ -117,3 +122,126 @@ def test_shrinking_reduces_counterexamples():
     big = parse_term("xor (not (xor True False)) False")
     small = shrink(env, big, TCon("Bool"), fails_if_mentions_true)
     assert small == Con("True")
+
+
+# SHA-256 over `print_term(term)` and `print_node(ty)` of seed-42, size-30
+# cases 0..699, then of the zero-free cases 0..299. A change that alters
+# the generated terms on purpose updates it and says so.
+GENERATED_DIGEST = (
+    "cd56040a0de07ec4b86fc6f367598b86f1e5adcc6631fb8fb87de6dd5b49461a")
+
+
+def _printed(cfg, i):
+    _, term, ty = gen_well_typed(cfg, i)
+    return print_term(term) + "\n" + print_node(ty) + "\n"
+
+
+def test_generated_terms_are_pinned():
+    h = hashlib.sha256()
+    for cfg, n in ((GenConfig(seed=42, size=30), 700),
+                   (GenConfig(seed=42, size=30, allow_zero=False), 300)):
+        for i in range(n):
+            h.update(_printed(cfg, i).encode())
+    assert h.hexdigest() == GENERATED_DIGEST
+
+
+def test_generation_is_the_same_cold_and_warm():
+    cfg = GenConfig(seed=42, size=30)
+    for k in (2, 57, 403):
+        env_table.cache_clear()
+        cold = _printed(cfg, k)
+        for i in range(k + 1, k + 51):
+            gen_well_typed(cfg, i)
+        assert _printed(cfg, k) == cold
+
+
+def test_env_tables_are_per_environment():
+    eqord, fundep = prelude_for("eqord"), prelude_for("fundep")
+    env_table.cache_clear()
+    table_eq, table_fd = env_table(eqord), env_table(fundep)
+    assert table_eq is not table_fd and env_table(eqord) is table_eq
+
+    def heads(table):
+        return {head.name for head, _, _ in table.spine_options(BOOL)}
+
+    assert {"eq", "lt", "lte"} <= heads(table_eq)
+    assert "f" not in heads(table_eq)
+    assert "f" in heads(table_fd)
+    assert not {"eq", "lt", "lte"} & heads(table_fd)
+    f_int_bool = TApp(TApp(TCon("F"), TCon("Int")), BOOL)
+    fds = ("FIB", "FMM")
+    assert table_eq.patterns(f_int_bool, fds) == ()
+    assert [p.head for p, _, _ in table_fd.patterns(f_int_bool, fds)] == [
+        "FIB", "FMM"]
+    assert table_eq.open_scrutinees != table_fd.open_scrutinees
+
+
+def _run_alone(name, cfg):
+    """One suite over its own generation pass: the reference that
+    `run_properties` must agree with."""
+    prop = PROPERTIES[name]
+    for i in range(cfg.count):
+        env, term, ty = gen_well_typed(cfg, i)
+        failure = prop(env, term, ty)
+        if failure is not None:
+            small = shrink(env, term, ty, prop)
+            detail = (f"seed={cfg.seed} case={i}\n"
+                      f"term: {print_term(term)}\n"
+                      f"type: {print_node(ty)}\n{failure}")
+            if small is not term:
+                detail += f"\nshrunk: {print_term(small)}"
+            return PropResult(name, i + 1, detail)
+    return PropResult(name, cfg.count)
+
+
+def _fails_on_choice(env, term, ty):
+    if any(isinstance(sub, Choice) for sub in subnodes(term)):
+        return "contains a choice"
+    return None
+
+
+def _fails_on_app(env, term, ty):
+    if any(isinstance(sub, App) for sub in subnodes(term)):
+        return "contains an application"
+    return None
+
+
+def test_run_properties_matches_each_suite_alone(monkeypatch):
+    monkeypatch.setitem(PROPERTIES, "no_choice", _fails_on_choice)
+    monkeypatch.setitem(PROPERTIES, "no_app", _fails_on_app)
+    cfg = GenConfig(seed=8, size=12, count=40)
+    names = ("no_choice", "progress", "uniqueness_mod_zero", "no_app",
+             "subst_laws")
+    together = run_properties(names, cfg)
+    assert [r.name for r in together] == list(names)
+    assert not together[0].ok and not together[3].ok
+    for name, result in zip(names, together):
+        if name == "subst_laws":
+            assert result == run_subst_laws(cfg)
+            continue
+        alone = cfg
+        if name == "uniqueness_mod_zero":
+            alone = GenConfig(seed=8, size=12, count=40, allow_zero=False)
+        assert result == _run_alone(name, alone)
+        assert result == run_property(name, cfg)
+
+
+def test_run_properties_generates_each_case_once_per_setting(monkeypatch):
+    calls = []
+    real = propcheck.gen_well_typed
+
+    def counted(cfg, i):
+        calls.append((cfg.allow_zero, i))
+        return real(cfg, i)
+
+    monkeypatch.setattr(propcheck, "gen_well_typed", counted)
+    results = run_properties(tuple(PROPERTIES), GenConfig(seed=4, size=10,
+                                                          count=25))
+    assert all(r.ok and r.cases == 25 for r in results)
+    assert sorted(calls) == sorted(
+        [(True, i) for i in range(25)] + [(False, i) for i in range(25)])
+
+
+def test_run_properties_rejects_an_unknown_suite():
+    with pytest.raises(KeyError):
+        run_properties(("progress", "nope"), GenConfig(count=1))
