@@ -71,6 +71,9 @@ let f :: forall t. F Int t => t -> t = /\\ t. \\ d :: F Int t. not;
 def prelude_for(name: str) -> Env:
     """The checked environment of a bundled prelude: "bool" and "maybe" are
     both the prelude itself, one `Env`, and the others extend it."""
+    if name not in PRELUDES:
+        raise ValueError(f"unknown prelude {name!r}: expected one of "
+                         f"{', '.join(PRELUDES)}")
     if name == "bool":
         return prelude_env()
     env = prelude_for("bool")

@@ -7,9 +7,13 @@ directions), component projections of equalities between type applications
 that the hypotheses alone derive (found by the same search), and improvement
 edges obtained by applying a functional-dependency witness to a pair of
 dictionaries that share determiners. Structural congruence bridges the
-remaining gaps. Collections of nodes are sets and dicts keyed by the nodes,
-whose hash and equality are both structural; the dicts keep the order in
-which nodes and edges were found, and that order fixes the coercion chosen.
+remaining gaps. The hypothesis edges, the decomposition edges they derive
+and the in-scope dictionaries depend only on the environment and the
+excluded binders, so a `Resolver` builds them once per exclusion set, as
+a `Scope`; each search node adds its own two types and improvement edges.
+Collections of nodes are sets and dicts keyed by the nodes, whose hash and
+equality are both structural; the dicts keep the order in which nodes and
+edges were found, and that order fixes the coercion chosen.
 """
 
 from __future__ import annotations
@@ -169,6 +173,19 @@ def _add_edge(graph: Graph, frm: Node, to: Node, co: Node) -> None:
     graph.setdefault(frm, []).append((to, co))
 
 
+@dataclass
+class Scope:
+    """What every coercion search of one resolver under one exclusion set
+    shares, built once: the equality hypotheses as (lhs, rhs, proof), the
+    graph of their edges (each hypothesis both ways, then the decomposition
+    edges they derive), their sides in order, and the in-scope dictionaries
+    with their superclass projections."""
+    hyps: list[tuple[Node, Node, Node]]
+    graph: Graph
+    nodes: dict[Node, None]
+    dicts: tuple[tuple[Node, Node], ...]
+
+
 def find_path(frm: Node, to: Node, graph: Graph,
               bridges: Callable[[Node, set[Node]],
                                 Iterable[tuple[Node, Node]]]
@@ -218,24 +235,50 @@ class Resolver:
     _active = frozenset()
 
     def __post_init__(self) -> None:
-        self._scope = [(i, shift(b.type, i + 1))
-                       for i, b in enumerate(reversed(self.env.binders))
-                       if isinstance(b, TmVarBind)]
+        self._entries = [(i, shift(b.type, i + 1))
+                         for i, b in enumerate(reversed(self.env.binders))
+                         if isinstance(b, TmVarBind)]
+        # One `Scope` per exclusion set, built on first use. The copies
+        # `_instance_det_dict` makes share this dict (same environment);
+        # a resolver for a wider environment starts its own.
+        self._scopes: dict[frozenset[int], Scope] = {}
 
     # -- scope inspection
 
     def scope_entries(self) -> list[tuple[int, Node]]:
         """(index, type) for every term binder in scope, innermost first;
         built once, when the resolver is made."""
-        return self._scope
+        return self._entries
 
     def hypotheses(self, exclude: frozenset[int]) -> list[tuple[Node, Node, Node]]:
         return [(ty.lhs, ty.rhs, Var(i)) for i, ty in self.scope_entries()
                 if i not in exclude and isinstance(ty, EqTy)]
 
-    def scope_dicts(self, exclude: frozenset[int]) -> list[tuple[Node, Node]]:
+    def scope_dicts(self, exclude: frozenset[int]
+                    ) -> tuple[tuple[Node, Node], ...]:
         """(term, type) pairs for class-typed binders, with superclass
-        projections chased transitively."""
+        projections chased transitively; built once per exclusion set."""
+        return self._scope(exclude).dicts
+
+    def _scope(self, exclude: frozenset[int]) -> Scope:
+        scope = self._scopes.get(exclude)
+        if scope is None:
+            scope = self._scopes[exclude] = self._build_scope(exclude)
+        return scope
+
+    def _build_scope(self, exclude: frozenset[int]) -> Scope:
+        hyps = self.hypotheses(exclude)
+        graph: Graph = {}
+        for l, r, term in hyps:
+            _add_edge(graph, l, r, term)
+            _add_edge(graph, r, l, Sym(term))
+        nodes = dict.fromkeys(n for l, r, _ in hyps for n in (l, r))
+        for a, b, term in self._decomposition_edges(nodes, graph):
+            _add_edge(graph, a, b, term)
+        return Scope(hyps, graph, nodes, self._collect_dicts(exclude))
+
+    def _collect_dicts(self, exclude: frozenset[int]
+                       ) -> tuple[tuple[Node, Node], ...]:
         out: list[tuple[Node, Node]] = []
         seen_types: set[Node] = set()
 
@@ -267,7 +310,7 @@ class Resolver:
                 continue
             if self.registry.class_of_type(ty) is not None:
                 push(Var(i), ty)
-        return out
+        return tuple(out)
 
     # -- instance resolution
 
@@ -342,11 +385,11 @@ class Resolver:
             if idx not in deferred and node_eq(concrete, goal_args[idx]):
                 premises.append(Refl(goal_args[idx]))
                 continue
-            try:
-                premises.append(self.synth(concrete, goal_args[idx],
-                                           exclude=exclude))
-            except SynthError:
+            eta = self._synth(concrete, goal_args[idx], self.synth_depth,
+                              exclude, self._active)
+            if eta is None:
                 return None
+            premises.append(eta)
         dicts: list[Node] = []
         for pred in inst.context:
             concrete = subst_match_vars(pred, n_vars, binding)
@@ -412,17 +455,17 @@ class Resolver:
         if key in active:
             return None
         active = active | {key}
-        hyps = self.hypotheses(exclude)
-        graph: Graph = {}
-        for l, r, term in hyps:
-            _add_edge(graph, l, r, term)
-            _add_edge(graph, r, l, Sym(term))
-        nodes = dict.fromkeys([n for l, r, _ in hyps for n in (l, r)]
-                              + [frm, to])
-        extra = self._decomposition_edges(nodes, graph)
-        extra += self._improvement_edges(hyps, depth, exclude, active)
-        for a, b, term in extra:
-            _add_edge(graph, a, b, term)
+        scope = self._scope(exclude)
+        # `frm` and `to` add no decomposition edge: a node outside the
+        # hypothesis graph has no edge there, so no path from or to it
+        nodes = {**scope.nodes, frm: None, to: None}
+        graph = scope.graph
+        improvements = self._improvement_edges(scope.hyps, depth, exclude,
+                                               active)
+        if improvements:
+            graph = dict(graph)  # the scope's lists stay as they are
+            for a, b, term in improvements:
+                graph[a] = [*graph.get(a, ()), (b, term)]
 
         def bridges(cur: Node, visited: set[Node]):
             # structural congruence, direct and via known nodes

@@ -17,11 +17,12 @@ from __future__ import annotations
 from typing import Optional
 
 from fdc.synthesis import (
-    Resolver, SynthError, _rigid_clash, _show, _size, apply_projection,
+    InstanceInfo, Resolver, SynthError, _rigid_clash, _show, _size,
+    apply_projection, match_type, subst_match_vars,
 )
 from fdc.syntax import (
-    Node, TCon, TApp, EqTy, Forall, Var, Refl, Sym, Trans, Fst, Snd,
-    TmVarBind, node_eq, type_spine, spine_head, un_arrow,
+    Node, TCon, TApp, EqTy, Forall, Var, Con, App, TyApp, Refl, Sym, Trans,
+    Fst, Snd, TmVarBind, node_eq, type_spine, spine_head, un_arrow,
 )
 from fdc.subst import shift, instantiate
 from fdc.typecheck import Diagnostic
@@ -154,6 +155,61 @@ class OracleResolver(Resolver):
         raise SynthError(Diagnostic(
             "no-instance", "no instance or hypothesis matches the goal",
             found=_show(goal)))
+
+    # As the resolver had it when this search was kept: each premise goes
+    # through `synth`, and its `SynthError` rejects the instance.
+    def _try_instance(self, inst: InstanceInfo, goal_args: list[Node],
+                      depth: int, exclude: frozenset[int]) -> Optional[Node]:
+        n_vars = len(inst.var_kinds)
+        if len(goal_args) != len(inst.head):
+            return None
+        binding: dict[int, Node] = {}
+        deferred: list[int] = []
+        # premises are H_i ~ goal_i; structural matches bind instance vars,
+        # the rest fall through to coercion synthesis
+        pending = list(range(len(inst.head)))
+        progress = True
+        while pending and progress:
+            progress = False
+            for idx in list(pending):
+                trial = dict(binding)
+                if match_type(inst.head[idx], goal_args[idx], n_vars, trial):
+                    binding.update(trial)
+                    pending.remove(idx)
+                    progress = True
+        deferred = pending
+        if len(binding) < n_vars:
+            return None  # underdetermined instance variables
+        inst_args = [binding[i] for i in range(n_vars)]
+        premises: list[Node] = []
+        for idx in range(len(inst.head)):
+            concrete = subst_match_vars(inst.head[idx], n_vars, binding)
+            if idx not in deferred and node_eq(concrete, goal_args[idx]):
+                premises.append(Refl(goal_args[idx]))
+                continue
+            try:
+                premises.append(self.synth(concrete, goal_args[idx],
+                                           exclude=exclude))
+            except SynthError:
+                return None
+        dicts: list[Node] = []
+        for pred in inst.context:
+            concrete = subst_match_vars(pred, n_vars, binding)
+            try:
+                dicts.append(self.resolve(concrete, depth - 1, exclude))
+            except SynthError:
+                return None
+        term: Node = Con(inst.ctor_name)
+        for a in goal_args:
+            term = TyApp(term, a)
+        # instance variables are quantified outermost-first after the params
+        for i in reversed(range(n_vars)):
+            term = TyApp(term, inst_args[i])
+        for p in premises:
+            term = App(term, p)
+        for d in dicts:
+            term = App(term, d)
+        return term
 
     def _synth(self, frm: Node, to: Node, depth: int,
                exclude: frozenset[int],

@@ -107,6 +107,13 @@ def test_prelude_for_caches_and_checks():
     assert prelude_for("eqord") is prelude_for("eqord")
 
 
+def test_an_unknown_prelude_is_rejected():
+    with pytest.raises(ValueError, match="bool, maybe, eqord, fundep"):
+        prelude_for("nope")
+    with pytest.raises(ValueError, match="'nope'"):
+        run_property("progress", GenConfig(prelude="nope", count=5))
+
+
 def test_shrinking_reduces_counterexamples():
     from fdc.propcheck import shrink, prelude_for
     from fdc.parser import parse_term

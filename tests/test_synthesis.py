@@ -119,13 +119,17 @@ def _elab(text: str, options: ElabOptions):
 CASES = [(name, corpus_text(name)) for name in CORPUS] + seeded_programs()
 
 
+def _use_the_list_search(monkeypatch):
+    monkeypatch.setattr(elaborate, "Resolver", oracle.OracleResolver)
+    monkeypatch.setattr(elaborate, "hyps_inconsistent",
+                        oracle.hyps_inconsistent)
+
+
 @pytest.mark.parametrize("overlap", ["reject", "first"])
 def test_elaboration_matches_the_list_search(monkeypatch, overlap):
     options = ElabOptions(overlap=overlap)
     new = [_elab(text, options) for _, text in CASES]
-    monkeypatch.setattr(elaborate, "Resolver", oracle.OracleResolver)
-    monkeypatch.setattr(elaborate, "hyps_inconsistent",
-                        oracle.hyps_inconsistent)
+    _use_the_list_search(monkeypatch)
     old = [_elab(text, options) for _, text in CASES]
     for (name, _), got, want in zip(CASES, new, old):
         assert got == want, name
@@ -148,6 +152,36 @@ def test_improvement_casts_with_several_ground_instances(prelude):
             assert time.perf_counter() - start < 5, (ground, structural)
             assert diags == []
             assert check_program(prelude, decls)[1] == []
+
+
+def test_improvement_casts_match_the_list_search(monkeypatch):
+    texts = [fundep_program(random.Random(1), "q", ground, structural, "cast")
+             for ground in (2, 3) for structural in (0, 1)]
+    new = [_elab(text, ElabOptions()) for text in texts]
+    _use_the_list_search(monkeypatch)
+    assert new == [_elab(text, ElabOptions()) for text in texts]
+    assert all(diags == [] for _, diags in new)
+
+
+def test_each_scope_is_built_once(monkeypatch, prelude):
+    # a scope belongs to an environment and one exclusion set; the copies
+    # an improvement edge makes share their resolver's scopes
+    built = []
+    build = Resolver._build_scope
+
+    def counted(self, exclude):
+        built.append((self.env, exclude))
+        return build(self, exclude)
+
+    monkeypatch.setattr(Resolver, "_build_scope", counted)
+    for text in (corpus_text("fundeps.hsk"),
+                 fundep_program(random.Random(1), "q", 2, 0, "cast")):
+        built.clear()
+        decls, diags = elaborate_program(parse_surface(text), prelude)
+        assert diags == [] and built
+        for k, (env, exclude) in enumerate(built):
+            assert not any(e is env and x == exclude
+                           for e, x in built[:k]), exclude
 
 
 def _random_type(rng: random.Random, depth: int):
