@@ -1,9 +1,9 @@
 """Command-line driver: parse, check, elaborate, evaluate, specialize,
 analyze, and fuzz over `.fd` core files and `.hsk` surface files.
 
-Exit codes: 0 on success, 1 when diagnostics are reported (input nested
-too deeply to process is a `depth-limit` diagnostic), 2 on usage
-errors.
+Exit codes: 0 on success, 1 when diagnostics are reported (an input file
+that is not UTF-8 text is a `decode-error` diagnostic, input nested too
+deeply to process a `depth-limit` one), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ def _load_env_and_decls(path: str, options: ElabOptions,
     """Parse a .fd or .hsk file and check it against the prelude; a .fd
     file that redeclares a prelude name (the prelude itself, or an edited
     copy of it) is checked from the builtin environment."""
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_source(path)
     base = prelude_env()
     spans = None
     if path.endswith(".hsk"):
@@ -69,8 +68,22 @@ def _report(diags: list[Diagnostic], as_json: bool, path: str = "") -> None:
             print(f"{prefix}{d}", file=sys.stderr)
 
 
-def _parse_failure(e: ParseError, as_json: bool, path: str) -> int:
-    diag = Diagnostic("parse-error", e.message, span=(e.line, e.col))
+def _read_source(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+# An input that does not decode as UTF-8 or does not parse.
+_BAD_INPUT = (ParseError, UnicodeDecodeError)
+
+
+def _input_failure(e: ParseError | UnicodeDecodeError, as_json: bool,
+                   path: str) -> int:
+    if isinstance(e, UnicodeDecodeError):
+        diag = Diagnostic("decode-error", f"not UTF-8 text: {e.reason} at "
+                          f"byte {e.start}")
+    else:
+        diag = Diagnostic("parse-error", e.message, span=(e.line, e.col))
     _report([diag], as_json, path)
     return 1
 
@@ -80,8 +93,8 @@ def cmd_check(args) -> int:
     for path in args.files:
         try:
             _, _, diags = _load_env_and_decls(path, _elab_options(args))
-        except ParseError as e:
-            status = max(status, _parse_failure(e, args.json, path))
+        except _BAD_INPUT as e:
+            status = max(status, _input_failure(e, args.json, path))
             continue
         if diags:
             _report(diags, args.json, path)
@@ -95,11 +108,9 @@ def cmd_elab(args) -> int:
     status = 0
     for path in args.files:
         try:
-            with open(path) as fh:
-                text = fh.read()
-            program = parse_surface(text)
-        except ParseError as e:
-            status = max(status, _parse_failure(e, args.json, path))
+            program = parse_surface(_read_source(path))
+        except _BAD_INPUT as e:
+            status = max(status, _input_failure(e, args.json, path))
             continue
         decls, diags = elaborate_program(program, prelude_env(),
                                          _elab_options(args))
@@ -114,8 +125,8 @@ def cmd_elab(args) -> int:
 def cmd_eval(args) -> int:
     try:
         env, _, diags = _load_env_and_decls(args.file, _elab_options(args))
-    except ParseError as e:
-        return _parse_failure(e, args.json, args.file)
+    except _BAD_INPUT as e:
+        return _input_failure(e, args.json, args.file)
     if diags:
         _report(diags, args.json, args.file)
         return 1
@@ -123,7 +134,7 @@ def cmd_eval(args) -> int:
         expr = parse_term(args.expr)
         infer_term(env, expr)
     except ParseError as e:
-        return _parse_failure(e, args.json, "<expr>")
+        return _input_failure(e, args.json, "<expr>")
     except CheckError as e:
         _report([e.diagnostic], args.json, "<expr>")
         return 1
@@ -158,8 +169,8 @@ def cmd_eval(args) -> int:
 def cmd_specialize(args) -> int:
     try:
         env, _, diags = _load_env_and_decls(args.file, _elab_options(args))
-    except ParseError as e:
-        return _parse_failure(e, args.json, args.file)
+    except _BAD_INPUT as e:
+        return _input_failure(e, args.json, args.file)
     if diags:
         _report(diags, args.json, args.file)
         return 1
@@ -168,7 +179,7 @@ def cmd_specialize(args) -> int:
         infer_term(env, expr)
         result = specialize(env, expr)
     except ParseError as e:
-        return _parse_failure(e, args.json, "<expr>")
+        return _input_failure(e, args.json, "<expr>")
     except (CheckError, AnalysisError) as e:
         _report([e.diagnostic], args.json, "<expr>")
         return 1
@@ -186,8 +197,8 @@ def cmd_analyze(args) -> int:
     for path in args.files:
         try:
             env, _, diags = _load_env_and_decls(path, _elab_options(args))
-        except ParseError as e:
-            status = max(status, _parse_failure(e, args.json, path))
+        except _BAD_INPUT as e:
+            status = max(status, _input_failure(e, args.json, path))
             continue
         if diags:
             _report(diags, args.json, path)
@@ -247,25 +258,26 @@ def _non_negative(text: str) -> int:
 
 
 def _elab_options(args) -> ElabOptions:
-    return ElabOptions(
-        overlap=getattr(args, "overlap", "reject"),
-        absurd=getattr(args, "absurd", "diverge"),
-        synth_depth=getattr(args, "synth_depth", 64),
-        resolve_depth=getattr(args, "resolve_depth", 32),
-    )
+    return ElabOptions(overlap=args.overlap, absurd=args.absurd,
+                       synth_depth=args.synth_depth,
+                       resolve_depth=args.resolve_depth)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """`--json` and the elaboration options, defaulting to `ElabOptions`'s."""
+    default = ElabOptions()
     p.add_argument("--json", action="store_true",
                    help="line-delimited JSON records")
     p.add_argument("--overlap", choices=("reject", "first"),
-                   default="reject",
+                   default=default.overlap,
                    help="policy when several instances satisfy a goal")
-    p.add_argument("--absurd", choices=("diverge", "omit"), default="diverge",
+    p.add_argument("--absurd", choices=("diverge", "omit"),
+                   default=default.absurd,
                    help="body for unreachable dependency branches")
-    p.add_argument("--synth-depth", type=int, default=64, dest="synth_depth")
-    p.add_argument("--resolve-depth", type=int, default=32,
-                   dest="resolve_depth")
+    p.add_argument("--synth-depth", type=int, default=default.synth_depth,
+                   dest="synth_depth")
+    p.add_argument("--resolve-depth", type=int,
+                   default=default.resolve_depth, dest="resolve_depth")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,7 +28,7 @@ from .syntax import (
     Node, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, Lam, App, TyLam,
     TyApp, Cast, Pattern, If, Guard, Env, TyVarBind, TmVarBind, Decl,
     DataDecl, CtorDecl, OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl,
-    LetDecl, STAR, arrow, un_arrow, node_eq,
+    LetDecl, STAR, applied, arrow, un_arrow, node_eq,
 )
 from .subst import instantiate, shift, try_unshift
 from .typecheck import (
@@ -71,13 +71,6 @@ def _tylams(kinds: list[Node], body: Node) -> Node:
     for k in reversed(kinds):
         body = TyLam(k, body)
     return body
-
-
-def _applied(name: str, args: list[Node]) -> Node:
-    out: Node = TCon(name)
-    for a in args:
-        out = TApp(out, a)
-    return out
 
 
 class Elaborator:
@@ -297,7 +290,7 @@ class Elaborator:
         pnames = [p for p, _ in c.params]
         kinds = [k for _, k in c.params]
         n = len(c.params)
-        c_applied = _applied(c.name, [TVar(n - 1 - i) for i in range(n)])
+        c_applied = applied(c.name, [TVar(n - 1 - i) for i in range(n)])
 
         def close(body: Node) -> Node:
             return _foralls(kinds, body)
@@ -332,8 +325,8 @@ class Elaborator:
             def qvar(pos: int) -> Node:
                 return TVar(q - 1 - pos)
 
-            d1 = _applied(c.name, [qvar(i) for i in range(n)])
-            d2 = _applied(c.name, [
+            d1 = applied(c.name, [qvar(i) for i in range(n)])
+            d2 = applied(c.name, [
                 qvar(i) if i in dets else qvar(n + nondets.index(i))
                 for i in range(n)])
             eq = EqTy(qvar(det), qvar(n + nondets.index(det)), kinds[det])
@@ -372,7 +365,7 @@ class Elaborator:
 
         premises = [EqTy(head_core[i], a_var(i), info.param_kinds[i])
                     for i in range(n)]
-        cod = _applied(ins.class_name, [a_var(i) for i in range(n)])
+        cod = applied(ins.class_name, [a_var(i) for i in range(n)])
         ctor_type = _foralls(list(info.param_kinds) + [STAR] * m,
                              _arrows(premises + ctx_core, cod))
         self.emit(OpenCtorDecl(ctor, ctor_type))
@@ -452,7 +445,7 @@ class Elaborator:
         env = self.env
         for k in info.param_kinds:
             env = env.push(TyVarBind(k))
-        c_applied = _applied(info.name, [TVar(n - 1 - i) for i in range(n)])
+        c_applied = applied(info.name, [TVar(n - 1 - i) for i in range(n)])
         env = env.push(TmVarBind(c_applied))
         pat_args = [TVar(n - 1 - i + 1) for i in range(n)]
         pat, res_kinds, arg_tys = self._guard_skeleton(env, 0, inst.ctor_name,
@@ -476,8 +469,8 @@ class Elaborator:
         def qvar(pos: int, extra: int) -> Node:
             return TVar(q - 1 - pos + extra)
 
-        d1_ty = _applied(info.name, [qvar(i, 0) for i in range(n)])
-        d2_ty = _applied(info.name, [
+        d1_ty = applied(info.name, [qvar(i, 0) for i in range(n)])
+        d2_ty = applied(info.name, [
             qvar(i, 0) if i in fd.dets else qvar(n + nondets.index(i), 0)
             for i in range(n)])
         env = self.env

@@ -8,10 +8,15 @@ lambda-free, which is the premise of the progress suite.
 
 What generation reads off an environment is computed once per `Env`, in
 its `EnvTable`: the callables with their types split, the spine options
-for each goal and the patterns for each scrutinee. Each `Generator` also
-memoizes `shift(ty, k)`, so looking a goal up in the scope does not shift
-every scope entry again. Both only skip repeated work: no random draw
-moves, and the generated terms are the same.
+for each goal, the patterns for each scrutinee, each type's canonical
+inhabitant (its first constructor whose premises are all reflexive) and
+the open types a `guard` can scrutinize (the head of each one's first
+ground instance, with all its instances). No class or instance name is
+written into the generator: a program's own classes and instances are
+generated from its environment. Only the goal pool and the `if`
+scrutinees (`_goal_pool`, `_CLOSED_SCRUTINEES`) still name the bundled
+preludes' types. Each `Generator` also memoizes `shift(ty, k)`, so
+looking a goal up in the scope does not shift every scope entry again.
 
 `run_properties` checks many suites over one generation pass: each case
 is generated once per `allow_zero` setting.
@@ -28,14 +33,15 @@ from .corpus import prelude_env
 from .printer import print_node, print_term, print_type
 from .reduction import is_value, step_all, whnf, Value
 from .subst import (
-    IDENTITY, Rename, Replace, Subst, apply, compose, lift, shift,
+    IDENTITY, Rename, Replace, Subst, apply, compose, is_closed, lift, shift,
 )
 from .syntax import (
     Node, Star, KArr, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, Lam,
-    App, TyLam, TyApp, Cast, Pattern, If, Guard, Zero, Choice, Refl, Sym,
+    App, TyLam, TyApp, Cast, Pattern, If, Guard, Choice, Refl, Sym,
     Trans, CApp, Fst, Snd, Univ, CInst, Sim, Env, CtorDecl, OpenCtorDecl,
-    MethodDecl, LetDecl, STAR, ZERO, arrow, node_eq, spine,
-    split_ctor_type, subnodes, type_spine, un_arrow,
+    OpenTypeDecl, MethodDecl, LetDecl, STAR, ZERO, applied, arrow, node_eq,
+    plug_spine, spine, spine_head, split_ctor_type, subnodes, type_spine,
+    un_arrow,
 )
 from .synthesis import match_type
 from .typecheck import (
@@ -120,7 +126,6 @@ class GenConfig:
     size: int = 30
     count: int = 100
     prelude: Optional[str] = None  # None cycles all bundled preludes
-    weights: Optional[tuple[tuple[str, int], ...]] = None
     allow_zero: bool = True
 
 
@@ -140,7 +145,7 @@ class PropResult:
         return f"{self.name}: FAIL after {self.cases} cases\n{self.counterexample}"
 
 
-DEFAULT_WEIGHTS = {
+WEIGHTS = {
     "canonical": 2,
     "lambda": 6,
     "spine": 5,
@@ -171,9 +176,9 @@ _CLOSED_SCRUTINEES = ((BOOL, ("True", "False")),
 class EnvTable:
     """What generation reads off one environment, computed once: the
     callables (constructors, open functions and lets) with their types
-    split, the open-type scrutinees, and two bounded memos keyed by type:
-    `spine_options(goal)` and `patterns(scrut_ty, ctors)`. `Env` is
-    immutable, so nothing here goes stale."""
+    split, the open-type scrutinees, and three bounded memos keyed by type:
+    `spine_options(goal)`, `inhabitant(goal)` and `patterns(scrut_ty,
+    ctors)`. `Env` is immutable, so nothing here goes stale."""
 
     def __init__(self, env: Env):
         self.env = env
@@ -190,15 +195,27 @@ class EnvTable:
             callables.append((head, tuple(kinds), tuple(args), cod))
         self.callables = tuple(callables)
         scrutinees = []
-        if env.type_sig("Eq") is not None:
-            scrutinees.append((TApp(TCon("Eq"), BOOL), ("EqBool",)))
-            scrutinees.append((TApp(TCon("Ord"), BOOL), ("OrdBool",)))
-        if env.type_sig("F") is not None:
-            scrutinees.append((TApp(TApp(TCon("F"), TCon("Int")), BOOL),
-                               ("FIB", "FMM")))
+        for e in env.entries:
+            if isinstance(e, OpenTypeDecl):
+                head = self._ground_head(e.name)
+                if head is not None:
+                    scrutinees.append(
+                        (head, tuple(c.name for c in env.ctors_of(e.name))))
         self.open_scrutinees = tuple(scrutinees)
         self.spine_options = lru_cache(MEMO_SIZE)(self._spine_options)
+        self.inhabitant = lru_cache(MEMO_SIZE)(self._inhabitant)
         self.patterns = lru_cache(MEMO_SIZE)(self._patterns)
+
+    def _ground_head(self, name: str) -> Optional[Node]:
+        """The head of the first ground instance of the open type `name`:
+        one whose premises are all `H ~ a`, with `H` closed and the `a`s the
+        head's own arguments in order."""
+        for c in self.env.ctors_of(name):
+            _, args, cod = split_ctor_type(c.type)
+            if all(isinstance(a, EqTy) and is_closed(a.lhs) for a in args) \
+                    and [a.rhs for a in args] == type_spine(cod)[1]:
+                return applied(name, [a.lhs for a in args])
+        return None
 
     def _spine_options(self, goal: Node,
                        ) -> tuple[tuple[Node, tuple, tuple], ...]:
@@ -208,20 +225,31 @@ class EnvTable:
         `Bool`, so an entry holds no node of its own."""
         options = []
         for head, kinds, args, cod in self.callables:
-            binding: dict[int, Node] = {}
-            if not match_type(cod, goal, len(kinds), binding):
-                continue
-            for i, k in enumerate(kinds):
-                if i not in binding:
-                    if not node_eq(k, STAR):
-                        break
-                    binding[i] = BOOL  # free quantifier: any * type works
-            if len(binding) < len(kinds):
-                continue
-            n = len(kinds)
-            type_args = tuple(binding[n - 1 - pos] for pos in range(n))
-            options.append((head, type_args, args))
+            type_args = _instantiation(kinds, cod, goal)
+            if type_args is not None:
+                options.append((head, type_args, args))
         return tuple(options)
+
+    def _inhabitant(self, goal: Node) -> Optional[Node]:
+        """The first constructor of `goal`'s head, in declaration order,
+        whose codomain matches `goal` and whose arguments then all read
+        `t ~ t`, applied to its type arguments and `Refl t` proofs; None
+        when there is none."""
+        head = spine_head(goal)
+        if not isinstance(head, TCon):
+            return None
+        for c in self.env.ctors_of(head.name):
+            kinds, args, cod = split_ctor_type(c.type)
+            type_args = _instantiation(kinds, cod, goal)
+            if type_args is None:
+                continue
+            proofs = _instantiated(type_args, args)
+            if all(isinstance(p, EqTy) and node_eq(p.lhs, p.rhs)
+                   for p in proofs):
+                return plug_spine(Con(c.name),
+                                  [(True, t) for t in type_args]
+                                  + [(False, Refl(p.lhs)) for p in proofs])
+        return None
 
     def _patterns(self, scrut_ty: Node, ctors: tuple[str, ...],
                   ) -> tuple[tuple[Pattern, tuple, tuple], ...]:
@@ -244,6 +272,29 @@ class EnvTable:
         return tuple(pats)
 
 
+def _instantiation(kinds, cod: Node, goal: Node) -> Optional[tuple]:
+    """The type arguments, outermost quantifier first, under which `cod`
+    quantified by `kinds` matches `goal`; a quantifier the match leaves
+    free is `Bool` when it has kind `*`, and None when it has another."""
+    binding: dict[int, Node] = {}
+    n = len(kinds)
+    if not match_type(cod, goal, n, binding):
+        return None
+    for i in range(n):  # de Bruijn index i is quantifier n - 1 - i
+        if i not in binding:
+            if not node_eq(kinds[n - 1 - i], STAR):
+                return None
+            binding[i] = BOOL  # free quantifier: any * type works
+    return tuple(binding[n - 1 - pos] for pos in range(n))
+
+
+def _instantiated(type_args: tuple, tys) -> list[Node]:
+    """`tys`, stated under the quantifiers, with `type_args` for them."""
+    sub = Subst(tuple(Replace(t) for t in reversed(type_args)),
+                -len(type_args))
+    return [apply(sub, t) for t in tys]
+
+
 @lru_cache(maxsize=len(PRELUDES) * 2)
 def env_table(env: Env) -> EnvTable:
     """The generation table of `env`, kept for the few most recent
@@ -255,13 +306,10 @@ class Generator:
     """Builds well-typed closed terms against a lambda-free environment."""
 
     def __init__(self, env: Env, rng: random.Random,
-                 weights: Optional[dict] = None, allow_zero: bool = True):
+                 allow_zero: bool = True):
         self.env = env
         self.table = env_table(env)
         self.rng = rng
-        self.weights = dict(DEFAULT_WEIGHTS)
-        if weights:
-            self.weights.update(weights)
         self.allow_zero = allow_zero
         self._shifted: dict[tuple[Node, int], Node] = {}
 
@@ -288,11 +336,9 @@ class Generator:
             total = sum(w for w, _ in attempts)
             pick = self.rng.randrange(total)
             acc = 0
-            chosen = 0
-            for i, (w, _) in enumerate(attempts):
+            for chosen, (w, _) in enumerate(attempts):
                 acc += w
-                if pick < acc:
-                    chosen = i
+                if pick < acc:  # always met: pick < total
                     break
             _, fn = attempts.pop(chosen)
             try:
@@ -302,7 +348,7 @@ class Generator:
         return self.canonical(scope, goal)
 
     def _productions(self, scope, goal, size):
-        w = self.weights
+        w = WEIGHTS
         out = [(w["canonical"], lambda: self.canonical(scope, goal))]
         out.append((w["var"], lambda: self._scope_var(scope, goal)))
         out.append((w["spine"], lambda: self._spine(scope, goal, size)))
@@ -314,9 +360,9 @@ class Generator:
                 scope, goal, size)))
         out.append((w["cast"], lambda: Cast(
             self.term(scope, goal, size // 2),
-            self.coercion(scope, goal, size // 2))))
-        out.append((w["if"], lambda: self._if(scope, goal, size)))
-        out.append((w["guard"], lambda: self._guard(scope, goal, size)))
+            self.coercion_node(scope, goal, size // 2))))
+        out.append((w["if"], lambda: self._match(scope, goal, size, False)))
+        out.append((w["guard"], lambda: self._match(scope, goal, size, True)))
         out.append((w["app"], lambda: self._app(scope, goal, size)))
         match goal:
             case TApp(TApp(TCon("->"), dom), cod):
@@ -337,15 +383,18 @@ class Generator:
             return Choice(ZERO, inhabited)
         return Choice(inhabited, ZERO)
 
-    def _scope_var(self, scope, goal):
-        hits = []
+    def _in_scope(self, scope, goal):
+        """The variables of type `goal` in `scope`, innermost first."""
         depth = len(scope)
         for i in range(depth):
             ty = scope[depth - 1 - i]
             if isinstance(ty, (Star, KArr)):
                 continue  # type binder
             if node_eq(self._shift(ty, i + 1), goal):
-                hits.append(Var(i))
+                yield Var(i)
+
+    def _scope_var(self, scope, goal):
+        hits = list(self._in_scope(scope, goal))
         if not hits:
             raise GiveUp
         return self.rng.choice(hits)
@@ -356,15 +405,11 @@ class Generator:
         options = self.table.spine_options(goal)
         if not options:
             raise GiveUp
-        term, type_args, args = self.rng.choice(options)
-        for t in type_args:
-            term = TyApp(term, t)
-        sub = Subst(tuple(Replace(t) for t in reversed(type_args)),
-                    -len(type_args))
+        head, type_args, args = self.rng.choice(options)
         budget = max(size - 1, 0) // max(len(args), 1)
-        for a in args:
-            term = App(term, self.term(scope, apply(sub, a), budget))
-        return term
+        return plug_spine(head, [(True, t) for t in type_args] + [
+            (False, self.term(scope, a, budget))
+            for a in _instantiated(type_args, args)])
 
     def _app(self, scope, goal, size):
         dom = self.rng.choice([BOOL, arrow(BOOL, BOOL)])
@@ -372,23 +417,23 @@ class Generator:
         arg = self.term(scope, dom, size // 2)
         return App(fun, arg)
 
-    def _if(self, scope, goal, size):
-        scrut_ty, pats = self._pattern_pool(open_types=False)
-        scrut = self.term(scope, scrut_ty, size // 3)
-        pat, res_kinds, arg_tys = self.rng.choice(pats)
-        cons = self._consequent(scope, res_kinds, arg_tys, goal, size // 3)
-        alt = self.term(scope, goal, size // 3)
-        return If(scrut, pat, cons, alt)
-
-    def _guard(self, scope, goal, size):
-        got = self._pattern_pool(open_types=True)
-        if got is None:
+    def _match(self, scope, goal, size, guard: bool):
+        """An `If` on a closed-type scrutinee, or a `Guard` on an open-type
+        one, with a fully-instantiated pattern against it."""
+        choices = (self.table.open_scrutinees if guard
+                   else _CLOSED_SCRUTINEES)
+        if not choices:
             raise GiveUp
-        scrut_ty, pats = got
+        scrut_ty, ctors = self.rng.choice(choices)
+        pats = self.table.patterns(scrut_ty, ctors)  # after the draw
+        if not pats:
+            raise GiveUp
         scrut = self.term(scope, scrut_ty, size // 3)
         pat, res_kinds, arg_tys = self.rng.choice(pats)
         cons = self._consequent(scope, res_kinds, arg_tys, goal, size // 3)
-        return Guard(scrut, pat, cons)
+        if guard:
+            return Guard(scrut, pat, cons)
+        return If(scrut, pat, cons, self.term(scope, goal, size // 3))
 
     def _consequent(self, scope, res_kinds, arg_tys, goal, size):
         inner_scope = list(scope) + list(res_kinds)
@@ -403,27 +448,10 @@ class Generator:
             body = TyLam(k, body)
         return body
 
-    def _pattern_pool(self, open_types: bool):
-        """A scrutinee type plus fully-instantiated patterns against it;
-        None when `open_types` and the environment declares no open type
-        to match on."""
-        choices = (self.table.open_scrutinees if open_types
-                   else _CLOSED_SCRUTINEES)
-        if not choices:
-            return None
-        scrut_ty, ctors = self.rng.choice(choices)
-        pats = self.table.patterns(scrut_ty, ctors)  # after the draw
-        if not pats:
-            raise GiveUp
-        return scrut_ty, pats
-
     # -- coercions at reflexive goals
 
-    def coercion(self, scope, ty: Node, size: int) -> Node:
-        """A coercion term proving `ty ~ ty`."""
-        return self.coercion_node(scope, ty, size)
-
     def coercion_node(self, scope, ty: Node, size: int) -> Node:
+        """A coercion term proving `ty ~ ty`."""
         if size <= 0:
             return Refl(ty)
         roll = self.rng.random()
@@ -452,25 +480,12 @@ class Generator:
     # -- canonical small inhabitants
 
     def canonical(self, scope: list[Node], goal: Node) -> Node:
-        depth = len(scope)
-        for i in range(depth):
-            ty = scope[depth - 1 - i]
-            if isinstance(ty, (Star, KArr)):
-                continue
-            if node_eq(self._shift(ty, i + 1), goal):
-                return Var(i)
+        """The innermost variable of type `goal` in scope, else a small
+        inhabitant read off the goal's shape or the environment."""
+        var = next(self._in_scope(scope, goal), None)
+        if var is not None:
+            return var
         match goal:
-            case TCon("Bool"):
-                return Con("True")
-            case TApp(TCon("Maybe"), t):
-                return TyApp(Con("Nothing"), t)
-            case TApp(TCon("Eq"), TCon("Bool")):
-                return App(TyApp(Con("EqBool"), BOOL), Refl(BOOL))
-            case TApp(TCon("Ord"), TCon("Bool")):
-                return App(TyApp(Con("OrdBool"), BOOL), Refl(BOOL))
-            case TApp(TApp(TCon("F"), TCon("Int")), TCon("Bool")):
-                return App(App(TyApp(TyApp(Con("FIB"), TCon("Int")), BOOL),
-                               Refl(TCon("Int"))), Refl(BOOL))
             case TApp(TApp(TCon("->"), dom), cod):
                 return Lam(dom, self.canonical(scope + [dom],
                                                self._shift(cod, 1)))
@@ -478,7 +493,10 @@ class Generator:
                 return TyLam(k, self.canonical(scope + [k], body))
             case EqTy(l, r, _) if node_eq(l, r):
                 return Refl(l)
-        raise GiveUp
+        term = self.table.inhabitant(goal)
+        if term is None:
+            raise GiveUp
+        return term
 
 
 def gen_well_typed(cfg: GenConfig, case_index: int = 0,
@@ -489,8 +507,7 @@ def gen_well_typed(cfg: GenConfig, case_index: int = 0,
     name = names[case_index % len(names)]
     env = prelude_for(name)
     rng = random.Random(cfg.seed * 1_000_003 + case_index)
-    gen = Generator(env, rng, dict(cfg.weights) if cfg.weights else None,
-                    cfg.allow_zero)
+    gen = Generator(env, rng, cfg.allow_zero)
     pool = _goal_pool(name)
     for _ in range(20):
         goal = rng.choice(pool)

@@ -507,6 +507,14 @@ def plug_spine(head: Node, args: list[tuple[bool, Node]]) -> Node:
     return head
 
 
+def applied(name: str, args: list[Node]) -> Node:
+    """`TCon(name)` applied to `args`, the first outermost."""
+    out: Node = TCon(name)
+    for a in args:
+        out = TApp(out, a)
+    return out
+
+
 def type_spine(ty: Node) -> tuple[Node, list[Node]]:
     args: list[Node] = []
     while isinstance(ty, TApp):

@@ -24,9 +24,10 @@ from itertools import chain
 from typing import Callable, Iterable, Optional
 
 from .syntax import (
-    Node, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, App, TyApp,
+    Node, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref,
     Cast, Refl, Sym, Trans, CApp, Fst, Snd, Univ, Sim, Env, TyVarBind,
-    TmVarBind, node_eq, type_spine, spine_head, un_arrow,
+    TmVarBind, applied, node_eq, plug_spine, type_spine, spine_head,
+    un_arrow,
 )
 from .subst import Subst, Replace, Rename, apply, shift, instantiate
 from .typecheck import Diagnostic
@@ -397,17 +398,11 @@ class Resolver:
                 dicts.append(self.resolve(concrete, depth - 1, exclude))
             except SynthError:
                 return None
-        term: Node = Con(inst.ctor_name)
-        for a in goal_args:
-            term = TyApp(term, a)
         # instance variables are quantified outermost-first after the params
-        for i in reversed(range(n_vars)):
-            term = TyApp(term, inst_args[i])
-        for p in premises:
-            term = App(term, p)
-        for d in dicts:
-            term = App(term, d)
-        return term
+        return plug_spine(Con(inst.ctor_name),
+                          [(True, a) for a in goal_args]
+                          + [(True, a) for a in reversed(inst_args)]
+                          + [(False, p) for p in premises + dicts])
 
     def _try_superclasses(self, goal: Node, depth: int,
                           exclude: frozenset[int]) -> Optional[Node]:
@@ -421,11 +416,9 @@ class Resolver:
                     continue
                 params = [binding[n - 1 - pos] for pos in range(n)]
                 # pred is expressed over the class params, innermost = last
-                sub_goal: Node = TCon(cname)
-                for p in params:
-                    sub_goal = TApp(sub_goal, p)
                 try:
-                    dict_term = self.resolve(sub_goal, depth - 1, exclude)
+                    dict_term = self.resolve(applied(cname, params),
+                                             depth - 1, exclude)
                 except SynthError:
                     continue
                 return apply_projection(proj, params, dict_term)
@@ -573,13 +566,11 @@ class Resolver:
                 return None
         full_args = [subst_match_vars(inst.head[i], n_vars, binding)
                      for i in range(len(inst.head))]
-        goal: Node = TCon(inst.class_name)
-        for a in full_args:
-            goal = TApp(goal, a)
         inner = copy(self)
         inner.synth_depth, inner._active = depth - 1, active
         try:
-            term = inner.resolve(goal, depth - 1, exclude)
+            term = inner.resolve(applied(inst.class_name, full_args),
+                                 depth - 1, exclude)
         except SynthError:
             return None
         return term, full_args
@@ -610,21 +601,16 @@ class Resolver:
                 else:
                     co = CApp(co, Refl(args1[i]))
             first = Cast(first, co)
-        witness: Node = Ref(fd.name)
-        for a in first_args:
-            witness = TyApp(witness, a)
-        nondets = [i for i in range(len(args2)) if i not in fd.dets]
-        for i in nondets:
-            witness = TyApp(witness, args2[i])
-        witness = App(App(witness, first), d2)
+        nondets = [args2[i] for i in range(len(args2)) if i not in fd.dets]
+        witness = plug_spine(Ref(fd.name),
+                             [(True, a) for a in first_args + nondets]
+                             + [(False, first), (False, d2)])
         return (lhs_det, rhs_det, witness)
 
 
 def apply_projection(name: str, type_args: list[Node], term_arg: Node) -> Node:
-    out: Node = Ref(name)
-    for t in type_args:
-        out = TyApp(out, t)
-    return App(out, term_arg)
+    return plug_spine(Ref(name), [(True, t) for t in type_args]
+                      + [(False, term_arg)])
 
 
 def _size(t: Node) -> int:

@@ -49,9 +49,10 @@ class Diagnostic:
     def __str__(self) -> str:
         loc = f"{self.span[0]}:{self.span[1]}: " if self.span else ""
         at = f" at {'.'.join(self.path)}" if self.path else ""
-        detail = ""
-        if self.expected is not None or self.found is not None:
-            detail = f" (expected {self.expected}, found {self.found})"
+        shown = [f"{label} {value}" for label, value in
+                 (("expected", self.expected), ("found", self.found))
+                 if value is not None]
+        detail = f" ({', '.join(shown)})" if shown else ""
         return f"{loc}{self.code}: {self.message}{at}{detail}"
 
     def to_record(self) -> dict:

@@ -285,3 +285,23 @@ def test_seeded_corpus_edits_never_crash(tmp_path, capsys):
         code = main([command, str(path)])
         capsys.readouterr()
         assert code in (0, 1, 2), (name, op, pos, ch, code)
+
+
+def test_undecodable_input_is_a_decode_error(tmp_path, capsys):
+    bad = tmp_path / "bad.hsk"
+    bad.write_bytes(b"\xff" + corpus_text("superclasses.hsk").encode())
+    for command in ("check", "elab"):
+        code, out, err = run_cli(capsys, command, str(bad))
+        assert code == 1, command
+        assert err.startswith(f"{bad}: decode-error: ") and out == ""
+        assert "Traceback" not in err
+    code, out, err = run_cli(capsys, "check", "--json", str(bad))
+    assert code == 1
+    record = json.loads(out)
+    assert record["code"] == "decode-error" and record["file"] == str(bad)
+    # a multi-file check reports the bad file and goes on to the next one
+    good = corpus_path("superclasses.hsk")
+    code, out, err = run_cli(capsys, "check", str(bad), good, str(bad))
+    assert code == 1
+    assert out == f"{good}: ok\n"
+    assert err.count("decode-error") == 2

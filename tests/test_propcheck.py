@@ -252,3 +252,69 @@ def test_run_properties_generates_each_case_once_per_setting(monkeypatch):
 def test_run_properties_rejects_an_unknown_suite():
     with pytest.raises(KeyError):
         run_properties(("progress", "nope"), GenConfig(count=1))
+
+
+_UNSEEN_CLASS = """
+class G a b | a -> b where { g :: a -> b -> Bool; };
+instance GB : G Bool (Maybe Bool) where {
+  g = ((\\ x :: Bool. \\ y :: Maybe Bool. x) :: Bool -> Maybe Bool -> Bool);
+};
+instance GM : G a b => G (Maybe a) b where {
+  g = ((\\ x :: Maybe a. \\ y :: b. True) :: Maybe a -> b -> Bool);
+};
+"""
+
+
+def test_the_generator_reads_a_new_class_off_the_environment():
+    """A class and instances the generator has never seen: its guard
+    scrutinee and canonical dictionary come from the environment, and the
+    terms generated at them check."""
+    from fdc.elaborate import elaborate_program
+    from fdc.propcheck import Generator
+    from fdc.surface import parse_surface
+    from fdc.syntax import Con, Guard, TyApp, arrow
+    from fdc.typecheck import check_program
+    base = prelude_for("bool")
+    decls, diags = elaborate_program(parse_surface(_UNSEEN_CLASS), base)
+    assert not diags, diags
+    env, cdiags = check_program(base, decls)
+    assert not cdiags, cdiags
+    maybe_bool = TApp(TCon("Maybe"), BOOL)
+    g = TApp(TApp(TCon("G"), BOOL), maybe_bool)
+    assert env_table(env).open_scrutinees == ((g, ("GB", "GM")),)
+    gen = Generator(env, random.Random(0))
+    assert gen.canonical([], g) == App(App(
+        TyApp(TyApp(Con("GB"), BOOL), maybe_bool), Refl(BOOL)),
+        Refl(maybe_bool))
+    # GB's premises are not reflexive here, and GM's include a dictionary
+    with pytest.raises(propcheck.GiveUp):
+        gen.canonical([], TApp(TApp(TCon("G"), maybe_bool), BOOL))
+    checked, guarded = 0, set()
+    for goal in (g, BOOL, arrow(g, BOOL)):
+        for seed in range(200):
+            term = Generator(env, random.Random(seed)).term([], goal, 20)
+            check_term(env, term, goal)
+            checked += 1
+            guarded |= {s.pat.head for s in subnodes(term)
+                        if isinstance(s, Guard)}
+    assert checked == 600 and guarded == {"GB", "GM"}
+
+
+def test_a_free_quantifier_is_filled_only_at_kind_star():
+    """`K`'s outer quantifier has kind `* -> *` and no part of the goal
+    binds it, so `K` is no spine option: `Bool` there is ill-kinded."""
+    from fdc.parser import parse_core
+    from fdc.propcheck import Generator
+    from fdc.typecheck import check_program
+    env, diags = check_program(prelude_for("bool"), parse_core("""
+        data T : * -> *;
+        ctor K : forall f:* -> *. forall a:*. a -> T a;
+        ctor J : forall a:*. a -> T a;
+    """))
+    assert not diags, diags
+    goal = TApp(TCon("T"), BOOL)
+    assert [h.name for h, _, _ in env_table(env).spine_options(goal)] == [
+        "J"]
+    for seed in range(50):
+        check_term(env, Generator(env, random.Random(seed)).term(
+            [], goal, 8), goal)

@@ -13,9 +13,9 @@ from fdc.syntax import (
     spine_head, split_ctor_type,
 )
 from fdc.typecheck import (
-    AnyType, CheckError, Exactly, check_decl, check_env, check_program,
-    check_term, classify, coerce_type, infer_term, is_data_head,
-    is_open_head, kind_of, pattern_type,
+    AnyType, CheckError, Diagnostic, Exactly, check_decl, check_env,
+    check_program, check_term, classify, coerce_type, infer_term,
+    is_data_head, is_open_head, kind_of, pattern_type,
 )
 from fdc.syntax import DataDecl, CtorDecl, OpenTypeDecl, OpenCtorDecl, \
     MethodDecl, InstanceDecl, LetDecl
@@ -384,3 +384,14 @@ def test_indexed_lookups_match_a_linear_scan(monkeypatch):
             assert env.index is parent.index  # shared, not copied
         else:
             assert_names_match_scan(env)
+
+
+def test_diagnostic_text_shows_only_the_fields_that_are_set():
+    assert str(Diagnostic("c", "m")) == "c: m"
+    assert str(Diagnostic("c", "m", found="T")) == "c: m (found T)"
+    assert str(Diagnostic("c", "m", expected="U")) == "c: m (expected U)"
+    both = Diagnostic("c", "m", path=("x",), expected="U", found="T",
+                      span=(2, 3))
+    assert str(both) == "2:3: c: m at x (expected U, found T)"
+    assert Diagnostic("c", "m", found="T").to_record() == {
+        "code": "c", "message": "m", "found": "T"}
