@@ -3,7 +3,9 @@ analyze, and fuzz over `.fd` core files and `.hsk` surface files.
 
 Exit codes: 0 on success, 1 when diagnostics are reported (an input file
 that is not UTF-8 text is a `decode-error` diagnostic, input nested too
-deeply to process a `depth-limit` one), 2 on usage errors.
+deeply to process a `depth-limit` one), 2 on usage errors. The prelude
+(`FDC_PRELUDE`, or the bundled one) is loaded once per call, and its faults
+are reported under its own name.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional
 from .analysis import (
     AnalysisError, check_no_zero_syntactic, hssdi_report, specialize,
 )
-from .corpus import prelude_env
+from .corpus import check_prelude, prelude_name
 from .elaborate import ElabOptions, elaborate_program
 from .parser import ParseError, parse_core_with_spans, parse_term
 from .printer import print_core, print_term
@@ -29,13 +31,12 @@ from .syntax import DataDecl, Decl, Env, InstanceDecl, OpenTypeDecl
 from .typecheck import CheckError, Diagnostic, check_program, infer_term
 
 
-def _load_env_and_decls(path: str, options: ElabOptions,
+def _load_env_and_decls(path: str, options: ElabOptions, base: Env,
                         ) -> tuple[Env, list, list[Diagnostic]]:
-    """Parse a .fd or .hsk file and check it against the prelude; a .fd
-    file that redeclares a prelude name (the prelude itself, or an edited
-    copy of it) is checked from the builtin environment."""
+    """Parse a .fd or .hsk file and check it against the prelude `base`; a
+    .fd file that redeclares a prelude name (the prelude itself, or an
+    edited copy of it) is checked from the builtin environment."""
     text = _read_source(path)
-    base = prelude_env()
     spans = None
     if path.endswith(".hsk"):
         decls, diags = elaborate_program(parse_surface(text), base, options)
@@ -92,7 +93,8 @@ def cmd_check(args) -> int:
     status = 0
     for path in args.files:
         try:
-            _, _, diags = _load_env_and_decls(path, _elab_options(args))
+            _, _, diags = _load_env_and_decls(path, _elab_options(args),
+                                              args.prelude_env)
         except _BAD_INPUT as e:
             status = max(status, _input_failure(e, args.json, path))
             continue
@@ -112,7 +114,7 @@ def cmd_elab(args) -> int:
         except _BAD_INPUT as e:
             status = max(status, _input_failure(e, args.json, path))
             continue
-        decls, diags = elaborate_program(program, prelude_env(),
+        decls, diags = elaborate_program(program, args.prelude_env,
                                          _elab_options(args))
         if diags:
             _report(diags, args.json, path)
@@ -124,7 +126,8 @@ def cmd_elab(args) -> int:
 
 def cmd_eval(args) -> int:
     try:
-        env, _, diags = _load_env_and_decls(args.file, _elab_options(args))
+        env, _, diags = _load_env_and_decls(args.file, _elab_options(args),
+                                            args.prelude_env)
     except _BAD_INPUT as e:
         return _input_failure(e, args.json, args.file)
     if diags:
@@ -168,7 +171,8 @@ def cmd_eval(args) -> int:
 
 def cmd_specialize(args) -> int:
     try:
-        env, _, diags = _load_env_and_decls(args.file, _elab_options(args))
+        env, _, diags = _load_env_and_decls(args.file, _elab_options(args),
+                                            args.prelude_env)
     except _BAD_INPUT as e:
         return _input_failure(e, args.json, args.file)
     if diags:
@@ -196,7 +200,8 @@ def cmd_analyze(args) -> int:
     status = 0
     for path in args.files:
         try:
-            env, _, diags = _load_env_and_decls(path, _elab_options(args))
+            env, _, diags = _load_env_and_decls(path, _elab_options(args),
+                                                args.prelude_env)
         except _BAD_INPUT as e:
             status = max(status, _input_failure(e, args.json, path))
             continue
@@ -274,9 +279,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--absurd", choices=("diverge", "omit"),
                    default=default.absurd,
                    help="body for unreachable dependency branches")
-    p.add_argument("--synth-depth", type=int, default=default.synth_depth,
-                   dest="synth_depth")
-    p.add_argument("--resolve-depth", type=int,
+    p.add_argument("--synth-depth", type=_non_negative,
+                   default=default.synth_depth, dest="synth_depth")
+    p.add_argument("--resolve-depth", type=_non_negative,
                    default=default.resolve_depth, dest="resolve_depth")
 
 
@@ -338,9 +343,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_prelude(as_json: bool) -> Optional[Env]:
+    """The checked prelude, or None after reporting its faults under its
+    own name."""
+    try:
+        env, diags = check_prelude()
+    except _BAD_INPUT as e:
+        _input_failure(e, as_json, prelude_name())
+        return None
+    if diags:
+        _report(diags, as_json, prelude_name())
+        return None
+    return env
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.prelude_env = _load_prelude(args.json)
+        if args.prelude_env is None:
+            return 1
         return args.fn(args)
     except OSError as e:
         print(f"fdc: {e}", file=sys.stderr)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import os
 from importlib import resources
 
-from .parser import parse_core
+from .parser import parse_core_with_spans
 from .syntax import Env
-from .typecheck import check_program
+from .typecheck import Diagnostic, check_program
 
 PRELUDE_ENV_VAR = "FDC_PRELUDE"
 
@@ -19,15 +19,25 @@ def corpus_text(name: str) -> str:
 def prelude_text() -> str:
     override = os.environ.get(PRELUDE_ENV_VAR)
     if override:
-        with open(override) as fh:
+        with open(override, encoding="utf-8") as fh:
             return fh.read()
     return corpus_text("prelude.fd")
 
 
+def prelude_name() -> str:
+    """The prelude's path when `FDC_PRELUDE` names one, else its file name."""
+    return os.environ.get(PRELUDE_ENV_VAR) or "prelude.fd"
+
+
+def check_prelude() -> tuple[Env, list[Diagnostic]]:
+    """Parse and check the prelude; a fault in its text raises."""
+    decls, spans = parse_core_with_spans(prelude_text())
+    return check_program(Env(), decls, spans)
+
+
 def prelude_env() -> Env:
     """Parse and check the prelude; it must be diagnostic-free."""
-    decls = parse_core(prelude_text())
-    env, diags = check_program(Env(), decls)
+    env, diags = check_prelude()
     if diags:
         raise RuntimeError(f"prelude does not typecheck: {diags[0]}")
     return env

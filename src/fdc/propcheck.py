@@ -33,7 +33,8 @@ from .corpus import prelude_env
 from .printer import print_node, print_term, print_type
 from .reduction import is_value, step_all, whnf, Value
 from .subst import (
-    IDENTITY, Rename, Replace, Subst, apply, compose, is_closed, lift, shift,
+    IDENTITY, Rename, Replace, Subst, apply, compose, instantiate_all,
+    is_closed, lift, shift,
 )
 from .syntax import (
     Node, Star, KArr, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, Lam,
@@ -243,7 +244,7 @@ class EnvTable:
             type_args = _instantiation(kinds, cod, goal)
             if type_args is None:
                 continue
-            proofs = _instantiated(type_args, args)
+            proofs = [instantiate_all(a, type_args) for a in args]
             if all(isinstance(p, EqTy) and node_eq(p.lhs, p.rhs)
                    for p in proofs):
                 return plug_spine(Con(c.name),
@@ -286,13 +287,6 @@ def _instantiation(kinds, cod: Node, goal: Node) -> Optional[tuple]:
                 return None
             binding[i] = BOOL  # free quantifier: any * type works
     return tuple(binding[n - 1 - pos] for pos in range(n))
-
-
-def _instantiated(type_args: tuple, tys) -> list[Node]:
-    """`tys`, stated under the quantifiers, with `type_args` for them."""
-    sub = Subst(tuple(Replace(t) for t in reversed(type_args)),
-                -len(type_args))
-    return [apply(sub, t) for t in tys]
 
 
 @lru_cache(maxsize=len(PRELUDES) * 2)
@@ -408,8 +402,8 @@ class Generator:
         head, type_args, args = self.rng.choice(options)
         budget = max(size - 1, 0) // max(len(args), 1)
         return plug_spine(head, [(True, t) for t in type_args] + [
-            (False, self.term(scope, a, budget))
-            for a in _instantiated(type_args, args)])
+            (False, self.term(scope, instantiate_all(a, type_args), budget))
+            for a in args])
 
     def _app(self, scope, goal, size):
         dom = self.rng.choice([BOOL, arrow(BOOL, BOOL)])

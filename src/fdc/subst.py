@@ -5,6 +5,10 @@ another index, or replace with a node. The representation is a finite prefix
 of explicit actions plus a uniform tail shift, so substitutions compare equal
 when (extensionally) equal on the prefix region and print usefully in test
 failures.
+
+Application tracks how many binders it is under instead of lifting the
+substitution at each one, and returns any subterm whose loose range
+(`syntax.loose_range`, cached per node) shows no free index it could touch.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .syntax import (
-    BINDER, DATA, FIELDS, KIND, PATTERN, Node, Pattern, TVar, Var,
+    BINDER, OPEN, PATTERN, SCOPED_FIELDS, Node, Pattern, TVar, Var,
+    loose_range,
 )
 
 
@@ -65,48 +70,49 @@ def _shift_action(a: Action) -> Action:
 
 
 def lift(s: Subst) -> Subst:
-    """Adjust `s` for one extra enclosing binder: 0 stays, the rest shifts."""
+    """Adjust `s` for one extra enclosing binder: 0 stays, the rest shifts.
+    `apply` tracks binder depth instead; this is kept for the laws."""
     return Subst((Rename(0),) + tuple(_shift_action(a) for a in s.prefix),
                  s.shift)
 
 
+class ScopeEscape(ValueError):
+    """A substitution maps a free index below 0."""
+
+
 def apply(s: Subst, n: Node) -> Node:
-    if s == IDENTITY:
+    if not s.prefix and s.shift == 0:
         return n
-    return _apply(s, n)
+    return _apply(s, n, 0)
 
 
-def _resolve(s: Subst, index: int, make_var) -> Node:
-    match s.action(index):
-        case Rename(j):
-            if j < 0:
-                raise ValueError(f"substitution escapes scope at index {index}")
-            return make_var(j)
-        case Replace(node):
-            return node
-    raise TypeError
-
-
-# The classes with a position that substitution enters; the others (leaves,
-# and `KArr`, whose fields are all kinds) are returned as they are.
-_SUBST_FIELDS = {cls: shape for cls, shape in FIELDS.items()
-                 if any(role not in (KIND, DATA) for _, role in shape)}
-
-
-def _apply(s: Subst, n: Node) -> Node:
+def _apply(s: Subst, n: Node, depth: int) -> Node:
+    """`s` applied to `n` under `depth` binders. Indices below `depth` are
+    bound inside and stay; index i >= depth is `s`'s action on i - depth,
+    a replacement shifted past the `depth` binders. A subterm with no free
+    index at or above `depth` is returned as it is."""
+    if loose_range(n) <= depth:
+        return n
     cls = type(n)
     if cls is Var or cls is TVar:
-        return _resolve(s, n.index, cls)
-    shape = _SUBST_FIELDS.get(cls)
-    if shape is None:
-        return n
+        index = n.index - depth
+        a = s.prefix[index] if index < len(s.prefix) else None
+        if type(a) is Replace:
+            return shift(a.node, depth)
+        j = a.index if a is not None else index + s.shift
+        if j < 0:
+            raise ScopeEscape(f"substitution escapes scope at index {index}")
+        return cls(j + depth)
     args = []
-    for name, role in shape:
+    for name, role in SCOPED_FIELDS[cls]:
         x = getattr(n, name)
-        if role is PATTERN:
-            x = Pattern(x.head, tuple(_apply(s, t) for t in x.type_args))
-        elif role is not KIND:
-            x = _apply(lift(s) if role is BINDER else s, x)
+        if role is OPEN:
+            x = _apply(s, x, depth)
+        elif role is BINDER:
+            x = _apply(s, x, depth + 1)
+        elif role is PATTERN:
+            x = Pattern(x.head, tuple(_apply(s, t, depth)
+                                      for t in x.type_args))
         args.append(x)
     return cls(*args)
 
@@ -125,7 +131,8 @@ def compose(s1: Subst, s2: Subst) -> Subst:
 
 
 def shift(n: Node, amount: int) -> Node:
-    """Shift all free indices; negative amounts must not strand variables."""
+    """Shift all free indices; negative amounts must not strand variables
+    (`ScopeEscape` when one would)."""
     if amount == 0:
         return n
     return apply(shift_subst(amount), n)
@@ -136,32 +143,20 @@ def instantiate(body: Node, arg: Node) -> Node:
     return apply(singleton(arg), body)
 
 
-def min_free_index(n: Node) -> int:
-    """Smallest free de Bruijn index in `n` (large sentinel when closed)."""
-    best = 1 << 60
-    stack = [(n, 0)]
-    while stack:
-        m, depth = stack.pop()
-        cls = type(m)
-        if (cls is Var or cls is TVar) and m.index >= depth:
-            best = min(best, m.index - depth)
-        for name, role in _SUBST_FIELDS.get(cls, ()):
-            x = getattr(m, name)
-            if role is PATTERN:
-                stack.extend((t, depth) for t in x.type_args)
-            elif role is not KIND:
-                stack.append((x, depth + 1 if role is BINDER else depth))
-    return best
+def instantiate_all(body: Node, args) -> Node:
+    """Close the binders around `body` at once, the outermost with
+    `args[0]`: the same as instantiating them one at a time."""
+    return apply(Subst(tuple(Replace(a) for a in reversed(args)), -len(args)),
+                 body)
 
 
 def is_closed(n: Node) -> bool:
-    return min_free_index(n) >= (1 << 60)
+    return loose_range(n) == 0
 
 
 def try_unshift(n: Node, amount: int) -> Node | None:
     """Shift down by `amount`, or None when a free index would escape."""
-    if amount == 0:
-        return n
-    if min_free_index(n) < amount:
+    try:
+        return shift(n, -amount)
+    except ScopeEscape:
         return None
-    return shift(n, -amount)

@@ -301,8 +301,41 @@ FIELDS: dict[type, tuple[tuple[str, str], ...]] = {}
 
 for _cls in Node.__subclasses__():
     _cache_hash(_cls)
+    _cls._range = None  # see `loose_range`
     FIELDS[_cls] = tuple((f.name, _ROLES.get(f.type, DATA))
                          for f in fields(_cls))
+
+# The classes with a position a variable can occur in; the others (leaves,
+# and `KArr`, whose fields are all kinds) are closed.
+SCOPED_FIELDS = {cls: shape for cls, shape in FIELDS.items()
+                 if any(role not in (KIND, DATA) for _, role in shape)}
+
+
+def loose_range(n: Node) -> int:
+    """1 + the largest free de Bruijn index of `n`, or 0 when `n` is closed.
+    Computed on first use from the children's ranges and stored on the node
+    beside its hash; a variable's is read off its index."""
+    r = n._range
+    if r is not None:
+        return r
+    cls = type(n)
+    if cls is Var or cls is TVar:
+        return n.index + 1
+    r = 0
+    for name, role in SCOPED_FIELDS.get(cls, ()):
+        x = getattr(n, name)
+        if role is OPEN:
+            v = loose_range(x)
+        elif role is BINDER:
+            v = loose_range(x) - 1
+        elif role is PATTERN:
+            v = max(map(loose_range, x.type_args), default=0)
+        else:
+            continue
+        if v > r:
+            r = v
+    object.__setattr__(n, "_range", r)
+    return r
 
 
 # ----------------------------------------------------------- declarations

@@ -29,7 +29,7 @@ from .syntax import (
     TmVarBind, applied, node_eq, plug_spine, type_spine, spine_head,
     un_arrow,
 )
-from .subst import Subst, Replace, Rename, apply, shift, instantiate
+from .subst import Subst, Replace, Rename, apply, shift, instantiate_all
 from .typecheck import Diagnostic
 
 
@@ -297,9 +297,10 @@ class Resolver:
                 if sig is None:
                     continue
                 super_ty = sig.type
-                for a in args:
+                for _ in args:
                     assert isinstance(super_ty, Forall)
-                    super_ty = instantiate(super_ty.body, a)
+                    super_ty = super_ty.body
+                super_ty = instantiate_all(super_ty, args)
                 # the instantiated projection type is `C args -> S ...`
                 arrow_parts = un_arrow(super_ty)
                 if arrow_parts is None:

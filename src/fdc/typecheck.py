@@ -20,7 +20,9 @@ from .syntax import (
     TyVarBind, TmVarBind, STAR, node_eq, spine_head, split_ctor_type,
     un_arrow, arrow,
 )
-from .subst import shift, instantiate, is_closed, try_unshift
+from .subst import (
+    instantiate, instantiate_all, is_closed, shift, try_unshift,
+)
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,8 @@ def pattern_type(env: Env, p: Pattern, scrut_ty: Optional[Node] = None,
         if not node_eq(ka, ty.kind):
             _fail("kind-mismatch", "pattern type argument kind mismatch",
                   path, expected=ty.kind, found=ka)
-        ty = instantiate(ty.body, targ)
+        ty = ty.body
+    ty = instantiate_all(ty, p.type_args)
     res_kinds, arg_tys, cod = split_ctor_type(ty)
     plain_cod = try_unshift(cod, len(res_kinds))
     if plain_cod is None:

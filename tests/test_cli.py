@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from fdc.cli import main
-from fdc.corpus import corpus_text
+from fdc.corpus import check_prelude, corpus_text
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +173,16 @@ def test_fuzz_negative_count_or_size_is_a_usage_error(capsys, flag):
     assert f"argument {flag}: must be at least 0, got -3" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--synth-depth", "--resolve-depth"])
+def test_negative_depth_is_a_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["elab", flag, "-5", corpus_path("fundeps.hsk")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least 0, got -5" in captured.err
+
+
 def test_fuzz_prelude_choices_are_the_bundled_preludes(capsys):
     code, out, _ = run_cli(capsys, "fuzz", "--prop", "progress", "--count",
                            "0", "--prelude", "fundep")
@@ -206,6 +216,54 @@ def test_prelude_env_var_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FDC_PRELUDE", str(alt))
     code, out, err = run_cli(capsys, "eval", str(empty), "-e", "Yes")
     assert code == 0 and out.strip() == "Yes"
+
+
+@pytest.mark.parametrize("text, code", [
+    (b"data Bool : ;\n", "parse-error"),
+    (b"data B : *;\nctor K : C;\n", "unbound-con"),
+    (b"data \xff : *;\n", "decode-error"),
+])
+def test_prelude_faults_are_reported_under_its_path(tmp_path, capsys,
+                                                    monkeypatch, text, code):
+    prelude = tmp_path / "prelude.fd"
+    prelude.write_bytes(text)
+    monkeypatch.setenv("FDC_PRELUDE", str(prelude))
+    files = [corpus_path("superclasses.fd"), corpus_path("maybe.fd")]
+    rc, out, err = run_cli(capsys, "check", *files)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"{prelude}: ") and f"{code}:" in err
+    assert len(err.splitlines()) == 1  # once, not once per file
+    rc, out, err = run_cli(capsys, "check", "--json", *files)
+    assert rc == 1
+    assert [(r["file"], r["code"]) for r in map(json.loads,
+                                                out.splitlines())] == [
+        (str(prelude), code)]
+
+
+def test_prelude_is_loaded_once_per_call(capsys, monkeypatch):
+    from fdc import cli
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return check_prelude()
+
+    monkeypatch.setattr(cli, "check_prelude", counted)
+    for argv in (["check"] + [corpus_path(n) for n in
+                              ("superclasses.fd", "maybe.fd", "fundeps.hsk")],
+                 ["elab", corpus_path("fundeps.hsk"),
+                  corpus_path("superclasses.hsk")]):
+        calls.clear()
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 0 and len(calls) == 1, argv
+
+
+def test_python_dash_m_fdc():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fdc", "check", corpus_path("maybe.fd")],
+        capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 0
+    assert proc.stdout.strip().endswith("maybe.fd: ok")
 
 
 def test_eval_lazy_constructor_spine(capsys):

@@ -1,14 +1,18 @@
 import random
 
+import pytest
+
+import subst_oracle as oracle
 from named_oracle import oracle_beta
 from fdc.propcheck import gen_node, gen_subst
 from fdc.subst import (
-    IDENTITY, Rename, Replace, Subst, apply, compose, instantiate, lift,
-    shift, shift_subst, singleton, try_unshift,
+    IDENTITY, Rename, Replace, ScopeEscape, Subst, apply, compose,
+    instantiate, instantiate_all, is_closed, lift, shift, shift_subst,
+    singleton, try_unshift,
 )
 from fdc.syntax import (
-    App, Con, EqTy, KArr, Lam, Refl, TCon, TVar, Var, arrow, node_eq, STAR,
-    TyLam, Forall,
+    App, Con, EqTy, If, KArr, Lam, Pattern, Refl, TCon, TVar, Var, ZERO,
+    arrow, loose_range, node_eq, STAR, TyLam, Forall,
 )
 
 
@@ -113,3 +117,92 @@ def test_binders_lift_under_every_binding_form():
         assert apply(s, n) == make(Con("K"))
         n0 = make(Var(0))
         assert apply(s, n0) == n0
+
+
+# ------------------------------------------------- escape under a binder
+
+def test_escape_under_a_binder_raises():
+    # #1 under one binder is free index 0, which a shift by -1 strands
+    for n in (Lam(TCon("Bool"), Var(1)), Forall(STAR, TVar(1))):
+        with pytest.raises(ScopeEscape):
+            shift(n, -1)
+        assert try_unshift(n, 1) is None
+    with pytest.raises(ScopeEscape):
+        shift(Var(0), -1)
+    assert shift(Lam(TCon("Bool"), Var(2)), -1) == Lam(TCon("Bool"), Var(1))
+    assert try_unshift(Forall(STAR, TVar(2)), 1) == Forall(STAR, TVar(1))
+    assert try_unshift(Forall(STAR, TVar(1)), 0) == Forall(STAR, TVar(1))
+
+
+# ------------------------------------- against the lift-based reference
+
+def _cases(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, gen_node(rng, 10), gen_subst(rng, 8)
+
+
+def test_apply_matches_oracle():
+    for _, n, s in _cases(10, 1000):
+        assert apply(s, n) == oracle.apply(s, n)
+
+
+def test_shift_and_unshift_match_oracle():
+    for rng, n, _ in _cases(11, 1000):
+        amount = rng.randrange(-3, 4)
+        free = oracle.free_indices(n)
+        if free and min(free) + amount < 0:
+            with pytest.raises(ScopeEscape):
+                shift(n, amount)
+        else:
+            assert shift(n, amount) == oracle.shift(n, amount)
+        if amount >= 0:
+            assert try_unshift(n, amount) == oracle.try_unshift(n, amount)
+
+
+def test_instantiate_matches_oracle():
+    for rng, n, _ in _cases(12, 1000):
+        arg = gen_node(rng, 6)
+        assert instantiate(n, arg) == oracle.instantiate(n, arg)
+
+
+def test_instantiate_all_is_iterated_instantiate():
+    for rng, n, _ in _cases(13, 1000):
+        args = [gen_node(rng, 4) for _ in range(rng.randrange(4))]
+        # `n` read as a body under len(args) binders: wrap it in them, then
+        # close them one at a time, outermost first
+        body = n
+        for _ in args:
+            body = Forall(STAR, body)
+        iterated = oracle_iterated = body
+        for a in args:
+            iterated = instantiate(iterated.body, a)
+            oracle_iterated = oracle.instantiate(oracle_iterated.body, a)
+        assert instantiate_all(n, args) == iterated == oracle_iterated
+
+
+def test_closed_subterms_come_back_as_the_same_object():
+    ground = Subst(tuple(Replace(Con("K")) for _ in range(4)))
+    for rng, n, s in _cases(14, 500):
+        closed = apply(ground, n)  # gen_node's variables are #0-#3
+        assert is_closed(closed)
+        assert apply(s, closed) is closed
+        assert shift(closed, rng.randrange(1, 4)) is closed
+        assert try_unshift(closed, 2) is closed
+        assert instantiate(closed, Var(0)) is closed
+        assert instantiate_all(closed, [Var(0), Var(1)]) is closed
+        # inside an open term and under a binder too
+        open_term = Lam(TCon("Bool"), App(closed, Var(1)))
+        assert apply(s, open_term).body.fun is closed
+        assert shift(open_term, 1).body.fun is closed
+
+
+def test_loose_range_is_the_largest_free_index_plus_one():
+    for rng, n, s in _cases(15, 1000):
+        for m in (n, apply(s, n), Lam(TCon("Bool"), n), Forall(STAR, n)):
+            assert loose_range(m) == max(oracle.free_indices(m),
+                                         default=-1) + 1
+            assert is_closed(m) == (not oracle.free_indices(m))
+    pattern_only = If(Con("K"), Pattern("K", (TVar(3),)), Con("K"), ZERO)
+    assert loose_range(pattern_only) == 4
+    assert loose_range(KArr(STAR, STAR)) == 0

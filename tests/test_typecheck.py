@@ -4,6 +4,7 @@ import pytest
 
 from fdc import propcheck
 from fdc.cli import _load_env_and_decls
+from fdc.corpus import prelude_env
 from fdc.elaborate import ElabOptions
 from fdc.parser import parse_term, parse_type
 from fdc.propcheck import GenConfig, gen_well_typed
@@ -361,7 +362,8 @@ def test_indexed_lookups_match_a_linear_scan(monkeypatch):
     monkeypatch.setattr(Env, "push", recording)
     corpus = os.path.join(os.path.dirname(propcheck.__file__), "corpus")
     for name in sorted(os.listdir(corpus)):
-        _load_env_and_decls(os.path.join(corpus, name), ElabOptions())
+        _load_env_and_decls(os.path.join(corpus, name), ElabOptions(),
+                            prelude_env())
     for name in propcheck.PRELUDES:
         propcheck.prelude_for.__wrapped__(name)
     monkeypatch.undo()
