@@ -22,13 +22,12 @@ from .surface import (
 )
 from .synthesis import (
     ClassInfo, FundepInfo, InstanceInfo, Registry, Resolver, SynthError,
-    hyps_inconsistent,
 )
 from .syntax import (
     Node, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, Lam, App, TyLam,
     TyApp, Cast, Pattern, If, Guard, Env, TyVarBind, TmVarBind, Decl,
     DataDecl, CtorDecl, OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl,
-    LetDecl, STAR, applied, arrow, un_arrow, node_eq,
+    LetDecl, STAR, applied, arrow, type_spine, un_arrow, node_eq,
 )
 from .subst import instantiate, shift, try_unshift
 from .typecheck import (
@@ -71,6 +70,26 @@ def _tylams(kinds: list[Node], body: Node) -> Node:
     for k in reversed(kinds):
         body = TyLam(k, body)
     return body
+
+
+def _class_dict(name: str, n: int) -> Node:
+    """The class `name` applied to its `n` parameters, the innermost last."""
+    return applied(name, [TVar(n - 1 - i) for i in range(n)])
+
+
+def _witness_telescope(name: str, kinds: tuple[Node, ...], fd: FundepInfo):
+    """A dependency witness's type binders: the class parameters, then a
+    second copy of those `fd` does not determine from. Over them: the two
+    dictionary types, which agree on the determiners, and the two copies of
+    the determined parameter the witness equates."""
+    n = len(kinds)
+    nondets = [i for i in range(n) if i not in fd.dets]
+    qkinds = list(kinds) + [kinds[i] for i in nondets]
+    q = len(qkinds)
+    second = [i if i in fd.dets else n + nondets.index(i) for i in range(n)]
+    d1 = applied(name, [TVar(q - 1 - i) for i in range(n)])
+    d2 = applied(name, [TVar(q - 1 - pos) for pos in second])
+    return qkinds, d1, d2, TVar(q - 1 - fd.det), TVar(q - 1 - second[fd.det])
 
 
 class Elaborator:
@@ -289,8 +308,7 @@ class Elaborator:
             _err("duplicate-name", f"class {c.name!r} is already declared")
         pnames = [p for p, _ in c.params]
         kinds = [k for _, k in c.params]
-        n = len(c.params)
-        c_applied = applied(c.name, [TVar(n - 1 - i) for i in range(n)])
+        c_applied = _class_dict(c.name, len(kinds))
 
         def close(body: Node) -> Node:
             return _foralls(kinds, body)
@@ -317,22 +335,12 @@ class Elaborator:
             info.supers.append((proj, pred))
         for idx, (dets, det) in enumerate(c.fundeps):
             base = "fdFwd" if idx == 0 else "fdBwd" if idx == 1 else f"fd{idx}"
-            wname = self.fresh_term_name(base, c.name)
-            nondets = [i for i in range(n) if i not in dets]
-            q = n + len(nondets)
-            qkinds = kinds + [kinds[i] for i in nondets]
-
-            def qvar(pos: int) -> Node:
-                return TVar(q - 1 - pos)
-
-            d1 = applied(c.name, [qvar(i) for i in range(n)])
-            d2 = applied(c.name, [
-                qvar(i) if i in dets else qvar(n + nondets.index(i))
-                for i in range(n)])
-            eq = EqTy(qvar(det), qvar(n + nondets.index(det)), kinds[det])
-            self.emit(MethodDecl(wname, _foralls(qkinds,
-                                                 _arrows([d1, d2], eq))))
-            info.fundeps.append(FundepInfo(wname, tuple(dets), det))
+            fd = FundepInfo(self.fresh_term_name(base, c.name), tuple(dets),
+                            det)
+            qkinds, d1, d2, lhs, rhs = _witness_telescope(c.name, kinds, fd)
+            self.emit(MethodDecl(fd.name, _foralls(
+                qkinds, _arrows([d1, d2], EqTy(lhs, rhs, kinds[det])))))
+            info.fundeps.append(fd)
         self.registry.classes[c.name] = info
 
     def do_instance(self, ins: SInstanceDecl) -> None:
@@ -376,12 +384,12 @@ class Elaborator:
             if mname not in info.methods:
                 _err("unknown-method",
                      f"{mname!r} is not a method of {ins.class_name!r}")
+        guards = [(_class_dict(ins.class_name, n), inst_info, ivars)]
         for mname in info.methods:
             if mname in given:
-                self._method_instance(info, inst_info, ivars, mname,
-                                      given[mname])
+                self._method_instance(info, guards, mname, given[mname])
         for proj, pred in info.supers:
-            self._super_instance(info, inst_info, ivars, proj, pred)
+            self._super_instance(info, guards, proj, pred)
         known = self.registry.instances.setdefault(ins.class_name, [])
         everything = known + [inst_info]
         for fd in info.fundeps:
@@ -393,132 +401,92 @@ class Elaborator:
 
     # -- pieces of instance elaboration
 
-    def _guard_skeleton(self, env: Env, scrut_index: int, ctor: str,
-                        pat_args: list[Node]):
-        """pattern_type bookkeeping for a guard on a dictionary binder."""
-        pat = Pattern(ctor, tuple(pat_args))
-        got = infer_term(env, Var(scrut_index))
-        assert isinstance(got, Exactly)
-        res_kinds, arg_tys, _ = pattern_type(env, pat, got.type)
-        return pat, res_kinds, arg_tys
-
-    def _extend_with_pattern(self, env: Env, res_kinds: list[Node],
-                             arg_tys: list[Node]) -> Env:
-        for k in res_kinds:
-            env = env.push(TyVarBind(k))
-        for i, t in enumerate(arg_tys):
-            env = env.push(TmVarBind(shift(t, i)))
-        return env
-
-    def _wrap_consequent(self, res_kinds: list[Node], arg_tys: list[Node],
-                         body: Node) -> Node:
-        for i in reversed(range(len(arg_tys))):
-            body = Lam(shift(arg_tys[i], i), body)
-        return _tylams(res_kinds, body)
-
-    def _method_instance(self, info: ClassInfo, inst: InstanceInfo,
-                         ivars: list, mname: str, surface_body) -> None:
+    def _method_instance(self, info: ClassInfo, guards: list, mname: str,
+                         surface_body) -> None:
         method_ty = info.methods[mname]
         for _ in range(len(info.param_kinds)):
             assert isinstance(method_ty, Forall)
             method_ty = method_ty.body
         sigma = un_arrow(method_ty)[1]  # drop the dictionary arrow
         self._instance_clause(
-            info, inst, ivars, mname,
+            mname, info.param_kinds, guards,
             lambda env, names, k: self.check(env, names, surface_body,
                                              shift(sigma, k)))
 
-    def _super_instance(self, info: ClassInfo, inst: InstanceInfo,
-                        ivars: list, proj: str, pred: Node) -> None:
+    def _super_instance(self, info: ClassInfo, guards: list, proj: str,
+                        pred: Node) -> None:
         self._instance_clause(
-            info, inst, ivars, proj,
+            proj, info.param_kinds, guards,
             lambda env, names, k: self._resolve(env, names, shift(pred, k)))
 
-    def _instance_clause(self, info: ClassInfo, inst: InstanceInfo,
-                         ivars: list, name: str, body_of) -> None:
-        """Emit the instance of open function `name` for `inst`: under the
-        class parameters and a dictionary binder, a guard on the dictionary
-        for `inst`'s constructor. `body_of(env, names, k)` gives the guard's
-        consequent in the scope the guard opens, `k` binders inside the
-        class parameters."""
-        n = len(info.param_kinds)
+    def _instance_clause(self, name: str, kinds, guards, body_of) -> None:
+        """Emit an instance of open function `name`: under type binders of
+        `kinds`, one dictionary binder per guard, then the guards, outermost
+        first. A guard is (dictionary type over `kinds`, `InstanceInfo`,
+        instance-variable names); it matches its dictionary against the
+        instance's constructor at the dictionary type's arguments and opens
+        the pattern's telescope. `body_of(env, names, k)` gives the innermost
+        consequent, `k` binders inside `kinds`; if it gives None, nothing is
+        emitted."""
         env = self.env
-        for k in info.param_kinds:
+        for k in kinds:
             env = env.push(TyVarBind(k))
-        c_applied = applied(info.name, [TVar(n - 1 - i) for i in range(n)])
-        env = env.push(TmVarBind(c_applied))
-        pat_args = [TVar(n - 1 - i + 1) for i in range(n)]
-        pat, res_kinds, arg_tys = self._guard_skeleton(env, 0, inst.ctor_name,
-                                                       pat_args)
-        env3 = self._extend_with_pattern(env, res_kinds, arg_tys)
-        names3 = [None] * (n + 1) + list(ivars) + [None] * len(arg_tys)
-        body = body_of(env3, names3, 1 + len(res_kinds) + len(arg_tys))
-        cons = self._wrap_consequent(res_kinds, arg_tys, body)
-        term = _tylams(list(info.param_kinds),
-                       Lam(c_applied, Guard(Var(0), pat, cons)))
-        self.emit(InstanceDecl(name, term))
+        for i, (dict_ty, _, _) in enumerate(guards):
+            env = env.push(TmVarBind(shift(dict_ty, i)))
+        names = [None] * (len(kinds) + len(guards))
+        depth = len(guards)  # binders inside `kinds`
+        opened = []
+        for j, (dict_ty, inst, ivars) in enumerate(guards):
+            scrut_ty = shift(dict_ty, depth)
+            pat = Pattern(inst.ctor_name, tuple(type_spine(scrut_ty)[1]))
+            res_kinds, arg_tys, _ = pattern_type(env, pat, scrut_ty)
+            opened.append((depth - 1 - j, pat, res_kinds, arg_tys))
+            for k in res_kinds:
+                env = env.push(TyVarBind(k))
+            for i, t in enumerate(arg_tys):
+                env = env.push(TmVarBind(shift(t, i)))
+            names += list(ivars) + [None] * len(arg_tys)
+            depth += len(res_kinds) + len(arg_tys)
+        body = body_of(env, names, depth)
+        if body is None:
+            return
+        for scrut, pat, res_kinds, arg_tys in reversed(opened):
+            for i in reversed(range(len(arg_tys))):
+                body = Lam(shift(arg_tys[i], i), body)
+            body = Guard(Var(scrut), pat, _tylams(res_kinds, body))
+        for i in reversed(range(len(guards))):
+            body = Lam(shift(guards[i][0], i), body)
+        self.emit(InstanceDecl(name, _tylams(kinds, body)))
 
     def _fd_witness(self, info: ClassInfo, fd: FundepInfo,
                     inst1: InstanceInfo, inst2: InstanceInfo) -> None:
-        n = len(info.param_kinds)
-        nondets = [i for i in range(n) if i not in fd.dets]
-        q = n + len(nondets)
-        qkinds = list(info.param_kinds) + [info.param_kinds[i]
-                                           for i in nondets]
-
-        def qvar(pos: int, extra: int) -> Node:
-            return TVar(q - 1 - pos + extra)
-
-        d1_ty = applied(info.name, [qvar(i, 0) for i in range(n)])
-        d2_ty = applied(info.name, [
-            qvar(i, 0) if i in fd.dets else qvar(n + nondets.index(i), 0)
-            for i in range(n)])
-        env = self.env
-        for k in qkinds:
-            env = env.push(TyVarBind(k))
-        env = env.push(TmVarBind(d1_ty))
-        env = env.push(TmVarBind(shift(d2_ty, 1)))
-        pat1_args = [qvar(i, 2) for i in range(n)]
-        pat1, res1, args1 = self._guard_skeleton(env, 1, inst1.ctor_name,
-                                                 pat1_args)
-        len1 = len(res1) + len(args1)
-        env4 = self._extend_with_pattern(env, res1, args1)
-        pat2_args = [
-            qvar(i, 2 + len1) if i in fd.dets
-            else qvar(n + nondets.index(i), 2 + len1)
-            for i in range(n)]
-        pat2, res2, args2 = self._guard_skeleton(env4, len1, inst2.ctor_name,
-                                                 pat2_args)
-        len2 = len(res2) + len(args2)
-        env5 = self._extend_with_pattern(env4, res2, args2)
-        offset = 2 + len1 + len2
-        lhs = qvar(fd.det, offset)
-        rhs = qvar(n + nondets.index(fd.det), offset)
+        qkinds, d1, d2, lhs, rhs = _witness_telescope(
+            info.name, info.param_kinds, fd)
         kappa = info.param_kinds[fd.det]
-        resolver = self.resolver(env5)
-        hyp_pairs = [(l, r) for l, r, _ in resolver.hypotheses(frozenset())]
-        d1_index = 1 + len1 + len2
-        d2_index = len1 + len2
-        if hyps_inconsistent(hyp_pairs):
-            if self.opts.absurd == "omit":
-                return
-            body: Node = TyApp(TyApp(Ref(self._absurd_name(kappa)), lhs), rhs)
-        else:
+
+        def body_of(env: Env, names: list, k: int) -> Optional[Node]:
+            # the two dictionaries are the outermost binders inside qkinds
+            lhs_k, rhs_k = shift(lhs, k), shift(rhs, k)
+            resolver = self.resolver(env)
+            if resolver.inconsistent():
+                if self.opts.absurd == "omit":
+                    return None
+                return TyApp(TyApp(Ref(self._absurd_name(kappa)), lhs_k),
+                             rhs_k)
             try:
-                body = resolver.synth(lhs, rhs,
-                                      exclude=frozenset({d1_index, d2_index}))
+                return resolver.synth(lhs_k, rhs_k,
+                                      exclude=frozenset({k - 1, k - 2}))
             except SynthError:
                 _err("fundep-violation",
                      f"cannot witness the dependency of {info.name!r} for "
                      f"the pair ({inst1.ctor_name}, {inst2.ctor_name}): the "
                      f"guards are consistent but the determined parameters "
                      f"cannot be equated")
-        cons2 = self._wrap_consequent(res2, args2, body)
-        guard2 = Guard(Var(len1), pat2, cons2)
-        cons1 = self._wrap_consequent(res1, args1, guard2)
-        guard1 = Guard(Var(1), pat1, cons1)
-        term = _tylams(qkinds, Lam(d1_ty, Lam(shift(d2_ty, 1), guard1)))
-        self.emit(InstanceDecl(fd.name, term))
+
+        self._instance_clause(
+            fd.name, qkinds,
+            [(d1, inst1, [None] * len(inst1.var_kinds)),
+             (d2, inst2, [None] * len(inst2.var_kinds))], body_of)
 
     def _absurd_name(self, kind: Node) -> str:
         if kind in self.absurd_names:

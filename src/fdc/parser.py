@@ -100,8 +100,8 @@ def tokenize(text: str) -> list[Token]:
 
 @dataclass
 class Cursor:
-    """A position in a token list, and the grammar of kinds; shared by the
-    core and the surface parser."""
+    """A position in a token list, the grammar of kinds and the declaration
+    loop; shared by the core and the surface parser."""
 
     tokens: list[Token]
     pos: int = 0
@@ -135,6 +135,15 @@ class Cursor:
 
     def fail(self, message: str, expected: frozenset[str] = frozenset()):
         raise ParseError(message, self.cur.line, self.cur.col, expected)
+
+    def program_with_spans(self) -> tuple[list, list[tuple[int, int]]]:
+        """Every declaration up to the end of input, by the subclass's
+        `decl`, and the (line, column) each starts at."""
+        decls, spans = [], []
+        while not self.at("eof"):
+            spans.append((self.cur.line, self.cur.col))
+            decls.append(self.decl())
+        return decls, spans
 
     # ---------------------------------------------------------- kinds
 
@@ -429,41 +438,15 @@ class Parser(Cursor):
         return name
 
     def decl(self) -> Decl:
-        if self.at_kw("data"):
+        form = _NAMED_DECLS.get(self.cur.text) if self.at("kw") else None
+        if form is not None:
+            upper, payload, make = form
             self.advance()
-            name = self.decl_name(upper=True)
+            name = self.decl_name(upper)
             self.expect(":")
-            k = self.kind()
+            value = getattr(self, payload)()
             self.expect(";")
-            return DataDecl(name, k)
-        if self.at_kw("open"):
-            self.advance()
-            name = self.decl_name(upper=True)
-            self.expect(":")
-            k = self.kind()
-            self.expect(";")
-            return OpenTypeDecl(name, k)
-        if self.at_kw("ctor"):
-            self.advance()
-            name = self.decl_name(upper=True)
-            self.expect(":")
-            t = self.type_()
-            self.expect(";")
-            return CtorDecl(name, t)
-        if self.at_kw("openctor"):
-            self.advance()
-            name = self.decl_name(upper=True)
-            self.expect(":")
-            t = self.type_()
-            self.expect(";")
-            return OpenCtorDecl(name, t)
-        if self.at_kw("method"):
-            self.advance()
-            name = self.decl_name(upper=False)
-            self.expect(":")
-            t = self.type_()
-            self.expect(";")
-            return MethodDecl(name, t)
+            return make(name, value)
         if self.at_kw("instance"):
             self.advance()
             tok = self.cur
@@ -499,22 +482,20 @@ class Parser(Cursor):
                   frozenset({"data", "ctor", "open", "openctor",
                              "method", "instance", "let"}))
 
-    def program(self) -> list[Decl]:
-        decls = []
-        while not self.at("eof"):
-            decls.append(self.decl())
-        return decls
 
-    def program_with_spans(self) -> tuple[list[Decl], list[tuple[int, int]]]:
-        decls, spans = [], []
-        while not self.at("eof"):
-            spans.append((self.cur.line, self.cur.col))
-            decls.append(self.decl())
-        return decls, spans
+# The `kw Name : payload ;` declarations: keyword -> (name starts uppercase,
+# the parser method that reads the payload, the declaration it makes).
+_NAMED_DECLS = {
+    "data": (True, "kind", DataDecl),
+    "open": (True, "kind", OpenTypeDecl),
+    "ctor": (True, "type_", CtorDecl),
+    "openctor": (True, "type_", OpenCtorDecl),
+    "method": (False, "type_", MethodDecl),
+}
 
 
 def parse_core(text: str) -> list[Decl]:
-    return Parser(tokenize(text)).program()
+    return Parser(tokenize(text)).program_with_spans()[0]
 
 
 def parse_core_with_spans(text: str) -> tuple[list[Decl],

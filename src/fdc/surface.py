@@ -538,15 +538,9 @@ class SurfaceParser(Cursor):
         return SInstanceDecl(head_con.name, ctor_name, tuple(preds),
                              tuple(stype_args(head)), tuple(methods))
 
-    def program(self) -> list[SDecl]:
-        decls = []
-        while not self.at("eof"):
-            decls.append(self.decl())
-        return decls
-
 
 def parse_surface(text: str) -> list[SDecl]:
-    return SurfaceParser(tokenize(text)).program()
+    return SurfaceParser(tokenize(text)).program_with_spans()[0]
 
 
 def parse_surface_term(text: str) -> STerm:

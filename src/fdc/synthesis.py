@@ -135,33 +135,45 @@ def _rigid_clash(a: Node, b: Node) -> bool:
     return False
 
 
-def hyps_inconsistent(pairs: list[tuple[Node, Node]], limit: int = 200) -> bool:
+def hyps_inconsistent(pairs: list[tuple[Node, Node]]) -> bool:
     """Close equality hypotheses under symmetry, transitivity, and
-    decomposition; report whether two rigidly distinct types get equated."""
-    known: dict[tuple[Node, Node], None] = {}  # ordered: `limit` cuts it
+    decomposition with a union-find; report whether two rigidly distinct
+    types share a class. Each class keeps one type application, and each
+    application that joins the class is decomposed against it."""
+    parent: dict[Node, Node] = {}
+    app: dict[Node, TApp] = {}  # root -> the application its class keeps
 
-    def add(a: Node, b: Node) -> bool:
-        if a == b or (a, b) in known:
-            return False
-        known[a, b] = None
-        return True
+    def find(t: Node) -> Node:
+        if t not in parent:
+            parent[t] = t
+            if isinstance(t, TApp):
+                app[t] = t
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
+        return t
 
-    for a, b in pairs:
-        add(a, b)
-        add(b, a)
-    changed = True
-    while changed and len(known) < limit:
-        changed = False
-        for (a, b) in list(known):
-            if isinstance(a, TApp) and isinstance(b, TApp):
-                if add(a.fun, b.fun) or add(a.arg, b.arg):
-                    changed = True
-                if add(b.fun, a.fun) or add(b.arg, a.arg):
-                    changed = True
-            for (c, d) in list(known):
-                if b == c and add(a, d):
-                    changed = True
-    return any(_rigid_clash(a, b) for a, b in known)
+    work = list(pairs)
+    while work:
+        a, b = work.pop()
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        parent[ra] = rb
+        kept = app.pop(ra, None)
+        if kept is None:
+            continue
+        if rb in app:
+            work += [(kept.fun, app[rb].fun), (kept.arg, app[rb].arg)]
+        else:
+            app[rb] = kept
+    # a clash has a constructor head on one side, so checking each class
+    # against one of its constructor-headed members finds any clash in it
+    rigid: dict[Node, Node] = {}
+    for t in parent:
+        if isinstance(spine_head(t), TCon):
+            rigid.setdefault(find(t), t)
+    return any(_rigid_clash(rigid[find(t)], t) for t in parent
+               if find(t) in rigid)
 
 
 # ------------------------------------------------------------ path search
@@ -254,6 +266,11 @@ class Resolver:
     def hypotheses(self, exclude: frozenset[int]) -> list[tuple[Node, Node, Node]]:
         return [(ty.lhs, ty.rhs, Var(i)) for i, ty in self.scope_entries()
                 if i not in exclude and isinstance(ty, EqTy)]
+
+    def inconsistent(self) -> bool:
+        """Do the equalities in scope equate rigidly distinct types?"""
+        return hyps_inconsistent([(l, r) for l, r, _
+                                  in self.hypotheses(frozenset())])
 
     def scope_dicts(self, exclude: frozenset[int]
                     ) -> tuple[tuple[Node, Node], ...]:
@@ -366,18 +383,14 @@ class Resolver:
         binding: dict[int, Node] = {}
         deferred: list[int] = []
         # premises are H_i ~ goal_i; structural matches bind instance vars,
-        # the rest fall through to coercion synthesis
-        pending = list(range(len(inst.head)))
-        progress = True
-        while pending and progress:
-            progress = False
-            for idx in list(pending):
-                trial = dict(binding)
-                if match_type(inst.head[idx], goal_args[idx], n_vars, trial):
-                    binding.update(trial)
-                    pending.remove(idx)
-                    progress = True
-        deferred = pending
+        # the rest fall through to coercion synthesis. One pass suffices: a
+        # match only fails more with more bindings, so a retry never binds.
+        for idx in range(len(inst.head)):
+            trial = dict(binding)
+            if match_type(inst.head[idx], goal_args[idx], n_vars, trial):
+                binding = trial
+            else:
+                deferred.append(idx)
         if len(binding) < n_vars:
             return None  # underdetermined instance variables
         inst_args = [binding[i] for i in range(n_vars)]

@@ -6,10 +6,11 @@ the scope from the environment, coercion paths come from a depth-first walk
 over a flat edge list with its own congruence bridging (`_dfs`), the
 decomposition edges from a second walk over the hypothesis edges
 (`_hyp_path`), and every set of nodes is a list scanned with `node_eq`.
-`hyps_inconsistent` is the original quadratic closure over a list. The
-resolver shares instance matching, congruence and improvement edges with
-the code under test; inner scopes (`Univ` congruence) are built as
-`OracleResolver`s too, so a whole search runs on the old code.
+`hyps_inconsistent` is the original quadratic closure over a list, and
+`OracleResolver.inconsistent` asks it. The resolver shares instance
+matching, congruence and improvement edges with the code under test; inner
+scopes (`Univ` congruence) are built as `OracleResolver`s too, so a whole
+search runs on the old code.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ def hyps_inconsistent(pairs: list[tuple[Node, Node]], limit: int = 200) -> bool:
 
 
 class OracleResolver(Resolver):
+
+    def inconsistent(self) -> bool:
+        return hyps_inconsistent([(l, r) for l, r, _
+                                  in self.hypotheses(frozenset())])
 
     def scope_entries(self) -> list[tuple[int, Node]]:
         """(index, type) for every term binder in scope, innermost first."""

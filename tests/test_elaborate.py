@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from fdc.analysis import check_no_zero_syntactic, check_saturation, \
@@ -14,6 +17,7 @@ from fdc.syntax import (
     TmVarBind, TyApp, TyVarBind, Var, Zero, STAR, arrow, node_eq, subnodes,
 )
 from fdc.typecheck import check_program, coerce_type
+from test_synthesis import CASES, fundep_program
 
 BOOL = TCon("Bool")
 ARROW = TCon("->")
@@ -371,3 +375,30 @@ instance C Int where { m = ((\\ i :: Int. i) :: Int -> Int); };
     assert not diags
     ctors = [d.name for d in out if isinstance(d, OpenCtorDecl)]
     assert ctors == ["K_C_0", "K_C_1"]
+
+
+# ------------------------------------------------------------ pinned output
+
+# The differential tests run one `Elaborator` on both sides, so only a fixed
+# digest catches a change in what it writes. PINNED_DIGEST was taken before
+# the clause builder and the consistency check were rewritten; any changed
+# byte of output or of a diagnostic fails the test.
+PINNED = CASES + [
+    (f"cast g={g} s={s}", fundep_program(random.Random(1), "q", g, s, "cast"))
+    for g in (2, 3) for s in (0, 1)]
+PINNED_DIGEST = \
+    "e886f53f291dd2ceb005fe16332b7141dbe863c3f559bec50ea73a09ad521acb"
+
+
+def test_elaboration_matches_the_pinned_digest(prelude):
+    h = hashlib.sha256()
+    for overlap in ("reject", "first"):
+        for absurd in ("diverge", "omit"):
+            options = ElabOptions(overlap=overlap, absurd=absurd)
+            for name, text in PINNED:
+                decls, diags = elaborate_program(parse_surface(text), prelude,
+                                                 options)
+                h.update(f"{name} {overlap} {absurd}\n".encode())
+                h.update(print_core(decls).encode())
+                h.update("".join(f"{d}\n" for d in diags).encode())
+    assert h.hexdigest() == PINNED_DIGEST

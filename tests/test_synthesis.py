@@ -121,8 +121,6 @@ CASES = [(name, corpus_text(name)) for name in CORPUS] + seeded_programs()
 
 def _use_the_list_search(monkeypatch):
     monkeypatch.setattr(elaborate, "Resolver", oracle.OracleResolver)
-    monkeypatch.setattr(elaborate, "hyps_inconsistent",
-                        oracle.hyps_inconsistent)
 
 
 @pytest.mark.parametrize("overlap", ["reject", "first"])
@@ -197,14 +195,15 @@ def _random_type(rng: random.Random, depth: int):
 
 
 def test_hyps_inconsistent_matches_the_list_closure():
+    # the union-find closes every list; the oracle stops at 200 known pairs,
+    # a cut that changes no verdict on these lists
     rng = random.Random(7)
     verdicts = []
     for _ in range(120):
         pairs = [(_random_type(rng, 3), _random_type(rng, 3))
                  for _ in range(rng.randint(1, 5))]
-        limit = rng.choice([4, 12, 200])
-        got = hyps_inconsistent(pairs, limit)
-        assert got == oracle.hyps_inconsistent(pairs, limit), (pairs, limit)
+        got = hyps_inconsistent(pairs)
+        assert got == oracle.hyps_inconsistent(pairs, 200), pairs
         verdicts.append(got)
     assert True in verdicts and False in verdicts
 
