@@ -23,13 +23,12 @@ from .syntax import (
     spine, plug_spine, split_ctor_type, spine_head, subnodes, map_children,
     children,
 )
-from .typecheck import Diagnostic, check_program
+from .typecheck import CheckError, _fail, check_program
 
 
-class AnalysisError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-        super().__init__(str(diagnostic))
+class AnalysisError(CheckError):
+    """A call site the specializer cannot resolve, or an ill-typed program
+    handed to the analysis."""
 
 
 # --------------------------------------------------------------- reports
@@ -289,8 +288,8 @@ def _subst_lets(env: Env, m: Node, active: frozenset[str] = frozenset()) -> Node
             if ld is None:
                 return m
             if name in active:
-                raise AnalysisError(Diagnostic(
-                    "recursive-let", f"let {name!r} refers to itself"))
+                _fail("recursive-let", f"let {name!r} refers to itself",
+                      error=AnalysisError)
             return _subst_lets(env, ld.body, active | {name})
     return map_children(m, lambda c: _subst_lets(env, c, active))
 
@@ -300,9 +299,9 @@ def _admin_normalize(env: Env, m: Node, budget: list[int]) -> Node:
     in the deterministic order."""
     m, budget[0] = normalize(env, m, budget[0], ALL_FRAMES, OPEN_RULES)
     if budget[0] <= 0:
-        raise AnalysisError(Diagnostic(
-            "specialize-budget",
-            "specialization did not terminate within budget"))
+        _fail("specialize-budget",
+              "specialization did not terminate within budget",
+              error=AnalysisError)
     return m
 
 
@@ -357,10 +356,9 @@ def _resolve_preamble(env: Env, node: Node,
             case Miss():
                 return None
             case NotReady():
-                raise AnalysisError(Diagnostic(
-                    "not-hssdi",
-                    f"guard scrutinee is not concrete evidence: "
-                    f"{print_node(scrut)}"))
+                _fail("not-hssdi", f"guard scrutinee is not concrete "
+                                   f"evidence: {print_node(scrut)}",
+                      error=AnalysisError)
     return node
 
 
@@ -388,20 +386,18 @@ def specialize(env: Env, m: Node,
         term_args = [a for is_ty, a in args if not is_ty]
         if positions and (not term_args
                           or positions[-1][0] >= len(term_args)):
-            raise AnalysisError(Diagnostic(
-                "not-hssdi",
-                f"open function {head.name!r} is not applied to all of its "
-                f"evidence arguments"))
+            _fail("not-hssdi", f"open function {head.name!r} is not applied "
+                               f"to all of its evidence arguments",
+                  error=AnalysisError)
         survivors = []
         for body in env.instance_defs(head.name):
             reduced = _apply_instance(env, body, args, fuel)
             if reduced is not None:
                 survivors.append(reduced)
         if not survivors:
-            raise AnalysisError(Diagnostic(
-                "unsaturated",
-                f"no instance of {head.name!r} matches the call site "
-                f"{print_node(site.node)}"))
+            _fail("unsaturated", f"no instance of {head.name!r} matches the "
+                                 f"call site {print_node(site.node)}",
+                  error=AnalysisError)
         replacement = survivors[-1]
         for s in reversed(survivors[:-1]):
             replacement = Choice(s, replacement)

@@ -3,7 +3,8 @@ analyze, and fuzz over `.fd` core files and `.hsk` surface files.
 
 Exit codes: 0 on success, 1 when diagnostics are reported (an input file
 that is not UTF-8 text is a `decode-error` diagnostic, input nested too
-deeply to process a `depth-limit` one), 2 on usage errors. The prelude
+deeply to process a `depth-limit` one, and any `CheckError` that reaches
+`main` is reported as its diagnostic), 2 on usage errors. The prelude
 (`FDC_PRELUDE`, or the bundled one) is loaded once per call, and its faults
 are reported under its own name.
 """
@@ -15,9 +16,7 @@ import json
 import sys
 from typing import Optional
 
-from .analysis import (
-    AnalysisError, check_no_zero_syntactic, hssdi_report, specialize,
-)
+from .analysis import check_no_zero_syntactic, hssdi_report, specialize
 from .corpus import check_prelude, prelude_name
 from .elaborate import ElabOptions, elaborate_program
 from .parser import ParseError, parse_core_with_spans, parse_term
@@ -27,7 +26,7 @@ from .reduction import (
     OutOfFuel, StuckResult, Value, ZeroResult, eval_all, whnf, DEFAULT_FUEL,
 )
 from .surface import parse_surface
-from .syntax import DataDecl, Decl, Env, InstanceDecl, OpenTypeDecl
+from .syntax import DataDecl, Decl, Env, InstanceDecl, Node, OpenTypeDecl
 from .typecheck import CheckError, Diagnostic, check_program, infer_term
 
 
@@ -78,9 +77,11 @@ def _read_source(path: str) -> str:
 _BAD_INPUT = (ParseError, UnicodeDecodeError)
 
 
-def _input_failure(e: ParseError | UnicodeDecodeError, as_json: bool,
-                   path: str) -> int:
-    if isinstance(e, UnicodeDecodeError):
+def _input_failure(e: ParseError | UnicodeDecodeError | CheckError,
+                   as_json: bool, path: str) -> int:
+    if isinstance(e, CheckError):
+        diag = e.diagnostic
+    elif isinstance(e, UnicodeDecodeError):
         diag = Diagnostic("decode-error", f"not UTF-8 text: {e.reason} at "
                           f"byte {e.start}")
     else:
@@ -89,17 +90,37 @@ def _input_failure(e: ParseError | UnicodeDecodeError, as_json: bool,
     return 1
 
 
+def _load_or_report(path: str, args) -> Optional[Env]:
+    """The environment of `path` over the prelude, or None after reporting
+    its faults under `path`."""
+    try:
+        env, _, diags = _load_env_and_decls(path, _elab_options(args),
+                                            args.prelude_env)
+    except _BAD_INPUT as e:
+        _input_failure(e, args.json, path)
+        return None
+    if diags:
+        _report(diags, args.json, path)
+        return None
+    return env
+
+
+def _expr_or_report(env: Env, args, then=None) -> Optional[Node]:
+    """`--expr` parsed and inferred in `env`, then passed through `then`;
+    None after reporting a fault under `<expr>`."""
+    try:
+        expr = parse_term(args.expr)
+        infer_term(env, expr)
+        return expr if then is None else then(env, expr)
+    except (ParseError, CheckError) as e:
+        _input_failure(e, args.json, "<expr>")
+        return None
+
+
 def cmd_check(args) -> int:
     status = 0
     for path in args.files:
-        try:
-            _, _, diags = _load_env_and_decls(path, _elab_options(args),
-                                              args.prelude_env)
-        except _BAD_INPUT as e:
-            status = max(status, _input_failure(e, args.json, path))
-            continue
-        if diags:
-            _report(diags, args.json, path)
+        if _load_or_report(path, args) is None:
             status = 1
         elif not args.json:
             print(f"{path}: ok")
@@ -125,21 +146,9 @@ def cmd_elab(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        env, _, diags = _load_env_and_decls(args.file, _elab_options(args),
-                                            args.prelude_env)
-    except _BAD_INPUT as e:
-        return _input_failure(e, args.json, args.file)
-    if diags:
-        _report(diags, args.json, args.file)
-        return 1
-    try:
-        expr = parse_term(args.expr)
-        infer_term(env, expr)
-    except ParseError as e:
-        return _input_failure(e, args.json, "<expr>")
-    except CheckError as e:
-        _report([e.diagnostic], args.json, "<expr>")
+    env = _load_or_report(args.file, args)
+    expr = None if env is None else _expr_or_report(env, args)
+    if expr is None:
         return 1
     if args.all:
         terminals, exhausted = eval_all(env, expr, args.fuel)
@@ -170,22 +179,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_specialize(args) -> int:
-    try:
-        env, _, diags = _load_env_and_decls(args.file, _elab_options(args),
-                                            args.prelude_env)
-    except _BAD_INPUT as e:
-        return _input_failure(e, args.json, args.file)
-    if diags:
-        _report(diags, args.json, args.file)
-        return 1
-    try:
-        expr = parse_term(args.expr)
-        infer_term(env, expr)
-        result = specialize(env, expr)
-    except ParseError as e:
-        return _input_failure(e, args.json, "<expr>")
-    except (CheckError, AnalysisError) as e:
-        _report([e.diagnostic], args.json, "<expr>")
+    env = _load_or_report(args.file, args)
+    result = None if env is None else _expr_or_report(env, args, specialize)
+    if result is None:
         return 1
     line = print_term(result)
     if args.json:
@@ -199,14 +195,8 @@ def cmd_specialize(args) -> int:
 def cmd_analyze(args) -> int:
     status = 0
     for path in args.files:
-        try:
-            env, _, diags = _load_env_and_decls(path, _elab_options(args),
-                                                args.prelude_env)
-        except _BAD_INPUT as e:
-            status = max(status, _input_failure(e, args.json, path))
-            continue
-        if diags:
-            _report(diags, args.json, path)
+        env = _load_or_report(path, args)
+        if env is None:
             status = 1
             continue
         report = hssdi_report(env)
@@ -367,6 +357,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as e:
         print(f"fdc: {e}", file=sys.stderr)
         return 2
+    except CheckError as e:
+        # a failure outside the inputs a command reports on, such as a
+        # bundled fuzz prelude that does not elaborate over `FDC_PRELUDE`
+        return _input_failure(e, args.json, "")
     except RecursionError:
         # the parser, checker, elaborator and printer recurse on nesting
         _report([Diagnostic("depth-limit",

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from importlib import resources
 
 from .parser import parse_core_with_spans
 from .syntax import Env
-from .typecheck import Diagnostic, check_program
+from .typecheck import CheckError, Diagnostic, check_program
 
 PRELUDE_ENV_VAR = "FDC_PRELUDE"
 
@@ -38,6 +39,13 @@ def check_prelude() -> tuple[Env, list[Diagnostic]]:
 def prelude_env() -> Env:
     """Parse and check the prelude; it must be diagnostic-free."""
     env, diags = check_prelude()
-    if diags:
-        raise RuntimeError(f"prelude does not typecheck: {diags[0]}")
+    require_clean(f"prelude {prelude_name()!r}", diags)
     return env
+
+
+def require_clean(what: str, diags: list[Diagnostic]) -> None:
+    """Raise the first of `diags`, if any, as a `CheckError` whose message
+    names `what`."""
+    if diags:
+        d = diags[0]
+        raise CheckError(replace(d, message=f"{what}: {d.message}"))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .corpus import prelude_env
-from .printer import print_node
 from .surface import (
     SType, STVar, STCon, STApp, SArrow, SForall, STerm, SVar, SCon, SLam,
     STyLam, SApp, STyApp, SIf, SHole, SAnnot, SDecl, SDataDecl,
@@ -32,7 +31,7 @@ from .syntax import (
 from .subst import instantiate, shift, try_unshift
 from .typecheck import (
     CheckError, Diagnostic, Exactly, check_decl, infer_term, kind_of,
-    pattern_type, _match_consequent,
+    pattern_type, _fail, _match_consequent,
 )
 
 
@@ -42,16 +41,6 @@ class ElabOptions:
     absurd: str = "diverge"   # or "omit"
     synth_depth: int = 64
     resolve_depth: int = 32
-
-
-class ElabError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-        super().__init__(str(diagnostic))
-
-
-def _err(code: str, message: str, **kw):
-    raise ElabError(Diagnostic(code, message, **kw))
 
 
 def _foralls(kinds: list[Node], body: Node) -> Node:
@@ -110,9 +99,8 @@ class Elaborator:
         try:
             self.env = check_decl(self.env, decl)
         except CheckError as e:
-            raise ElabError(Diagnostic(
-                "internal", f"generated declaration does not typecheck: "
-                            f"{e.diagnostic}"))
+            _fail("internal", f"generated declaration does not typecheck: "
+                              f"{e.diagnostic}")
         self.output.append(decl)
 
     def resolver(self, env: Env) -> Resolver:
@@ -135,7 +123,7 @@ class Elaborator:
                 for i, bound in enumerate(reversed(scope)):
                     if bound == name:
                         return TVar(i)
-                _err("unbound-tyvar", f"type variable {name!r} is not in scope")
+                _fail("unbound-tyvar", f"type variable {name!r} is not in scope")
             case STCon(name):
                 return TCon(name)
             case STApp(f, a):
@@ -160,22 +148,22 @@ class Elaborator:
                     return Ref(name), env.method_sig(name).type
                 if env.let_sig(name) is not None:
                     return Ref(name), env.let_sig(name).type
-                _err("unbound-var", f"{name!r} is not in scope")
+                _fail("unbound-var", f"{name!r} is not in scope")
             case SCon(name):
                 sig = env.ctor_sig(name)
                 if sig is None:
-                    _err("unbound-con", f"constructor {name!r} is not declared")
+                    _fail("unbound-con", f"constructor {name!r} is not declared")
                 return Con(name), sig.type
             case SLam(x, ann, body):
                 if ann is None:
-                    _err("annotation-required",
-                         f"lambda binder {x!r} needs a type annotation")
+                    _fail("annotation-required",
+                          f"lambda binder {x!r} needs a type annotation")
                 core_ann = self.ty(ann, names)
                 bcore, bty = self.infer(env.push(TmVarBind(core_ann)),
                                         names + [x], body)
                 cod = try_unshift(bty, 1)
                 if cod is None:
-                    _err("internal", "body type mentions the term binder")
+                    _fail("internal", "body type mentions the term binder")
                 return Lam(core_ann, bcore), arrow(core_ann, cod)
             case STyLam(t, k, body):
                 bcore, bty = self.infer(env.push(TyVarBind(k)),
@@ -185,8 +173,8 @@ class Elaborator:
                 fc, fty = self.infer(env, names, f)
                 parts = un_arrow(fty)
                 if parts is None:
-                    _err("not-arrow", "applied term is not a function",
-                         found=print_node(fty))
+                    _fail("not-arrow", "applied term is not a function",
+                          found=fty)
                 ac = self.check(env, names, a, parts[0])
                 return App(fc, ac), parts[1]
             case STyApp(f, t):
@@ -196,16 +184,16 @@ class Elaborator:
                     case Forall(k, body):
                         kt = kind_of(env, tc)
                         if not node_eq(kt, k):
-                            _err("kind-mismatch",
-                                 "type argument kind mismatch",
-                                 expected=print_node(k), found=print_node(kt))
+                            _fail("kind-mismatch",
+                                  "type argument kind mismatch",
+                                  expected=k, found=kt)
                         return TyApp(fc, tc), instantiate(body, tc)
-                _err("not-forall",
-                     "type application of an unquantified term",
-                     found=print_node(fty))
+                _fail("not-forall",
+                      "type application of an unquantified term",
+                      found=fty)
             case SHole(t):
                 goal = self.ty(t, names)
-                term = self._resolve(env, names, goal)
+                term = self._resolve(env, goal)
                 return term, goal
             case SAnnot(m, t):
                 tc = self.ty(t, names)
@@ -218,9 +206,9 @@ class Elaborator:
         match s:
             case SHole(t):
                 declared = self.ty(t, names)
-                term = self._resolve(env, names, declared)
+                term = self._resolve(env, declared)
                 if not node_eq(declared, expected):
-                    term = self._cast(env, names, term, declared, expected)
+                    term = self._cast(env, term, declared, expected)
                 return term
             case SLam(x, ann, body) if ann is not None:
                 parts = un_arrow(expected)
@@ -240,41 +228,27 @@ class Elaborator:
                 inner = self.check(env, names, m, tc)
                 if node_eq(tc, expected):
                     return inner
-                return self._cast(env, names, inner, tc, expected)
+                return self._cast(env, inner, tc, expected)
         core, ty = self.infer(env, names, s)
         if node_eq(ty, expected):
             return core
-        return self._cast(env, names, core, ty, expected)
+        return self._cast(env, core, ty, expected)
 
-    def _cast(self, env: Env, names: list, core: Node, frm: Node,
-              to: Node) -> Node:
-        try:
-            eta = self.resolver(env).synth(frm, to)
-        except SynthError as e:
-            raise ElabError(e.diagnostic)
-        return Cast(core, eta)
+    def _cast(self, env: Env, core: Node, frm: Node, to: Node) -> Node:
+        return Cast(core, self.resolver(env).synth(frm, to))
 
-    def _resolve(self, env: Env, names: list, goal: Node) -> Node:
-        try:
-            return self.resolver(env).resolve(goal)
-        except SynthError as e:
-            raise ElabError(e.diagnostic)
+    def _resolve(self, env: Env, goal: Node) -> Node:
+        return self.resolver(env).resolve(goal)
 
     def _elab_if(self, env, names, scrut, pat, cons, alt):
         sc, sty = self.infer(env, names, scrut)
         core_pat = Pattern(pat.head,
                            tuple(self.ty(a, names) for a in pat.type_args))
-        try:
-            res_kinds, arg_tys, cod = pattern_type(env, core_pat, None)
-        except CheckError as e:
-            raise ElabError(e.diagnostic)
+        res_kinds, arg_tys, cod = pattern_type(env, core_pat, None)
         if not node_eq(sty, cod):
-            sc = self._cast(env, names, sc, sty, cod)
+            sc = self._cast(env, sc, sty, cod)
         cc, cty = self.infer(env, names, cons)
-        try:
-            result = _match_consequent(env, res_kinds, arg_tys, cty, ())
-        except CheckError as e:
-            raise ElabError(e.diagnostic)
+        result = _match_consequent(env, res_kinds, arg_tys, cty, ())
         ac = self.check(env, names, alt, result)
         return If(sc, core_pat, cc, ac), result
 
@@ -305,7 +279,7 @@ class Elaborator:
 
     def do_class(self, c: SClassDecl) -> None:
         if c.name in self.registry.classes:
-            _err("duplicate-name", f"class {c.name!r} is already declared")
+            _fail("duplicate-name", f"class {c.name!r} is already declared")
         pnames = [p for p, _ in c.params]
         kinds = [k for _, k in c.params]
         c_applied = _class_dict(c.name, len(kinds))
@@ -326,9 +300,9 @@ class Elaborator:
             while isinstance(head, TApp):
                 head = head.fun
             if not isinstance(head, TCon) or head.name not in self.registry.classes:
-                _err("unknown-superclass",
-                     f"superclass of {c.name!r} must be a declared class",
-                     found=print_node(pred))
+                _fail("unknown-superclass",
+                      f"superclass of {c.name!r} must be a declared class",
+                      found=pred)
             proj = self.fresh_term_name(
                 c.name[0].lower() + c.name[1:] + head.name)
             self.emit(MethodDecl(proj, close(arrow(c_applied, pred))))
@@ -346,13 +320,13 @@ class Elaborator:
     def do_instance(self, ins: SInstanceDecl) -> None:
         info = self.registry.classes.get(ins.class_name)
         if info is None:
-            _err("unknown-class", f"instance of undeclared class "
-                                  f"{ins.class_name!r}")
+            _fail("unknown-class", f"instance of undeclared class "
+                                   f"{ins.class_name!r}")
         n = len(info.param_kinds)
         if len(ins.head_args) != n:
-            _err("class-arity", f"class {ins.class_name!r} takes {n} "
-                                f"parameters, instance supplies "
-                                f"{len(ins.head_args)}")
+            _fail("class-arity", f"class {ins.class_name!r} takes {n} "
+                                 f"parameters, instance supplies "
+                                 f"{len(ins.head_args)}")
         ivars: list[str] = []
         for a in ins.head_args:
             stype_vars(a, ivars)
@@ -364,7 +338,7 @@ class Elaborator:
         ctor = ins.ctor_name or self.fresh_term_name(
             f"K_{ins.class_name}_{count}")
         if self.env.term_name_taken(ctor):
-            _err("duplicate-name", f"constructor {ctor!r} is already declared")
+            _fail("duplicate-name", f"constructor {ctor!r} is already declared")
         head_core = [self.ty(a, ivars) for a in ins.head_args]
         ctx_core = [self.ty(p, ivars) for p in ins.context]
 
@@ -374,16 +348,16 @@ class Elaborator:
         premises = [EqTy(head_core[i], a_var(i), info.param_kinds[i])
                     for i in range(n)]
         cod = applied(ins.class_name, [a_var(i) for i in range(n)])
-        ctor_type = _foralls(list(info.param_kinds) + [STAR] * m,
-                             _arrows(premises + ctx_core, cod))
-        self.emit(OpenCtorDecl(ctor, ctor_type))
+        self.emit(OpenCtorDecl(ctor, _foralls(
+            list(info.param_kinds) + [STAR] * m,
+            _arrows(premises + ctx_core, cod))))
         inst_info = InstanceInfo(ins.class_name, ctor, (STAR,) * m,
-                                 tuple(head_core), tuple(ctx_core), ctor_type)
+                                 tuple(head_core), tuple(ctx_core))
         given = dict(ins.methods)
         for mname in given:
             if mname not in info.methods:
-                _err("unknown-method",
-                     f"{mname!r} is not a method of {ins.class_name!r}")
+                _fail("unknown-method",
+                      f"{mname!r} is not a method of {ins.class_name!r}")
         guards = [(_class_dict(ins.class_name, n), inst_info, ivars)]
         for mname in info.methods:
             if mname in given:
@@ -417,7 +391,7 @@ class Elaborator:
                         pred: Node) -> None:
         self._instance_clause(
             proj, info.param_kinds, guards,
-            lambda env, names, k: self._resolve(env, names, shift(pred, k)))
+            lambda env, names, k: self._resolve(env, shift(pred, k)))
 
     def _instance_clause(self, name: str, kinds, guards, body_of) -> None:
         """Emit an instance of open function `name`: under type binders of
@@ -477,11 +451,11 @@ class Elaborator:
                 return resolver.synth(lhs_k, rhs_k,
                                       exclude=frozenset({k - 1, k - 2}))
             except SynthError:
-                _err("fundep-violation",
-                     f"cannot witness the dependency of {info.name!r} for "
-                     f"the pair ({inst1.ctor_name}, {inst2.ctor_name}): the "
-                     f"guards are consistent but the determined parameters "
-                     f"cannot be equated")
+                _fail("fundep-violation",
+                      f"cannot witness the dependency of {info.name!r} for "
+                      f"the pair ({inst1.ctor_name}, {inst2.ctor_name}): the "
+                      f"guards are consistent but the determined parameters "
+                      f"cannot be equated")
 
         self._instance_clause(
             fd.name, qkinds,
@@ -513,10 +487,6 @@ def elaborate_program(program: list[SDecl], env: Optional[Env] = None,
     for d in program:
         try:
             elab.do_decl(d)
-        except ElabError as e:
-            elab.diags.append(e.diagnostic)
-        except SynthError as e:
-            elab.diags.append(e.diagnostic)
         except CheckError as e:
             elab.diags.append(e.diagnostic)
     if elab.diags:

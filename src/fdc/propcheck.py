@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .corpus import prelude_env
+from .corpus import prelude_env, require_clean
 from .printer import print_node, print_term, print_type
 from .reduction import is_value, step_all, whnf, Value
 from .subst import (
@@ -90,11 +90,9 @@ def prelude_for(name: str) -> Env:
     from .surface import parse_surface
     text = _EQORD_SURFACE if name == "eqord" else _FUNDEP_SURFACE
     decls, diags = elaborate_program(parse_surface(text), env)
-    if diags:
-        raise RuntimeError(f"bundled prelude {name!r} failed: {diags[0]}")
-    full, cdiags = check_program(env, decls)
-    if cdiags:
-        raise RuntimeError(f"bundled prelude {name!r} failed: {cdiags[0]}")
+    require_clean(f"bundled prelude {name!r}", diags)
+    full, diags = check_program(env, decls)
+    require_clean(f"bundled prelude {name!r}", diags)
     return full
 
 

@@ -550,7 +550,7 @@ def parse_surface_term(text: str) -> STerm:
     return t
 
 
-# --------------------------------------------------------------- printer
+# ------------------------------------------- type printer, for diagnostics
 
 def print_stype(t: SType, level: int = 0) -> str:
     # levels: 0 forall/arrow, 1 app, 2 atom
@@ -567,84 +567,6 @@ def print_stype(t: SType, level: int = 0) -> str:
             s = f"{print_stype(f, 1)} {print_stype(a, 2)}"
             return f"({s})" if level > 1 else s
     raise TypeError(f"not a surface type: {t!r}")
-
-
-def print_sterm(m: STerm, level: int = 0) -> str:
-    # levels: 0 binders, 1 app, 2 atom
-    match m:
-        case SVar(name) | SCon(name):
-            return name
-        case SLam(var, ann, body):
-            annot = f" :: {print_stype(ann)}" if ann is not None else ""
-            s = f"\\ {var}{annot}. {print_sterm(body)}"
-            return f"({s})" if level > 0 else s
-        case STyLam(var, kind, body):
-            s = f"/\\ {var} :: {print_kind(kind)}. {print_sterm(body)}"
-            return f"({s})" if level > 0 else s
-        case SIf(scrut, pat, cons, alt):
-            s = (f"if {print_sterm(scrut, 1)} is {print_spat(pat)} "
-                 f"then {print_sterm(cons, 1)} else {print_sterm(alt)}")
-            return f"({s})" if level > 0 else s
-        case SApp(f, a):
-            s = f"{print_sterm(f, 1)} {print_sterm(a, 2)}"
-            return f"({s})" if level > 1 else s
-        case STyApp(f, t):
-            s = f"{print_sterm(f, 1)} [{print_stype(t)}]"
-            return f"({s})" if level > 1 else s
-        case SHole(t):
-            return f"(_ :: {print_stype(t)})"
-        case SAnnot(term, t):
-            return f"({print_sterm(term)} :: {print_stype(t)})"
-    raise TypeError(f"not a surface term: {m!r}")
-
-
-def print_spat(p: SPat) -> str:
-    return " ".join([p.head] + [f"[{print_stype(t)}]" for t in p.type_args])
-
-
-def print_sdecl(d: SDecl) -> str:
-    match d:
-        case SDataDecl(name, kind, ctors):
-            if not ctors:
-                return f"data {name} :: {print_kind(kind)};"
-            items = " ".join(f"{n} :: {print_stype(t)};" for n, t in ctors)
-            return f"data {name} :: {print_kind(kind)} where {{ {items} }};"
-        case SClassDecl(name, params, supers, fundeps, methods):
-            parts = ["class"]
-            if supers:
-                ctx = ", ".join(print_stype(s, 1) for s in supers)
-                parts.append(f"({ctx}) =>" if len(supers) > 1 else f"{ctx} =>")
-            head = [name] + [f"({p} :: {print_kind(k)})" for p, k in params]
-            parts.append(" ".join(head))
-            if fundeps:
-                clauses = ", ".join(
-                    " ".join(params[i][0] for i in dets) + f" -> {params[det][0]}"
-                    for dets, det in fundeps)
-                parts.append(f"| {clauses}")
-            if methods:
-                items = " ".join(f"{n} :: {print_stype(t)};" for n, t in methods)
-                parts.append(f"where {{ {items} }}")
-            return " ".join(parts) + ";"
-        case SInstanceDecl(class_name, ctor_name, context, head_args, methods):
-            parts = ["instance"]
-            if ctor_name:
-                parts.append(f"{ctor_name} :")
-            for pred in context:
-                parts.append(f"{print_stype(pred, 1)} =>")
-            head = " ".join([class_name]
-                            + [print_stype(a, 2) for a in head_args])
-            parts.append(head)
-            if methods:
-                items = " ".join(f"{n} = {print_sterm(t)};" for n, t in methods)
-                parts.append(f"where {{ {items} }}")
-            return " ".join(parts) + ";"
-        case SLetDecl(name, t, body):
-            return f"let {name} :: {print_stype(t)} = {print_sterm(body)};"
-    raise TypeError(f"not a surface declaration: {d!r}")
-
-
-def print_surface(program: list[SDecl]) -> str:
-    return "\n".join(print_sdecl(d) for d in program) + ("\n" if program else "")
 
 
 # ------------------------------------------------------------ validation

@@ -30,13 +30,12 @@ from .syntax import (
     un_arrow,
 )
 from .subst import Subst, Replace, Rename, apply, shift, instantiate_all
-from .typecheck import Diagnostic
+# `_show` is re-exported: the reference search in tests/ prints goals with it
+from .typecheck import CheckError, _fail, _show  # noqa: F401
 
 
-class SynthError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-        super().__init__(str(diagnostic))
+class SynthError(CheckError):
+    """A failed instance or coercion search."""
 
 
 @dataclass
@@ -62,7 +61,6 @@ class InstanceInfo:
     var_kinds: tuple[Node, ...]
     head: tuple[Node, ...]     # class-parameter values over the instance vars
     context: tuple[Node, ...]  # predicates over the instance vars
-    ctor_type: Node
 
 
 @dataclass
@@ -341,9 +339,8 @@ class Resolver:
             eta = self.synth(goal.lhs, goal.rhs, exclude=exclude)
             return eta
         if depth <= 0:
-            raise SynthError(Diagnostic(
-                "no-instance", "instance search depth exhausted",
-                found=_show(goal)))
+            _fail("no-instance", "instance search depth exhausted",
+                  found=goal, error=SynthError)
         # 1. a local dictionary of exactly the goal type
         for i, ty in self.scope_entries():
             if i not in exclude and ty == goal:
@@ -360,10 +357,9 @@ class Resolver:
         if candidates:
             distinct = {t for _, t in candidates}
             if len(distinct) > 1 and self.overlap == "reject":
-                raise SynthError(Diagnostic(
-                    "ambiguous-instance",
-                    f"{len(distinct)} instances satisfy the goal",
-                    found=_show(goal)))
+                _fail("ambiguous-instance",
+                      f"{len(distinct)} instances satisfy the goal",
+                      found=goal, error=SynthError)
             best = max(range(len(candidates)),
                        key=lambda i: (candidates[i][0], -i))
             return candidates[best][1]
@@ -371,9 +367,8 @@ class Resolver:
         term = self._try_superclasses(goal, depth, exclude)
         if term is not None:
             return term
-        raise SynthError(Diagnostic(
-            "no-instance", "no instance or hypothesis matches the goal",
-            found=_show(goal)))
+        _fail("no-instance", "no instance or hypothesis matches the goal",
+              found=goal, error=SynthError)
 
     def _try_instance(self, inst: InstanceInfo, goal_args: list[Node],
                       depth: int, exclude: frozenset[int]) -> Optional[Node]:
@@ -446,9 +441,8 @@ class Resolver:
             depth = self.synth_depth
         eta = self._synth(frm, to, depth, exclude, self._active)
         if eta is None:
-            raise SynthError(Diagnostic(
-                "no-coercion", "no coercion path between the types",
-                expected=_show(to), found=_show(frm)))
+            _fail("no-coercion", "no coercion path between the types",
+                  expected=to, found=frm, error=SynthError)
         return eta
 
     def _synth(self, frm: Node, to: Node, depth: int,
@@ -640,8 +634,3 @@ def _size(t: Node) -> int:
         case EqTy(l, r, _):
             return 1 + _size(l) + _size(r)
     return 1
-
-
-def _show(t: Node) -> str:
-    from .printer import print_node
-    return print_node(t)

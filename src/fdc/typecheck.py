@@ -9,7 +9,7 @@ syntax-directed. Type equality is structural equality of de Bruijn trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NoReturn, Optional, Union
 
 from . import printer
 from .syntax import (
@@ -71,19 +71,25 @@ class Diagnostic:
 
 
 class CheckError(Exception):
+    """The one failure type: every layer, from the checker to the
+    elaborator, synthesis and analysis, raises it (or a subclass) with the
+    `Diagnostic` that the CLI reports."""
+
     def __init__(self, diagnostic: Diagnostic):
         self.diagnostic = diagnostic
         super().__init__(str(diagnostic))
 
 
+def _show(x: Node | str | None) -> Optional[str]:
+    return x if x is None or isinstance(x, str) else printer.print_node(x)
+
+
 def _fail(code: str, message: str, path: tuple[str, ...] = (),
           expected: Node | str | None = None,
-          found: Node | str | None = None):
-    def show(x):
-        if x is None or isinstance(x, str):
-            return x
-        return printer.print_node(x)
-    raise CheckError(Diagnostic(code, message, path, show(expected), show(found)))
+          found: Node | str | None = None,
+          error: type[CheckError] = CheckError) -> NoReturn:
+    """Raise `error` with a diagnostic; node details are printed."""
+    raise error(Diagnostic(code, message, path, _show(expected), _show(found)))
 
 
 # ------------------------------------------------------------- kinding

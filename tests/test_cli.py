@@ -363,3 +363,28 @@ def test_undecodable_input_is_a_decode_error(tmp_path, capsys):
     assert code == 1
     assert out == f"{good}: ok\n"
     assert err.count("decode-error") == 2
+
+
+@pytest.mark.parametrize("extra, code, names", [
+    ((), "unbound-var", "bundled prelude 'eqord'"),
+    (("--prelude", "maybe"), "unbound-con", "'Maybe'"),
+    (("--json",), "unbound-var", "bundled prelude 'eqord'"),
+], ids=["default", "maybe", "json"])
+def test_fuzz_reports_an_unusable_prelude(tmp_path, extra, code, names):
+    # the fuzz preludes need `not`, `xor` and `Maybe` from the prelude; with
+    # only Bool they fail as a diagnostic. A child process, because
+    # `prelude_for` caches each prelude for the life of a process.
+    prelude = tmp_path / "bool.fd"
+    prelude.write_text("data Bool : *;\nctor True : Bool;\nctor False : Bool;\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fdc", "fuzz", "--count", "5", *extra],
+        capture_output=True, text=True,
+        env={**checkout_env(), "FDC_PRELUDE": str(prelude)})
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    if "--json" in extra:
+        [record] = [json.loads(line) for line in proc.stdout.splitlines()]
+        shown = f"{record['code']}: {record['message']}"
+    else:
+        [shown] = proc.stderr.splitlines()
+    assert shown.startswith(f"{code}: ") and names in shown
