@@ -125,6 +125,9 @@ class Elaborator:
                         return TVar(i)
                 _fail("unbound-tyvar", f"type variable {name!r} is not in scope")
             case STCon(name):
+                if self.env.type_sig(name) is None:
+                    _fail("unbound-con",
+                          f"type constant {name!r} is not declared")
                 return TCon(name)
             case STApp(f, a):
                 return TApp(self.ty(f, scope), self.ty(a, scope))

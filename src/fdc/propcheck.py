@@ -77,23 +77,27 @@ let f :: forall t. F Int t => t -> t = /\\ t. \\ d :: F Int t. not;
 @lru_cache(maxsize=None)
 def prelude_for(name: str) -> Env:
     """The checked environment of a bundled prelude: "bool" and "maybe" are
-    both the prelude itself, one `Env`, and the others extend it."""
+    both the prelude itself, one `Env`, and the others extend it. Each type
+    the generator aims at in it must be declared there."""
     if name not in PRELUDES:
         raise ValueError(f"unknown prelude {name!r}: expected one of "
                          f"{', '.join(PRELUDES)}")
-    if name == "bool":
-        return prelude_env()
-    env = prelude_for("bool")
-    if name == "maybe":
-        return env
-    from .elaborate import elaborate_program
-    from .surface import parse_surface
-    text = _EQORD_SURFACE if name == "eqord" else _FUNDEP_SURFACE
-    decls, diags = elaborate_program(parse_surface(text), env)
-    require_clean(f"bundled prelude {name!r}", diags)
-    full, diags = check_program(env, decls)
-    require_clean(f"bundled prelude {name!r}", diags)
-    return full
+    what = f"bundled prelude {name!r}"
+    env = prelude_env() if name == "bool" else prelude_for("bool")
+    if name in ("eqord", "fundep"):
+        from .elaborate import elaborate_program
+        from .surface import parse_surface
+        text = _EQORD_SURFACE if name == "eqord" else _FUNDEP_SURFACE
+        decls, diags = elaborate_program(parse_surface(text), env)
+        require_clean(what, diags)
+        env, diags = check_program(env, decls)
+        require_clean(what, diags)
+    for goal in _goal_pool(name):
+        try:
+            kind_of(env, goal)
+        except CheckError as e:
+            require_clean(what, [e.diagnostic])
+    return env
 
 
 BOOL = TCon("Bool")

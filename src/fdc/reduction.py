@@ -1,6 +1,6 @@
 """Values, evaluation contexts, and the small-step reduction relation, with
-one decomposition engine behind the deterministic evaluator (`whnf`), the
-successor enumerator (`step_all`) and the specializer's normalizer.
+one rule set behind the deterministic evaluator (`whnf`), the successor
+enumerator (`step_all`) and the specializer's normalizer.
 
 Absorptive frames (function position of applications, coercion position of
 casts, scrutinees, all coercion combinator positions) are those through
@@ -19,10 +19,21 @@ step, `normalize` refocuses (Danvy & Nielsen, "Refocusing in reduction
 semantics", 2004): it re-runs only the checks the contractum can change
 and resumes the walk from the frame stack, rebuilding the whole term only
 for a `trace` callback.
+
+`step_all` is composed from subterms: the successors of a node are its
+redexes, then ζ and κ on each `0` and choice of its region, then each
+evaluation-context child's successors rebuilt into it, in order, without
+repeats. That is the preorder walk's list, and since rebuilding at one
+position is injective, dropping repeats at each level drops the same ones
+as at the top. The lists are kept in a memo keyed by node. `eval_all`
+holds one memo for its whole search, so a subterm that many frontier terms
+share is expanded once per search: a successor differs from its parent
+only along one path, and only the nodes on that path are expanded anew.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -326,20 +337,16 @@ def _zeta_kappa(m: Node) -> Optional[tuple[str, Node]]:
     return kappa
 
 
-def _steps(env: Env, d: Decomposition, skip: frozenset = frozenset(),
-           every: bool = False):
+def _steps(env: Env, d: Decomposition, skip: frozenset = frozenset()):
     """The steps from the focus on, in the walk's order, with `d` at the
-    node each one rewrites: its redexes, then ζ/κ. With `every`, ζ and κ
-    fire on each `0` and choice of each node's region; otherwise only the
-    first ζ/κ of a region root, since an absorptive child's region lies
-    inside its parent's and the first step is all the strategy takes."""
+    node each one rewrites: its redexes, then the first ζ/κ of a region
+    root, since an absorptive child's region lies inside its parent's and
+    the first step is all the strategy takes."""
     while True:
         for tag, contractum in top_redexes(env, d.node):
             if tag not in skip:
                 yield tag, contractum
-        if every:
-            yield from map(_distribute, _region(d.node))
-        elif not d.frames or not _absorbed(d.frames, len(d.frames)):
+        if not d.frames or not _absorbed(d.frames, len(d.frames)):
             hit = _zeta_kappa(d.node)
             if hit is not None:
                 yield hit
@@ -419,21 +426,40 @@ def normalize(env: Env, m: Node, fuel: int, table: dict = EVAL_FRAMES,
 
 # ------------------------------------------------------------- step_all
 
+def _successors(env: Env, m: Node, memo: dict) -> tuple[Node, ...]:
+    """The successors of `m`, from those of its evaluation-context children
+    in `memo`, which this fills for every subterm it computes. A node's
+    list is its redexes, then ζ and κ on every `0` and choice in its region,
+    then each child's list rebuilt into it, in `EVAL_FRAMES` order, keeping
+    first occurrences (a dict keeps the order keys are first set in). The
+    walk is post-order over an explicit stack: a node is pushed again,
+    ready, under its children."""
+    todo = [(m, False)]
+    while todo:
+        n, ready = todo.pop()
+        positions = EVAL_FRAMES.get(type(n), ())
+        if not ready:
+            if n not in memo:
+                todo.append((n, True))
+                todo += [(getattr(n, f), False) for f, _ in positions]
+            continue
+        out = {}
+        for _, c in top_redexes(env, n):
+            out[c] = None
+        if type(n) in ABSORB_FRAMES:
+            for region in _region(n):
+                out[_distribute(region)[1]] = None
+        for f, _ in positions:
+            for s in memo[getattr(n, f)]:
+                out[_rebuild(n, f, s)] = None
+        memo[n] = tuple(out)
+    return memo[m]
+
+
 def step_all(env: Env, m: Node) -> list[Node]:
-    """Every one-step successor: at each focus, its redexes, then ζ and κ on
-    every `0` and choice in its region."""
-    out: list[Node] = []
-    seen: set[Node] = set()
-
-    def emit(n: Node) -> None:
-        if n not in seen:
-            seen.add(n)
-            out.append(n)
-
-    d = Decomposition(m, EVAL_FRAMES)
-    for _, contractum in _steps(env, d, every=True):
-        emit(d.plug(contractum))
-    return out
+    """Every one-step successor, without repeats: at each focus in preorder,
+    its redexes, then ζ and κ on every `0` and choice in its region."""
+    return list(_successors(env, m, {}))
 
 
 # ------------------------------------------------------------- step_det
@@ -500,25 +526,20 @@ def eval_all(env: Env, m: Node, fuel: int = DEFAULT_FUEL,
              ) -> tuple[list[Node], bool]:
     """Breadth-first enumeration of reachable terminal terms (values and
     zero), up to `fuel` node expansions; second component reports whether
-    the frontier was exhausted."""
-    from collections import deque
-
+    the frontier was exhausted. One successor memo serves the whole search,
+    so a subterm shared by many frontier terms is expanded once."""
     seen = {m}
     queue = deque([m])
+    memo: dict = {}
     terminals: list[Node] = []
-    term_seen: set[Node] = set()
-    budget = fuel
     while queue:
-        if budget <= 0:
+        if fuel <= 0:
             return terminals, False
-        budget -= 1
+        fuel -= 1
         current = queue.popleft()
-        successors = step_all(env, current)
+        successors = _successors(env, current, memo)
         if not successors:
-            if current not in term_seen:
-                term_seen.add(current)
-                terminals.append(current)
-            continue
+            terminals.append(current)
         for nxt in successors:
             if nxt not in seen:
                 seen.add(nxt)

@@ -3,7 +3,8 @@ refocusing engine in `fdc.reduction`.
 
 These are the original recursive walkers: `step_det_tagged` re-runs the
 zeta/kappa searches at every frame level, `whnf` restarts from the root after
-every step, `step_all` rebuilds through composed plug closures, and
+every step, `step_all` rebuilds through composed plug closures and walks the
+whole term for each term `eval_all` expands, and
 `_admin_step` is the specializer's own descent; `specialize` finds call sites
 with its own recursive search. They share only `top_redexes` and `is_value`
 with the engine under test, and the specializer's instance application,
@@ -14,6 +15,7 @@ towers), so tests run them on small inputs only.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Optional
 
 from fdc.analysis import (
@@ -105,6 +107,29 @@ def step_all(env: Env, m: Node) -> list[Node]:
 
     at_focus(m, lambda x: x)
     return out
+
+
+def eval_all(env: Env, m: Node, fuel: int = DEFAULT_FUEL,
+             ) -> tuple[list[Node], bool]:
+    """Breadth-first search over `step_all`, at most `fuel` expansions:
+    the terminal terms in the order reached, and whether the frontier was
+    exhausted."""
+    seen = {m}
+    queue = deque([m])
+    terminals: list[Node] = []
+    while queue:
+        if fuel <= 0:
+            return terminals, False
+        fuel -= 1
+        current = queue.popleft()
+        successors = step_all(env, current)
+        if not successors:
+            terminals.append(current)
+        for n in successors:
+            if n not in seen:
+                seen.add(n)
+                queue.append(n)
+    return terminals, True
 
 
 def _zeta_reachable(m: Node) -> bool:

@@ -365,17 +365,34 @@ def test_undecodable_input_is_a_decode_error(tmp_path, capsys):
     assert err.count("decode-error") == 2
 
 
-@pytest.mark.parametrize("extra, code, names", [
-    ((), "unbound-var", "bundled prelude 'eqord'"),
-    (("--prelude", "maybe"), "unbound-con", "'Maybe'"),
-    (("--json",), "unbound-var", "bundled prelude 'eqord'"),
-], ids=["default", "maybe", "json"])
-def test_fuzz_reports_an_unusable_prelude(tmp_path, extra, code, names):
-    # the fuzz preludes need `not`, `xor` and `Maybe` from the prelude; with
-    # only Bool they fail as a diagnostic. A child process, because
+BOOL_ONLY = "data Bool : *;\nctor True : Bool;\nctor False : Bool;\n"
+NO_MAYBE = "bundled prelude 'maybe': type constant 'Maybe'"
+
+
+def _prelude_without_maybe():
+    return "".join(line for line in corpus_text("prelude.fd").splitlines(True)
+                   if "Maybe" not in line)
+
+
+@pytest.mark.parametrize("without_maybe, extra, code, names", [
+    (False, (), "unbound-con", NO_MAYBE),
+    (False, ("--prelude", "maybe"), "unbound-con", NO_MAYBE),
+    (False, ("--json",), "unbound-con", NO_MAYBE),
+    (False, ("--prelude", "eqord"), "unbound-var", "bundled prelude 'eqord'"),
+    (False, ("--prelude", "fundep"), "unbound-con",
+     "bundled prelude 'fundep': type constant 'Int'"),
+    (True, ("--prelude", "fundep"), "unbound-con",
+     "bundled prelude 'fundep': type constant 'Maybe'"),
+], ids=["default", "maybe", "json", "eqord", "fundep", "fundep-no-maybe"])
+def test_fuzz_reports_an_unusable_prelude(tmp_path, without_maybe, extra,
+                                          code, names):
+    # the fuzz preludes need `not`, `xor`, `Int` and `Maybe` from the
+    # prelude; with only Bool, or without Maybe, they fail as a diagnostic
+    # that names the bundled prelude. A child process, because
     # `prelude_for` caches each prelude for the life of a process.
-    prelude = tmp_path / "bool.fd"
-    prelude.write_text("data Bool : *;\nctor True : Bool;\nctor False : Bool;\n")
+    prelude = tmp_path / "prelude.fd"
+    prelude.write_text(_prelude_without_maybe() if without_maybe
+                       else BOOL_ONLY)
     proc = subprocess.run(
         [sys.executable, "-m", "fdc", "fuzz", "--count", "5", *extra],
         capture_output=True, text=True,
@@ -388,3 +405,22 @@ def test_fuzz_reports_an_unusable_prelude(tmp_path, extra, code, names):
     else:
         [shown] = proc.stderr.splitlines()
     assert shown.startswith(f"{code}: ") and names in shown
+
+
+@pytest.mark.parametrize("text", [
+    "let f :: Foo -> Foo = \\ x :: Foo. x;\n",
+    "class C a where { m :: a -> Foo; };\n",
+], ids=["let", "method"])
+def test_undeclared_type_constant_is_a_user_error(tmp_path, capsys, text):
+    path = tmp_path / "typo.hsk"
+    path.write_text(text)
+    for command in ("elab", "check"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 1, command
+        assert "internal" not in out + err
+        assert err == (f"{path}: unbound-con: type constant 'Foo' is not "
+                       f"declared\n")
+    code, out, err = run_cli(capsys, "elab", "--json", str(path))
+    assert code == 1
+    record = json.loads(out)
+    assert record["code"] == "unbound-con" and "internal" not in out

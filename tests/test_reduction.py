@@ -1,3 +1,4 @@
+import threading
 import time
 
 import pytest
@@ -354,3 +355,95 @@ def test_engine_matches_oracle_on_corpus_calls(superclasses_env, fundeps_env,
         term = parse_term(text)
         assert_agrees_with_oracle(env, term, fuel=5000, samples=20)
         assert_specializes_like_oracle(monkeypatch, env, term)
+
+
+# ------------------------------------- eval_all against the oracle's search
+
+def _corpus_calls(superclasses_env, fundeps_env):
+    """(env, call, fuel) for the corpus methods at every input and both
+    dictionary forms: a named dictionary and one written out."""
+    ord_bool = "(OrdBool [Bool] refl(Bool))"
+    eq_bool = "(EqBool [Bool] refl(Bool))"
+    fib = "(FIB [Int] [Bool] refl(Int) refl(Bool))"
+    calls = []
+    for x in ("True", "False"):
+        for y in ("True", "False"):
+            for d in ("dOrdBool", ord_bool):
+                calls.append((superclasses_env, f"lte [Bool] {d} {x} {y}",
+                              500))
+            for d in ("dEqBool", eq_bool):
+                calls.append((superclasses_env, f"eq [Bool] {d} {x} {y}",
+                              500))
+        for d in ("dFIB", fib):
+            calls.append((fundeps_env, f"f [Bool] {d} {x}", 200))
+    for d in ("dFIB", fib):
+        calls.append((fundeps_env, f"fdFwd [Int] [Bool] [Bool] {d} dFIB",
+                      200))
+    return calls
+
+
+def test_eval_all_matches_oracle_search_on_corpus_calls(superclasses_env,
+                                                        fundeps_env):
+    exhausted = 0
+    for env, text, fuel in _corpus_calls(superclasses_env, fundeps_env):
+        term = parse_term(text)
+        got = eval_all(env, term, fuel)
+        assert got == oracle.eval_all(env, term, fuel), text
+        exhausted += got[1]
+    assert exhausted  # both outcomes of the search are compared
+
+
+def test_eval_all_matches_oracle_search_on_generated_terms():
+    cfg = GenConfig(seed=42, size=30)
+    for i in range(50):
+        env, term, _ = gen_well_typed(cfg, i)
+        assert eval_all(env, term, 100) == oracle.eval_all(env, term, 100), i
+
+
+def test_step_all_lists_belong_to_the_caller(prelude):
+    from fdc.syntax import MethodDecl, InstanceDecl
+    env = prelude.push(
+        MethodDecl("pick", BOOL),
+        InstanceDecl("pick", Con("True")),
+        InstanceDecl("pick", Con("False")))
+    term = parse_term("if pick is True then not False else True")
+    want_steps = step_all(env, term)
+    want_search = eval_all(env, term, 500)
+    for m in (term, *want_steps):
+        got = step_all(env, m)
+        got.clear()
+        got.append(ZERO)
+    assert step_all(env, term) == want_steps == oracle.step_all(env, term)
+    assert eval_all(env, term, 500) == want_search
+
+
+def _on_a_fresh_stack(fn, *args):
+    """`fn(*args)`, or the `RecursionError` it raised, run in a new thread:
+    its stack holds none of the test runner's frames, so the recursion
+    depth left is the same as in a script."""
+    out = []
+
+    def run():
+        try:
+            out.append(fn(*args))
+        except RecursionError as e:
+            out.append(e)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return out[0]
+
+
+def test_step_all_on_the_deepest_not_chain_the_whole_term_walk_handled(
+        prelude):
+    # 330 is the largest depth at which the whole-term walk's `step_all`
+    # and `eval_all` returned from a fresh thread (Python 3.10 and 3.11):
+    # the hash of a fresh node still recurses down its arguments
+    term = not_chain(330, "True")
+    succs = _on_a_fresh_stack(step_all, prelude, term)
+    assert succs == [App(prelude.let_def("not").body, term.arg)]
+    terminals, exhausted = _on_a_fresh_stack(
+        lambda env, m: eval_all(env, m, 20), prelude, term)
+    assert terminals == [] and not exhausted
