@@ -11,17 +11,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .printer import print_node
-from .reduction import (
-    ALL_FRAMES, OPEN_RULES, Decomposition, Hit, Miss, NotReady,
-    match_pattern, normalize,
-)
-from .subst import instantiate
+from .reduction import ALL_FRAMES, Decomposition, normalize
 from .syntax import (
     Node, TCon, Var, Con, Ref, Lam, App, TyLam, TyApp, Cast, Pattern, If,
     Guard, Zero, Choice, Env, MethodDecl, InstanceDecl, LetDecl,
-    OpenTypeDecl, Decl,
-    spine, plug_spine, split_ctor_type, spine_head, subnodes, map_children,
-    children,
+    OpenTypeDecl, Decl, ZERO,
+    spine, plug_spine, split_ctor_type, spine_head, subnodes, children,
 )
 from .typecheck import CheckError, _fail, check_program
 
@@ -220,7 +215,7 @@ def _check_calls(env: Env, owner: Optional[str], body: Node,
             arg_head, _ = spine(arg)
             # statically determined evidence: a constructor spine, a bound
             # dictionary variable, an applied open function (checked at its
-            # own site), or a let reference (substituted before unfolding)
+            # own site), or a let reference (unfolded by β_let first)
             if isinstance(arg_head, (Con, Ref)):
                 continue
             if isinstance(arg_head, Var) and arg_head.index < len(tags):
@@ -251,8 +246,6 @@ def hssdi_report(env: Env) -> HssdiReport:
     report = HssdiReport()
     for entry in env.entries:
         match entry:
-            case MethodDecl(name, _):
-                report.functions.setdefault(name, FunctionReport(name))
             case InstanceDecl(name, body):
                 _check_calls(env, name, body, report)
             case LetDecl(_, _, body):
@@ -267,10 +260,6 @@ def check_saturation(program: list[Decl],
     no exactly-matching guard preamble."""
     full = _checked(program, env)
     report = HssdiReport()
-    for entry in full.entries:
-        if isinstance(entry, MethodDecl):
-            report.functions.setdefault(entry.name,
-                                        FunctionReport(entry.name))
     _check_condition3(full, report)
     return {name: rep.condition3_missing
             for name, rep in report.functions.items()}
@@ -279,25 +268,13 @@ def check_saturation(program: list[Decl],
 # ------------------------------------------------------------ specializer
 
 DEFAULT_SPECIALIZE_BUDGET = 200_000
-
-
-def _subst_lets(env: Env, m: Node, active: frozenset[str] = frozenset()) -> Node:
-    match m:
-        case Ref(name):
-            ld = env.let_def(name)
-            if ld is None:
-                return m
-            if name in active:
-                _fail("recursive-let", f"let {name!r} refers to itself",
-                      error=AnalysisError)
-            return _subst_lets(env, ld.body, active | {name})
-    return map_children(m, lambda c: _subst_lets(env, c, active))
+_KEEP_OPEN = frozenset({"β_open"})
 
 
 def _admin_normalize(env: Env, m: Node, budget: list[int]) -> Node:
-    """Every non-open reduction, anywhere in the term (under binders too),
-    in the deterministic order."""
-    m, budget[0] = normalize(env, m, budget[0], ALL_FRAMES, OPEN_RULES)
+    """Every reduction but β_open, anywhere in the term (under binders too),
+    in the deterministic order: lets unfold by β_let, guards by δ_guard."""
+    m, budget[0] = normalize(env, m, budget[0], ALL_FRAMES, _KEEP_OPEN)
     if budget[0] <= 0:
         _fail("specialize-budget",
               "specialization did not terminate within budget",
@@ -324,55 +301,21 @@ def _method_site(env: Env, m: Node) -> Optional[Decomposition]:
     return site
 
 
-def _apply_instance(env: Env, body: Node, args: list[tuple[bool, Node]],
-                    budget: list[int]) -> Optional[Node]:
-    """Apply an instance body to call-site arguments, resolving its guard
-    preamble; None when a guard misses."""
-    node = body
-    remaining = list(args)
-    while True:
-        node = _resolve_preamble(env, node, budget)
-        if node is None:
-            return None
-        match node:
-            case TyLam(_, inner) if remaining and remaining[0][0]:
-                node = instantiate(inner, remaining.pop(0)[1])
-            case Lam(_, inner) if remaining and not remaining[0][0]:
-                node = instantiate(inner, remaining.pop(0)[1])
-            case _:
-                break
-    result = plug_spine(node, remaining)
-    return _resolve_preamble(env, result, budget)
-
-
-def _resolve_preamble(env: Env, node: Node,
-                      budget: list[int]) -> Optional[Node]:
-    while isinstance(node, Guard):
-        scrut = _admin_normalize(env, node.scrut, budget)
-        outcome = match_pattern(scrut, node.pat)
-        match outcome:
-            case Hit(residual):
-                node = plug_spine(node.cons, list(residual))
-            case Miss():
-                return None
-            case NotReady():
-                _fail("not-hssdi", f"guard scrutinee is not concrete "
-                                   f"evidence: {print_node(scrut)}",
-                      error=AnalysisError)
-    return node
-
-
 def specialize(env: Env, m: Node,
                budget: int = DEFAULT_SPECIALIZE_BUDGET) -> Node:
-    """Substitute lets, unfold open functions at concrete evidence, resolve
-    guard preambles, and eliminate zeros; the result is guard-, zero-, and
-    reference-free and keeps the term's type."""
+    """Unfold open functions at concrete evidence and eliminate zeros, by
+    the reduction engine's own rules: each pass normalizes the term with
+    every rule but β_open, so lets unfold by β_let, then replaces the
+    innermost call site with the choice of the instances that survive being
+    applied to its arguments and normalized. An instance that reduces to
+    `0` misses; one stuck on a guard whose scrutinee is not concrete
+    evidence is an error. The result is guard-, zero-, and reference-free
+    and keeps the term's type."""
     if check_no_zero_syntactic(m):
         return m
     fuel = [budget]
     while True:
-        m = _subst_lets(env, m)
-        # charge the pass for its two walks of the term (let substitution,
+        # charge the pass for its two walks of the term (normalization,
         # call-site search) too, so that a cycle of unfoldings ends
         fuel[0] -= 2 * sum(1 for _ in subnodes(m))
         m = _admin_normalize(env, m, fuel)
@@ -391,8 +334,21 @@ def specialize(env: Env, m: Node,
                   error=AnalysisError)
         survivors = []
         for body in env.instance_defs(head.name):
-            reduced = _apply_instance(env, body, args, fuel)
-            if reduced is not None:
+            reduced = _admin_normalize(env, plug_spine(body, args), fuel)
+            # κ may have lifted a choice of dictionaries over a guard, so
+            # each alternative is checked for a guard stuck at its head
+            alternatives = [reduced]
+            while alternatives:
+                alt = alternatives.pop()
+                if isinstance(alt, Choice):
+                    alternatives += (alt.right, alt.left)
+                    continue
+                stuck, _ = spine(alt)
+                if isinstance(stuck, Guard):
+                    _fail("not-hssdi", f"guard scrutinee is not concrete "
+                                       f"evidence: {print_node(stuck.scrut)}",
+                          error=AnalysisError)
+            if reduced != ZERO:
                 survivors.append(reduced)
         if not survivors:
             _fail("unsaturated", f"no instance of {head.name!r} matches the "

@@ -1,6 +1,8 @@
 """Values, evaluation contexts, and the small-step reduction relation, with
 one rule set behind the deterministic evaluator (`whnf`), the successor
-enumerator (`step_all`) and the specializer's normalizer.
+enumerator (`step_all`) and the specializer, whose normalizer takes every
+rule but β_open: it unfolds lets by β_let and applies each instance to a
+call site's arguments by β→, β∀ and δ_guard.
 
 Absorptive frames (function position of applications, coercion position of
 casts, scrutinees, all coercion combinator positions) are those through
@@ -243,7 +245,6 @@ EVAL_FRAMES = _frames({**_ABSORPTIVE, Choice: ("left", "right")})
 ALL_FRAMES = _frames({cls: [name for name, role in shape
                             if role not in (DATA, PATTERN)]
                       for cls, shape in FIELDS.items()})
-OPEN_RULES = frozenset({"β_open", "β_let"})
 
 
 def _rebuild(parent: Node, name: str, x: Node) -> Node:

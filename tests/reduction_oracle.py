@@ -5,12 +5,13 @@ These are the original recursive walkers: `step_det_tagged` re-runs the
 zeta/kappa searches at every frame level, `whnf` restarts from the root after
 every step, `step_all` rebuilds through composed plug closures and walks the
 whole term for each term `eval_all` expands, and
-`_admin_step` is the specializer's own descent; `specialize` finds call sites
-with its own recursive search. They share only `top_redexes` and `is_value`
-with the engine under test, and the specializer's instance application,
-which calls `fdc.analysis._admin_normalize` (patch it with this module's to
-run the old specializer throughout). They are slow (cubic in depth on `Sym`
-towers), so tests run them on small inputs only.
+`_admin_step` is the specializer's own descent, with every rule but β_open.
+`specialize` is the original specializer: it substitutes lets with its own
+recursive walk, finds call sites with its own recursive search, and applies
+instances by hand, resolving their guard preambles. They share only
+`top_redexes`, `is_value` and `match_pattern` with the engine under test.
+They are slow (cubic in depth on `Sym` towers), so tests run them on small
+inputs only.
 """
 
 from __future__ import annotations
@@ -19,19 +20,21 @@ from collections import deque
 from typing import Callable, Optional
 
 from fdc.analysis import (
-    DEFAULT_SPECIALIZE_BUDGET, AnalysisError, _apply_instance, _subst_lets,
-    check_no_zero_syntactic, dict_param_positions,
+    DEFAULT_SPECIALIZE_BUDGET, AnalysisError, check_no_zero_syntactic,
+    dict_param_positions,
 )
 from fdc.printer import print_node
 from fdc.reduction import (
-    DEFAULT_FUEL, OutOfFuel, StuckResult, Value, WhnfResult, ZeroResult,
-    is_value, top_redexes,
+    DEFAULT_FUEL, Hit, Miss, NotReady, OutOfFuel, StuckResult, Value,
+    WhnfResult, ZeroResult, is_value, match_pattern, top_redexes,
 )
+from fdc.subst import instantiate
 from fdc.syntax import (
-    App, CApp, CInst, Cast, Choice, Env, Fst, Guard, If, Node, Ref, Sim, Snd,
-    Sym, Trans, TyApp, Univ, ZERO, children, map_children, spine,
+    App, CApp, CInst, Cast, Choice, Env, Fst, Guard, If, Lam, Node, Ref, Sim,
+    Snd, Sym, Trans, TyApp, TyLam, Univ, ZERO, children, map_children,
+    plug_spine, spine,
 )
-from fdc.typecheck import Diagnostic
+from fdc.typecheck import Diagnostic, _fail
 
 Plug = Callable[[Node], Node]
 
@@ -197,10 +200,10 @@ def whnf(env: Env, m: Node, fuel: int = DEFAULT_FUEL,
 
 
 def _admin_step(env: Env, m: Node) -> Optional[Node]:
-    """One deterministic non-open reduction, applied anywhere in the term
-    (including under binders)."""
+    """One deterministic reduction other than β_open, applied anywhere in
+    the term (including under binders)."""
     for tag, contractum in top_redexes(env, m):
-        if tag not in ("β_open", "β_let"):
+        if tag != "β_open":
             return contractum
     if _zeta_reachable(m):
         return ZERO
@@ -232,6 +235,57 @@ def _admin_normalize(env: Env, m: Node, budget: list[int]) -> Node:
         budget[0] -= 1
     raise AnalysisError(Diagnostic(
         "specialize-budget", "specialization did not terminate within budget"))
+
+
+def _subst_lets(env: Env, m: Node, active: frozenset[str] = frozenset()) -> Node:
+    match m:
+        case Ref(name):
+            ld = env.let_def(name)
+            if ld is None:
+                return m
+            if name in active:
+                _fail("recursive-let", f"let {name!r} refers to itself",
+                      error=AnalysisError)
+            return _subst_lets(env, ld.body, active | {name})
+    return map_children(m, lambda c: _subst_lets(env, c, active))
+
+
+def _apply_instance(env: Env, body: Node, args: list[tuple[bool, Node]],
+                    budget: list[int]) -> Optional[Node]:
+    """Apply an instance body to call-site arguments, resolving its guard
+    preamble; None when a guard misses."""
+    node = body
+    remaining = list(args)
+    while True:
+        node = _resolve_preamble(env, node, budget)
+        if node is None:
+            return None
+        match node:
+            case TyLam(_, inner) if remaining and remaining[0][0]:
+                node = instantiate(inner, remaining.pop(0)[1])
+            case Lam(_, inner) if remaining and not remaining[0][0]:
+                node = instantiate(inner, remaining.pop(0)[1])
+            case _:
+                break
+    result = plug_spine(node, remaining)
+    return _resolve_preamble(env, result, budget)
+
+
+def _resolve_preamble(env: Env, node: Node,
+                      budget: list[int]) -> Optional[Node]:
+    while isinstance(node, Guard):
+        scrut = _admin_normalize(env, node.scrut, budget)
+        outcome = match_pattern(scrut, node.pat)
+        match outcome:
+            case Hit(residual):
+                node = plug_spine(node.cons, list(residual))
+            case Miss():
+                return None
+            case NotReady():
+                _fail("not-hssdi", f"guard scrutinee is not concrete "
+                                   f"evidence: {print_node(scrut)}",
+                      error=AnalysisError)
+    return node
 
 
 def _find_method_site(env: Env, m: Node,

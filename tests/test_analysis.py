@@ -209,6 +209,45 @@ instance m = /\\t:*. \\d:C t. guard d is K [t] then \\h:Bool ~ t. False;
     assert out == Choice(Con("True"), Con("False"))
 
 
+def test_specialize_distributes_a_choice_of_dictionaries(superclasses_env):
+    # the guard scrutinee is a choice of two values, so κ lifts the choice
+    # over the guard and each side resolves on its own
+    ord_bool = "(OrdBool [Bool] refl(Bool))"
+    call = parse_term(f"lt [Bool] ({ord_bool} <+> {ord_bool}) True False")
+    out = specialize(superclasses_env, call)
+    assert out == Choice(Con("False"), Con("False"))
+    check_term(superclasses_env, out, BOOL)
+
+
+@pytest.mark.parametrize("file,call", [
+    # κ lifts the choice of dictionaries over the first guard; the guard on
+    # `d` then sticks inside each alternative, not at the result's head
+    ("fundeps", "\\d:F Int Bool. fdFwd [Int] [Bool] [Bool] (dFIB <+> dFIB) d"),
+    # a choice with a variable in it is not a value, so κ does not lift it
+    ("superclasses",
+     "\\d:Ord Bool. lt [Bool] ((OrdBool [Bool] refl(Bool)) <+> d) True False"),
+])
+def test_specialize_rejects_a_choice_with_open_evidence(request, file, call):
+    env = request.getfixturevalue(f"{file}_env")
+    with pytest.raises(AnalysisError) as exc:
+        specialize(env, parse_term(call))
+    assert exc.value.diagnostic.code == "not-hssdi"
+
+
+def test_specialize_instance_reducing_to_zero_misses(prelude):
+    text = """
+open C : * -> *;
+instance K : forall t:*. (Bool ~ t) -> C t;
+method m : forall t:*. C t -> Bool;
+instance m = /\\t:*. \\d:C t. guard d is K [t] then \\h:Bool ~ t. 0;
+"""
+    env, diags = check_program(prelude, parse_core(text))
+    assert not diags
+    with pytest.raises(AnalysisError) as exc:
+        specialize(env, parse_term("m [Bool] (K [Bool] refl(Bool))"))
+    assert exc.value.diagnostic.code == "unsaturated"
+
+
 def test_specialized_type_preserved_on_partial_application(superclasses_env):
     call = parse_term("eq [Bool] (EqBool [Bool] refl(Bool))")
     out = specialize(superclasses_env, call)

@@ -284,11 +284,9 @@ def _specialized(specialize_fn, env, term):
         return e.diagnostic
 
 
-def assert_specializes_like_oracle(monkeypatch, env, term):
-    ours = _specialized(specialize, env, term)
-    with monkeypatch.context() as m:
-        m.setattr(analysis, "_admin_normalize", oracle._admin_normalize)
-        assert ours == _specialized(oracle.specialize, env, term)
+def assert_specializes_like_oracle(env, term):
+    assert (_specialized(specialize, env, term)
+            == _specialized(oracle.specialize, env, term))
 
 
 def assert_same_method_site(env, term):
@@ -317,12 +315,12 @@ def test_engine_matches_oracle_on_generated_terms(prelude_index):
             assert_same_method_site(env, normal)
 
 
-def test_engine_matches_oracle_on_chains(prelude, monkeypatch):
+def test_engine_matches_oracle_on_chains(prelude):
     for depth in (1, 2, 3, 5, 10, 20, 40):
         bits = (["True", "False", "False"] * depth)[:depth + 1]
         for term in (not_chain(depth, "True"), xor_chain(bits)):
             assert_agrees_with_oracle(prelude, term, fuel=5000, samples=10)
-            assert_specializes_like_oracle(monkeypatch, prelude, term)
+            assert_specializes_like_oracle(prelude, term)
     for depth in (0, 1, 2, 5, 10, 20, 40, 80):
         assert_agrees_with_oracle(prelude, sym_tower(depth), fuel=5000,
                                   samples=10)
@@ -340,8 +338,7 @@ def test_refocus_rechecks_if_above_a_reduced_spine_head(prelude):
     assert whnf(env, term) == Value(Con("True"))
 
 
-def test_engine_matches_oracle_on_corpus_calls(superclasses_env, fundeps_env,
-                                               monkeypatch):
+def test_engine_matches_oracle_on_corpus_calls(superclasses_env, fundeps_env):
     fib = "(FIB [Int] [Bool] refl(Int) refl(Bool))"
     ord_bool = "(OrdBool [Bool] refl(Bool))"
     eq_bool = "(EqBool [Bool] refl(Bool))"
@@ -354,7 +351,7 @@ def test_engine_matches_oracle_on_corpus_calls(superclasses_env, fundeps_env,
     for env, text in calls:
         term = parse_term(text)
         assert_agrees_with_oracle(env, term, fuel=5000, samples=20)
-        assert_specializes_like_oracle(monkeypatch, env, term)
+        assert_specializes_like_oracle(env, term)
 
 
 # ------------------------------------- eval_all against the oracle's search
@@ -447,3 +444,13 @@ def test_step_all_on_the_deepest_not_chain_the_whole_term_walk_handled(
     terminals, exhausted = _on_a_fresh_stack(
         lambda env, m: eval_all(env, m, 20), prelude, term)
     assert terminals == [] and not exhausted
+
+
+def test_specialize_unfolds_a_deep_let_chain_through_the_engine(prelude):
+    # lets unfold by the normalizer's β_let, with no recursive substitution
+    # over the term; a recursive walk ran out of stack from depth 400
+    term = not_chain(1000, "True")
+    out = _on_a_fresh_stack(specialize, prelude, term)
+    assert isinstance(out, Node)
+    assert analysis.check_no_zero_syntactic(out)
+    assert whnf(prelude, out) == whnf(prelude, term) == Value(Con("True"))
