@@ -273,9 +273,11 @@ _KEEP_OPEN = frozenset({"β_open"})
 
 def _admin_normalize(env: Env, m: Node, budget: list[int]) -> Node:
     """Every reduction but β_open, anywhere in the term (under binders too),
-    in the deterministic order: lets unfold by β_let, guards by δ_guard."""
-    m, budget[0] = normalize(env, m, budget[0], ALL_FRAMES, _KEEP_OPEN)
-    if budget[0] <= 0:
+    in the deterministic order: lets unfold by β_let, guards by δ_guard.
+    A repeated term never normalizes, so it fails as a spent budget does."""
+    m, budget[0], period = normalize(env, m, budget[0], ALL_FRAMES,
+                                     _KEEP_OPEN)
+    if budget[0] <= 0 or period:
         _fail("specialize-budget",
               "specialization did not terminate within budget",
               error=AnalysisError)
@@ -294,8 +296,7 @@ def _method_site(env: Env, m: Node) -> Optional[Decomposition]:
             d.frames[-1][0], (App, TyApp))
         if (not in_spine_fun and isinstance(head, Ref)
                 and env.method_sig(head.name) is not None):
-            site = Decomposition(d.node, ALL_FRAMES)
-            site.frames = [frame.copy() for frame in d.frames]
+            site = d.copy()
         if not d.advance():
             break
     return site

@@ -23,7 +23,8 @@ from .parser import ParseError, parse_core_with_spans, parse_term
 from .printer import print_core, print_term
 from .propcheck import ALL_PROPERTIES, PRELUDES, GenConfig, run_properties
 from .reduction import (
-    OutOfFuel, StuckResult, Value, ZeroResult, eval_all, whnf, DEFAULT_FUEL,
+    Diverges, OutOfFuel, StuckResult, Value, WhnfResult, ZeroResult, eval_all,
+    whnf, DEFAULT_FUEL,
 )
 from .surface import parse_surface
 from .syntax import DataDecl, Decl, Env, InstanceDecl, Node, OpenTypeDecl
@@ -164,18 +165,29 @@ def cmd_eval(args) -> int:
     if args.trace:
         def trace(tag: str, node) -> None:
             print(f"{tag}: {print_term(node)}", file=sys.stderr)
-    result = whnf(env, expr, args.fuel, trace)
+    out = _whnf_record(whnf(env, expr, args.fuel, trace))
+    print(json.dumps(out) if args.json else out["result"])
+    if out["kind"] == "diverges" and not args.json:
+        _report([Diagnostic("diverges", f"the term recurs every "
+                                        f"{out['period']} steps")], False)
+    return 0 if out["kind"] in ("value", "zero") else 1
+
+
+def _whnf_record(result: WhnfResult) -> dict:
+    """The `fdc eval` record of each `whnf` outcome."""
     match result:
         case Value(node):
-            out = {"kind": "value", "result": print_term(node)}
+            return {"kind": "value", "result": print_term(node)}
         case ZeroResult():
-            out = {"kind": "zero", "result": "0"}
+            return {"kind": "zero", "result": "0"}
         case OutOfFuel(node):
-            out = {"kind": "out-of-fuel", "result": print_term(node)}
+            return {"kind": "out-of-fuel", "result": print_term(node)}
         case StuckResult(node):
-            out = {"kind": "stuck", "result": print_term(node)}
-    print(json.dumps(out) if args.json else out["result"])
-    return 0 if out["kind"] in ("value", "zero") else 1
+            return {"kind": "stuck", "result": print_term(node)}
+        case Diverges(node, period):
+            return {"kind": "diverges", "period": period,
+                    "result": print_term(node)}
+    raise TypeError(f"no eval record for {result!r}")
 
 
 def cmd_specialize(args) -> int:

@@ -22,6 +22,12 @@ semantics", 2004): it re-runs only the checks the contractum can change
 and resumes the walk from the frame stack, rebuilding the whole term only
 for a `trace` callback.
 
+`normalize` also watches for a repeated whole term, by Brent's method (see
+`normalize`). The step is a function of the term, so a term the step
+revisits loops forever: `whnf` returns `Diverges` with the term and the
+period, and the specializer fails as on a spent budget. Fuel stays the
+bound: a loop not found within it ends out of fuel.
+
 `step_all` is composed from subterms: the successors of a node are its
 redexes, then ζ and κ on each `0` and choice of its region, then each
 evaluation-context child's successors rebuilt into it, in order, without
@@ -256,15 +262,23 @@ def _rebuild(parent: Node, name: str, x: Node) -> Node:
 class Decomposition:
     """A term split into a focus and the frames above it, walked in preorder.
 
-    A frame is `[parent, positions, index]`. After a contraction, the
-    parents above the focus still hold the old child at their index; the
-    walk rebuilds a parent when it leaves that child, `plug` all of them.
+    A frame is an immutable `(parent, positions, index)`. After a
+    contraction, the parents above the focus still hold the old child at
+    their index; the walk rebuilds a parent when it leaves that child,
+    `plug` all of them.
     """
 
     __slots__ = ("node", "frames", "table")
 
     def __init__(self, term: Node, table: dict):
         self.node, self.frames, self.table = term, [], table
+
+    def copy(self) -> Decomposition:
+        """A snapshot that later walks of `self` leave as it is: the frames
+        are immutable, so copying the list of them is enough."""
+        snapshot = Decomposition(self.node, self.table)
+        snapshot.frames = self.frames[:]
+        return snapshot
 
     def plug(self, x: Node, depth: int = 0) -> Node:
         """The subterm at `depth` (the whole term at 0), with `x` in place
@@ -279,17 +293,15 @@ class Decomposition:
         frames = self.frames
         positions = self.table.get(type(self.node))
         if positions:
-            frames.append([self.node, positions, 0])
+            frames.append((self.node, positions, 0))
             self.node = getattr(self.node, positions[0][0])
             return True
         while frames:
-            frame = frames[-1]
-            parent, positions, i = frame
+            parent, positions, i = frames[-1]
             if getattr(parent, positions[i][0]) is not self.node:
-                parent = frame[0] = _rebuild(parent, positions[i][0],
-                                             self.node)
+                parent = _rebuild(parent, positions[i][0], self.node)
             if i + 1 < len(positions):
-                frame[2] = i + 1
+                frames[-1] = (parent, positions, i + 1)
                 self.node = getattr(parent, positions[i + 1][0])
                 return True
             frames.pop()
@@ -405,24 +417,73 @@ def _refocus(env: Env, d: Decomposition,
     return next(_steps(env, d, skip), None)
 
 
+def _same(a: Node, b: Node) -> bool:
+    """`a == b` over an explicit stack: the dataclass equality recurses once
+    per level of the term. Fields are compared in order, as `==` does, so
+    terms that differ near the head of a long spine part at once."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        for name, role in reversed(FIELDS[type(a)]):
+            x, y = getattr(a, name), getattr(b, name)
+            if role == DATA:
+                if x != y:
+                    return False
+            elif role == PATTERN:
+                if (x.head != y.head
+                        or len(x.type_args) != len(y.type_args)):
+                    return False
+                todo += zip(x.type_args, y.type_args)
+            else:
+                todo.append((x, y))
+    return True
+
+
 def normalize(env: Env, m: Node, fuel: int, table: dict = EVAL_FRAMES,
               skip: frozenset = frozenset(),
               trace: Optional[Callable[[str, Node], None]] = None,
-              ) -> tuple[Node, int]:
+              ) -> tuple[Node, int, int]:
     """Take the first step at most `fuel` times, refocusing after each, with
-    the rules in `skip` left out. Returns the last term and the fuel left,
-    which is 0 only when the fuel ran out."""
+    the rules in `skip` left out. Returns the last term, the fuel left,
+    which is 0 only when the fuel ran out or the last step made a repeat,
+    and the period of a repeat: 0 unless the step revisited a whole term,
+    which then recurs every `period` steps forever, since the step is a
+    function of the term.
+
+    Repeats are found by Brent's method (R. P. Brent, "An improved Monte
+    Carlo factorization algorithm", BIT 20, 1980): the state after each
+    power-of-two step is kept and each later state compared with it, so a
+    cycle is found within a few times the steps before it plus its period,
+    and the period found is the least. A state is the focus and the frames
+    above it; the step taken from a term fixes the position of the next
+    contractum, so on a cycle the states repeat with the terms. Keeping one
+    copies the list of immutable frames, and comparing one checks the depth,
+    then the focus, and plugs and compares the whole terms only when both
+    match.
+    """
     d = Decomposition(m, table)
     hit = next(_steps(env, d, skip), None) if fuel > 0 else None
+    n, mark = 0, None  # steps taken; the state kept after step `at`
     while hit is not None:
         tag, d.node = hit
-        fuel -= 1
+        n += 1
         if trace is not None:
             trace(tag, d.plug(d.node))
-        if fuel <= 0:
-            return d.plug(d.node), fuel
+        if (mark is not None and len(d.frames) == len(mark.frames)
+                and _same(d.node, mark.node)):
+            term = d.plug(d.node)
+            if _same(term, mark.plug(mark.node)):
+                return term, fuel - n, n - at
+        if n == fuel:
+            return d.plug(d.node), 0, 0
+        if n & (n - 1) == 0:
+            mark, at = d.copy(), n
         hit = _refocus(env, d, skip)
-    return d.node, fuel
+    return d.node, fuel - n, 0
 
 
 # ------------------------------------------------------------- step_all
@@ -506,7 +567,15 @@ class StuckResult:
     node: Node
 
 
-WhnfResult = Union[Value, ZeroResult, OutOfFuel, StuckResult]
+@dataclass(frozen=True)
+class Diverges:
+    """The deterministic step revisited the whole term `node`, which recurs
+    every `period` steps: the term loops forever."""
+    node: Node
+    period: int
+
+
+WhnfResult = Union[Value, ZeroResult, OutOfFuel, StuckResult, Diverges]
 
 DEFAULT_FUEL = 100_000
 
@@ -514,8 +583,13 @@ DEFAULT_FUEL = 100_000
 def whnf(env: Env, m: Node, fuel: int = DEFAULT_FUEL,
          trace: Optional[Callable[[str, Node], None]] = None) -> WhnfResult:
     """Take the deterministic step at most `fuel` times. A value has no
-    step, so the walk stops at one without testing for it."""
-    term, left = normalize(env, m, fuel, trace=trace)
+    step, so the walk stops at one without testing for it. When the step
+    revisits a whole term, the term loops forever, and the result is
+    `Diverges` with the repeated term and the period; fuel stays the bound,
+    so a cycle not found within it ends in `OutOfFuel`."""
+    term, left, period = normalize(env, m, fuel, trace=trace)
+    if period:
+        return Diverges(term, period)
     if is_value(term):
         return Value(term)
     if term == ZERO:

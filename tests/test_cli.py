@@ -1,13 +1,18 @@
+import dataclasses
 import json
 import os
 import random
 import subprocess
 import sys
+import typing
 
 import pytest
 
+from fdc import cli
 from fdc.cli import main
 from fdc.corpus import check_prelude, corpus_text
+from fdc.reduction import WhnfResult
+from fdc.syntax import Con
 
 
 def run_cli(capsys, *argv):
@@ -101,7 +106,32 @@ def test_eval_json_and_fuel(capsys):
                              "--json")
     assert code == 1
     rec = json.loads(out)
-    assert rec["kind"] == "out-of-fuel"
+    assert rec == {"kind": "diverges", "period": 4,
+                   "result": "absurdCo [Bool] [Int]"}
+    # a term that cannot repeat runs out of fuel
+    code, out, err = run_cli(capsys, "eval", corpus_path("superclasses.fd"),
+                             "-e", "not (not (not (not True)))", "--fuel",
+                             "5", "--json")
+    assert code == 1
+    assert json.loads(out)["kind"] == "out-of-fuel"
+
+
+def test_eval_reports_a_repeat_with_its_period(capsys):
+    code, out, err = run_cli(capsys, "eval", corpus_path("fundeps.fd"),
+                             "-e", "absurdCo [Bool] [Int]", "--trace")
+    assert code == 1
+    assert out == "absurdCo [Bool] [Int]\n"
+    *steps, last = err.splitlines()
+    # the trace stops at the repeat, found at step 8 of a 4-step cycle
+    assert len(steps) == 8 and steps[3] == steps[7] == "β∀: " + out.strip()
+    assert last == "diverges: the term recurs every 4 steps"
+
+
+def test_eval_has_a_record_for_every_whnf_outcome():
+    for cls in typing.get_args(WhnfResult):
+        fields = {f.name: Con("True") if f.type == "Node" else 4
+                  for f in dataclasses.fields(cls)}
+        assert cli._whnf_record(cls(**fields))["kind"]
 
 
 def test_eval_all_mode(capsys):

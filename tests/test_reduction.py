@@ -1,5 +1,6 @@
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -9,9 +10,9 @@ from fdc.analysis import AnalysisError, specialize
 from fdc.parser import parse_term, parse_type
 from fdc.propcheck import GenConfig, gen_well_typed
 from fdc.reduction import (
-    Hit, IsValue, IsZero, Miss, NotReady, OutOfFuel, Stepped, Stuck,
-    StuckResult, Value, ZeroResult, eval_all, is_value, match_pattern,
-    step_all, step_det, step_det_tagged, whnf,
+    DEFAULT_FUEL, Diverges, Hit, IsValue, IsZero, Miss, NotReady, OutOfFuel,
+    Stepped, Stuck, StuckResult, Value, ZeroResult, eval_all, is_value,
+    match_pattern, step_all, step_det, step_det_tagged, whnf,
 )
 from fdc.syntax import (
     App, Cast, Choice, Con, Env, Guard, If, Lam, Node, Pattern, Ref, Refl, Sym,
@@ -152,10 +153,20 @@ def test_whnf_value_consumes_no_fuel(prelude):
     assert result == Value(Refl(BOOL))
 
 
-def test_whnf_fuel_exhaustion(fundeps_env):
-    looping = parse_term("absurdCo [Bool] [Int]")
-    result = whnf(fundeps_env, looping, fuel=50)
+def test_whnf_fuel_exhaustion(prelude):
+    # each `not` takes more than one step, and no term repeats on the way
+    result = whnf(prelude, not_chain(60, "True"), fuel=50)
     assert isinstance(result, OutOfFuel)
+
+
+@pytest.mark.parametrize("fuel", [50, DEFAULT_FUEL])
+def test_whnf_reports_the_absurdco_cycle(fundeps_env, fuel):
+    # β_open, β_0-1 and two β∀ unfold `absurdCo [Bool] [Int]` to itself
+    looping = parse_term("absurdCo [Bool] [Int]")
+    start = time.perf_counter()
+    result = whnf(fundeps_env, looping, fuel=fuel)
+    assert time.perf_counter() - start < 0.5
+    assert result == Diverges(looping, 4)
 
 
 def test_whnf_fdfwd_reduces_to_refl_tree(fundeps_env):
@@ -260,11 +271,28 @@ def _whnf_trace(whnf_fn, env, term, fuel):
     return result, steps
 
 
+def assert_diverges_like_oracle(term, result, steps, want_steps):
+    """A `Diverges` after n steps: the trace so far is the oracle's, which
+    goes on to its fuel, and on the oracle's terms the one after step n is
+    the repeated term, equal to the one after step n - period and to none
+    in between."""
+    n, period = len(steps), result.period
+    assert steps == want_steps[:n]
+    terms = [term, *(m for _, m in want_steps)]
+    assert terms[n] == terms[n - period] == result.node
+    assert all(terms[n] != terms[n - q] for q in range(1, period))
+
+
 def assert_agrees_with_oracle(env, term, fuel, samples):
-    """The same whnf trace as the original walkers, and the same step_all
-    successor lists, in order, on about `samples` terms along it."""
+    """The same whnf trace as the original walkers (up to a repeat, where
+    the engine stops), and the same step_all successor lists, in order, on
+    about `samples` terms along it."""
     result, steps = _whnf_trace(whnf, env, term, fuel)
-    assert (result, steps) == _whnf_trace(oracle.whnf, env, term, fuel)
+    want, want_steps = _whnf_trace(oracle.whnf, env, term, fuel)
+    if isinstance(result, Diverges):
+        assert_diverges_like_oracle(term, result, steps, want_steps)
+    else:
+        assert (result, steps) == (want, want_steps)
     terms = [term, *(n for _, n in steps)]
     for n in terms[::max(1, len(terms) // samples)]:
         assert step_all(env, n) == oracle.step_all(env, n)
@@ -313,6 +341,24 @@ def test_engine_matches_oracle_on_generated_terms(prelude_index):
         assert_same_method_site(env, term)
         if isinstance(normal, Node):
             assert_same_method_site(env, normal)
+
+
+def test_whnf_outcomes_match_oracle_on_a_thousand_cases():
+    """Acceptance 5's seed-42 cases at the fuzz suites' fuel: every value,
+    zero and stuck term is the oracle's, and every repeat holds on the
+    oracle's trace. The 41 `absurdCo` loops among them all repeat."""
+    cfg, kinds = GenConfig(seed=42, size=30), Counter()
+    for i in range(1000):
+        env, term, _ = gen_well_typed(cfg, i)
+        result, steps = _whnf_trace(whnf, env, term, 2000)
+        kinds[type(result)] += 1
+        if isinstance(result, Diverges):
+            assert not is_value(result.node) and result.node != ZERO
+            want = _whnf_trace(oracle.whnf, env, term, len(steps))[1]
+            assert_diverges_like_oracle(term, result, steps, want)
+        else:
+            assert result == oracle.whnf(env, term, 2000)
+    assert kinds[Diverges] == 41 and kinds[OutOfFuel] == 0
 
 
 def test_engine_matches_oracle_on_chains(prelude):
@@ -444,6 +490,20 @@ def test_step_all_on_the_deepest_not_chain_the_whole_term_walk_handled(
     terminals, exhausted = _on_a_fresh_stack(
         lambda env, m: eval_all(env, m, 20), prelude, term)
     assert terminals == [] and not exhausted
+
+
+def test_whnf_on_deep_terms_from_a_fresh_thread(prelude, fundeps_env):
+    assert _on_a_fresh_stack(whnf, prelude, not_chain(10_000, "True")) \
+        == Value(Con("True"))
+    assert _on_a_fresh_stack(whnf, prelude, sym_tower(3000)) \
+        == Value(Refl(BOOL))
+    # a loop under 3,000 `not`s: the repeat check compares whole terms over
+    # an explicit stack, where `==` ran out of recursion depth
+    term = Cast(Con("True"), parse_term("absurdCo [Bool] [Bool]"))
+    for _ in range(3000):
+        term = App(Ref("not"), term)
+    result = _on_a_fresh_stack(whnf, fundeps_env, term)
+    assert isinstance(result, Diverges) and result.period == 4
 
 
 def test_specialize_unfolds_a_deep_let_chain_through_the_engine(prelude):
