@@ -245,7 +245,9 @@ def cmd_fuzz(args) -> int:
         if args.json:
             print(json.dumps({"property": result.name, "cases": result.cases,
                               "ok": result.ok,
-                              "counterexample": result.counterexample}))
+                              "counterexample": result.counterexample,
+                              "gen_s": round(result.gen_s, 6),
+                              "check_s": round(result.check_s, 6)}))
         else:
             print(result)
         if not result.ok:

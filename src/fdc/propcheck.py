@@ -15,8 +15,13 @@ ground instance, with all its instances). No class or instance name is
 written into the generator: a program's own classes and instances are
 generated from its environment. Only the goal pool and the `if`
 scrutinees (`_goal_pool`, `_CLOSED_SCRUTINEES`) still name the bundled
-preludes' types. Each `Generator` also memoizes `shift(ty, k)`, so
-looking a goal up in the scope does not shift every scope entry again.
+preludes' types.
+
+Each `Generator` builds one case. It memoizes, by `(scope, goal)`, the
+variables of the goal in the scope and the canonical term of the goal;
+neither draws from the generator's `rng`, so the terms and the draws are
+those an unmemoized generator makes. These memos die with the generator,
+and only the bounded `EnvTable` memos outlive a case.
 
 `run_properties` checks many suites over one generation pass: each case
 is generated once per `allow_zero` setting.
@@ -25,8 +30,9 @@ is generated once per `allow_zero` setting.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from time import perf_counter
 from typing import Callable, Optional
 
 from .corpus import prelude_env, require_clean
@@ -40,9 +46,9 @@ from .syntax import (
     Node, Star, KArr, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, Lam,
     App, TyLam, TyApp, Cast, Pattern, If, Guard, Choice, Refl, Sym,
     Trans, CApp, Fst, Snd, Univ, CInst, Sim, Env, CtorDecl, OpenCtorDecl,
-    OpenTypeDecl, MethodDecl, LetDecl, STAR, ZERO, applied, arrow, node_eq,
-    plug_spine, spine, spine_head, split_ctor_type, subnodes, type_spine,
-    un_arrow,
+    OpenTypeDecl, MethodDecl, LetDecl, STAR, ZERO, applied, arrow,
+    loose_range, node_eq, plug_spine, spine, spine_head, split_ctor_type,
+    subnodes, type_spine, un_arrow,
 )
 from .synthesis import match_type
 from .typecheck import (
@@ -134,9 +140,14 @@ class GenConfig:
 
 @dataclass
 class PropResult:
+    """A suite's verdict. `gen_s` is the generation time of the pass the
+    suite ran in, `check_s` the time in its own property calls and
+    shrinking; neither takes part in comparisons."""
     name: str
     cases: int
     counterexample: Optional[str] = None
+    gen_s: float = field(default=0.0, compare=False)
+    check_s: float = field(default=0.0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -179,9 +190,10 @@ _CLOSED_SCRUTINEES = ((BOOL, ("True", "False")),
 class EnvTable:
     """What generation reads off one environment, computed once: the
     callables (constructors, open functions and lets) with their types
-    split, the open-type scrutinees, and three bounded memos keyed by type:
-    `spine_options(goal)`, `inhabitant(goal)` and `patterns(scrut_ty,
-    ctors)`. `Env` is immutable, so nothing here goes stale."""
+    split, the open-type scrutinees, and three memos keyed by type, each
+    of at most `MEMO_SIZE` entries: `spine_options(goal)`,
+    `inhabitant(goal)` and `patterns(scrut_ty, ctors)`. `Env` is
+    immutable, so nothing here goes stale."""
 
     def __init__(self, env: Env):
         self.env = env
@@ -224,13 +236,15 @@ class EnvTable:
                        ) -> tuple[tuple[Node, tuple, tuple], ...]:
         """Each callable whose codomain matches `goal`: its head, the type
         arguments that make it match (outermost quantifier first) and its
-        declared argument types. The type arguments are parts of `goal` or
-        `Bool`, so an entry holds no node of its own."""
+        declared argument types instantiated at them. The type arguments
+        are parts of `goal` or `Bool`; an instantiated argument type is a
+        node of the entry's own when the declared one is open."""
         options = []
         for head, kinds, args, cod in self.callables:
             type_args = _instantiation(kinds, cod, goal)
             if type_args is not None:
-                options.append((head, type_args, args))
+                options.append((head, type_args, tuple(
+                    instantiate_all(a, type_args) for a in args)))
         return tuple(options)
 
     def _inhabitant(self, goal: Node) -> Optional[Node]:
@@ -257,7 +271,8 @@ class EnvTable:
     def _patterns(self, scrut_ty: Node, ctors: tuple[str, ...],
                   ) -> tuple[tuple[Pattern, tuple, tuple], ...]:
         """Fully-instantiated patterns against `scrut_ty`, each with its
-        residual binder kinds and argument types."""
+        residual binder kinds and argument types, the i-th argument type
+        shifted by i: the annotation of the consequent's i-th `Lam`."""
         _, scrut_args = type_spine(scrut_ty)
         pats = []
         for cname in ctors:
@@ -271,7 +286,8 @@ class EnvTable:
                 res_kinds, arg_tys, _ = pattern_type(self.env, pat, scrut_ty)
             except CheckError:
                 continue
-            pats.append((pat, tuple(res_kinds), tuple(arg_tys)))
+            pats.append((pat, tuple(res_kinds),
+                         tuple(shift(t, i) for i, t in enumerate(arg_tys))))
         return tuple(pats)
 
 
@@ -299,7 +315,9 @@ def env_table(env: Env) -> EnvTable:
 
 
 class Generator:
-    """Builds well-typed closed terms against a lambda-free environment."""
+    """Builds well-typed closed terms against a lambda-free environment.
+    A scope is a tuple of binder types, innermost last; the `(scope,
+    goal)` memos live as long as the generator (see the module docstring)."""
 
     def __init__(self, env: Env, rng: random.Random,
                  allow_zero: bool = True):
@@ -307,36 +325,26 @@ class Generator:
         self.table = env_table(env)
         self.rng = rng
         self.allow_zero = allow_zero
-        self._shifted: dict[tuple[Node, int], Node] = {}
+        self._hits: dict[tuple[tuple, Node], tuple[Var, ...]] = {}
+        self._canonical: dict[tuple[tuple, Node], Node | type] = {}
 
-    def _shift(self, ty: Node, amount: int) -> Node:
-        """`shift(ty, amount)`, memoized for the life of this generator."""
-        key = (ty, amount)
-        out = self._shifted.get(key)
-        if out is None:
-            if len(self._shifted) >= MEMO_SIZE:
-                self._shifted.clear()
-            out = self._shifted[key] = shift(ty, amount)
-        return out
-
-    # -- scope helpers: the generator threads its own binder stack
-
-    def term(self, scope: list[Node], goal: Node, size: int) -> Node:
+    def term(self, scope: tuple, goal: Node, size: int) -> Node:
         """A term of the goal type; scope holds binder types, innermost
         last, each expressed at its own binding point."""
         if size <= 0:
             return self.canonical(scope, goal)
         # weighted choice with fallback: failed productions defer to others
         attempts = self._productions(scope, goal, size)
+        total = sum(w for w, _ in attempts)
         while attempts:
-            total = sum(w for w, _ in attempts)
             pick = self.rng.randrange(total)
             acc = 0
             for chosen, (w, _) in enumerate(attempts):
                 acc += w
                 if pick < acc:  # always met: pick < total
                     break
-            _, fn = attempts.pop(chosen)
+            w, fn = attempts.pop(chosen)
+            total -= w
             try:
                 return fn()
             except GiveUp:
@@ -363,11 +371,11 @@ class Generator:
         match goal:
             case TApp(TApp(TCon("->"), dom), cod):
                 out.append((w["lambda"], lambda: Lam(
-                    dom, self.term(scope + [dom], self._shift(cod, 1),
+                    dom, self.term(scope + (dom,), shift(cod, 1),
                                    size - 1))))
             case Forall(k, body):
                 out.append((w["lambda"], lambda: TyLam(
-                    k, self.term(scope + [k], body, size - 1))))
+                    k, self.term(scope + (k,), body, size - 1))))
             case EqTy(l, r, _) if node_eq(l, r):
                 out.append((w["coercion_ops"],
                             lambda: self.coercion_node(scope, l, size)))
@@ -379,18 +387,31 @@ class Generator:
             return Choice(ZERO, inhabited)
         return Choice(inhabited, ZERO)
 
-    def _in_scope(self, scope, goal):
+    def _in_scope(self, scope: tuple, goal: Node) -> tuple[Var, ...]:
         """The variables of type `goal` in `scope`, innermost first."""
-        depth = len(scope)
-        for i in range(depth):
-            ty = scope[depth - 1 - i]
+        key = (scope, goal)
+        hits = self._hits.get(key)
+        if hits is None:
+            hits = self._hits[key] = tuple(self._scan(scope, goal))
+        return hits
+
+    @staticmethod
+    def _scan(scope: tuple, goal: Node):
+        reach = loose_range(goal)
+        for i, ty in enumerate(reversed(scope)):
             if isinstance(ty, (Star, KArr)):
                 continue  # type binder
-            if node_eq(self._shift(ty, i + 1), goal):
+            # a shift by i + 1 raises an open type's loose range by i + 1:
+            # only a type that lands on the goal's range can match it
+            r = loose_range(ty)
+            if r == 0:
+                if reach == 0 and node_eq(ty, goal):
+                    yield Var(i)
+            elif r + i + 1 == reach and node_eq(shift(ty, i + 1), goal):
                 yield Var(i)
 
     def _scope_var(self, scope, goal):
-        hits = list(self._in_scope(scope, goal))
+        hits = self._in_scope(scope, goal)
         if not hits:
             raise GiveUp
         return self.rng.choice(hits)
@@ -404,8 +425,7 @@ class Generator:
         head, type_args, args = self.rng.choice(options)
         budget = max(size - 1, 0) // max(len(args), 1)
         return plug_spine(head, [(True, t) for t in type_args] + [
-            (False, self.term(scope, instantiate_all(a, type_args), budget))
-            for a in args])
+            (False, self.term(scope, a, budget)) for a in args])
 
     def _app(self, scope, goal, size):
         dom = self.rng.choice([BOOL, arrow(BOOL, BOOL)])
@@ -425,21 +445,17 @@ class Generator:
         if not pats:
             raise GiveUp
         scrut = self.term(scope, scrut_ty, size // 3)
-        pat, res_kinds, arg_tys = self.rng.choice(pats)
-        cons = self._consequent(scope, res_kinds, arg_tys, goal, size // 3)
+        pat, res_kinds, lams = self.rng.choice(pats)
+        cons = self._consequent(scope, res_kinds, lams, goal, size // 3)
         if guard:
             return Guard(scrut, pat, cons)
         return If(scrut, pat, cons, self.term(scope, goal, size // 3))
 
-    def _consequent(self, scope, res_kinds, arg_tys, goal, size):
-        inner_scope = list(scope) + list(res_kinds)
-        shifted_goal = self._shift(goal, len(res_kinds))
-        for i, t in enumerate(arg_tys):
-            inner_scope.append(self._shift(t, i))
-        shifted_goal = self._shift(shifted_goal, len(arg_tys))
-        body = self.term(inner_scope, shifted_goal, size)
-        for i in reversed(range(len(arg_tys))):
-            body = Lam(self._shift(arg_tys[i], i), body)
+    def _consequent(self, scope, res_kinds, lams, goal, size):
+        body = self.term(scope + res_kinds + lams,
+                         shift(goal, len(res_kinds) + len(lams)), size)
+        for ann in reversed(lams):
+            body = Lam(ann, body)
         for k in reversed(res_kinds):
             body = TyLam(k, body)
         return body
@@ -466,7 +482,7 @@ class Generator:
                        self.coercion_node(scope, ty.rhs, size // 2))
         if roll < 0.8 and isinstance(ty, Forall):
             return Univ(ty.kind,
-                        self.coercion_node(scope + [ty.kind], ty.body,
+                        self.coercion_node(scope + (ty.kind,), ty.body,
                                            size - 1))
         if roll < 0.9:
             return Choice(self.coercion_node(scope, ty, size // 2),
@@ -475,18 +491,30 @@ class Generator:
 
     # -- canonical small inhabitants
 
-    def canonical(self, scope: list[Node], goal: Node) -> Node:
+    def canonical(self, scope: tuple, goal: Node) -> Node:
         """The innermost variable of type `goal` in scope, else a small
         inhabitant read off the goal's shape or the environment."""
-        var = next(self._in_scope(scope, goal), None)
-        if var is not None:
-            return var
+        key = (scope, goal)
+        out = self._canonical.get(key)
+        if out is None:
+            try:
+                out = self._canonical_miss(scope, goal)
+            except GiveUp:
+                out = GiveUp
+            self._canonical[key] = out
+        if out is GiveUp:
+            raise GiveUp
+        return out
+
+    def _canonical_miss(self, scope: tuple, goal: Node) -> Node:
+        hits = self._in_scope(scope, goal)
+        if hits:
+            return hits[0]
         match goal:
             case TApp(TApp(TCon("->"), dom), cod):
-                return Lam(dom, self.canonical(scope + [dom],
-                                               self._shift(cod, 1)))
+                return Lam(dom, self.canonical(scope + (dom,), shift(cod, 1)))
             case Forall(k, body):
-                return TyLam(k, self.canonical(scope + [k], body))
+                return TyLam(k, self.canonical(scope + (k,), body))
             case EqTy(l, r, _) if node_eq(l, r):
                 return Refl(l)
         term = self.table.inhabitant(goal)
@@ -508,7 +536,7 @@ def gen_well_typed(cfg: GenConfig, case_index: int = 0,
     for _ in range(20):
         goal = rng.choice(pool)
         try:
-            term = gen.term([], goal, cfg.size)
+            term = gen.term((), goal, cfg.size)
         except GiveUp:
             continue
         return env, term, goal
@@ -671,21 +699,30 @@ def run_properties(names, cfg: GenConfig) -> list[PropResult]:
             raise KeyError(name)
         allow_zero = cfg.allow_zero and name != "uniqueness_mod_zero"
         passes.setdefault(allow_zero, []).append(name)
-    for allow_zero, live in passes.items():
+    for allow_zero, suites in passes.items():
         pass_cfg = replace(cfg, allow_zero=allow_zero)
+        live = list(suites)
+        gen_s = 0.0
+        check_s = dict.fromkeys(suites, 0.0)
         for i in range(pass_cfg.count):
             if not live:
                 break
+            start = perf_counter()
             env, term, ty = gen_well_typed(pass_cfg, i)
+            gen_s += perf_counter() - start
             for name in list(live):
+                start = perf_counter()
                 prop = PROPERTIES[name]
                 failure = prop(env, term, ty)
                 if failure is not None:
                     results[name] = _failure(name, pass_cfg, i, env, term,
                                              ty, prop, failure)
                     live.remove(name)
+                check_s[name] += perf_counter() - start
         for name in live:
             results[name] = PropResult(name, pass_cfg.count)
+        for name in suites:
+            results[name].gen_s, results[name].check_s = gen_s, check_s[name]
     return [results[name] for name in names]
 
 
@@ -765,28 +802,36 @@ def run_subst_laws(cfg: GenConfig) -> PropResult:
     """Identity, composition, and lift/shift commutation, checked against
     direct sequential evaluation."""
     rng = random.Random(cfg.seed)
+    result = PropResult("subst_laws", cfg.count)
     for i in range(cfg.count):
+        start = perf_counter()
         node = gen_node(rng, min(cfg.size, 12))
         s1 = gen_subst(rng, cfg.size)
         s2 = gen_subst(rng, cfg.size)
-        if apply(IDENTITY, node) != node:
-            return PropResult("subst_laws", i + 1,
-                              f"identity law failed on {node!r}")
-        composed = apply(compose(s1, s2), node)
-        sequential = apply(s2, apply(s1, node))
-        if composed != sequential:
-            return PropResult(
-                "subst_laws", i + 1,
-                f"composition law failed:\n  s1={s1}\n  s2={s2}\n  "
+        generated = perf_counter()
+        failure = _subst_law_failure(node, s1, s2)
+        result.gen_s += generated - start
+        result.check_s += perf_counter() - generated
+        if failure is not None:
+            result.cases, result.counterexample = i + 1, failure
+            break
+    return result
+
+
+def _subst_law_failure(node: Node, s1: Subst, s2: Subst) -> Optional[str]:
+    if apply(IDENTITY, node) != node:
+        return f"identity law failed on {node!r}"
+    composed = apply(compose(s1, s2), node)
+    sequential = apply(s2, apply(s1, node))
+    if composed != sequential:
+        return (f"composition law failed:\n  s1={s1}\n  s2={s2}\n  "
                 f"n={node!r}\n  composed={composed!r}\n  "
                 f"sequential={sequential!r}")
-        lifted = apply(lift(s1), shift(node, 1))
-        shifted = shift(apply(s1, node), 1)
-        if lifted != shifted:
-            return PropResult(
-                "subst_laws", i + 1,
-                f"lift/shift commutation failed:\n  s={s1}\n  n={node!r}")
-    return PropResult("subst_laws", cfg.count)
+    lifted = apply(lift(s1), shift(node, 1))
+    shifted = shift(apply(s1, node), 1)
+    if lifted != shifted:
+        return f"lift/shift commutation failed:\n  s={s1}\n  n={node!r}"
+    return None
 
 
 ALL_PROPERTIES = tuple(PROPERTIES) + ("subst_laws",)

@@ -188,6 +188,19 @@ def test_fuzz_command(capsys):
     assert "pass" in out
 
 
+def test_fuzz_json_records_carry_phase_times(capsys):
+    code, out, _ = run_cli(capsys, "fuzz", "--prop", "all", "--seed", "5",
+                           "--count", "10", "--size", "10", "--json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["property"] for r in records] == list(cli.ALL_PROPERTIES)
+    for r in records:
+        assert set(r) == {"property", "cases", "ok", "counterexample",
+                          "gen_s", "check_s"}
+        assert isinstance(r["gen_s"], float) and r["gen_s"] >= 0
+        assert isinstance(r["check_s"], float) and r["check_s"] >= 0
+
+
 def test_fuzz_unknown_property(capsys):
     code, out, err = run_cli(capsys, "fuzz", "--prop", "nope")
     assert code == 2

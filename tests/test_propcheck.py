@@ -1,18 +1,23 @@
+import gc
 import hashlib
 import random
+import types
+import weakref
 
 import pytest
 
 from fdc import propcheck
 from fdc.propcheck import (
-    ALL_PROPERTIES, BOOL, PROPERTIES, GenConfig, PropResult, env_table,
-    gen_node, gen_subst, gen_well_typed, prelude_for, run_properties,
-    run_property, run_subst_laws, shrink,
+    ALL_PROPERTIES, BOOL, MEMO_SIZE, PRELUDES, PROPERTIES, GenConfig,
+    Generator, PropResult, env_table, gen_node, gen_subst, gen_well_typed,
+    prelude_for, run_properties, run_property, run_subst_laws, shrink,
 )
 from fdc.printer import print_node, print_term
 from fdc.reduction import is_value, step_all
+from fdc.subst import instantiate_all
 from fdc.syntax import (
-    App, Choice, EqTy, Refl, TApp, TCon, ZERO, node_eq, subnodes, Zero,
+    App, Choice, EqTy, Refl, TApp, TCon, ZERO, arrow, node_eq, subnodes,
+    Zero,
 )
 from fdc.typecheck import CheckError, check_term
 
@@ -153,6 +158,10 @@ def test_generated_terms_are_pinned():
 
 
 def test_generation_is_the_same_cold_and_warm():
+    """Case k prints the same from cold memos (a fresh generator over a
+    cleared `env_table`) as after 50 other cases warmed them: in the
+    environment's table, and in one generator that built those cases
+    before case k's draws are replayed on it."""
     cfg = GenConfig(seed=42, size=30)
     for k in (2, 57, 403):
         env_table.cache_clear()
@@ -160,6 +169,65 @@ def test_generation_is_the_same_cold_and_warm():
         for i in range(k + 1, k + 51):
             gen_well_typed(cfg, i)
         assert _printed(cfg, k) == cold
+        env = prelude_for(PRELUDES[k % len(PRELUDES)])
+        pool = propcheck._goal_pool(PRELUDES[k % len(PRELUDES)])
+        warm = Generator(env, random.Random(0))
+        for i in range(50):
+            for goal in pool:
+                try:
+                    warm.term((), goal, cfg.size)
+                except propcheck.GiveUp:
+                    pass
+        assert warm._canonical and warm._hits
+        warm.rng = random.Random(cfg.seed * 1_000_003 + k)
+        for _ in range(20):
+            goal = warm.rng.choice(pool)
+            try:
+                term = warm.term((), goal, cfg.size)
+            except propcheck.GiveUp:
+                continue
+            break
+        assert print_term(term) + "\n" + print_node(goal) + "\n" == cold
+
+
+def test_memos_stay_bounded_and_die_with_their_case(monkeypatch):
+    """After 2,000 cases every `EnvTable` memo holds at most `MEMO_SIZE`
+    entries, no generator outlives its case, and the `(scope, goal)` memos
+    of a live generator are not reachable from its environment's table."""
+    generators = []
+
+    class Recorded(Generator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            generators.append(weakref.ref(self))
+
+    monkeypatch.setattr(propcheck, "Generator", Recorded)
+    env_table.cache_clear()
+    cfg = GenConfig(seed=42, size=30)
+    for i in range(2000):
+        gen_well_typed(cfg, i)
+    gc.collect()
+    assert len(generators) == 2000
+    assert all(ref() is None for ref in generators)
+    tables = {id(t): t for t in map(env_table, map(prelude_for, PRELUDES))}
+    for table in tables.values():
+        for memo in (table.spine_options, table.inhabitant, table.patterns):
+            assert 0 < memo.cache_info().currsize <= MEMO_SIZE
+
+    env = prelude_for("fundep")
+    live = Generator(env, random.Random(1))
+    live.term((), arrow(BOOL, BOOL), cfg.size)
+    memos = {id(live), id(live._canonical), id(live._hits)}
+    assert live._canonical and live._hits
+    seen, todo = set(), [env_table(env)]
+    while todo:  # everything the table reaches, short of code and modules
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType,
+                                               types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        todo.extend(gc.get_referents(obj))
+    assert not memos & seen
 
 
 def test_env_tables_are_per_environment():
@@ -181,6 +249,21 @@ def test_env_tables_are_per_environment():
     assert [p.head for p, _, _ in table_fd.patterns(f_int_bool, fds)] == [
         "FIB", "FMM"]
     assert table_eq.open_scrutinees != table_fd.open_scrutinees
+
+
+def test_spine_options_hold_instantiated_argument_types():
+    """Each option's argument types are the callable's declared ones,
+    instantiated at the option's type arguments."""
+    instantiated = 0
+    for name in PRELUDES:
+        table = env_table(prelude_for(name))
+        declared = {head: args for head, _, args, _ in table.callables}
+        for goal in propcheck._goal_pool(name):
+            for head, type_args, args in table.spine_options(goal):
+                assert args == tuple(instantiate_all(a, type_args)
+                                     for a in declared[head])
+                instantiated += args != declared[head]
+    assert instantiated  # `Just`'s argument at `Maybe Bool`, among others
 
 
 def _run_alone(name, cfg):
@@ -283,16 +366,18 @@ def test_the_generator_reads_a_new_class_off_the_environment():
     g = TApp(TApp(TCon("G"), BOOL), maybe_bool)
     assert env_table(env).open_scrutinees == ((g, ("GB", "GM")),)
     gen = Generator(env, random.Random(0))
-    assert gen.canonical([], g) == App(App(
+    assert gen.canonical((), g) == App(App(
         TyApp(TyApp(Con("GB"), BOOL), maybe_bool), Refl(BOOL)),
         Refl(maybe_bool))
-    # GB's premises are not reflexive here, and GM's include a dictionary
-    with pytest.raises(propcheck.GiveUp):
-        gen.canonical([], TApp(TApp(TCon("G"), maybe_bool), BOOL))
+    # GB's premises are not reflexive here, and GM's include a dictionary;
+    # the second call answers from the generator's memo
+    for _ in range(2):
+        with pytest.raises(propcheck.GiveUp):
+            gen.canonical((), TApp(TApp(TCon("G"), maybe_bool), BOOL))
     checked, guarded = 0, set()
     for goal in (g, BOOL, arrow(g, BOOL)):
         for seed in range(200):
-            term = Generator(env, random.Random(seed)).term([], goal, 20)
+            term = Generator(env, random.Random(seed)).term((), goal, 20)
             check_term(env, term, goal)
             checked += 1
             guarded |= {s.pat.head for s in subnodes(term)
@@ -317,4 +402,4 @@ def test_a_free_quantifier_is_filled_only_at_kind_star():
         "J"]
     for seed in range(50):
         check_term(env, Generator(env, random.Random(seed)).term(
-            [], goal, 8), goal)
+            (), goal, 8), goal)
