@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .syntax import (
     Node, KArr, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, Lam,
@@ -60,8 +61,7 @@ class ParseError(Exception):
         super().__init__(f"{where}: {message}{exp}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'name' | 'kw' | 'num' | 'hash' | a symbol | 'eof'
     text: str
     line: int
@@ -70,31 +70,31 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unsupported character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        group = m.lastgroup
-        if group == "name":
-            kind = "kw" if lexeme in KEYWORDS else "name"
-            tokens.append(Token(kind, lexeme, line, col))
-        elif group == "num":
-            tokens.append(Token("num", lexeme, line, col))
-        elif group == "hash":
-            tokens.append(Token("hash", lexeme, line, col))
-        elif group == "sym":
-            tokens.append(Token(lexeme, lexeme, line, col))
-        # whitespace and comments are skipped
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    append = tokens.append
+    line, line_start, pos = 1, 0, 0  # line_start: offset of the line's start
+    for m in _TOKEN_RE.finditer(text):
+        start, end = m.span()
+        if start != pos:  # finditer skipped a character no token matches
+            break
+        pos = end
+        kind = m.lastgroup
+        if kind == "ws":
+            newlines = text.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, end) + 1
+        elif kind != "comment":
+            lexeme = m.group()
+            if kind == "name":
+                if lexeme in KEYWORDS:
+                    kind = "kw"
+            elif kind == "sym":
+                kind = lexeme
+            append(Token(kind, lexeme, line, start - line_start + 1))
+    if pos < len(text):
+        raise ParseError(f"unsupported character {text[pos]!r}", line,
+                         pos - line_start + 1)
+    append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 

@@ -133,7 +133,7 @@ def compose(s1: Subst, s2: Subst) -> Subst:
 def shift(n: Node, amount: int) -> Node:
     """Shift all free indices; negative amounts must not strand variables
     (`ScopeEscape` when one would)."""
-    if amount == 0:
+    if amount == 0 or loose_range(n) == 0:
         return n
     return apply(shift_subst(amount), n)
 
@@ -156,6 +156,11 @@ def is_closed(n: Node) -> bool:
 
 def try_unshift(n: Node, amount: int) -> Node | None:
     """Shift down by `amount`, or None when a free index would escape."""
+    r = loose_range(n)
+    if r == 0:
+        return n
+    if r <= amount:  # every free index is below `amount`
+        return None
     try:
         return shift(n, -amount)
     except ScopeEscape:

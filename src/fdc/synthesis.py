@@ -10,7 +10,11 @@ dictionaries that share determiners. Structural congruence bridges the
 remaining gaps. The hypothesis edges, the decomposition edges they derive
 and the in-scope dictionaries depend only on the environment and the
 excluded binders, so a `Resolver` builds them once per exclusion set, as
-a `Scope`; each search node adds its own two types and improvement edges.
+a `Scope`, together with the improvement candidates: the pairs of a
+dictionary with an instance or another dictionary whose determiners match.
+Each search node adds its own two types, and the improvement edges whose
+instance dictionary and determiner coercions it can find. A search that
+fails is tabled (Chen & Warren, JACM 1996): see `Resolver._synth`.
 Collections of nodes are sets and dicts keyed by the nodes, whose hash and
 equality are both structural; the dicts keep the order in which nodes and
 edges were found, and that order fixes the coercion chosen.
@@ -21,7 +25,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .syntax import (
     Node, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref,
@@ -184,17 +188,33 @@ def _add_edge(graph: Graph, frm: Node, to: Node, co: Node) -> None:
     graph.setdefault(frm, []).append((to, co))
 
 
+class Candidate(NamedTuple):
+    """A fundep improvement a scope can make: the dictionary `d1` of class
+    `info` at `args1`, paired with `d2` at `args2`. When `inst` is set, `d1`
+    is None: a dictionary of that instance at `args1` is resolved at each
+    search node."""
+    info: ClassInfo
+    fd: FundepInfo
+    inst: Optional[InstanceInfo]
+    d1: Optional[Node]
+    args1: list[Node]
+    d2: Node
+    args2: list[Node]
+
+
 @dataclass
 class Scope:
     """What every coercion search of one resolver under one exclusion set
     shares, built once: the equality hypotheses as (lhs, rhs, proof), the
     graph of their edges (each hypothesis both ways, then the decomposition
-    edges they derive), their sides in order, and the in-scope dictionaries
-    with their superclass projections."""
+    edges they derive), their sides in order, the in-scope dictionaries
+    with their superclass projections, and the improvement candidates
+    between them, in the order their edges are tried."""
     hyps: list[tuple[Node, Node, Node]]
     graph: Graph
     nodes: dict[Node, None]
     dicts: tuple[tuple[Node, Node], ...]
+    candidates: list[Candidate]
 
 
 def find_path(frm: Node, to: Node, graph: Graph,
@@ -249,10 +269,16 @@ class Resolver:
         self._entries = [(i, shift(b.type, i + 1))
                          for i, b in enumerate(reversed(self.env.binders))
                          if isinstance(b, TmVarBind)]
-        # One `Scope` per exclusion set, built on first use. The copies
-        # `_instance_det_dict` makes share this dict (same environment);
-        # a resolver for a wider environment starts its own.
+        # One `Scope` per exclusion set, built on first use, and the failed
+        # searches (see `_synth`). The copies `_instance_det_dict` makes
+        # share both (same environment); a resolver for a wider environment
+        # starts its own.
         self._scopes: dict[frozenset[int], Scope] = {}
+        self._fails: dict[tuple[Node, Node, frozenset[int]],
+                          list[tuple[int, frozenset]]] = {}
+        # The number of `ambiguous-instance` failures raised so far, in a
+        # list so that every copy and inner resolver counts into one.
+        self._ambiguities = [0]
 
     # -- scope inspection
 
@@ -291,7 +317,8 @@ class Resolver:
         nodes = dict.fromkeys(n for l, r, _ in hyps for n in (l, r))
         for a, b, term in self._decomposition_edges(nodes, graph):
             _add_edge(graph, a, b, term)
-        return Scope(hyps, graph, nodes, self._collect_dicts(exclude))
+        dicts = self._collect_dicts(exclude)
+        return Scope(hyps, graph, nodes, dicts, self._candidates(dicts))
 
     def _collect_dicts(self, exclude: frozenset[int]
                        ) -> tuple[tuple[Node, Node], ...]:
@@ -357,6 +384,7 @@ class Resolver:
         if candidates:
             distinct = {t for _, t in candidates}
             if len(distinct) > 1 and self.overlap == "reject":
+                self._ambiguities[0] += 1
                 _fail("ambiguous-instance",
                       f"{len(distinct)} instances satisfy the goal",
                       found=goal, error=SynthError)
@@ -455,14 +483,24 @@ class Resolver:
         key = (frm, to)
         if key in active:
             return None
-        active = active | {key}
+        # A search with less depth and more open goals has a subset of the
+        # edges, and `find_path` is complete over them, so it fails where a
+        # tabled failure with at least its depth and at most its open goals
+        # failed. Not so when an `ambiguous-instance` failure was swallowed:
+        # a nested goal that more depth makes ambiguous removes an edge.
+        # Such a failure is not tabled.
+        tabled = (frm, to, exclude)
+        if any(depth <= d and a <= active
+               for d, a in self._fails.get(tabled, ())):
+            return None
+        ambiguities = self._ambiguities[0]
+        query_active, active = active, active | {key}
         scope = self._scope(exclude)
         # `frm` and `to` add no decomposition edge: a node outside the
         # hypothesis graph has no edge there, so no path from or to it
         nodes = {**scope.nodes, frm: None, to: None}
         graph = scope.graph
-        improvements = self._improvement_edges(scope.hyps, depth, exclude,
-                                               active)
+        improvements = self._improvement_edges(scope, depth, exclude, active)
         if improvements:
             graph = dict(graph)  # the scope's lists stay as they are
             for a, b, term in improvements:
@@ -477,7 +515,10 @@ class Resolver:
                 if bridge is not None:
                     yield target, bridge
 
-        return find_path(frm, to, graph, bridges)
+        eta = find_path(frm, to, graph, bridges)
+        if eta is None and self._ambiguities[0] == ambiguities:
+            self._fails.setdefault(tabled, []).append((depth, query_active))
+        return eta
 
     def _congruence(self, a: Node, b: Node, depth: int, exclude,
                     active) -> Optional[Node]:
@@ -492,6 +533,7 @@ class Resolver:
                 return CApp(ef, ea)
             case (Forall(k1, b1), Forall(k2, b2)) if node_eq(k1, k2):
                 inner = replace(self, env=self.env.push(TyVarBind(k1)))
+                inner._ambiguities = self._ambiguities
                 shifted_exclude = frozenset(i + 1 for i in exclude)
                 eb = inner._synth(b1, b2, depth, shifted_exclude, active)
                 if eb is None:
@@ -522,28 +564,26 @@ class Resolver:
                 out.append((a.arg, b.arg, Snd(path)))
         return out
 
-    def _improvement_edges(self, hyps, depth, exclude, active):
-        """fdFwd-style edges between determined parameters of dictionary
-        pairs that share (or can be coerced to share) determiners."""
-        edges = []
-        dicts = self.scope_dicts(exclude)
-        for term, ty in list(dicts):
+    def _candidates(self, dicts: tuple[tuple[Node, Node], ...]
+                    ) -> list[Candidate]:
+        """The improvement candidates of a scope's dictionaries: for each
+        dictionary of a class with fundeps, and each fundep, the instances
+        whose head matches its determiners, then the other dictionaries of
+        its class. A pair whose determined parameters already agree teaches
+        nothing and is left out."""
+        out = []
+        for term, ty in dicts:
             info = self.registry.class_of_type(ty)
             if info is None or not info.fundeps:
                 continue
             _, args = type_spine(ty)
             for fd in info.fundeps:
-                # pair with resolvable instances whose determiners match
+                # pair with instances whose determiners match
                 for inst in self.registry.instances.get(info.name, []):
-                    got = self._instance_det_dict(inst, fd, args, depth,
-                                                  exclude, active)
-                    if got is None:
-                        continue
-                    inst_dict, inst_args = got
-                    edge = self._fd_edge(info, fd, inst_dict, inst_args,
-                                         term, args, depth, exclude, active)
-                    if edge is not None:
-                        edges.append(edge)
+                    inst_args = _det_args(inst, fd, args)
+                    if inst_args is not None:
+                        out.append(Candidate(info, fd, inst, None, inst_args,
+                                             term, args))
                 # pair with other in-scope dictionaries
                 for term2, ty2 in dicts:
                     if term2 is term:
@@ -552,36 +592,38 @@ class Resolver:
                     if info2 is None or info2.name != info.name:
                         continue
                     _, args2 = type_spine(ty2)
-                    edge = self._fd_edge(info, fd, term, args, term2, args2,
-                                         depth, exclude, active)
-                    if edge is not None:
-                        edges.append(edge)
+                    out.append(Candidate(info, fd, None, term, args, term2,
+                                         args2))
+        return [c for c in out
+                if not node_eq(c.args1[c.fd.det], c.args2[c.fd.det])]
+
+    def _improvement_edges(self, scope: Scope, depth, exclude, active):
+        """fdFwd-style edges between determined parameters of the scope's
+        candidate pairs whose determiners can be coerced to agree."""
+        edges = []
+        for info, fd, inst, d1, args1, d2, args2 in scope.candidates:
+            if inst is not None:
+                d1 = self._instance_det_dict(inst, args1, depth, exclude,
+                                             active)
+                if d1 is None:
+                    continue
+            edge = self._fd_edge(info, fd, d1, args1, d2, args2, depth,
+                                 exclude, active)
+            if edge is not None:
+                edges.append(edge)
         return edges
 
-    def _instance_det_dict(self, inst: InstanceInfo, fd: FundepInfo,
-                           args: list[Node], depth: int, exclude, active):
-        """A dictionary for `inst` whose determiner positions equal the given
-        argument list's, when the instance head allows it. Its search goes
-        on from this one: `depth - 1` deep at most, with `active` open."""
-        n_vars = len(inst.var_kinds)
-        binding: dict[int, Node] = {}
-        for i in fd.dets:
-            if not match_type(inst.head[i], args[i], n_vars, binding):
-                return None
-        # every instance variable must be determined by the determiners
-        for i in range(n_vars):
-            if i not in binding:
-                return None
-        full_args = [subst_match_vars(inst.head[i], n_vars, binding)
-                     for i in range(len(inst.head))]
+    def _instance_det_dict(self, inst: InstanceInfo, args: list[Node],
+                           depth: int, exclude, active) -> Optional[Node]:
+        """A dictionary for `inst` at `args`. Its search goes on from this
+        one: `depth - 1` deep at most, with `active` open."""
         inner = copy(self)
         inner.synth_depth, inner._active = depth - 1, active
         try:
-            term = inner.resolve(applied(inst.class_name, full_args),
-                                 depth - 1, exclude)
+            return inner.resolve(applied(inst.class_name, args), depth - 1,
+                                 exclude)
         except SynthError:
             return None
-        return term, full_args
 
     def _fd_edge(self, info: ClassInfo, fd: FundepInfo,
                  d1: Node, args1: list[Node], d2: Node, args2: list[Node],
@@ -594,10 +636,6 @@ class Resolver:
             if eta is None:
                 return None
             det_coercions[i] = eta
-        lhs_det = args1[fd.det]
-        rhs_det = args2[fd.det]
-        if node_eq(lhs_det, rhs_det):
-            return None  # nothing to learn
         first = d1
         first_args = list(args1)
         if det_coercions:
@@ -613,7 +651,21 @@ class Resolver:
         witness = plug_spine(Ref(fd.name),
                              [(True, a) for a in first_args + nondets]
                              + [(False, first), (False, d2)])
-        return (lhs_det, rhs_det, witness)
+        return (args1[fd.det], args2[fd.det], witness)
+
+
+def _det_args(inst: InstanceInfo, fd: FundepInfo,
+              args: list[Node]) -> Optional[list[Node]]:
+    """The head of `inst` with its determiner positions matched against
+    `args`, when they match and determine every instance variable."""
+    n_vars = len(inst.var_kinds)
+    binding: dict[int, Node] = {}
+    for i in fd.dets:
+        if not match_type(inst.head[i], args[i], n_vars, binding):
+            return None
+    if len(binding) < n_vars:
+        return None
+    return [subst_match_vars(h, n_vars, binding) for h in inst.head]
 
 
 def apply_projection(name: str, type_args: list[Node], term_arg: Node) -> Node:

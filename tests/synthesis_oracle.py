@@ -7,23 +7,27 @@ over a flat edge list with its own congruence bridging (`_dfs`), the
 decomposition edges from a second walk over the hypothesis edges
 (`_hyp_path`), and every set of nodes is a list scanned with `node_eq`.
 `hyps_inconsistent` is the original quadratic closure over a list, and
-`OracleResolver.inconsistent` asks it. The resolver shares instance
-matching, congruence and improvement edges with the code under test; inner
-scopes (`Univ` congruence) are built as `OracleResolver`s too, so a whole
-search runs on the old code.
+`OracleResolver.inconsistent` asks it. Its `_synth` tables no failed
+search, and its improvement edges match every dictionary against every
+instance head and dictionary at each search node. The resolver shares
+instance matching, congruence and superclass projection with the code under
+test; inner scopes (`Univ` congruence) are built as `OracleResolver`s too,
+so a whole search runs on the old code.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from typing import Optional
 
 from fdc.synthesis import (
-    InstanceInfo, Resolver, SynthError, _rigid_clash, _show, _size,
-    apply_projection, match_type, subst_match_vars,
+    ClassInfo, FundepInfo, InstanceInfo, Resolver, SynthError, _rigid_clash,
+    _show, _size, apply_projection, match_type, subst_match_vars,
 )
 from fdc.syntax import (
-    Node, TCon, TApp, EqTy, Forall, Var, Con, App, TyApp, Refl, Sym, Trans,
-    Fst, Snd, TmVarBind, node_eq, type_spine, spine_head, un_arrow,
+    Node, TCon, TApp, EqTy, Forall, Var, Con, Ref, App, TyApp, Cast, Refl,
+    Sym, Trans, CApp, Fst, Snd, TmVarBind, applied, node_eq, plug_spine,
+    type_spine, spine_head, un_arrow,
 )
 from fdc.subst import shift, instantiate
 from fdc.typecheck import Diagnostic
@@ -301,6 +305,102 @@ class OracleResolver(Resolver):
                 out.append((a.fun, b.fun, Fst(path)))
                 out.append((a.arg, b.arg, Snd(path)))
         return out
+
+    # As the resolver had it before failed searches were tabled and the
+    # improvement candidates built once per scope: every search node matches
+    # each dictionary against each instance head and dictionary again.
+    def _improvement_edges(self, hyps, depth, exclude, active):
+        """fdFwd-style edges between determined parameters of dictionary
+        pairs that share (or can be coerced to share) determiners."""
+        edges = []
+        dicts = self.scope_dicts(exclude)
+        for term, ty in list(dicts):
+            info = self.registry.class_of_type(ty)
+            if info is None or not info.fundeps:
+                continue
+            _, args = type_spine(ty)
+            for fd in info.fundeps:
+                # pair with resolvable instances whose determiners match
+                for inst in self.registry.instances.get(info.name, []):
+                    got = self._instance_det_dict(inst, fd, args, depth,
+                                                  exclude, active)
+                    if got is None:
+                        continue
+                    inst_dict, inst_args = got
+                    edge = self._fd_edge(info, fd, inst_dict, inst_args,
+                                         term, args, depth, exclude, active)
+                    if edge is not None:
+                        edges.append(edge)
+                # pair with other in-scope dictionaries
+                for term2, ty2 in dicts:
+                    if term2 is term:
+                        continue
+                    info2 = self.registry.class_of_type(ty2)
+                    if info2 is None or info2.name != info.name:
+                        continue
+                    _, args2 = type_spine(ty2)
+                    edge = self._fd_edge(info, fd, term, args, term2, args2,
+                                         depth, exclude, active)
+                    if edge is not None:
+                        edges.append(edge)
+        return edges
+
+    def _instance_det_dict(self, inst: InstanceInfo, fd: FundepInfo,
+                           args: list[Node], depth: int, exclude, active):
+        """A dictionary for `inst` whose determiner positions equal the given
+        argument list's, when the instance head allows it. Its search goes
+        on from this one: `depth - 1` deep at most, with `active` open."""
+        n_vars = len(inst.var_kinds)
+        binding: dict[int, Node] = {}
+        for i in fd.dets:
+            if not match_type(inst.head[i], args[i], n_vars, binding):
+                return None
+        # every instance variable must be determined by the determiners
+        for i in range(n_vars):
+            if i not in binding:
+                return None
+        full_args = [subst_match_vars(inst.head[i], n_vars, binding)
+                     for i in range(len(inst.head))]
+        inner = copy(self)
+        inner.synth_depth, inner._active = depth - 1, active
+        try:
+            term = inner.resolve(applied(inst.class_name, full_args),
+                                 depth - 1, exclude)
+        except SynthError:
+            return None
+        return term, full_args
+
+    def _fd_edge(self, info: ClassInfo, fd: FundepInfo,
+                 d1: Node, args1: list[Node], d2: Node, args2: list[Node],
+                 depth: int, exclude, active) -> Optional[tuple[Node, Node, Node]]:
+        det_coercions: dict[int, Node] = {}
+        for i in fd.dets:
+            if node_eq(args1[i], args2[i]):
+                continue
+            eta = self._synth(args1[i], args2[i], depth - 1, exclude, active)
+            if eta is None:
+                return None
+            det_coercions[i] = eta
+        lhs_det = args1[fd.det]
+        rhs_det = args2[fd.det]
+        if node_eq(lhs_det, rhs_det):
+            return None  # nothing to learn
+        first = d1
+        first_args = list(args1)
+        if det_coercions:
+            co: Node = Refl(TCon(info.name))
+            for i in range(len(args1)):
+                if i in det_coercions:
+                    co = CApp(co, det_coercions[i])
+                    first_args[i] = args2[i]
+                else:
+                    co = CApp(co, Refl(args1[i]))
+            first = Cast(first, co)
+        nondets = [args2[i] for i in range(len(args2)) if i not in fd.dets]
+        witness = plug_spine(Ref(fd.name),
+                             [(True, a) for a in first_args + nondets]
+                             + [(False, first), (False, d2)])
+        return (lhs_det, rhs_det, witness)
 
 
 def _hyp_path(frm: Node, to: Node, edges) -> Optional[Node]:

@@ -197,6 +197,23 @@ def test_closed_subterms_come_back_as_the_same_object():
         assert shift(open_term, 1).body.fun is closed
 
 
+def test_unshift_at_the_loose_range_boundary():
+    # a node whose free indices all lie below `amount` cannot come down by
+    # it; one with a free index at `amount` or above may; a closed node
+    # comes back as it is, whatever the amount
+    for rng, n, _ in _cases(16, 1000):
+        r = loose_range(n)
+        for amount in (r - 1, r, r + rng.randrange(1, 4)):
+            if amount < 0:
+                continue
+            got = try_unshift(n, amount)
+            assert got == oracle.try_unshift(n, amount)
+            if r == 0:
+                assert got is n and shift(n, -amount) is n
+            elif amount >= r:
+                assert got is None
+
+
 def test_loose_range_is_the_largest_free_index_plus_one():
     for rng, n, s in _cases(15, 1000):
         for m in (n, apply(s, n), Lam(TCon("Bool"), n), Forall(STAR, n)):

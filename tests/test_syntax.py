@@ -3,7 +3,9 @@ from dataclasses import fields
 
 import pytest
 
-from fdc.parser import ParseError, parse_core, parse_kind, parse_term, parse_type
+from fdc.parser import (
+    ParseError, parse_core, parse_kind, parse_term, parse_type, tokenize,
+)
 from fdc.printer import print_core, print_node, print_term, print_type
 from fdc.propcheck import GenConfig, gen_node, gen_well_typed
 from fdc.syntax import (
@@ -67,6 +69,25 @@ def test_parse_error_position_and_expected():
         parse_core("data : *;")
     assert exc.value.line == 1
     assert exc.value.col > 1
+
+
+def test_token_positions_after_comments_and_blank_lines():
+    text = ("-- a comment\n"
+            "--   over two lines\n"
+            "data T : *;  -- trailing\n"
+            "\n"
+            "\t ctor K : T;\n"
+            "  $")
+    with pytest.raises(ParseError) as exc:
+        tokenize(text)
+    assert (exc.value.line, exc.value.col) == (6, 3)
+    got = [(t.kind, t.text, t.line, t.col) for t in tokenize(text[:-1])]
+    assert got == [
+        ("kw", "data", 3, 1), ("name", "T", 3, 6), (":", ":", 3, 8),
+        ("*", "*", 3, 10), (";", ";", 3, 11),
+        ("kw", "ctor", 5, 3), ("name", "K", 5, 8), (":", ":", 5, 10),
+        ("name", "T", 5, 12), (";", ";", 5, 13), ("eof", "", 6, 3),
+    ]
 
 
 def test_reserved_binder_names_rejected():
