@@ -205,12 +205,11 @@ class Candidate(NamedTuple):
 @dataclass
 class Scope:
     """What every coercion search of one resolver under one exclusion set
-    shares, built once: the equality hypotheses as (lhs, rhs, proof), the
-    graph of their edges (each hypothesis both ways, then the decomposition
-    edges they derive), their sides in order, the in-scope dictionaries
-    with their superclass projections, and the improvement candidates
-    between them, in the order their edges are tried."""
-    hyps: list[tuple[Node, Node, Node]]
+    shares, built once: the graph of the equality hypotheses' edges (each
+    hypothesis both ways, then the decomposition edges they derive), their
+    sides in order, the in-scope dictionaries with their superclass
+    projections, and the improvement candidates between them, in the order
+    their edges are tried."""
     graph: Graph
     nodes: dict[Node, None]
     dicts: tuple[tuple[Node, Node], ...]
@@ -318,7 +317,7 @@ class Resolver:
         for a, b, term in self._decomposition_edges(nodes, graph):
             _add_edge(graph, a, b, term)
         dicts = self._collect_dicts(exclude)
-        return Scope(hyps, graph, nodes, dicts, self._candidates(dicts))
+        return Scope(graph, nodes, dicts, self._candidates(dicts))
 
     def _collect_dicts(self, exclude: frozenset[int]
                        ) -> tuple[tuple[Node, Node], ...]:

@@ -143,7 +143,7 @@ def test_improvement_casts_with_several_ground_instances(prelude):
     # it restarted at the full depth with no goal open, these recursed
     # without end. Without the failure table, sibling searches redid one
     # another's failures: from g = 6 on, each ground instance multiplied the
-    # time by 5-9, to 6.6-11.5 s at g = 8 on a 2-core VM (0.08-0.13 s with
+    # time by 5-9, to 6.6-13.5 s at g = 8 on a 2-core VM (0.08-0.26 s with
     # the table).
     for structural in (0, 2):
         for ground in range(1, 9):
@@ -236,7 +236,8 @@ def _scoped_resolvers(rng: random.Random, elab):
         else:
             ty = EqTy(*pair, STAR)
         env = env.push(TmVarBind(shift(ty, m)))
-    return _resolvers(env, elab, rng.randint(2, 4)), [shift(t, n) for t in sides], n
+    resolvers = _resolvers(env, elab, rng.randint(2, 4))
+    return resolvers, [shift(t, n) for t in sides], n
 
 
 def _resolvers(env, elab, depth: int):
