@@ -13,7 +13,7 @@ from typing import Optional
 from .printer import print_node
 from .reduction import ALL_FRAMES, Decomposition, normalize
 from .syntax import (
-    Node, TCon, Var, Con, Ref, Lam, App, TyLam, TyApp, Cast, Pattern, If,
+    Node, TCon, Var, Con, Ref, Lam, App, TyLam, TyApp, Cast, Pattern,
     Guard, Zero, Choice, Env, MethodDecl, InstanceDecl, LetDecl,
     OpenTypeDecl, Decl, ZERO,
     spine, plug_spine, split_ctor_type, spine_head, subnodes, children,
@@ -149,53 +149,38 @@ def _check_condition3(env: Env, report: HssdiReport) -> None:
                 rep.condition3_missing.append(heads)
 
 
-def _guard_binder_tags(body: Node):
-    """Yield (call-site spine, binder tag stack, enclosing guard count) for
-    every applied open-function reference in an instance or let body."""
+def _call_sites(body: Node):
+    """Yield (call-site spine, enclosing binder count, enclosing guard count)
+    for every applied open-function reference in an instance or let body."""
     sites = []
 
-    def walk(node: Node, tags: tuple[str, ...], guards: int,
-             pending_guard_binders: int) -> None:
+    def walk(node: Node, binders: int, guards: int) -> None:
         head, args = spine(node)
         if isinstance(head, Ref):
-            sites.append((head, args, tags, guards))
+            sites.append((head, args, binders, guards))
             for is_ty, a in args:
                 if not is_ty:
-                    walk(a, tags, guards, 0)
+                    walk(a, binders, guards)
             return
         match node:
             case Lam(_, inner) | TyLam(_, inner):
-                tag = "guard" if pending_guard_binders > 0 else "lam"
-                walk(inner, tags + (tag,), guards,
-                     max(pending_guard_binders - 1, 0))
+                walk(inner, binders + 1, guards)
             case Guard(scrut, _, cons):
-                walk(scrut, tags, guards, 0)
-                walk(cons, tags, guards + 1, _binder_prefix_len(cons))
-            case If(scrut, _, cons, alt):
-                walk(scrut, tags, guards, 0)
-                walk(cons, tags, guards, _binder_prefix_len(cons))
-                walk(alt, tags, guards, 0)
+                walk(scrut, binders, guards)
+                walk(cons, binders, guards + 1)
             case _:
                 for child in children(node):
-                    walk(child, tags, guards, 0)
+                    walk(child, binders, guards)
 
-    walk(body, (), 0, 0)
+    walk(body, 0, 0)
     return sites
-
-
-def _binder_prefix_len(n: Node) -> int:
-    count = 0
-    while isinstance(n, (Lam, TyLam)):
-        count += 1
-        n = n.body
-    return count
 
 
 def _check_calls(env: Env, owner: Optional[str], body: Node,
                  report: HssdiReport) -> None:
     """Conditions 1 and 2 for every open-function call site in `body`;
     `owner` names the open function when the body is one of its instances."""
-    for head, args, tags, guards in _guard_binder_tags(body):
+    for head, args, binders, guards in _call_sites(body):
         sig = env.method_sig(head.name)
         if sig is None:
             continue
@@ -218,7 +203,7 @@ def _check_calls(env: Env, owner: Optional[str], body: Node,
             # own site), or a let reference (unfolded by β_let first)
             if isinstance(arg_head, (Con, Ref)):
                 continue
-            if isinstance(arg_head, Var) and arg_head.index < len(tags):
+            if isinstance(arg_head, Var) and arg_head.index < binders:
                 continue
             rep.condition2.append(
                 f"call of {head.name!r} passes non-concrete evidence "

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the core `.fd` format.
+"""Recursive-descent parser for the core `.fd` format; terms are read by
+precedence climbing over the printer's operator and binder tables.
 
 Declarations end with `;`, comments run `--` to end of line. Binders are
 written with names and resolved to de Bruijn indices; `#k` denotes a raw
@@ -14,12 +15,12 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .printer import BINDER, BINDERS, CAPP, INFIX
 from .syntax import (
-    Node, KArr, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, Lam,
-    App, TyLam, TyApp, Cast, Pattern, If, Guard, ZERO, Choice, Refl, Sym,
-    Trans, CApp, Fst, Snd, Univ, CInst, Sim, Decl, DataDecl, CtorDecl,
-    OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl, LetDecl,
-    STAR, ARROW, arrow,
+    Node, KArr, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, App, TyApp,
+    Pattern, If, Guard, ZERO, Refl, Sym, Fst, Snd, CInst, Sim, Decl,
+    DataDecl, CtorDecl, OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl,
+    LetDecl, FIELDS, KIND, STAR, ARROW, arrow,
 )
 
 KEYWORDS = {
@@ -34,9 +35,9 @@ KEYWORDS = {
 RESERVED_NAME = re.compile(r"^[xt][0-9]+$")
 
 _SYMBOLS = [
-    "@[", ";;", "<+>", "|>", "->", "/\\", ".1", ".2",
+    "@[", ";;", "<+>", "|>", "->", "/\\", ".1", ".2", "::", "=>",
     "~", "@", ";", ":", ".", ",", "(", ")", "[", "]", "\\", "*", "=",
-    "{", "}", "|", ">",
+    "{", "}", "|",
 ]
 
 _TOKEN_RE = re.compile(
@@ -245,32 +246,42 @@ class Parser(Cursor):
 
     # ---------------------------------------------------------- terms
 
-    def _at_binder(self) -> bool:
-        return (self.at("\\", "/\\")
-                or self.at_kw("forallc", "if", "guard"))
-
     def term(self) -> Node:
-        if self.at("\\"):
+        return self.climb(BINDER)
+
+    def climb(self, level: int) -> Node:
+        """A term whose infix operators all bind at `level` or tighter
+        (precedence climbing over `printer.INFIX`)."""
+        left = self.operand()
+        while True:
+            op = INFIX.get(self.cur.kind)
+            if op is not None and op[1] >= level:
+                self.advance()
+                cls, op_level, right = op
+                left = cls(left, self.climb(op_level + (not right)))
+            elif self.at("@[") and level <= CAPP:  # the one postfix form
+                self.advance()
+                t = self.type_()
+                self.expect("]")
+                left = CInst(left, t)
+            else:
+                return left
+
+    def operand(self) -> Node:
+        """A binder form, `if`, `guard` or `sym`, each of which extends as
+        far right as it can, or an application with its projections."""
+        binder = BINDERS.get(self.cur.text)
+        if binder is not None:
             self.advance()
             name = self.expect("name").text
             self.expect(":")
-            ann = self.type_()
+            kind_ann = FIELDS[binder][0][1] is KIND
+            ann = self.kind() if kind_ann else self.type_()
             self.expect(".")
-            return Lam(ann, self._under(name))
-        if self.at("/\\"):
-            self.advance()
-            name = self.expect("name").text
-            self.expect(":")
-            k = self.kind()
-            self.expect(".")
-            return TyLam(k, self._under(name))
-        if self.at_kw("forallc"):
-            self.advance()
-            name = self.expect("name").text
-            self.expect(":")
-            k = self.kind()
-            self.expect(".")
-            return Univ(k, self._under(name))
+            self.stack.append(name)
+            body = self.term()
+            self.stack.pop()
+            return binder(ann, body)
         if self.at_kw("if"):
             self.advance()
             scrut = self.term()
@@ -289,78 +300,23 @@ class Parser(Cursor):
             self.expect_kw("then")
             cons = self.term()
             return Guard(scrut, pat, cons)
-        return self.choice()
-
-    def _under(self, name: str) -> Node:
-        self.stack.append(name)
-        try:
-            return self.term()
-        finally:
-            self.stack.pop()
-
-    def _operand(self, sub) -> Node:
-        if self._at_binder():
-            return self.term()
-        return sub()
-
-    def choice(self) -> Node:
-        left = self._operand(self.cast)
-        if self.at("<+>"):
-            self.advance()
-            return Choice(left, self.term())
-        return left
-
-    def cast(self) -> Node:
-        left = self._operand(self.trans)
-        while self.at("|>"):
-            self.advance()
-            left = Cast(left, self._operand(self.trans))
-        return left
-
-    def trans(self) -> Node:
-        left = self._operand(self.capp)
-        if self.at(";;"):
-            self.advance()
-            return Trans(left, self._operand(self.trans))
-        return left
-
-    def capp(self) -> Node:
-        left = self._operand(self.prefix)
-        while self.at("@", "@["):
-            if self.at("@"):
-                self.advance()
-                left = CApp(left, self._operand(self.prefix))
-            else:
-                self.advance()
-                t = self.type_()
-                self.expect("]")
-                left = CInst(left, t)
-        return left
-
-    def prefix(self) -> Node:
         if self.at_kw("sym"):
             self.advance()
-            return Sym(self._operand(self.prefix))
-        return self.proj()
-
-    def proj(self) -> Node:
-        node = self.app()
-        while self.at(".1", ".2"):
-            node = Fst(node) if self.advance().kind == ".1" else Snd(node)
-        return node
-
-    def app(self) -> Node:
-        f = self.atom()
+            return Sym(self.operand())
+        node = self.atom()
         while True:
             if self.at("["):
                 self.advance()
                 t = self.type_()
                 self.expect("]")
-                f = TyApp(f, t)
+                node = TyApp(node, t)
             elif self._at_atom():
-                f = App(f, self.atom())
+                node = App(node, self.atom())
             else:
-                return f
+                break
+        while self.at(".1", ".2"):
+            node = Fst(node) if self.advance().kind == ".1" else Snd(node)
+        return node
 
     def _at_atom(self) -> bool:
         return (self.at("name", "hash", "num", "(")

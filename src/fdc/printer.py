@@ -1,9 +1,11 @@
-"""Deterministic pretty-printer for the core syntax.
+"""Deterministic pretty-printer for the core syntax, and the term syntax's
+operator and binder tables, which the parser climbs.
 
-Minimal parentheses by precedence (application > `@` > `;;` > `<+>`), single
-spaces between tokens. Binders get generated names (`x<n>` for term binders,
-`t<n>` for type binders, numbered outside-in), which the parser resolves back
-to the same indices; free indices print as `#k` relative to the term root.
+Minimal parentheses by precedence (application > projection > `sym` > `@` >
+`;;` > `|>` > `<+>` > binders), single spaces between tokens. Binders get
+generated names (`x<n>` for term binders, `t<n>` for type binders, numbered
+outside-in), which the parser resolves back to the same indices; free indices
+print as `#k` relative to the term root.
 """
 
 from __future__ import annotations
@@ -12,11 +14,29 @@ from .syntax import (
     Node, Star, KArr, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, Lam,
     App, TyLam, TyApp, Cast, Pattern, If, Guard, Zero, Choice, Refl, Sym,
     Trans, CApp, Fst, Snd, Univ, CInst, Sim, Decl, DataDecl, CtorDecl,
-    OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl, LetDecl, un_arrow,
+    OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl, LetDecl, FIELDS,
+    KIND, un_arrow,
 )
 
 # Term precedence levels, loosest to tightest.
 BINDER, CHOICE, CAST, TRANS, CAPP, PREFIX, PROJ, APP, ATOM = range(9)
+
+# The infix operators: token -> (node class, level, groups to the right?).
+# `h @[t]` is the one postfix form, at the `@` level.
+INFIX = {
+    "<+>": (Choice, CHOICE, True),
+    "|>": (Cast, CAST, False),
+    ";;": (Trans, TRANS, True),
+    "@": (CApp, CAPP, False),
+}
+
+# The binder forms `tok name:ann. body`; the annotation is a kind or a type
+# as `FIELDS` says, and a kind annotation binds a type variable.
+BINDERS = {"\\": Lam, "/\\": TyLam, "forallc": Univ}
+
+_INFIX_OF = {cls: (tok, level, right)
+             for tok, (cls, level, right) in INFIX.items()}
+_BINDER_OF = {cls: tok for tok, cls in BINDERS.items()}
 
 # Type levels.
 T_FORALL, T_ARROW, T_EQ, T_APP, T_ATOM = range(5)
@@ -47,10 +67,6 @@ class _Printer:
             self.term_count += 1
         return name
 
-    def under(self, name: str):
-        self.stack.append(name)
-        return _Popper(self.stack)
-
     def lookup(self, index: int) -> str:
         if index < len(self.stack):
             return self.stack[-1 - index]
@@ -68,8 +84,9 @@ class _Printer:
                 return name
             case Forall(k, body):
                 name = self.fresh(True)
-                with self.under(name):
-                    inner = self.ty(body, T_FORALL)
+                self.stack.append(name)
+                inner = self.ty(body, T_FORALL)
+                self.stack.pop()
                 s = f"forall {name}:{print_kind(k)}. {inner}"
                 return f"({s})" if level > T_FORALL else s
             case EqTy(l, r, k):
@@ -98,24 +115,17 @@ class _Printer:
                 return name
             case Zero():
                 return "0"
-            case Lam(ann, body):
-                ann_s = self.ty(ann)
-                name = self.fresh(False)
-                with self.under(name):
-                    inner = self.tm(body, BINDER)
-                s = f"\\{name}:{ann_s}. {inner}"
-                return f"({s})" if level > BINDER else s
-            case TyLam(k, body):
-                name = self.fresh(True)
-                with self.under(name):
-                    inner = self.tm(body, BINDER)
-                s = f"/\\{name}:{print_kind(k)}. {inner}"
-                return f"({s})" if level > BINDER else s
-            case Univ(k, body):
-                name = self.fresh(True)
-                with self.under(name):
-                    inner = self.tm(body, BINDER)
-                s = f"forallc {name}:{print_kind(k)}. {inner}"
+            case Lam(ann, body) | TyLam(ann, body) | Univ(ann, body):
+                cls = type(m)
+                binds_type = FIELDS[cls][0][1] is KIND
+                ann_s = print_kind(ann) if binds_type else self.ty(ann)
+                name = self.fresh(binds_type)
+                self.stack.append(name)
+                inner = self.tm(body, BINDER)
+                self.stack.pop()
+                tok = _BINDER_OF[cls]
+                space = " " if tok.isalpha() else ""
+                s = f"{tok}{space}{name}:{ann_s}. {inner}"
                 return f"({s})" if level > BINDER else s
             case If(scrut, pat, cons, alt):
                 s = (f"if {self.tm(scrut, CHOICE)} is {self.pat(pat)} "
@@ -125,18 +135,12 @@ class _Printer:
                 s = (f"guard {self.tm(scrut, CHOICE)} is {self.pat(pat)} "
                      f"then {self.tm(cons, BINDER)}")
                 return f"({s})" if level > BINDER else s
-            case Choice(l, r):
-                s = f"{self.tm(l, CAST)} <+> {self.tm(r, CHOICE)}"
-                return f"({s})" if level > CHOICE else s
-            case Cast(subj, co):
-                s = f"{self.tm(subj, CAST)} |> {self.tm(co, TRANS)}"
-                return f"({s})" if level > CAST else s
-            case Trans(l, r):
-                s = f"{self.tm(l, CAPP)} ;; {self.tm(r, TRANS)}"
-                return f"({s})" if level > TRANS else s
-            case CApp(l, r):
-                s = f"{self.tm(l, CAPP)} @ {self.tm(r, PREFIX)}"
-                return f"({s})" if level > CAPP else s
+            case Choice(l, r) | Cast(l, r) | Trans(l, r) | CApp(l, r):
+                tok, op, right = _INFIX_OF[type(m)]
+                # the operand on the grouping side may sit at the same level
+                s = (f"{self.tm(l, op + right)} {tok} "
+                     f"{self.tm(r, op + (not right))}")
+                return f"({s})" if level > op else s
             case CInst(co, t):
                 s = f"{self.tm(co, CAPP)} @[{self.ty(t)}]"
                 return f"({s})" if level > CAPP else s
@@ -160,17 +164,6 @@ class _Printer:
             case Sim(l, r):
                 return f"sim({self.tm(l)}, {self.tm(r)})"
         raise TypeError(f"not a term: {m!r}")
-
-
-class _Popper:
-    def __init__(self, stack: list) -> None:
-        self.stack = stack
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stack.pop()
 
 
 def print_type(t: Node) -> str:

@@ -203,9 +203,6 @@ class SLetDecl(SDecl):
     body: STerm
 
 
-SurfaceProgram = list  # list[SDecl]
-
-
 # ---------------------------------------------------------------- parser
 
 class SurfaceParser(Cursor):
@@ -216,13 +213,6 @@ class SurfaceParser(Cursor):
 
     def at_name(self) -> bool:
         return self.cur.kind == "name"
-
-    def expect_dcolon(self) -> None:
-        self.expect(":")
-        self.expect(":")
-
-    def at_dcolon(self) -> bool:
-        return (self.cur.kind == ":" and self.tokens[self.pos + 1].kind == ":")
 
     def name(self, upper: Optional[bool] = None) -> str:
         tok = self.expect("name")
@@ -250,27 +240,22 @@ class SurfaceParser(Cursor):
         if self.at("("):
             self.advance()
             var = self.name()
-            self.expect_dcolon()
+            self.expect("::")
             kind = self.kind()
             self.expect(")")
             return var, kind
         var = self.name()
         kind: Node = STAR
-        if self.at_dcolon():
-            self.expect_dcolon()
+        if self.at("::"):
+            self.advance()
             kind = self.kind()
         return var, kind
 
     def ty_arrow(self) -> SType:
         left = self.ty_app()
-        if self.at("->"):
+        if self.at("->", "=>"):  # `=>` is sugar for a dictionary arrow
             self.advance()
             return SArrow(left, self.type_())
-        if self.at("="):  # `=>` sugar for a dictionary arrow
-            if self.tokens[self.pos + 1].kind == ">":
-                self.advance()
-                self.advance()
-                return SArrow(left, self.type_())
         return left
 
     def ty_app(self) -> SType:
@@ -303,8 +288,8 @@ class SurfaceParser(Cursor):
             self.advance()
             var = self.name(upper=False)
             ann: Optional[SType] = None
-            if self.at_dcolon():
-                self.expect_dcolon()
+            if self.at("::"):
+                self.advance()
                 ann = self.type_()
             self.expect(".")
             return SLam(var, ann, self.term())
@@ -312,8 +297,8 @@ class SurfaceParser(Cursor):
             self.advance()
             var = self.name(upper=False)
             kind: Node = STAR
-            if self.at_dcolon():
-                self.expect_dcolon()
+            if self.at("::"):
+                self.advance()
                 kind = self.kind()
             self.expect(".")
             return STyLam(var, kind, self.term())
@@ -353,13 +338,13 @@ class SurfaceParser(Cursor):
             self.advance()
             if self.at_name() and self.cur.text == "_":
                 self.advance()
-                self.expect_dcolon()
+                self.expect("::")
                 t = self.type_()
                 self.expect(")")
                 return SHole(t)
             inner = self.term()
-            if self.at_dcolon():
-                self.expect_dcolon()
+            if self.at("::"):
+                self.advance()
                 t = self.type_()
                 self.expect(")")
                 return SAnnot(inner, t)
@@ -393,8 +378,7 @@ class SurfaceParser(Cursor):
         `=>` lookahead."""
         preds: list[SType] = []
         first = self.ty_app()
-        while self.at("=") and self.tokens[self.pos + 1].kind == ">":
-            self.advance()
+        while self.at("=>"):
             self.advance()
             preds.append(first)
             first = self.ty_app()
@@ -404,7 +388,7 @@ class SurfaceParser(Cursor):
         if self.at_kw("data"):
             self.advance()
             name = self.name(upper=True)
-            self.expect_dcolon()
+            self.expect("::")
             kind = self.kind()
             ctors: list[tuple[str, SType]] = []
             if self.at_kw("where"):
@@ -421,7 +405,7 @@ class SurfaceParser(Cursor):
         if self.at_kw("let"):
             self.advance()
             name = self.name(upper=False)
-            self.expect_dcolon()
+            self.expect("::")
             t = self.type_()
             self.expect("=")
             body = self.term()
@@ -432,12 +416,12 @@ class SurfaceParser(Cursor):
 
     def _ctor_item(self) -> tuple[str, SType]:
         name = self.name(upper=True)
-        self.expect_dcolon()
+        self.expect("::")
         return name, self.type_()
 
     def _method_sig_item(self) -> tuple[str, SType]:
         name = self.name(upper=False)
-        self.expect_dcolon()
+        self.expect("::")
         return name, self.type_()
 
     def _method_def_item(self) -> tuple[str, STerm]:
@@ -457,8 +441,7 @@ class SurfaceParser(Cursor):
                     self.advance()
                     preds.append(self.ty_app())
                 self.expect(")")
-                if self.at("=") and self.tokens[self.pos + 1].kind == ">":
-                    self.advance()
+                if self.at("=>"):
                     self.advance()
                     supers = preds
                 else:
@@ -469,8 +452,7 @@ class SurfaceParser(Cursor):
             save = self.pos
             try:
                 pred = self.ty_app()
-                if self.at("=") and self.tokens[self.pos + 1].kind == ">":
-                    self.advance()
+                if self.at("=>"):
                     self.advance()
                     supers = [pred]
                 else:
@@ -522,8 +504,7 @@ class SurfaceParser(Cursor):
     def instance_decl(self) -> SDecl:
         ctor_name: Optional[str] = None
         if (self.at_name() and self.cur.text[0].isupper()
-                and self.tokens[self.pos + 1].kind == ":"
-                and self.tokens[self.pos + 2].kind != ":"):
+                and self.tokens[self.pos + 1].kind == ":"):
             ctor_name = self.name(upper=True)
             self.expect(":")
         preds, head = self.context_then_head()

@@ -270,9 +270,6 @@ class Sim(Node):
     right: Node
 
 
-COERCION_FORMS = (Refl, Sym, Trans, CApp, Fst, Snd, Univ, CInst, Sim)
-
-
 def _cache_hash(cls: type) -> None:
     """Keep the dataclass's structural hash, computed once per node and
     stored on it; equality stays structural. Nodes are immutable, so the
@@ -387,9 +384,6 @@ class LetDecl(Decl):
     name: str
     type: Node
     body: Node
-
-
-Program = list  # list[Decl]
 
 
 # ----------------------------------------------------------- environments

@@ -8,7 +8,7 @@ syntax-directed. Type equality is structural equality of de Bruijn trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NoReturn, Optional, Union
 
@@ -177,14 +177,11 @@ def pattern_type(env: Env, p: Pattern, scrut_ty: Optional[Node] = None,
         _fail("too-many-type-args",
               f"pattern {p.head!r} instantiates {len(p.type_args)} of "
               f"{len(kinds)} quantifiers", path)
-    ty = sig.type
     for i, targ in enumerate(p.type_args):
-        assert isinstance(ty, Forall)
         ka = kind_of(env, targ, path + (f"pattern-arg-{i}",))
-        if not node_eq(ka, ty.kind):
+        if not node_eq(ka, kinds[i]):
             _fail("kind-mismatch", "pattern type argument kind mismatch",
-                  path, expected=ty.kind, found=ka)
-        ty = ty.body
+                  path, expected=kinds[i], found=ka)
     res_kinds, arg_tys, plain_cod = _open_pattern(sig.type, p.type_args)
     if plain_cod is None:
         _fail("codomain-escape",
@@ -664,8 +661,7 @@ def check_program(env: Env, decls: list[Decl],
         except CheckError as e:
             diag = e.diagnostic
             if spans is not None and i < len(spans) and diag.span is None:
-                diag = Diagnostic(diag.code, diag.message, diag.path,
-                                  diag.expected, diag.found, spans[i])
+                diag = replace(diag, span=spans[i])
             diags.append(diag)
     return env, diags
 

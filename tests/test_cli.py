@@ -351,8 +351,15 @@ def test_check_edited_prelude_copy(tmp_path, capsys):
         assert "line" in records[0], command
 
 
-def test_eval_deep_expression_is_a_depth_limit_diagnostic(capsys):
+def test_eval_150_deep_expression(capsys):
     expr = "not (" * 150 + "True" + ")" * 150
+    path = corpus_path("superclasses.fd")
+    code, out, err = run_cli(capsys, "eval", path, "-e", expr)
+    assert (code, out, err) == (0, "True\n", "")
+
+
+def test_eval_deep_expression_is_a_depth_limit_diagnostic(capsys):
+    expr = "not (" * 2000 + "True" + ")" * 2000
     path = corpus_path("superclasses.fd")
     code, out, err = run_cli(capsys, "eval", path, "-e", expr)
     assert code == 1
@@ -362,9 +369,9 @@ def test_eval_deep_expression_is_a_depth_limit_diagnostic(capsys):
     assert json.loads(out.splitlines()[-1])["code"] == "depth-limit"
 
 
-def test_seeded_corpus_edits_never_crash(tmp_path, capsys):
+def seeded_corpus_edits():
     """Single-character deletions, insertions and replacements across the
-    bundled corpus files each end in an exit code; no exception escapes."""
+    bundled corpus files: (file name, edit, position, character, text)."""
     corpus = os.path.dirname(corpus_path("prelude.fd"))
     names = sorted(n for n in os.listdir(corpus)
                    if n.endswith((".fd", ".hsk")))
@@ -380,6 +387,13 @@ def test_seeded_corpus_edits_never_crash(tmp_path, capsys):
         edited = {"delete": text[:pos] + text[pos + 1:],
                   "insert": text[:pos] + ch + text[pos:],
                   "replace": text[:pos] + ch + text[pos + 1:]}[op]
+        yield name, op, pos, ch, edited
+
+
+def test_seeded_corpus_edits_never_crash(tmp_path, capsys):
+    """Each seeded single-character edit of a corpus file ends in an exit
+    code; no exception escapes."""
+    for name, op, pos, ch, edited in seeded_corpus_edits():
         path = tmp_path / name
         path.write_text(edited)
         command = "elab" if name.endswith(".hsk") else "check"

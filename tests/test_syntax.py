@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import pytest
 
+from fdc import printer
+from fdc.corpus import corpus_text
 from fdc.parser import (
     ParseError, parse_core, parse_kind, parse_term, parse_type, tokenize,
 )
@@ -14,6 +16,9 @@ from fdc.syntax import (
     Star, Sym, TApp, TCon, Trans, TVar, TyApp, TyLam, Univ, Var, Zero, ZERO,
     STAR, BINDER, DATA, FIELDS, KIND, OPEN, PATTERN, Node, arrow, node_eq,
 )
+
+from parser_oracle import oracle_parse_core, oracle_parse_term
+from test_cli import seeded_corpus_edits
 
 
 def test_parse_open_type_decl():
@@ -218,3 +223,89 @@ def test_field_table_classifies_every_field_once():
     assert where[PATTERN] == {"If.pat", "Guard.pat"}
     assert where[DATA] == {"TVar.index", "Var.index", "TCon.name",
                            "Con.name", "Ref.name"}
+
+
+class _NoisyPrinter(printer._Printer):
+    """Prints each subterm with redundant parentheses with probability
+    `extra`, and without the parentheses it needs with probability `drop`,
+    which leaves binders, `if`, `guard` and `sym` as bare operands."""
+
+    def __init__(self, rng: random.Random, extra: float, drop: float):
+        super().__init__()
+        self.rng, self.extra, self.drop = rng, extra, drop
+
+    def tm(self, m: Node, level: int = 0) -> str:
+        r = self.rng.random()
+        if r < self.extra:
+            return f"({super().tm(m, level)})"
+        if r < self.extra + self.drop:
+            return super().tm(m, printer.BINDER)
+        return super().tm(m, level)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return (e.line, e.col, e.message, e.expected)
+
+
+_BARE_OPERANDS = [
+    "#0 ;; \\x:Bool. #1",
+    "#0 @ if #1 is K then #2 else #3 @ #4",
+    "#0 |> /\\t:*. #1 |> #2 <+> #3",
+    "#0 <+> forallc t:*. #1 ;; #2 @[t]",
+    "#0 @ guard #1 is K [Bool] then #2 .1",
+    "sym \\x:Bool. #0 ;; #1",
+    "sym sym #0 @ sym #1 .2 @[Bool]",
+    "#0 ;; sym if #1 is K then #2 else #3",
+    "if #0 is K then \\x:Bool. #1 <+> #2 else #3 |> #4",
+    "#0 @ \\x:Bool. #1 @ #2",
+    "f \\x:Bool. #0",
+    "#0 ;; ;; #1",
+    "#0 @[Bool #1",
+    "sym",
+    "#0 |> if #1 is k then #2 else #3",
+]
+
+
+def test_term_parser_matches_the_oracle():
+    for text in _BARE_OPERANDS:
+        assert _outcome(parse_term, text) == _outcome(oracle_parse_term,
+                                                      text), text
+    rng = random.Random(17)
+    bare = 0
+    for i in range(600):
+        node = gen_node(rng, 4 + i % 12)
+        if i % 2 == 0:
+            text = _NoisyPrinter(rng, 0.2, 0.0).tm(node)
+            assert parse_term(text) == node, text
+        else:
+            text = _NoisyPrinter(rng, 0.1, 0.2).tm(node)
+        assert _outcome(parse_term, text) == _outcome(oracle_parse_term,
+                                                      text), text
+        kinds = [tok.kind if tok.kind != "kw" else tok.text
+                 for tok in tokenize(text)]
+        bare += any(a in printer.INFIX
+                    and b in {*printer.BINDERS, "if", "guard", "sym"}
+                    for a, b in zip(kinds, kinds[1:]))
+    # the inputs do put binder forms and `sym` right after an operator
+    assert bare >= 50, bare
+
+
+def test_core_parser_matches_the_oracle_on_corpus_edits():
+    for name in ("prelude.fd", "maybe.fd", "superclasses.fd", "fundeps.fd"):
+        text = corpus_text(name)
+        assert parse_core(text) == oracle_parse_core(text)
+    for name, op, pos, ch, edited in seeded_corpus_edits():
+        assert (_outcome(parse_core, edited)
+                == _outcome(oracle_parse_core, edited)), (name, op, pos, ch)
+
+
+def test_parse_term_on_a_190_deep_not_chain():
+    depth = 190
+    node = parse_term("not (" * depth + "True" + ")" * depth)
+    for _ in range(depth):
+        assert node.fun == Ref("not")
+        node = node.arg
+    assert node == Con("True")
