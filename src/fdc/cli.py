@@ -18,7 +18,7 @@ from typing import Optional
 
 from .analysis import check_no_zero_syntactic, hssdi_report, specialize
 from .corpus import check_prelude, prelude_name
-from .elaborate import ElabOptions, elaborate_program
+from .elaborate import ElabOptions, Elaborator, elaborate_program
 from .parser import ParseError, parse_core_with_spans, parse_term
 from .printer import print_core, print_term
 from .propcheck import ALL_PROPERTIES, PRELUDES, GenConfig, run_properties
@@ -31,23 +31,21 @@ from .syntax import DataDecl, Decl, Env, InstanceDecl, Node, OpenTypeDecl
 from .typecheck import CheckError, Diagnostic, check_program, infer_term
 
 
-def _load_env_and_decls(path: str, options: ElabOptions, base: Env,
-                        ) -> tuple[Env, list, list[Diagnostic]]:
+def _load_env(path: str, options: ElabOptions, base: Env,
+              ) -> tuple[Env, list[Diagnostic]]:
     """Parse a .fd or .hsk file and check it against the prelude `base`; a
-    .fd file that redeclares a prelude name (the prelude itself, or an
-    edited copy of it) is checked from the builtin environment."""
+    .hsk file is checked as it is elaborated. A .fd file that redeclares a
+    prelude name (the prelude itself, or an edited copy of it) is checked
+    from the builtin environment."""
     text = _read_source(path)
-    spans = None
     if path.endswith(".hsk"):
-        decls, diags = elaborate_program(parse_surface(text), base, options)
-        if diags:
-            return base, [], diags
-    else:
-        decls, spans = parse_core_with_spans(text)
-        if any(_redeclares(base, d) for d in decls):
-            base = Env()
-    env, diags = check_program(base, decls, spans)
-    return env, decls, diags
+        elab = Elaborator(base, options)
+        diags = elab.run(parse_surface(text))
+        return elab.env, diags
+    decls, spans = parse_core_with_spans(text)
+    if any(_redeclares(base, d) for d in decls):
+        base = Env()
+    return check_program(base, decls, spans)
 
 
 def _redeclares(env: Env, d: Decl) -> bool:
@@ -95,8 +93,7 @@ def _load_or_report(path: str, args) -> Optional[Env]:
     """The environment of `path` over the prelude, or None after reporting
     its faults under `path`."""
     try:
-        env, _, diags = _load_env_and_decls(path, _elab_options(args),
-                                            args.prelude_env)
+        env, diags = _load_env(path, _elab_options(args), args.prelude_env)
     except _BAD_INPUT as e:
         _input_failure(e, args.json, path)
         return None

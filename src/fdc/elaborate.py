@@ -257,6 +257,20 @@ class Elaborator:
 
     # ---------------------------------------------------- declarations
 
+    def run(self, program: list[SDecl]) -> list[Diagnostic]:
+        """Elaborate a whole surface program into `output`, collecting one
+        diagnostic per failing declaration. With none, `env` is then the
+        environment of `output` checked over the starting one."""
+        issues = validate_surface(program)
+        if issues:
+            return issues
+        for d in program:
+            try:
+                self.do_decl(d)
+            except CheckError as e:
+                self.diags.append(e.diagnostic)
+        return self.diags
+
     def do_decl(self, d: SDecl) -> None:
         match d:
             case SDataDecl(_, _, _):
@@ -483,15 +497,6 @@ def elaborate_program(program: list[SDecl], env: Optional[Env] = None,
                       options: Optional[ElabOptions] = None,
                       ) -> tuple[list[Decl], list[Diagnostic]]:
     """Elaborate a whole surface program; diagnostics suppress output."""
-    issues = validate_surface(program)
-    if issues:
-        return [], [Diagnostic(i.code, i.message) for i in issues]
     elab = Elaborator(env, options)
-    for d in program:
-        try:
-            elab.do_decl(d)
-        except CheckError as e:
-            elab.diags.append(e.diagnostic)
-    if elab.diags:
-        return [], elab.diags
-    return elab.output, []
+    diags = elab.run(program)
+    return ([] if diags else elab.output), diags

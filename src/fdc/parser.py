@@ -1,5 +1,6 @@
 """Recursive-descent parser for the core `.fd` format; terms are read by
-precedence climbing over the printer's operator and binder tables.
+precedence climbing over the printer's operator and binder tables, and
+declarations by the printer's table of declaration forms.
 
 Declarations end with `;`, comments run `--` to end of line. Binders are
 written with names and resolved to de Bruijn indices; `#k` denotes a raw
@@ -13,18 +14,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
-from .printer import BINDER, BINDERS, CAPP, INFIX
+from .printer import (
+    BINDER, BINDERS, CAPP, DECLS, INFIX, TERM_PREFIX, TYPE_PREFIX,
+)
 from .syntax import (
     Node, KArr, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, App, TyApp,
-    Pattern, If, Guard, ZERO, Refl, Sym, Fst, Snd, CInst, Sim, Decl,
-    DataDecl, CtorDecl, OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl,
-    LetDecl, FIELDS, KIND, STAR, ARROW, arrow,
+    Pattern, If, Guard, ZERO, Refl, Sym, Fst, Snd, CInst, Sim, Decl, FIELDS,
+    KIND, STAR, ARROW, arrow,
 )
 
 KEYWORDS = {
-    "data", "ctor", "open", "openctor", "method", "instance", "let",
+    "data", "ctor", "open", "method", "instance", "let",
     "forall", "forallc", "if", "is", "then", "else", "guard",
     "refl", "sym", "sim",
     # surface-only keywords, reserved here so the shared lexer treats them
@@ -32,7 +34,7 @@ KEYWORDS = {
     "class", "where",
 }
 
-RESERVED_NAME = re.compile(r"^[xt][0-9]+$")
+RESERVED_NAME = re.compile(f"^[{TERM_PREFIX}{TYPE_PREFIX}][0-9]+$")
 
 _SYMBOLS = [
     "@[", ";;", "<+>", "|>", "->", "/\\", ".1", ".2", "::", "=>",
@@ -137,6 +139,19 @@ class Cursor:
     def fail(self, message: str, expected: frozenset[str] = frozenset()):
         raise ParseError(message, self.cur.line, self.cur.col, expected)
 
+    def name(self, upper: Optional[bool] = None) -> str:
+        """A declared or bound name: not a generated binder name, and
+        starting uppercase or lowercase if `upper` says which."""
+        tok = self.expect("name")
+        text = tok.text
+        if RESERVED_NAME.match(text):
+            raise ParseError(f"{text!r} is reserved for generated binder names",
+                             tok.line, tok.col)
+        if upper is not None and text[0].isupper() != upper:
+            case = "uppercase" if upper else "lowercase"
+            raise ParseError(f"{text!r} must start {case}", tok.line, tok.col)
+        return text
+
     def program_with_spans(self) -> tuple[list, list[tuple[int, int]]]:
         """Every declaration up to the end of input, by the subclass's
         `decl`, and the (line, column) each starts at."""
@@ -210,12 +225,9 @@ class Parser(Cursor):
 
     def ty_app(self) -> Node:
         f = self.ty_atom()
-        while self.at("name", "hash") or self._at_type_paren():
+        while self.at("name", "hash", "("):
             f = TApp(f, self.ty_atom())
         return f
-
-    def _at_type_paren(self) -> bool:
-        return self.at("(")
 
     def ty_atom(self) -> Node:
         if self.at("name"):
@@ -381,73 +393,30 @@ class Parser(Cursor):
 
     # ---------------------------------------------------- declarations
 
-    def decl_name(self, upper: bool) -> str:
-        tok = self.expect("name")
-        name = tok.text
-        if RESERVED_NAME.match(name):
-            raise ParseError(f"{name!r} is reserved for generated binder names",
-                             tok.line, tok.col)
-        if upper and not name[0].isupper():
-            raise ParseError(f"{name!r} must start uppercase", tok.line, tok.col)
-        if not upper and name[0].isupper():
-            raise ParseError(f"{name!r} must start lowercase", tok.line, tok.col)
-        return name
-
     def decl(self) -> Decl:
-        form = _NAMED_DECLS.get(self.cur.text) if self.at("kw") else None
-        if form is not None:
-            upper, payload, make = form
-            self.advance()
-            name = self.decl_name(upper)
-            self.expect(":")
-            value = getattr(self, payload)()
-            self.expect(";")
-            return make(name, value)
-        if self.at_kw("instance"):
-            self.advance()
-            tok = self.cur
-            name = self.expect("name").text
-            if RESERVED_NAME.match(name):
-                raise ParseError(f"{name!r} is reserved for generated binder names",
-                                 tok.line, tok.col)
-            if self.at(":"):
-                if not name[0].isupper():
-                    raise ParseError(f"{name!r} must start uppercase",
-                                     tok.line, tok.col)
-                self.advance()
-                t = self.type_()
-                self.expect(";")
-                return OpenCtorDecl(name, t)
-            if not name[0].islower() and name[0] != "_":
-                raise ParseError(f"open function {name!r} must start lowercase",
-                                 tok.line, tok.col)
-            self.expect("=")
-            body = self.term()
-            self.expect(";")
-            return InstanceDecl(name, body)
-        if self.at_kw("let"):
-            self.advance()
-            name = self.decl_name(upper=False)
-            self.expect(":")
-            t = self.type_()
-            self.expect("=")
-            body = self.term()
-            self.expect(";")
-            return LetDecl(name, t, body)
-        self.fail("expected a declaration",
-                  frozenset({"data", "ctor", "open", "openctor",
-                             "method", "instance", "let"}))
+        """One declaration, read by its form in `printer.DECLS`; when two
+        forms share the keyword, the name's case picks one."""
+        forms = _DECL_FORMS.get(self.cur.text)
+        if forms is None:
+            self.fail("expected a declaration", frozenset(_DECL_FORMS))
+        self.advance()
+        upper = next(iter(forms)) if len(forms) == 1 else None
+        name = self.name(upper)
+        cls, fields = forms[name[0].isupper()]
+        values = [name]
+        for _, sep, grammar in fields:
+            self.expect(sep)
+            values.append(getattr(self, _READ[grammar])())
+        self.expect(";")
+        return cls(*values)
 
 
-# The `kw Name : payload ;` declarations: keyword -> (name starts uppercase,
-# the parser method that reads the payload, the declaration it makes).
-_NAMED_DECLS = {
-    "data": (True, "kind", DataDecl),
-    "open": (True, "kind", OpenTypeDecl),
-    "ctor": (True, "type_", CtorDecl),
-    "openctor": (True, "type_", OpenCtorDecl),
-    "method": (False, "type_", MethodDecl),
-}
+# keyword -> {name starts uppercase?: (declaration class, its fields)}
+_DECL_FORMS: dict[str, dict[bool, tuple]] = {}
+for _cls, (_keyword, _upper, _fields) in DECLS.items():
+    _DECL_FORMS.setdefault(_keyword, {})[_upper] = _cls, _fields
+# grammar -> the `Parser` method that reads it
+_READ = {"kind": "kind", "type": "type_", "term": "term"}
 
 
 def parse_core(text: str) -> list[Decl]:

@@ -1,5 +1,6 @@
-"""Deterministic pretty-printer for the core syntax, and the term syntax's
-operator and binder tables, which the parser climbs.
+"""Deterministic pretty-printer for the core syntax, and the tables the
+parser reads too: the term syntax's operators and binders, and the
+declaration forms.
 
 Minimal parentheses by precedence (application > projection > `sym` > `@` >
 `;;` > `|>` > `<+>` > binders), single spaces between tokens. Binders get
@@ -9,6 +10,8 @@ print as `#k` relative to the term root.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 from .syntax import (
     Node, Star, KArr, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, Lam,
@@ -38,6 +41,29 @@ _INFIX_OF = {cls: (tok, level, right)
              for tok, (cls, level, right) in INFIX.items()}
 _BINDER_OF = {cls: tok for tok, cls in BINDERS.items()}
 
+# The declaration forms `keyword name field ...;`: class -> (keyword, name
+# starts uppercase?, fields). The fields are the dataclass's after `name`,
+# each with the separator and the grammar (kind, type or term) its name
+# fixes. `instance` is two forms, told apart by the name's case.
+_FIELD_SYNTAX = {"kind": (":", "kind"), "type": (":", "type"),
+                 "body": ("=", "term")}
+DECLS = {
+    cls: (keyword, upper,
+          tuple((f.name, *_FIELD_SYNTAX[f.name]) for f in fields(cls)[1:]))
+    for cls, keyword, upper in (
+        (DataDecl, "data", True),
+        (OpenTypeDecl, "open", True),
+        (CtorDecl, "ctor", True),
+        (OpenCtorDecl, "instance", True),
+        (MethodDecl, "method", False),
+        (InstanceDecl, "instance", False),
+        (LetDecl, "let", False),
+    )
+}
+
+# The prefixes of generated binder names, which the parser reserves.
+TERM_PREFIX, TYPE_PREFIX = "x", "t"
+
 # Type levels.
 T_FORALL, T_ARROW, T_EQ, T_APP, T_ATOM = range(5)
 
@@ -60,10 +86,10 @@ class _Printer:
 
     def fresh(self, is_type: bool) -> str:
         if is_type:
-            name = f"t{self.type_count}"
+            name = f"{TYPE_PREFIX}{self.type_count}"
             self.type_count += 1
         else:
-            name = f"x{self.term_count}"
+            name = f"{TERM_PREFIX}{self.term_count}"
             self.term_count += 1
         return name
 
@@ -174,6 +200,9 @@ def print_term(m: Node) -> str:
     return _Printer().tm(m)
 
 
+_PRINT = {"kind": print_kind, "type": print_type, "term": print_term}
+
+
 def print_node(n: Node) -> str:
     """Print any node, choosing the kind/type/term syntax by its class."""
     match n:
@@ -186,22 +215,14 @@ def print_node(n: Node) -> str:
 
 
 def print_decl(d: Decl) -> str:
-    match d:
-        case DataDecl(name, kind):
-            return f"data {name} : {print_kind(kind)};"
-        case OpenTypeDecl(name, kind):
-            return f"open {name} : {print_kind(kind)};"
-        case CtorDecl(name, ty):
-            return f"ctor {name} : {print_type(ty)};"
-        case OpenCtorDecl(name, ty):
-            return f"instance {name} : {print_type(ty)};"
-        case MethodDecl(name, ty):
-            return f"method {name} : {print_type(ty)};"
-        case InstanceDecl(name, body):
-            return f"instance {name} = {print_term(body)};"
-        case LetDecl(name, ty, body):
-            return f"let {name} : {print_type(ty)} = {print_term(body)};"
-    raise TypeError(f"not a declaration: {d!r}")
+    form = DECLS.get(type(d))
+    if form is None:
+        raise TypeError(f"not a declaration: {d!r}")
+    keyword, _, decl_fields = form
+    s = f"{keyword} {d.name}"
+    for field, sep, grammar in decl_fields:
+        s += f" {sep} {_PRINT[grammar](getattr(d, field))}"
+    return s + ";"
 
 
 def print_core(obj) -> str:

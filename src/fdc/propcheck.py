@@ -52,8 +52,7 @@ from .syntax import (
 )
 from .synthesis import match_type
 from .typecheck import (
-    AnyType, CheckError, check_program, check_term, infer_term, kind_of,
-    pattern_type,
+    AnyType, CheckError, check_term, infer_term, kind_of, pattern_type,
 )
 
 PRELUDES = ("bool", "maybe", "eqord", "fundep")
@@ -91,13 +90,12 @@ def prelude_for(name: str) -> Env:
     what = f"bundled prelude {name!r}"
     env = prelude_env() if name == "bool" else prelude_for("bool")
     if name in ("eqord", "fundep"):
-        from .elaborate import elaborate_program
+        from .elaborate import Elaborator
         from .surface import parse_surface
         text = _EQORD_SURFACE if name == "eqord" else _FUNDEP_SURFACE
-        decls, diags = elaborate_program(parse_surface(text), env)
-        require_clean(what, diags)
-        env, diags = check_program(env, decls)
-        require_clean(what, diags)
+        elab = Elaborator(env)
+        require_clean(what, elab.run(parse_surface(text)))
+        env = elab.env
     for goal in _goal_pool(name):
         try:
             kind_of(env, goal)

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .parser import Cursor, ParseError, tokenize, RESERVED_NAME
+from .parser import Cursor, ParseError, tokenize
 from .printer import print_kind
 from .syntax import Node, KArr, STAR
+from .typecheck import Diagnostic
 
 
 # ---------------------------------------------------------------- types
@@ -206,25 +207,8 @@ class SLetDecl(SDecl):
 # ---------------------------------------------------------------- parser
 
 class SurfaceParser(Cursor):
-    def at_kw(self, *words: str) -> bool:
-        # the core lexer is reused; surface keywords arrive as names or kws
-        return ((self.cur.kind == "kw" or self.cur.kind == "name")
-                and self.cur.text in words)
-
     def at_name(self) -> bool:
         return self.cur.kind == "name"
-
-    def name(self, upper: Optional[bool] = None) -> str:
-        tok = self.expect("name")
-        text = tok.text
-        if RESERVED_NAME.match(text):
-            raise ParseError(f"{text!r} is reserved for generated binder names",
-                             tok.line, tok.col)
-        if upper is True and not text[0].isupper():
-            raise ParseError(f"{text!r} must start uppercase", tok.line, tok.col)
-        if upper is False and not (text[0].islower() or text[0] == "_"):
-            raise ParseError(f"{text!r} must start lowercase", tok.line, tok.col)
-        return text
 
     # ---- types
 
@@ -363,12 +347,13 @@ class SurfaceParser(Cursor):
 
     # ---- declarations
 
-    def braced(self, item) -> list:
-        """`where { item; ... }` with the `where` already consumed."""
+    def braced(self, item, *args) -> list:
+        """`where { item; ... }` with the `where` already consumed; each
+        item is read by `item(*args)`."""
         self.expect("{")
         out = []
         while not self.at("}"):
-            out.append(item())
+            out.append(item(*args))
             self.expect(";")
         self.expect("}")
         return out
@@ -393,7 +378,7 @@ class SurfaceParser(Cursor):
             ctors: list[tuple[str, SType]] = []
             if self.at_kw("where"):
                 self.advance()
-                ctors = self.braced(self._ctor_item)
+                ctors = self.braced(self._signature, True)
             self.expect(";")
             return SDataDecl(name, kind, tuple(ctors))
         if self.at_kw("class"):
@@ -414,13 +399,10 @@ class SurfaceParser(Cursor):
         self.fail("expected a declaration",
                   frozenset({"data", "class", "instance", "let"}))
 
-    def _ctor_item(self) -> tuple[str, SType]:
-        name = self.name(upper=True)
-        self.expect("::")
-        return name, self.type_()
-
-    def _method_sig_item(self) -> tuple[str, SType]:
-        name = self.name(upper=False)
+    def _signature(self, upper: bool) -> tuple[str, SType]:
+        """A constructor's (uppercase) or a method's (lowercase) `name ::
+        type`."""
+        name = self.name(upper)
         self.expect("::")
         return name, self.type_()
 
@@ -488,7 +470,7 @@ class SurfaceParser(Cursor):
         methods: list[tuple[str, SType]] = []
         if self.at_kw("where"):
             self.advance()
-            methods = self.braced(self._method_sig_item)
+            methods = self.braced(self._signature, False)
         self.expect(";")
         return SClassDecl(name, tuple(params), tuple(supers),
                           tuple(fundeps), tuple(methods))
@@ -552,15 +534,6 @@ def print_stype(t: SType, level: int = 0) -> str:
 
 # ------------------------------------------------------------ validation
 
-@dataclass(frozen=True)
-class SurfaceIssue:
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.code}: {self.message}"
-
-
 def _spine_head_term(t: STerm) -> STerm:
     while True:
         match t:
@@ -570,12 +543,12 @@ def _spine_head_term(t: STerm) -> STerm:
                 return t
 
 
-def _check_annotations(t: STerm, issues: list[SurfaceIssue], where: str) -> None:
+def _check_annotations(t: STerm, issues: list[Diagnostic], where: str) -> None:
     match t:
         case SApp(_, _) | STyApp(_, _):
             head = _spine_head_term(t)
             if not isinstance(head, (SVar, SCon, SAnnot, SHole)):
-                issues.append(SurfaceIssue(
+                issues.append(Diagnostic(
                     "annotation-required",
                     f"{where}: non-variable application head must be annotated"))
             match t:
@@ -586,7 +559,7 @@ def _check_annotations(t: STerm, issues: list[SurfaceIssue], where: str) -> None
                     _check_annotations(f, issues, where)
         case SLam(_, ann, body):
             if ann is None:
-                issues.append(SurfaceIssue(
+                issues.append(Diagnostic(
                     "annotation-required",
                     f"{where}: lambda binders must carry a type"))
             _check_annotations(body, issues, where)
@@ -594,11 +567,11 @@ def _check_annotations(t: STerm, issues: list[SurfaceIssue], where: str) -> None
             _check_annotations(body, issues, where)
         case SIf(scrut, _, cons, alt):
             if not isinstance(scrut, (SAnnot, SVar, SHole)):
-                issues.append(SurfaceIssue(
+                issues.append(Diagnostic(
                     "annotation-required",
                     f"{where}: if scrutinee must be annotated"))
             if not isinstance(cons, (SAnnot, SVar, SCon, SHole)):
-                issues.append(SurfaceIssue(
+                issues.append(Diagnostic(
                     "annotation-required",
                     f"{where}: if consequent must be annotated"))
             _check_annotations(scrut, issues, where)
@@ -610,7 +583,7 @@ def _check_annotations(t: STerm, issues: list[SurfaceIssue], where: str) -> None
             pass
 
 
-def _eta_shape(t: SType, body: STerm, issues: list[SurfaceIssue],
+def _eta_shape(t: SType, body: STerm, issues: list[Diagnostic],
                where: str) -> None:
     """Leading binders must track the declared type until the body stops
     being a binder at all (prefix discipline, not full eta length)."""
@@ -622,17 +595,17 @@ def _eta_shape(t: SType, body: STerm, issues: list[SurfaceIssue],
             case (SArrow(_, c), SLam(_, _, lb)):
                 ty, tm = c, lb
             case (SForall(_, _, _), SLam(_, _, _)):
-                issues.append(SurfaceIssue(
+                issues.append(Diagnostic(
                     "eta-shape",
                     f"{where}: term binder where the type expects a type binder"))
                 return
             case (SArrow(_, _), STyLam(_, _, _)):
-                issues.append(SurfaceIssue(
+                issues.append(Diagnostic(
                     "eta-shape",
                     f"{where}: type binder where the type expects a term binder"))
                 return
             case (_, SLam(_, _, _)) | (_, STyLam(_, _, _)):
-                issues.append(SurfaceIssue(
+                issues.append(Diagnostic(
                     "eta-shape",
                     f"{where}: more binders than the declared type provides"))
                 return
@@ -665,21 +638,21 @@ def _var_occurrences(t: SType, name: str) -> int:
     raise TypeError(t)
 
 
-def validate_surface(program: list[SDecl]) -> list[SurfaceIssue]:
+def validate_surface(program: list[SDecl]) -> list[Diagnostic]:
     """Annotation placement, binder shape, fundep index bounds, and the
     Paterson termination conditions on instance contexts."""
-    issues: list[SurfaceIssue] = []
+    issues: list[Diagnostic] = []
     for d in program:
         match d:
             case SClassDecl(name, params, _, fundeps, _):
                 for dets, det in fundeps:
                     indices = set(dets) | {det}
                     if any(i >= len(params) or i < 0 for i in indices):
-                        issues.append(SurfaceIssue(
+                        issues.append(Diagnostic(
                             "fundep-index",
                             f"class {name!r}: dependency index out of range"))
                     if det in dets:
-                        issues.append(SurfaceIssue(
+                        issues.append(Diagnostic(
                             "fundep-index",
                             f"class {name!r}: determined parameter is also "
                             f"a determiner"))
@@ -691,7 +664,7 @@ def validate_surface(program: list[SDecl]) -> list[SurfaceIssue]:
                     stype_vars(a, head_vars)
                 for pred in context:
                     if _type_size(pred) - 1 >= head_size:
-                        issues.append(SurfaceIssue(
+                        issues.append(Diagnostic(
                             "paterson",
                             f"{where}: context {print_stype(pred)} is not "
                             f"smaller than the instance head"))
@@ -700,14 +673,14 @@ def validate_surface(program: list[SDecl]) -> list[SurfaceIssue]:
                         head_occ = sum(_var_occurrences(a, v)
                                        for a in head_args)
                         if pred_occ > head_occ:
-                            issues.append(SurfaceIssue(
+                            issues.append(Diagnostic(
                                 "paterson",
                                 f"{where}: {v!r} occurs more often in the "
                                 f"context than in the head"))
                 for mname, body in methods:
                     mwhere = f"{where}.{mname}"
                     if not isinstance(body, SAnnot):
-                        issues.append(SurfaceIssue(
+                        issues.append(Diagnostic(
                             "annotation-required",
                             f"{mwhere}: instance method bodies must be "
                             f"annotated"))

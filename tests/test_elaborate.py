@@ -27,6 +27,27 @@ def _decls_of(core, cls):
     return [d for d in core if isinstance(d, cls)]
 
 
+@pytest.mark.parametrize("source", ["superclasses.hsk", "fundeps.hsk",
+                                    "eqord", "fundep"])
+def test_elaborator_env_is_the_checked_output(source):
+    """`Elaborator.run` hands back the environment `check_program` builds
+    from its output."""
+    from fdc import propcheck
+    if source.endswith(".hsk"):
+        base, text = prelude_env(), corpus_text(source)
+    else:
+        base = propcheck.prelude_for("bool")
+        text = (propcheck._EQORD_SURFACE if source == "eqord"
+                else propcheck._FUNDEP_SURFACE)
+    elab = Elaborator(base)
+    assert elab.run(parse_surface(text)) == []
+    env, diags = check_program(base, elab.output)
+    assert diags == []
+    assert elab.env.entries == env.entries
+    assert elab.env.binders == env.binders
+    assert elab.env.index == env.index
+
+
 def test_class_becomes_open_type_and_method(superclasses_core):
     from fdc.syntax import KArr
     assert OpenTypeDecl("Eq", KArr(STAR, STAR)) in superclasses_core

@@ -1,6 +1,7 @@
 import pytest
 
 from fdc.corpus import corpus_text
+from fdc.elaborate import elaborate_program
 from fdc.parser import ParseError
 from fdc.surface import (
     SAnnot, SApp, SArrow, SClassDecl, SCon, SForall, SHole, SIf,
@@ -8,6 +9,7 @@ from fdc.surface import (
     SVar, parse_surface, parse_surface_term, validate_surface,
 )
 from fdc.syntax import KArr, STAR
+from fdc.typecheck import Diagnostic
 
 
 def test_class_decl_shape():
@@ -84,6 +86,15 @@ def test_roundtrip_corpus_files():
     for name in ("superclasses.hsk", "fundeps.hsk", "fundeps_invalid.hsk"):
         program = parse_surface(corpus_text(name))
         assert validate_surface(program) == []
+
+
+def test_validation_diagnostics_pass_through_elaboration():
+    program = parse_surface("let f :: Bool -> Bool = \\ b. b;")
+    [issue] = validate_surface(program)
+    assert isinstance(issue, Diagnostic)
+    assert str(issue) == ("annotation-required: let f: lambda binders must "
+                          "carry a type")
+    assert elaborate_program(program) == ([], [issue])
 
 
 def test_validate_paterson_violation():

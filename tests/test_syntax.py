@@ -11,10 +11,11 @@ from fdc.parser import (
 from fdc.printer import print_core, print_node, print_term, print_type
 from fdc.propcheck import GenConfig, gen_node, gen_well_typed
 from fdc.syntax import (
-    App, CApp, Cast, Choice, CInst, Con, EqTy, Forall, Fst, Guard,
-    If, KArr, Lam, OpenCtorDecl, OpenTypeDecl, Pattern, Ref, Refl, Sim, Snd,
-    Star, Sym, TApp, TCon, Trans, TVar, TyApp, TyLam, Univ, Var, Zero, ZERO,
-    STAR, BINDER, DATA, FIELDS, KIND, OPEN, PATTERN, Node, arrow, node_eq,
+    App, CApp, Cast, Choice, CInst, Con, CtorDecl, DataDecl, EqTy, Forall,
+    Fst, Guard, If, InstanceDecl, KArr, Lam, LetDecl, MethodDecl,
+    OpenCtorDecl, OpenTypeDecl, Pattern, Ref, Refl, Sim, Snd, Star, Sym,
+    TApp, TCon, Trans, TVar, TyApp, TyLam, Univ, Var, Zero, ZERO, STAR,
+    BINDER, DATA, FIELDS, KIND, OPEN, PATTERN, Node, arrow, node_eq,
 )
 
 from parser_oracle import oracle_parse_core, oracle_parse_term
@@ -39,6 +40,56 @@ def test_parse_instance_colon_is_open_ctor():
     assert decl.type == Forall(
         STAR, arrow(EqTy(TCon("Bool"), TVar(0), STAR),
                     TApp(TCon("Eq"), TVar(0))))
+
+
+_DECL_FORMS = [
+    (DataDecl, "data Maybe : * -> *;"),
+    (OpenTypeDecl, "open Eq : * -> *;"),
+    (CtorDecl, "ctor Just : forall t0:*. t0 -> Maybe t0;"),
+    (OpenCtorDecl, "instance EqBool : forall t0:*. Bool ~ t0 -> Eq t0;"),
+    (MethodDecl, "method eq : forall t0:*. Eq t0 -> t0 -> t0 -> Bool;"),
+    (InstanceDecl, "instance eq = /\\t0:*. \\x0:Eq t0. "
+                   "guard x0 is EqBool [t0] then 0;"),
+    (LetDecl, "let id : forall t0:*. t0 -> t0 = /\\t0:*. \\x0:t0. x0;"),
+]
+
+
+@pytest.mark.parametrize("cls, text", _DECL_FORMS,
+                         ids=[cls.__name__ for cls, _ in _DECL_FORMS])
+def test_declaration_form_round_trips(cls, text):
+    [decl] = parse_core(text)
+    assert type(decl) is cls
+    assert print_core([decl]) == text + "\n"
+
+
+def test_every_declaration_class_has_a_form():
+    assert {cls for cls, _ in _DECL_FORMS} == set(printer.DECLS)
+
+
+def _parse_error(text):
+    with pytest.raises(ParseError) as exc:
+        parse_core(text)
+    e = exc.value
+    return e.line, e.col, e.message, e.expected
+
+
+def test_instance_name_case_picks_the_separator():
+    # an uppercase name is an open constructor, which expects `:`
+    assert _parse_error("instance FMM ::forall t0:*. F t0;") == (
+        1, 14, "unexpected '::'", frozenset({":"}))
+    assert _parse_error("instance Foo = 0;") == (
+        1, 14, "unexpected '='", frozenset({":"}))
+    # a lowercase one is an instance of an open function, which expects `=`
+    assert _parse_error("instance foo : Bool;") == (
+        1, 14, "unexpected ':'", frozenset({"="}))
+
+
+def test_openctor_is_a_name():
+    [decl] = parse_core("method openctor : Bool;")
+    assert decl == MethodDecl("openctor", TCon("Bool"))
+    line, col, message, expected = _parse_error("openctor K : Bool;")
+    assert (line, col, message) == (1, 1, "expected a declaration")
+    assert expected == {"data", "open", "ctor", "method", "instance", "let"}
 
 
 def test_print_trivial_forms():

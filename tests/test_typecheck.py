@@ -3,7 +3,7 @@ import os
 import pytest
 
 from fdc import propcheck
-from fdc.cli import _load_env_and_decls
+from fdc.cli import _load_env
 from fdc.corpus import prelude_env
 from fdc.elaborate import ElabOptions
 from fdc.parser import parse_term, parse_type
@@ -362,8 +362,7 @@ def test_indexed_lookups_match_a_linear_scan(monkeypatch):
     monkeypatch.setattr(Env, "push", recording)
     corpus = os.path.join(os.path.dirname(propcheck.__file__), "corpus")
     for name in sorted(os.listdir(corpus)):
-        _load_env_and_decls(os.path.join(corpus, name), ElabOptions(),
-                            prelude_env())
+        _load_env(os.path.join(corpus, name), ElabOptions(), prelude_env())
     for name in propcheck.PRELUDES:
         propcheck.prelude_for.__wrapped__(name)
     monkeypatch.undo()
