@@ -422,8 +422,11 @@ class Elaborator:
         env = self.env
         for k in kinds:
             env = env.push(TyVarBind(k))
-        for i, (dict_ty, _, _) in enumerate(guards):
-            env = env.push(TmVarBind(shift(dict_ty, i)))
+        # each binder's type is shifted once, for the binder pushed here and
+        # the lambda wrapped below
+        dict_tys = [shift(dict_ty, i)
+                    for i, (dict_ty, _, _) in enumerate(guards)]
+        env = env.push(*map(TmVarBind, dict_tys))
         names = [None] * (len(kinds) + len(guards))
         depth = len(guards)  # binders inside `kinds`
         opened = []
@@ -431,22 +434,22 @@ class Elaborator:
             scrut_ty = shift(dict_ty, depth)
             pat = Pattern(inst.ctor_name, tuple(type_spine(scrut_ty)[1]))
             res_kinds, arg_tys, _ = pattern_type(env, pat, scrut_ty)
+            arg_tys = [shift(t, i) for i, t in enumerate(arg_tys)]
             opened.append((depth - 1 - j, pat, res_kinds, arg_tys))
             for k in res_kinds:
                 env = env.push(TyVarBind(k))
-            for i, t in enumerate(arg_tys):
-                env = env.push(TmVarBind(shift(t, i)))
+            env = env.push(*map(TmVarBind, arg_tys))
             names += list(ivars) + [None] * len(arg_tys)
             depth += len(res_kinds) + len(arg_tys)
         body = body_of(env, names, depth)
         if body is None:
             return
         for scrut, pat, res_kinds, arg_tys in reversed(opened):
-            for i in reversed(range(len(arg_tys))):
-                body = Lam(shift(arg_tys[i], i), body)
+            for t in reversed(arg_tys):
+                body = Lam(t, body)
             body = Guard(Var(scrut), pat, _tylams(res_kinds, body))
-        for i in reversed(range(len(guards))):
-            body = Lam(shift(guards[i][0], i), body)
+        for t in reversed(dict_tys):
+            body = Lam(t, body)
         self.emit(InstanceDecl(name, _tylams(kinds, body)))
 
     def _fd_witness(self, info: ClassInfo, fd: FundepInfo,

@@ -14,7 +14,9 @@ a `Scope`, together with the improvement candidates: the pairs of a
 dictionary with an instance or another dictionary whose determiners match.
 Each search node adds its own two types, and the improvement edges whose
 instance dictionary and determiner coercions it can find. A search that
-fails is tabled (Chen & Warren, JACM 1996): see `Resolver._synth`.
+fails is tabled (Chen & Warren, JACM 1996), and so are the improvement
+edges of each search state: see `Resolver._synth` and
+`Resolver._improvement_edges`.
 Collections of nodes are sets and dicts keyed by the nodes, whose hash and
 equality are both structural; the dicts keep the order in which nodes and
 edges were found, and that order fixes the coercion chosen.
@@ -209,11 +211,14 @@ class Scope:
     hypothesis both ways, then the decomposition edges they derive), their
     sides in order, the in-scope dictionaries with their superclass
     projections, and the improvement candidates between them, in the order
-    their edges are tried."""
+    their edges are tried. `edges` tables the improvement edges of each
+    search state, `(depth, active)`: see `Resolver._improvement_edges`."""
     graph: Graph
     nodes: dict[Node, None]
     dicts: tuple[tuple[Node, Node], ...]
     candidates: list[Candidate]
+    edges: dict[tuple[int, frozenset], list[tuple[Node, Node, Node]]] \
+        = field(default_factory=dict)
 
 
 def find_path(frm: Node, to: Node, graph: Graph,
@@ -598,7 +603,17 @@ class Resolver:
 
     def _improvement_edges(self, scope: Scope, depth, exclude, active):
         """fdFwd-style edges between determined parameters of the scope's
-        candidate pairs whose determiners can be coerced to agree."""
+        candidate pairs whose determiners can be coerced to agree.
+
+        In one scope they are a function of the search state, the depth
+        and the open goals, so they are tabled by it (Chen & Warren, JACM
+        1996), except a list whose computation swallowed an
+        `ambiguous-instance` failure: see `_synth`."""
+        key = (depth, active)
+        edges = scope.edges.get(key)
+        if edges is not None:
+            return edges
+        ambiguities = self._ambiguities[0]
         edges = []
         for info, fd, inst, d1, args1, d2, args2 in scope.candidates:
             if inst is not None:
@@ -610,6 +625,8 @@ class Resolver:
                                  exclude, active)
             if edge is not None:
                 edges.append(edge)
+        if self._ambiguities[0] == ambiguities:
+            scope.edges[key] = edges
         return edges
 
     def _instance_det_dict(self, inst: InstanceInfo, args: list[Node],

@@ -395,19 +395,8 @@ def infer_term(env: Env, m: Node, path: tuple[str, ...] = ()) -> TypeResult:
                   path)
         case Zero():
             return ANY
-        case Lam(ann, body):
-            ka = kind_of(env, ann, path + ("ann",))
-            if not node_eq(ka, STAR):
-                _fail("kind-mismatch", "lambda annotation must be a * type",
-                      path, expected=STAR, found=ka)
-            got = infer_term(env.push(TmVarBind(ann)), body, path + ("body",))
-            if isinstance(got, AnyType):
-                return ANY
-            cod = try_unshift(got.type, 1)
-            if cod is None:
-                _fail("dependent-type",
-                      "body type mentions the term binder", path, found=got.type)
-            return Exactly(arrow(ann, cod))
+        case Lam():
+            return _infer_lams(env, m, path)
         case App(f, a):
             gf = infer_term(env, f, path + ("fun",))
             ga = infer_term(env, a, path + ("arg",))
@@ -479,6 +468,41 @@ def infer_term(env: Env, m: Node, path: tuple[str, ...] = ()) -> TypeResult:
     _fail("classification", "expected a term", path, found=m)
 
 
+def _infer_lams(env: Env, m: Node, path: tuple[str, ...]) -> TypeResult:
+    """A chain of lambdas in one pass: each annotation is kind-checked and
+    its binder pushed, outermost first, and the innermost body is inferred
+    once. Its type is unshifted once past the whole chain, and each
+    annotation past the term binders before it."""
+    anns = []
+    while isinstance(m, Lam):
+        ka = kind_of(env, m.ann, path + ("ann",))
+        if not node_eq(ka, STAR):
+            _fail("kind-mismatch", "lambda annotation must be a * type",
+                  path, expected=STAR, found=ka)
+        anns.append(m.ann)
+        env = env.push(TmVarBind(m.ann))
+        m, path = m.body, path + ("body",)
+    got = infer_term(env, m, path)
+    if isinstance(got, AnyType):
+        return ANY
+    ty = try_unshift(got.type, len(anns))
+    if ty is not None:
+        for j in reversed(range(len(anns))):
+            ty = arrow(shift(anns[j], -j), ty)
+        return Exactly(ty)
+    # the body type names a binder of the chain: the per-layer rule,
+    # innermost first, finds the layer whose binder it is
+    ty = got.type
+    for ann in reversed(anns):
+        path = path[:-1]
+        cod = try_unshift(ty, 1)
+        if cod is None:
+            _fail("dependent-type", "body type mentions the term binder",
+                  path, found=ty)
+        ty = arrow(ann, cod)
+    return Exactly(ty)
+
+
 def _infer_match(env: Env, scrut: Node, pat: Pattern, cons: Node,
                  alt: Optional[Node], path: tuple[str, ...]) -> TypeResult:
     which = "if" if alt is not None else "guard"
@@ -528,16 +552,8 @@ def _check(env: Env, m: Node, expected: Node, path: tuple[str, ...]) -> None:
             _check(env, l, expected, path + ("left",))
             _check(env, r, expected, path + ("right",))
             return
-        case Lam(ann, body):
-            ac = un_arrow(expected)
-            if ac is None:
-                _fail("type-mismatch", "lambda checked against a non-function type",
-                      path, expected=expected, found="a lambda")
-            if not node_eq(ann, ac[0]):
-                _fail("type-mismatch", "lambda annotation mismatch",
-                      path, expected=ac[0], found=ann)
-            _check(env.push(TmVarBind(ann)), body, shift(ac[1], 1),
-                   path + ("body",))
+        case Lam():
+            _check_lams(env, m, expected, path)
             return
         case TyLam(k, body):
             match expected:
@@ -553,6 +569,27 @@ def _check(env: Env, m: Node, expected: Node, path: tuple[str, ...]) -> None:
             if not node_eq(got.type, expected):
                 _fail("type-mismatch", "term type mismatch",
                       path, expected=expected, found=got.type)
+
+
+def _check_lams(env: Env, m: Node, expected: Node,
+                path: tuple[str, ...]) -> None:
+    """A chain of lambdas checked against an arrow telescope in one pass.
+    The telescope stays over the binders outside the chain: each domain is
+    shifted past the term binders before its lambda, and the codomain that
+    remains is shifted once, for the innermost body."""
+    depth = 0
+    while isinstance(m, Lam):
+        ac = un_arrow(expected)
+        if ac is None:
+            _fail("type-mismatch", "lambda checked against a non-function type",
+                  path, expected=shift(expected, depth), found="a lambda")
+        dom = shift(ac[0], depth)
+        if not node_eq(m.ann, dom):
+            _fail("type-mismatch", "lambda annotation mismatch",
+                  path, expected=dom, found=m.ann)
+        env = env.push(TmVarBind(m.ann))
+        expected, m, path, depth = ac[1], m.body, path + ("body",), depth + 1
+    _check(env, m, shift(expected, depth), path)
 
 
 # --------------------------------------------------------- environments

@@ -186,6 +186,37 @@ def test_each_scope_is_built_once(monkeypatch, prelude):
                            for e, x in built[:k]), exclude
 
 
+def test_each_search_state_computes_its_edges_once(monkeypatch, prelude):
+    # in one scope, the improvement edges of a depth and a set of open goals
+    # are computed once, unless their computation swallowed an
+    # `ambiguous-instance` failure; the copies an improvement edge makes
+    # share the table with their resolver
+    computed, hits = [], 0
+    edges_of = Resolver._improvement_edges
+
+    def counted(self, scope, depth, exclude, active):
+        nonlocal hits
+        if (depth, active) in scope.edges:
+            hits += 1
+            return edges_of(self, scope, depth, exclude, active)
+        ambiguities = self._ambiguities[0]
+        edges = edges_of(self, scope, depth, exclude, active)
+        computed.append((scope, depth, active,
+                         self._ambiguities[0] != ambiguities))
+        return edges
+
+    monkeypatch.setattr(Resolver, "_improvement_edges", counted)
+    for text in (corpus_text("fundeps.hsk"),
+                 fundep_program(random.Random(1), "q", 2, 1, "cast")):
+        computed.clear()
+        hits = 0
+        decls, diags = elaborate_program(parse_surface(text), prelude)
+        assert diags == [] and computed and hits
+        for k, (scope, depth, active, _) in enumerate(computed):
+            assert all(ambiguous for s, d, a, ambiguous in computed[:k]
+                       if s is scope and d == depth and a == active), depth
+
+
 def _random_type(rng: random.Random, depth: int):
     pick = rng.random()
     if depth <= 0 or pick < 0.45:
@@ -264,9 +295,9 @@ def _ambiguous_scope(elab, depth: int):
     return _resolvers(env, elab, depth), goals
 
 
-def _outcome(resolver, frm, to, exclude):
+def _outcome(resolver, frm, to, exclude, depth=None):
     try:
-        return resolver.synth(frm, to, exclude=exclude)
+        return resolver.synth(frm, to, depth, exclude=exclude)
     except SynthError as e:
         return e.diagnostic.code
 
@@ -294,3 +325,26 @@ def test_synth_matches_the_list_search(prelude):
             assert got == _outcome(old, frm, to, exclude), (frm, to)
             found += not isinstance(got, str)
     assert found > 50
+
+
+def test_one_resolver_answers_each_depth_like_fresh_ones(prelude):
+    # one resolver keeps its failure and edge tables across depths: asked
+    # at depth 3 first, it has tabled what the ambiguity at depth 3 cost,
+    # and at depth 2 it must still find `Bool ~ u`; asked at 2 first, it
+    # must still lose it at 3
+    elab = Elaborator(prelude)
+    for d in parse_surface(corpus_text("fundeps.hsk") + OVERLAPPING_FUNDEP):
+        elab.do_decl(d)
+    outcomes = {}
+    for order in ((3, 2, 4), (2, 3, 4)):
+        (shared, _), goals = _ambiguous_scope(elab, order[0])
+        for depth in order:
+            (fresh, old), _ = _ambiguous_scope(elab, depth)
+            for frm, to in goals:
+                want = _outcome(old, frm, to, frozenset())
+                assert _outcome(fresh, frm, to, frozenset()) == want
+                got = _outcome(shared, frm, to, frozenset(), depth)
+                assert got == want, (order, depth, frm, to)
+                outcomes.setdefault(depth, []).append(isinstance(got, str))
+    # `Bool ~ u` is found at depth 2 and lost at depth 3
+    assert outcomes[2][0] is False and outcomes[3][0] is True

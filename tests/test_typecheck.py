@@ -7,7 +7,9 @@ from fdc.cli import _load_env
 from fdc.corpus import prelude_env
 from fdc.elaborate import ElabOptions
 from fdc.parser import parse_term, parse_type
+from fdc.printer import print_node
 from fdc.propcheck import GenConfig, gen_well_typed
+from fdc.subst import shift
 from fdc.syntax import (
     App, Con, Decl, Env, EqTy, Forall, KArr, Lam, Pattern, Ref, Refl, TApp,
     TCon, TmVarBind, TVar, TyVarBind, Var, ZERO, STAR, arrow, node_eq,
@@ -396,3 +398,165 @@ def test_diagnostic_text_shows_only_the_fields_that_are_set():
     assert str(both) == "2:3: c: m at x (expected U, found T)"
     assert Diagnostic("c", "m", found="T").to_record() == {
         "code": "c", "message": "m", "found": "T"}
+
+
+# ------------------------------------------- lambda telescopes, layer by layer
+
+MAYBE = TCon("Maybe")
+# The annotations of a chain of up to three lambdas, over the type binders
+# outside it: under none, closed types; under two (`a` is #1 and `b` is #0
+# outside the chain), open ones, which every term binder shifts.
+CHAIN_ANNS = {
+    0: (BOOL, TApp(MAYBE, BOOL), arrow(BOOL, BOOL)),
+    2: (TVar(1), TApp(MAYBE, TVar(0)), arrow(TVar(1), TVar(0))),
+}
+# a * type that is no annotation of the chain, per number of type binders
+OTHER = {0: TApp(MAYBE, TApp(MAYBE, BOOL)), 2: TApp(MAYBE, TVar(1))}
+LAYERS = [(tyvars, n, j) for tyvars in (0, 2) for n in (1, 2, 3)
+          for j in range(1, n + 1)]
+
+
+def _under(prelude, tyvars, *decls):
+    return prelude.push(*decls, *[TyVarBind(STAR)] * tyvars)
+
+
+def _chain(anns, body):
+    """`\\x1:ann1. ... \\xn:annn. body`; each annotation is given over the
+    binders outside the chain and shifted past the term binders before it."""
+    for j in reversed(range(len(anns))):
+        body = Lam(shift(anns[j], j), body)
+    return body
+
+
+def _arrows(doms, cod):
+    for d in reversed(doms):
+        cod = arrow(d, cod)
+    return cod
+
+
+def _diagnostic(run) -> Diagnostic:
+    with pytest.raises(CheckError) as info:
+        run()
+    return info.value.diagnostic
+
+
+def _body(j):
+    return ("body",) * (j - 1)
+
+
+def _shown(ty, depth):
+    return print_node(shift(ty, depth))
+
+
+@pytest.mark.parametrize("tyvars", [0, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lambda_chain_types_in_both_modes(prelude, tyvars, n):
+    # \x1. ... \xn. x1 has type ann1 -> ... -> annn -> ann1
+    env = _under(prelude, tyvars)
+    anns = CHAIN_ANNS[tyvars][:n]
+    term = _chain(anns, Var(n - 1))
+    want = _arrows(anns, anns[0])
+    assert infer_term(env, term) == Exactly(want)
+    check_term(env, term, want)
+    # a zero body leaves the whole chain without a type
+    assert infer_term(env, _chain(anns, ZERO)) == AnyType()
+    check_term(env, _chain(anns, ZERO), want)
+
+
+@pytest.mark.parametrize("tyvars,n,j", LAYERS)
+def test_lambda_annotation_kind_at_each_layer(prelude, tyvars, n, j):
+    env = _under(prelude, tyvars)
+    anns = list(CHAIN_ANNS[tyvars][:n])
+    anns[j - 1] = MAYBE
+    assert _diagnostic(lambda: infer_term(env, _chain(anns, Var(n - 1)))) \
+        == Diagnostic("kind-mismatch", "lambda annotation must be a * type",
+                      _body(j), "*", "* -> *")
+    # an annotation out of scope, and one naming a term binder
+    anns[j - 1] = TVar(tyvars)
+    assert _diagnostic(lambda: infer_term(env, _chain(anns, Var(n - 1)))) \
+        == Diagnostic("unbound-var",
+                      f"type variable #{tyvars + j - 1} is not in scope",
+                      _body(j) + ("ann",))
+    if j > 1:
+        term = _chain(anns[:j - 1], Lam(TVar(0), Var(0)))
+        assert _diagnostic(lambda: infer_term(env, term)) == Diagnostic(
+            "classification", "variable #0 is a term variable",
+            _body(j) + ("ann",))
+
+
+@pytest.mark.parametrize("tyvars,n,j", LAYERS)
+def test_lambda_body_type_naming_a_binder_at_each_layer(prelude, tyvars, n,
+                                                        j):
+    # `leak`'s declared type is open, so no well-formed environment holds it
+    # (`check_env` rejects it): a well-scoped one gives a lambda body no
+    # type that names its binder. The type #(n - j) names layer j's binder;
+    # layer j reports the type of its body, expressed under its binder.
+    env = _under(prelude, tyvars, LetDecl("leak", TVar(n - j), ZERO))
+    anns = CHAIN_ANNS[tyvars][:n]
+    found = _arrows([shift(a, j) for a in anns[j:]], TVar(0))
+    assert _diagnostic(lambda: infer_term(env, _chain(anns, Ref("leak")))) \
+        == Diagnostic("dependent-type", "body type mentions the term binder",
+                      _body(j), None, print_node(found))
+    with pytest.raises(CheckError):
+        check_env(env)
+
+
+@pytest.mark.parametrize("tyvars,n,j", LAYERS)
+def test_lambda_checked_against_too_few_arrows(prelude, tyvars, n, j):
+    env = _under(prelude, tyvars)
+    anns = CHAIN_ANNS[tyvars][:n]
+    cod = OTHER[tyvars]
+    assert _diagnostic(lambda: check_term(env, _chain(anns, Var(n - 1)),
+                                          _arrows(anns[:j - 1], cod))) \
+        == Diagnostic("type-mismatch",
+                      "lambda checked against a non-function type",
+                      _body(j), _shown(cod, j - 1), "a lambda")
+
+
+@pytest.mark.parametrize("tyvars,n,j", LAYERS)
+def test_lambda_annotation_mismatch_at_each_layer(prelude, tyvars, n, j):
+    env = _under(prelude, tyvars)
+    anns = CHAIN_ANNS[tyvars][:n]
+    doms = list(anns)
+    doms[j - 1] = OTHER[tyvars]
+    assert _diagnostic(lambda: check_term(env, _chain(anns, Var(n - 1)),
+                                          _arrows(doms, anns[0]))) \
+        == Diagnostic("type-mismatch", "lambda annotation mismatch",
+                      _body(j), _shown(doms[j - 1], j - 1),
+                      _shown(anns[j - 1], j - 1))
+
+
+@pytest.mark.parametrize("tyvars", [0, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lambda_chain_body_errors(prelude, tyvars, n):
+    env = _under(prelude, tyvars)
+    anns = CHAIN_ANNS[tyvars][:n]
+    cod = TApp(MAYBE, anns[0])
+    # checked: the body meets the codomain shifted past every binder
+    assert _diagnostic(lambda: check_term(env, _chain(anns, Var(n - 1)),
+                                          _arrows(anns, cod))) \
+        == Diagnostic("type-mismatch", "term type mismatch", _body(n + 1),
+                      _shown(cod, n), _shown(anns[0], n))
+    # inferred: the innermost body fails at its own path
+    assert _diagnostic(lambda: infer_term(env, _chain(anns, Var(n + 5)))) \
+        == Diagnostic("unbound-var",
+                      f"term variable #{n + 5} is not in scope", _body(n + 1))
+
+
+def test_lambda_diagnostics_print_shifted_types(prelude):
+    # spot checks of the printed form, under two type binders
+    env = _under(prelude, 2)
+    anns = CHAIN_ANNS[2]
+    got = _diagnostic(lambda: check_term(env, _chain(anns, Var(2)),
+                                         _arrows(anns[:2], OTHER[2])))
+    assert str(got) == ("type-mismatch: lambda checked against a non-function "
+                        "type at body.body (expected Maybe #3, found a lambda)")
+    doms = [anns[0], anns[1], OTHER[2]]
+    got = _diagnostic(lambda: check_term(env, _chain(anns, Var(2)),
+                                         _arrows(doms, anns[0])))
+    assert str(got) == ("type-mismatch: lambda annotation mismatch at "
+                        "body.body (expected Maybe #3, found #3 -> #2)")
+    env = _under(prelude, 2, LetDecl("leak", TVar(1), ZERO))
+    got = _diagnostic(lambda: infer_term(env, _chain(anns, Ref("leak"))))
+    assert str(got) == ("dependent-type: body type mentions the term binder "
+                        "at body (found (#3 -> #2) -> #0)")
