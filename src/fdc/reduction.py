@@ -33,16 +33,25 @@ redexes, then ζ and κ on each `0` and choice of its region, then each
 evaluation-context child's successors rebuilt into it, in order, without
 repeats. That is the preorder walk's list, and since rebuilding at one
 position is injective, dropping repeats at each level drops the same ones
-as at the top. The lists are kept in a memo keyed by node. `eval_all`
-holds one memo for its whole search, so a subterm that many frontier terms
-share is expanded once per search: a successor differs from its parent
-only along one path, and only the nodes on that path are expanded anew.
+as at the top. The region's `0`s and choices, its items, are composed the
+same way: for each absorptive child in order, a `0` is a ζ item, a choice
+is the pair of the node with either side in its place, and any other child
+gives its own items with both sides rebuilt into the node. So a node
+rebuilds one node per side of an item, where a walk of its region would
+rebuild the whole path down to it, and `step_all` on a `Sym` tower is
+linear in its depth. The input is first hashed bottom-up without
+recursion, so a deep argument, which no walk enters, cannot exhaust the
+stack. Lists and items are kept in a memo keyed by node. `eval_all` holds
+one memo for its whole search, so a subterm that many frontier terms share
+is expanded once per search: a successor differs from its parent only
+along one path, and only the nodes on that path are expanded anew.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional, Union
 
 from .syntax import (
@@ -236,11 +245,45 @@ _ABSORPTIVE = {
 }
 
 
+def _rebuilder(cls: type, name: str) -> Callable[[Node, Node], Node]:
+    """The function that builds a node of class `cls` from one of them and a
+    new node for field `name`: the constructor on the other fields, read by
+    one `attrgetter` (a list comprehension over `FIELDS` cost twice as
+    much)."""
+    names = [f for f, _ in FIELDS[cls]]
+    i = names.index(name)
+    rest = names[:i] + names[i + 1:]
+    if not rest:
+        return lambda parent, x: cls(x)
+    if len(rest) == 1:
+        get = attrgetter(rest[0])
+        if i == 0:
+            return lambda parent, x: cls(x, get(parent))
+        return lambda parent, x: cls(get(parent), x)
+    get = attrgetter(*rest)
+
+    def rebuild(parent: Node, x: Node) -> Node:
+        others = get(parent)
+        return cls(*others[:i], x, *others[i:])
+    return rebuild
+
+
+# Per node class, the fields that hold a node, kinds and types included.
+_NODE_FIELDS = {cls: [name for name, role in shape
+                      if role not in (DATA, PATTERN)]
+                for cls, shape in FIELDS.items()}
+
+# The one rebuild function of each (node class, field that holds a node).
+_REBUILD = {(cls, name): _rebuilder(cls, name)
+            for cls, names in _NODE_FIELDS.items() for name in names}
+
+
 def _frames(positions: dict) -> dict:
     """Per node class, the positions a walk enters, in order, each as
-    (field, absorptive?)."""
-    return {cls: tuple((name, name in _ABSORPTIVE.get(cls, ()))
-                       for name in names) for cls, names in positions.items()}
+    (field, absorptive?, rebuild function)."""
+    return {cls: tuple((name, name in _ABSORPTIVE.get(cls, ()),
+                        _REBUILD[cls, name]) for name in names)
+            for cls, names in positions.items()}
 
 
 # Regions; evaluation contexts, which also enter both sides of a choice; and
@@ -248,15 +291,7 @@ def _frames(positions: dict) -> dict:
 # too (kinds and types included, though no rule fires in them).
 ABSORB_FRAMES = _frames(_ABSORPTIVE)
 EVAL_FRAMES = _frames({**_ABSORPTIVE, Choice: ("left", "right")})
-ALL_FRAMES = _frames({cls: [name for name, role in shape
-                            if role not in (DATA, PATTERN)]
-                      for cls, shape in FIELDS.items()})
-
-
-def _rebuild(parent: Node, name: str, x: Node) -> Node:
-    cls = type(parent)
-    return cls(*[x if f == name else getattr(parent, f)
-                 for f, _ in FIELDS[cls]])
+ALL_FRAMES = _frames(_NODE_FIELDS)
 
 
 class Decomposition:
@@ -284,7 +319,7 @@ class Decomposition:
         """The subterm at `depth` (the whole term at 0), with `x` in place
         of the focus."""
         for parent, positions, i in reversed(self.frames[depth:]):
-            x = _rebuild(parent, positions[i][0], x)
+            x = positions[i][2](parent, x)
         return x
 
     def advance(self) -> bool:
@@ -299,7 +334,7 @@ class Decomposition:
         while frames:
             parent, positions, i = frames[-1]
             if getattr(parent, positions[i][0]) is not self.node:
-                parent = _rebuild(parent, positions[i][0], self.node)
+                parent = positions[i][2](parent, self.node)
             if i + 1 < len(positions):
                 frames[-1] = (parent, positions, i + 1)
                 self.node = getattr(parent, positions[i + 1][0])
@@ -330,13 +365,6 @@ def _region(m: Node):
             yield region
 
 
-def _distribute(region: Decomposition) -> tuple[str, Node]:
-    n = region.node
-    if isinstance(n, Zero):
-        return "ζ", ZERO
-    return "κ", Choice(region.plug(n.left), region.plug(n.right))
-
-
 def _zeta_kappa(m: Node) -> Optional[tuple[str, Node]]:
     """ζ when the region of `m` holds a `0`, else κ on its first choice of
     two values."""
@@ -346,7 +374,7 @@ def _zeta_kappa(m: Node) -> Optional[tuple[str, Node]]:
         if isinstance(n, Zero):
             return "ζ", ZERO
         if kappa is None and is_value(n.left) and is_value(n.right):
-            kappa = _distribute(region)
+            kappa = "κ", Choice(region.plug(n.left), region.plug(n.right))
     return kappa
 
 
@@ -488,14 +516,36 @@ def normalize(env: Env, m: Node, fuel: int, table: dict = EVAL_FRAMES,
 
 # ------------------------------------------------------------- step_all
 
+def _hash_all(m: Node) -> None:
+    """Store the hash of every node of `m`, children before parents, with no
+    recursion: the first `hash()` of a node recurses down all its fields,
+    the arguments that no evaluation-context walk enters too. The walk lists
+    the nodes with no stored hash, each after its parent, and hashes them
+    in reverse; a hashed `m` costs one attribute read. (The type arguments
+    of a pattern are left to `hash()`.)"""
+    if m._hash is not None:
+        return
+    order = [m]
+    for n in order:
+        for f, _, _ in ALL_FRAMES[type(n)]:
+            c = getattr(n, f)
+            if c._hash is None:
+                order.append(c)
+    for n in reversed(order):
+        hash(n)
+
+
 def _successors(env: Env, m: Node, memo: dict) -> tuple[Node, ...]:
     """The successors of `m`, from those of its evaluation-context children
-    in `memo`, which this fills for every subterm it computes. A node's
-    list is its redexes, then ζ and κ on every `0` and choice in its region,
-    then each child's list rebuilt into it, in `EVAL_FRAMES` order, keeping
-    first occurrences (a dict keeps the order keys are first set in). The
-    walk is post-order over an explicit stack: a node is pushed again,
-    ready, under its children."""
+    in `memo`, which this fills for every subterm it computes with the pair
+    (successors, region items). A node's list is its redexes, then ζ and κ
+    on each item of its region, then each child's list rebuilt into it, in
+    `EVAL_FRAMES` order, keeping first occurrences (a dict keeps the order
+    keys are first set in). An item is `None` for ζ, or the two sides of κ;
+    see the module docstring for how a node's items come from its
+    children's. The walk is post-order over an explicit stack: a node is
+    pushed again, ready, under its children."""
+    _hash_all(m)
     todo = [(m, False)]
     while todo:
         n, ready = todo.pop()
@@ -503,19 +553,34 @@ def _successors(env: Env, m: Node, memo: dict) -> tuple[Node, ...]:
         if not ready:
             if n not in memo:
                 todo.append((n, True))
-                todo += [(getattr(n, f), False) for f, _ in positions]
+                todo += [(getattr(n, f), False) for f, _, _ in positions]
             continue
         out = {}
         for _, c in top_redexes(env, n):
             out[c] = None
-        if type(n) in ABSORB_FRAMES:
-            for region in _region(n):
-                out[_distribute(region)[1]] = None
-        for f, _ in positions:
-            for s in memo[getattr(n, f)]:
-                out[_rebuild(n, f, s)] = None
-        memo[n] = tuple(out)
-    return memo[m]
+        items, lists = [], []
+        for f, absorptive, rebuild in positions:
+            child = getattr(n, f)
+            succs, below = memo[child]
+            if absorptive:
+                if type(child) is Zero:
+                    items.append(None)
+                elif type(child) is Choice:
+                    items.append((rebuild(n, child.left),
+                                  rebuild(n, child.right)))
+                else:
+                    items += [None if item is None
+                              else (rebuild(n, item[0]), rebuild(n, item[1]))
+                              for item in below]
+            if succs:
+                lists.append((rebuild, succs))
+        for item in items:
+            out[ZERO if item is None else Choice(*item)] = None
+        for rebuild, succs in lists:
+            for s in succs:
+                out[rebuild(n, s)] = None
+        memo[n] = tuple(out), tuple(items)
+    return memo[m][0]
 
 
 def step_all(env: Env, m: Node) -> list[Node]:
@@ -603,6 +668,7 @@ def eval_all(env: Env, m: Node, fuel: int = DEFAULT_FUEL,
     zero), up to `fuel` node expansions; second component reports whether
     the frontier was exhausted. One successor memo serves the whole search,
     so a subterm shared by many frontier terms is expanded once."""
+    _hash_all(m)
     seen = {m}
     queue = deque([m])
     memo: dict = {}

@@ -1,3 +1,5 @@
+import random
+import sys
 import threading
 import time
 from collections import Counter
@@ -15,8 +17,9 @@ from fdc.reduction import (
     match_pattern, step_all, step_det, step_det_tagged, whnf,
 )
 from fdc.syntax import (
-    App, Cast, Choice, Con, Env, Guard, If, Lam, Node, Pattern, Ref, Refl, Sym,
-    TApp, TCon, Trans, TyApp, Var, ZERO, STAR, arrow, node_eq,
+    App, CApp, Cast, Choice, Con, Env, Fst, Guard, If, Lam, Node, Pattern, Ref,
+    Refl, Sim, Snd, Sym, TApp, TCon, Trans, TyApp, Var, ZERO, STAR, arrow,
+    node_eq,
 )
 
 BOOL = TCon("Bool")
@@ -443,6 +446,82 @@ def test_eval_all_matches_oracle_search_on_generated_terms():
         assert eval_all(env, term, 100) == oracle.eval_all(env, term, 100), i
 
 
+# ------------------------------------------- regions: the ζ/κ of step_all
+
+_CO_LEAVES = (Refl(BOOL), Refl(TCon("Int")), Refl(TApp(TCon("Maybe"), BOOL)))
+_TM_LEAVES = (Con("True"), Con("False"), Ref("not"), Lam(BOOL, Var(0)))
+
+
+def region_term(rng, depth, coercion):
+    """A random term (or coercion) of absorptive frames: `Sym`, `;;`, `@`,
+    `.1`, `.2` and `sim` over coercions, and a cast's coercion, an `if`'s
+    scrutinee and an application's head over terms, with `0`s and choices
+    at any depth, in both sorts. It need not be well typed."""
+    if depth == 0 or rng.random() < 0.15:
+        if rng.random() < 0.2:
+            return ZERO
+        return rng.choice(_CO_LEAVES if coercion else _TM_LEAVES)
+    co = lambda: region_term(rng, depth - 1, True)
+    tm = lambda: region_term(rng, depth - 1, False)
+    sub = co if coercion else tm
+    if rng.random() < 0.15:
+        return Choice(sub(), sub())
+    if coercion:
+        return rng.choice([
+            lambda: Sym(co()), lambda: Trans(co(), co()),
+            lambda: CApp(co(), co()), lambda: Fst(co()), lambda: Snd(co()),
+            lambda: Sim(co(), co())])()
+    return rng.choice([
+        lambda: Cast(tm(), co()), lambda: App(tm(), tm()),
+        lambda: If(tm(), Pattern(rng.choice(("True", "False"))), tm(), tm()),
+        lambda: TyApp(tm(), BOOL)])()
+
+
+def test_step_all_and_eval_all_match_oracle_on_region_heavy_terms(prelude):
+    rng = random.Random(2020)
+    kinds = Counter()
+    for i in range(400):
+        term = region_term(rng, 5, coercion=i % 2 == 1)
+        succs = step_all(prelude, term)
+        assert succs == oracle.step_all(prelude, term), term
+        kinds[bool(succs)] += 1
+        if i % 4 == 0:
+            assert (eval_all(prelude, term, 30)
+                    == oracle.eval_all(prelude, term, 30)), term
+    assert kinds[True] > 300  # most terms step
+
+
+def _calls_made(fn, *args):
+    """The Python and builtin calls `fn(*args)` makes, counted by a profile
+    hook: a count of the work, where a timing would be noise."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        count += event in ("call", "c_call")
+
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_step_all_on_a_sym_tower_does_work_linear_in_its_depth(prelude):
+    # a node's ζ/κ items come from its children's: the work per node does
+    # not grow with the depth of the region below it. The towers are hashed
+    # as they are built, so the count is the walk's alone
+    calls = {}
+    for n in (200, 400):
+        term = Trans(Refl(BOOL), Refl(BOOL))
+        for _ in range(n):
+            term = Sym(term)
+            hash(term)
+        calls[n] = _calls_made(step_all, prelude, term)
+    assert calls[400] <= 2 * calls[200] + 100, calls
+
+
 def test_step_all_lists_belong_to_the_caller(prelude):
     from fdc.syntax import MethodDecl, InstanceDecl
     env = prelude.push(
@@ -481,10 +560,10 @@ def _on_a_fresh_stack(fn, *args):
 
 def test_step_all_on_the_deepest_not_chain_the_whole_term_walk_handled(
         prelude):
-    # 330 is the largest depth at which the whole-term walk's `step_all`
-    # and `eval_all` returned from a fresh thread (Python 3.10 and 3.11):
-    # the hash of a fresh node still recurses down its arguments
-    term = not_chain(330, "True")
+    # the first `hash()` of a fresh chain recurses down its arguments, which
+    # no evaluation-context walk enters; `step_all` and `eval_all` hash
+    # their input bottom-up without recursion
+    term = not_chain(10_000, "True")
     succs = _on_a_fresh_stack(step_all, prelude, term)
     assert succs == [App(prelude.let_def("not").body, term.arg)]
     terminals, exhausted = _on_a_fresh_stack(
