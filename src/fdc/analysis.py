@@ -214,16 +214,13 @@ def _check_calls(env: Env, owner: Optional[str], body: Node,
                 f"{evidence_size} under {guards} guard(s)")
 
 
-def _checked(program: list[Decl], env: Optional[Env]) -> Env:
+def check_hssdi(program: list[Decl], env: Optional[Env] = None) -> HssdiReport:
+    """Run all three conditions over a typechecked program. Public because
+    the benchmark's `elab-classes` workload calls it on bare declarations."""
     full, diags = check_program(env if env is not None else Env(), program)
     if diags:
         raise AnalysisError(diags[0])
-    return full
-
-
-def check_hssdi(program: list[Decl], env: Optional[Env] = None) -> HssdiReport:
-    """Run all three conditions over a typechecked program."""
-    return hssdi_report(_checked(program, env))
+    return hssdi_report(full)
 
 
 def hssdi_report(env: Env) -> HssdiReport:
@@ -237,17 +234,6 @@ def hssdi_report(env: Env) -> HssdiReport:
                 _check_calls(env, None, body, report)
     _check_condition3(env, report)
     return report
-
-
-def check_saturation(program: list[Decl],
-                     env: Optional[Env] = None) -> dict[str, list[tuple[str, ...]]]:
-    """Condition three alone: per open function, the constructor tuples with
-    no exactly-matching guard preamble."""
-    full = _checked(program, env)
-    report = HssdiReport()
-    _check_condition3(full, report)
-    return {name: rep.condition3_missing
-            for name, rep in report.functions.items()}
 
 
 # ------------------------------------------------------------ specializer

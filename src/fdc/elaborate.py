@@ -251,7 +251,7 @@ class Elaborator:
         if not node_eq(sty, cod):
             sc = self._cast(env, sc, sty, cod)
         cc, cty = self.infer(env, names, cons)
-        result = _match_consequent(env, res_kinds, arg_tys, cty, ())
+        result = _match_consequent(res_kinds, arg_tys, cty, ())
         ac = self.check(env, names, alt, result)
         return If(sc, core_pat, cc, ac), result
 

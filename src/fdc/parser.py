@@ -440,10 +440,3 @@ def parse_type(text: str) -> Node:
     node = p.type_()
     p.expect("eof")
     return node
-
-
-def parse_kind(text: str) -> Node:
-    p = Parser(tokenize(text))
-    node = p.kind()
-    p.expect("eof")
-    return node

@@ -677,6 +677,7 @@ def shrink(env: Env, term: Node, ty: Node, prop: Callable) -> Node:
 
 
 def run_property(name: str, cfg: GenConfig) -> PropResult:
+    """One suite alone. Public because the benchmark's tests import it."""
     return run_properties((name,), cfg)[0]
 
 

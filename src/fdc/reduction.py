@@ -593,13 +593,15 @@ def step_all(env: Env, m: Node) -> list[Node]:
 
 def step_det_tagged(env: Env, m: Node) -> Optional[tuple[str, Node]]:
     """Leftmost-outermost strategy: redex, then zeta, then kappa, then
-    descend into the first reducible evaluation frame."""
+    descend into the first reducible evaluation frame. Public as the
+    calculus's one-step reduction, with the rule that fired."""
     d = Decomposition(m, EVAL_FRAMES)
     hit = next(_steps(env, d), None)
     return None if hit is None else (hit[0], d.plug(hit[1]))
 
 
 def step_det(env: Env, m: Node) -> StepOutcome:
+    """One deterministic step, or why there is none (value, zero, stuck)."""
     if is_value(m):
         return IsValue()
     if m == ZERO:

@@ -506,13 +506,6 @@ def parse_surface(text: str) -> list[SDecl]:
     return SurfaceParser(tokenize(text)).program_with_spans()[0]
 
 
-def parse_surface_term(text: str) -> STerm:
-    p = SurfaceParser(tokenize(text))
-    t = p.term()
-    p.expect("eof")
-    return t
-
-
 # ------------------------------------------- type printer, for diagnostics
 
 def print_stype(t: SType, level: int = 0) -> str:

@@ -463,9 +463,6 @@ class Env:
             return self.binders[-1 - index]
         return None
 
-    def binder_depth(self) -> int:
-        return len(self.binders)
-
     # -- name lookups
 
     def type_sig(self, name: str) -> Optional[Union[DataDecl, OpenTypeDecl]]:
@@ -588,17 +585,3 @@ def subnodes(n: Node) -> Iterator[Node]:
         cur = stack.pop()
         yield cur
         stack.extend(reversed(children(cur)))
-
-
-def map_children(n: Node, f) -> Node:
-    """Rebuild `n` with every immediate sub-node passed through `f`, kinds
-    and pattern type args included; a leaf (fields of data) stays as it is."""
-    shape = FIELDS[type(n)]
-    if not shape or shape[0][1] is DATA:
-        return n
-    args = []
-    for name, role in shape:
-        x = getattr(n, name)
-        args.append(Pattern(x.head, tuple(map(f, x.type_args)))
-                    if role is PATTERN else f(x))
-    return type(n)(*args)

@@ -36,8 +36,7 @@ from .syntax import (
     un_arrow,
 )
 from .subst import Subst, Replace, Rename, apply, shift, instantiate_all
-# `_show` is re-exported: the reference search in tests/ prints goals with it
-from .typecheck import CheckError, _fail, _show  # noqa: F401
+from .typecheck import CheckError, _fail
 
 
 class SynthError(CheckError):
@@ -209,13 +208,12 @@ class Scope:
     """What every coercion search of one resolver under one exclusion set
     shares, built once: the graph of the equality hypotheses' edges (each
     hypothesis both ways, then the decomposition edges they derive), their
-    sides in order, the in-scope dictionaries with their superclass
-    projections, and the improvement candidates between them, in the order
-    their edges are tried. `edges` tables the improvement edges of each
-    search state, `(depth, active)`: see `Resolver._improvement_edges`."""
+    sides in order, and the improvement candidates between the in-scope
+    dictionaries and their superclass projections, in the order their edges
+    are tried. `edges` tables the improvement edges of each search state,
+    `(depth, active)`: see `Resolver._improvement_edges`."""
     graph: Graph
     nodes: dict[Node, None]
-    dicts: tuple[tuple[Node, Node], ...]
     candidates: list[Candidate]
     edges: dict[tuple[int, frozenset], list[tuple[Node, Node, Node]]] \
         = field(default_factory=dict)
@@ -300,12 +298,6 @@ class Resolver:
         return hyps_inconsistent([(l, r) for l, r, _
                                   in self.hypotheses(frozenset())])
 
-    def scope_dicts(self, exclude: frozenset[int]
-                    ) -> tuple[tuple[Node, Node], ...]:
-        """(term, type) pairs for class-typed binders, with superclass
-        projections chased transitively; built once per exclusion set."""
-        return self._scope(exclude).dicts
-
     def _scope(self, exclude: frozenset[int]) -> Scope:
         scope = self._scopes.get(exclude)
         if scope is None:
@@ -321,8 +313,8 @@ class Resolver:
         nodes = dict.fromkeys(n for l, r, _ in hyps for n in (l, r))
         for a, b, term in self._decomposition_edges(nodes, graph):
             _add_edge(graph, a, b, term)
-        dicts = self._collect_dicts(exclude)
-        return Scope(graph, nodes, dicts, self._candidates(dicts))
+        return Scope(graph, nodes,
+                     self._candidates(self._collect_dicts(exclude)))
 
     def _collect_dicts(self, exclude: frozenset[int]
                        ) -> tuple[tuple[Node, Node], ...]:

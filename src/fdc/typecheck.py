@@ -214,7 +214,7 @@ def _open_pattern(ctor_type: Node, type_args: tuple[Node, ...]
     return tuple(res_kinds), tuple(arg_tys), try_unshift(cod, len(res_kinds))
 
 
-def _match_consequent(env: Env, res_kinds: list[Node], arg_tys: list[Node],
+def _match_consequent(res_kinds: list[Node], arg_tys: list[Node],
                       cons_ty: Node, path: tuple[str, ...]) -> Node:
     """Strip the pattern telescope off an inferred consequent type and return
     the result type, expressed outside the telescope."""
@@ -294,8 +294,9 @@ def _coerce(env: Env, eta: Node,
                     return TApp(ga[0], gb[0]), TApp(ga[1], gb[1]), cod
             _fail("coercion-shape", "coercion head is not at constructor kind",
                   path, found=ga[2])
-        case Fst(a):
-            got = _coerce(env, a, path + ("fst",))
+        case Fst(a) | Snd(a):
+            seg, side = ("fst", "fun") if isinstance(eta, Fst) else ("snd", "arg")
+            got = _coerce(env, a, path + (seg,))
             if got is None:
                 return None
             l, r, _ = got
@@ -303,19 +304,8 @@ def _coerce(env: Env, eta: Node,
                 _fail("coercion-shape",
                       "projection requires type applications on both sides",
                       path, found=l if not isinstance(l, TApp) else r)
-            k = kind_of(env, l.fun, path + ("fst",))
-            return l.fun, r.fun, k
-        case Snd(a):
-            got = _coerce(env, a, path + ("snd",))
-            if got is None:
-                return None
-            l, r, _ = got
-            if not isinstance(l, TApp) or not isinstance(r, TApp):
-                _fail("coercion-shape",
-                      "projection requires type applications on both sides",
-                      path, found=l if not isinstance(l, TApp) else r)
-            k = kind_of(env, l.arg, path + ("snd",))
-            return l.arg, r.arg, k
+            pl, pr = getattr(l, side), getattr(r, side)
+            return pl, pr, kind_of(env, pl, path + (seg,))
         case Univ(k, body):
             if not is_kind(k):
                 _fail("bad-kind", "malformed kind annotation", path)
@@ -358,14 +348,6 @@ def _coerce(env: Env, eta: Node,
                     return l, r, k
             _fail("coercion-shape", "term used as a coercion",
                   path, expected="an equality type", found=got.type)
-
-
-def coerce_type(env: Env, eta: Node) -> tuple[Node, Node, Node]:
-    got = _coerce(env, eta, ())
-    if got is None:
-        _fail("coercion-shape",
-              "coercion is zero-like; its endpoints are indeterminate")
-    return got
 
 
 # ------------------------------------------------------------- terms
@@ -522,7 +504,7 @@ def _infer_match(env: Env, scrut: Node, pat: Pattern, cons: Node,
     gc = infer_term(env, cons, path + ("cons",))
     result: Optional[Node] = None
     if isinstance(gc, Exactly):
-        result = _match_consequent(env, res_kinds, arg_tys, gc.type,
+        result = _match_consequent(res_kinds, arg_tys, gc.type,
                                    path + ("cons",))
     if alt is not None:
         ga = infer_term(env, alt, path + ("alt",))
@@ -596,7 +578,8 @@ def _check_lams(env: Env, m: Node, expected: Node,
 
 def check_env(env: Env) -> None:
     """Formation of the whole environment, walking it forward: each binder
-    and each declaration in the scope of the entries before it."""
+    and each declaration in the scope of the entries before it. Public as
+    the calculus's environment judgment, though only tests call it."""
     scope = Env(())
     for i, entry in enumerate(env.entries):
         where = (f"entry-{i}",)
@@ -701,25 +684,3 @@ def check_program(env: Env, decls: list[Decl],
                 diag = replace(diag, span=spans[i])
             diags.append(diag)
     return env, diags
-
-
-# --------------------------------------------------------- classification
-
-def classify(env: Env, n: Node) -> list[str]:
-    """Which of the three merged judgments accept `n`; well-formed nodes
-    satisfy exactly one (debug assertion for the merged-tree design)."""
-    out = []
-    if is_kind(n):
-        out.append("kind")
-    else:
-        try:
-            kind_of(env, n)
-            out.append("type")
-        except CheckError:
-            pass
-        try:
-            infer_term(env, n)
-            out.append("term")
-        except CheckError:
-            pass
-    return out

@@ -30,13 +30,27 @@ from fdc.reduction import (
 )
 from fdc.subst import instantiate
 from fdc.syntax import (
-    App, CApp, CInst, Cast, Choice, Env, Fst, Guard, If, Lam, Node, Ref, Sim,
-    Snd, Sym, Trans, TyApp, TyLam, Univ, ZERO, children, map_children,
-    plug_spine, spine,
+    App, CApp, CInst, Cast, Choice, DATA, Env, FIELDS, Fst, Guard, If, Lam,
+    Node, PATTERN, Pattern, Ref, Sim, Snd, Sym, Trans, TyApp, TyLam, Univ,
+    ZERO, children, plug_spine, spine,
 )
 from fdc.typecheck import Diagnostic, _fail
 
 Plug = Callable[[Node], Node]
+
+
+def map_children(n: Node, f) -> Node:
+    """Rebuild `n` with every immediate sub-node passed through `f`, kinds
+    and pattern type args included; a leaf (fields of data) stays as it is."""
+    shape = FIELDS[type(n)]
+    if not shape or shape[0][1] is DATA:
+        return n
+    args = []
+    for name, role in shape:
+        x = getattr(n, name)
+        args.append(Pattern(x.head, tuple(map(f, x.type_args)))
+                    if role is PATTERN else f(x))
+    return type(n)(*args)
 
 
 def a_children(m: Node) -> list[tuple[Node, Plug]]:

@@ -22,7 +22,7 @@ from typing import Optional
 
 from fdc.synthesis import (
     ClassInfo, FundepInfo, InstanceInfo, Resolver, SynthError, _rigid_clash,
-    _show, _size, apply_projection, match_type, subst_match_vars,
+    _size, apply_projection, match_type, subst_match_vars,
 )
 from fdc.syntax import (
     Node, TCon, TApp, EqTy, Forall, Var, Con, Ref, App, TyApp, Cast, Refl,
@@ -30,7 +30,7 @@ from fdc.syntax import (
     type_spine, spine_head, un_arrow,
 )
 from fdc.subst import shift, instantiate
-from fdc.typecheck import Diagnostic
+from fdc.typecheck import Diagnostic, _show
 
 
 def hyps_inconsistent(pairs: list[tuple[Node, Node]], limit: int = 200) -> bool:
@@ -74,7 +74,7 @@ class OracleResolver(Resolver):
     def scope_entries(self) -> list[tuple[int, Node]]:
         """(index, type) for every term binder in scope, innermost first."""
         out = []
-        depth = self.env.binder_depth()
+        depth = len(self.env.binders)
         for i in range(depth):
             entry = self.env.binder(i)
             if isinstance(entry, TmVarBind):

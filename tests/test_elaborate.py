@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fdc.analysis import check_no_zero_syntactic, check_saturation, \
+from fdc.analysis import check_hssdi, check_no_zero_syntactic, \
     extract_preamble
 from fdc.corpus import corpus_text, prelude_env
 from fdc.elaborate import ElabOptions, Elaborator, elaborate_program
@@ -16,7 +16,7 @@ from fdc.syntax import (
     MethodDecl, OpenCtorDecl, OpenTypeDecl, Ref, Refl, TApp, TCon, TVar,
     TmVarBind, TyApp, TyVarBind, Var, Zero, STAR, arrow, node_eq, subnodes,
 )
-from fdc.typecheck import check_program, coerce_type
+from fdc.typecheck import Exactly, check_program, infer_term
 from test_synthesis import CASES, fundep_program
 
 BOOL = TCon("Bool")
@@ -185,8 +185,9 @@ def test_output_typechecks_and_is_zero_free(prelude, superclasses_core,
 
 def test_output_is_saturated(prelude, superclasses_core, fundeps_core):
     for core in (superclasses_core, fundeps_core):
-        missing = check_saturation(core, prelude)
-        assert all(not tuples for tuples in missing.values()), missing
+        functions = check_hssdi(core, prelude).functions
+        assert all(not rep.condition3_missing
+                   for rep in functions.values()), functions
 
 
 def test_elaboration_is_deterministic(prelude):
@@ -284,8 +285,7 @@ def test_synth_double_cast_from_hypothesis(prelude):
     h = Var(0)
     assert eta == CApp(CApp(Refl(ARROW), h),
                        CApp(CApp(Refl(ARROW), h), Refl(BOOL)))
-    lhs, rhs, kind = coerce_type(env, eta)
-    assert lhs == frm and rhs == to and kind == STAR
+    assert infer_term(env, eta) == Exactly(EqTy(frm, to, STAR))
 
 
 def test_synth_improvement_through_fundep(prelude):
@@ -300,8 +300,7 @@ def test_synth_improvement_through_fundep(prelude):
     )
     # the dictionary variable is Var(0); the type variable is one step out
     assert eta == expected
-    lhs, rhs, kind = coerce_type(env, eta)
-    assert lhs == BOOL and rhs == TVar(1)
+    assert infer_term(env, eta) == Exactly(EqTy(BOOL, TVar(1), STAR))
 
 
 def test_synth_failure(prelude):
@@ -382,8 +381,7 @@ def test_synth_congruence_under_quantifier(prelude):
     frm = parse_type("forall t:*. Bool -> t")
     to = Forall(STAR, arrow(TVar(2), TVar(0)))  # forall t. u -> t
     eta = r.synth(frm, to)
-    lhs, rhs, kind = coerce_type(env, eta)
-    assert lhs == frm and rhs == to and kind == STAR
+    assert infer_term(env, eta) == Exactly(EqTy(frm, to, STAR))
 
 
 def test_unnamed_instances_get_scheme_names(prelude):

@@ -6,7 +6,7 @@ from fdc.parser import ParseError
 from fdc.surface import (
     SAnnot, SApp, SArrow, SClassDecl, SCon, SForall, SHole, SIf,
     SInstanceDecl, SLam, SLetDecl, STApp, STCon, STVar, STyApp, STyLam,
-    SVar, parse_surface, parse_surface_term, validate_surface,
+    SVar, parse_surface, validate_surface,
 )
 from fdc.syntax import KArr, STAR
 from fdc.typecheck import Diagnostic
@@ -56,14 +56,20 @@ def test_instance_with_explicit_ctor_name():
     assert decl.head_args == (STCon("Int"), STCon("Bool"))
 
 
+def _let_body(term: str):
+    """`term` read by `parse_surface` as the body of a `let`."""
+    [decl] = parse_surface(f"let t :: Bool = {term};")
+    return decl.body
+
+
 def test_hole_and_annotation_terms():
-    t = parse_surface_term("eq [a] (_ :: Eq a) x y")
+    t = _let_body("eq [a] (_ :: Eq a) x y")
     # spine: (((eq [a]) hole) x) y
     assert isinstance(t, SApp)
     assert t.arg == SVar("y")
     hole = t.fun.fun.arg
     assert hole == SHole(STApp(STCon("Eq"), STVar("a")))
-    annotated = parse_surface_term("(True :: Bool)")
+    annotated = _let_body("(True :: Bool)")
     assert annotated == SAnnot(SCon("True"), STCon("Bool"))
 
 

@@ -17,8 +17,8 @@ from fdc.syntax import (
 )
 from fdc.typecheck import (
     AnyType, CheckError, Diagnostic, Exactly, check_decl, check_env,
-    check_program, check_term, classify, coerce_type, infer_term,
-    is_data_head, is_open_head, kind_of, pattern_type,
+    check_program, check_term, infer_term, is_data_head, is_kind,
+    is_open_head, kind_of, pattern_type,
 )
 from fdc.syntax import DataDecl, CtorDecl, OpenTypeDecl, OpenCtorDecl, \
     MethodDecl, InstanceDecl, LetDecl
@@ -103,6 +103,25 @@ def test_check_refl(prelude):
                    parse_type("Bool ~ Int"))
 
 
+def test_check_choice_checks_each_side(prelude):
+    # each alternative is checked against the expected type on its own, at
+    # its own path, whichever side is wrong and whatever the other side is
+    for text, side in (("True <+> refl(Bool)", "right"),
+                       ("refl(Bool) <+> True", "left"),
+                       ("0 <+> refl(Bool)", "right")):
+        got = _diagnostic(lambda: check_term(prelude, parse_term(text), BOOL))
+        assert got == Diagnostic("type-mismatch", "term type mismatch",
+                                 (side,), "Bool", "Bool ~ Bool"), text
+
+
+def _coercion_type(env, eta):
+    """The endpoints and kind of the coercion `eta`, read off the equality
+    type `infer_term` gives it."""
+    got = infer_term(env, eta)
+    assert isinstance(got, Exactly) and isinstance(got.type, EqTy), got
+    return got.type.lhs, got.type.rhs, got.type.kind
+
+
 def test_coerce_type_sym_trans():
     # h2 : Bool ~ u, k2 : Bool ~ v  gives  sym h2 ;; k2 : u ~ v
     env = Env().push(
@@ -111,7 +130,7 @@ def test_coerce_type_sym_trans():
         TmVarBind(EqTy(BOOL, TVar(1), STAR)))
     # binder telescope: u, v, h2 : Bool ~ u, k2 : Bool ~ v
     eta = parse_term("sym #1 ;; #0")
-    lhs, rhs, kind = coerce_type(env, eta)
+    lhs, rhs, kind = _coercion_type(env, eta)
     assert lhs == TVar(3)   # u at this depth
     assert rhs == TVar(2)   # v
     assert kind == STAR
@@ -119,7 +138,7 @@ def test_coerce_type_sym_trans():
 
 def test_coerce_type_application_of_refls(prelude):
     env = prelude.push(OpenTypeDecl("Eq", KArr(STAR, STAR)))
-    lhs, rhs, kind = coerce_type(env, parse_term("refl(Eq) @ refl(Bool)"))
+    lhs, rhs, kind = _coercion_type(env, parse_term("refl(Eq) @ refl(Bool)"))
     assert lhs == TApp(TCon("Eq"), BOOL)
     assert rhs == TApp(TCon("Eq"), BOOL)
     assert kind == STAR
@@ -132,19 +151,37 @@ def test_coerce_type_snd_projection(prelude):
         TmVarBind(EqTy(TApp(TCon("Maybe"), TVar(1)), TVar(2), STAR)),
         TmVarBind(EqTy(TApp(TCon("Maybe"), TVar(1)), TVar(3), STAR)))
     # telescope: a, a', a'', h1 : Maybe a' ~ a, k1 : Maybe a'' ~ a
-    lhs, rhs, kind = coerce_type(env, parse_term("(#1 ;; sym #0) .2"))
+    lhs, rhs, kind = _coercion_type(env, parse_term("(#1 ;; sym #0) .2"))
     assert lhs == TVar(3)   # a'
     assert rhs == TVar(2)   # a''
     assert kind == STAR
 
 
+def test_projections_relate_heads_or_arguments(prelude):
+    # h : Maybe Bool ~ Maybe Int; h.1 relates the heads at their kind, h.2
+    # the arguments
+    maybe = TCon("Maybe")
+    env = prelude.push(TmVarBind(EqTy(TApp(maybe, BOOL),
+                                      TApp(maybe, TCon("Int")), STAR)))
+    assert _coercion_type(env, parse_term("#0 .1")) \
+        == (maybe, maybe, KArr(STAR, STAR))
+    assert _coercion_type(env, parse_term("#0 .2")) \
+        == (BOOL, TCon("Int"), STAR)
+    # an error inside the projected coercion is reported under its segment
+    for proj, seg in ((".1", "fst"), (".2", "snd")):
+        term = parse_term(f"refl(Nope) {proj}")
+        assert _diagnostic(lambda: infer_term(prelude, term)) == Diagnostic(
+            "unbound-con", "type constant 'Nope' is not declared",
+            (seg, "refl"))
+
+
 def test_coerce_type_shape_errors(prelude):
     with pytest.raises(CheckError):
-        coerce_type(prelude, parse_term("refl(Bool) .1"))  # not an application
+        infer_term(prelude, parse_term("refl(Bool) .1"))  # not an application
     with pytest.raises(CheckError):
-        coerce_type(prelude, parse_term("refl(Bool) ;; refl(Int)"))
+        infer_term(prelude, parse_term("refl(Bool) ;; refl(Int)"))
     with pytest.raises(CheckError):
-        coerce_type(prelude, parse_term("refl(Bool) @[Int]"))
+        infer_term(prelude, parse_term("refl(Bool) @[Int]"))
 
 
 def test_pattern_type_eqbool(superclasses_env):
@@ -251,6 +288,21 @@ def test_check_program_collects_and_continues(prelude):
     assert env.let_sig("alsogood") is not None
 
 
+def _classify(env, n):
+    """Which of the kind, type and term judgments accept `n`; a well-formed
+    node satisfies exactly one."""
+    if is_kind(n):
+        return ["kind"]
+    out = []
+    for name, judgment in (("type", kind_of), ("term", infer_term)):
+        try:
+            judgment(env, n)
+            out.append(name)
+        except CheckError:
+            pass
+    return out
+
+
 def test_classification_exactly_one(prelude):
     samples = [
         (STAR, "kind"),
@@ -262,7 +314,7 @@ def test_classification_exactly_one(prelude):
         (Refl(BOOL), "term"),
     ]
     for node, expected in samples:
-        got = classify(prelude, node)
+        got = _classify(prelude, node)
         assert got == [expected], (node, got)
 
 
@@ -270,8 +322,8 @@ def test_classification_on_generated_terms():
     cfg = GenConfig(seed=21, size=15)
     for i in range(60):
         env, term, ty = gen_well_typed(cfg, i)
-        assert classify(env, term) == ["term"]
-        assert classify(env, ty) == ["type"]
+        assert _classify(env, term) == ["term"]
+        assert _classify(env, ty) == ["type"]
 
 
 def test_uniqueness_repeated_inference(prelude):
@@ -342,7 +394,7 @@ def assert_names_match_scan(env):
 
 def assert_binders_match_scan(env):
     depth = sum(isinstance(e, BINDS) for e in env.entries)
-    assert env.binder_depth() == depth
+    assert len(env.binders) == depth
     for i in range(-1, depth + 1):
         assert env.binder(i) is _scan_binder(env, i), i
     assert env.is_lambda_free() == (_scan(
