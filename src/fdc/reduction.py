@@ -39,12 +39,13 @@ is the pair of the node with either side in its place, and any other child
 gives its own items with both sides rebuilt into the node. So a node
 rebuilds one node per side of an item, where a walk of its region would
 rebuild the whole path down to it, and `step_all` on a `Sym` tower is
-linear in its depth. The input is first hashed bottom-up without
-recursion, so a deep argument, which no walk enters, cannot exhaust the
-stack. Lists and items are kept in a memo keyed by node. `eval_all` holds
-one memo for its whole search, so a subterm that many frontier terms share
-is expanded once per search: a successor differs from its parent only
-along one path, and only the nodes on that path are expanded anew.
+linear in its depth. Every node carries its hash from construction (see
+`syntax`), so keying a memo by a deep argument, which no walk enters,
+cannot exhaust the stack. Lists and items are kept in a memo keyed by
+node. `eval_all` holds one memo for its whole search, so a subterm that
+many frontier terms share is expanded once per search: a successor differs
+from its parent only along one path, and only the nodes on that path are
+expanded anew.
 """
 
 from __future__ import annotations
@@ -446,15 +447,16 @@ def _refocus(env: Env, d: Decomposition,
 
 
 def _same(a: Node, b: Node) -> bool:
-    """`a == b` over an explicit stack: the dataclass equality recurses once
-    per level of the term. Fields are compared in order, as `==` does, so
-    terms that differ near the head of a long spine part at once."""
+    """`a == b` over an explicit stack: node equality recurses once per
+    level at which two equal subterms are not one object. Fields are
+    compared in order, as `==` does, so terms that differ near the head of
+    a long spine part at once."""
     todo = [(a, b)]
     while todo:
         a, b = todo.pop()
         if a is b:
             continue
-        if type(a) is not type(b):
+        if type(a) is not type(b) or a._hash != b._hash:
             return False
         for name, role in reversed(FIELDS[type(a)]):
             x, y = getattr(a, name), getattr(b, name)
@@ -516,25 +518,6 @@ def normalize(env: Env, m: Node, fuel: int, table: dict = EVAL_FRAMES,
 
 # ------------------------------------------------------------- step_all
 
-def _hash_all(m: Node) -> None:
-    """Store the hash of every node of `m`, children before parents, with no
-    recursion: the first `hash()` of a node recurses down all its fields,
-    the arguments that no evaluation-context walk enters too. The walk lists
-    the nodes with no stored hash, each after its parent, and hashes them
-    in reverse; a hashed `m` costs one attribute read. (The type arguments
-    of a pattern are left to `hash()`.)"""
-    if m._hash is not None:
-        return
-    order = [m]
-    for n in order:
-        for f, _, _ in ALL_FRAMES[type(n)]:
-            c = getattr(n, f)
-            if c._hash is None:
-                order.append(c)
-    for n in reversed(order):
-        hash(n)
-
-
 def _successors(env: Env, m: Node, memo: dict) -> tuple[Node, ...]:
     """The successors of `m`, from those of its evaluation-context children
     in `memo`, which this fills for every subterm it computes with the pair
@@ -545,7 +528,6 @@ def _successors(env: Env, m: Node, memo: dict) -> tuple[Node, ...]:
     see the module docstring for how a node's items come from its
     children's. The walk is post-order over an explicit stack: a node is
     pushed again, ready, under its children."""
-    _hash_all(m)
     todo = [(m, False)]
     while todo:
         n, ready = todo.pop()
@@ -670,7 +652,6 @@ def eval_all(env: Env, m: Node, fuel: int = DEFAULT_FUEL,
     zero), up to `fuel` node expansions; second component reports whether
     the frontier was exhausted. One successor memo serves the whole search,
     so a subterm shared by many frontier terms is expanded once."""
-    _hash_all(m)
     seen = {m}
     queue = deque([m])
     memo: dict = {}

@@ -8,7 +8,15 @@ failures.
 
 Application tracks how many binders it is under instead of lifting the
 substitution at each one, and returns any subterm whose loose range
-(`syntax.loose_range`, cached per node) shows no free index it could touch.
+(`syntax.loose_range`, stored on each node) shows no free index it could
+touch.
+
+`shift` keeps a bounded memo keyed by the node's identity and the amount.
+Nodes are hash-consed (see `syntax`), so a type or telescope rebuilt
+elsewhere is most often the very object shifted before, and the memo
+answers for it. An entry holds its node, so the identity it is keyed by is
+never reused while the entry lives; the memo is emptied when it reaches
+`TABLE_LIMIT` entries.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .syntax import (
-    BINDER, OPEN, PATTERN, SCOPED_FIELDS, Node, Pattern, TVar, Var,
-    loose_range,
+    BINDER, OPEN, PATTERN, SCOPED_FIELDS, TABLE_LIMIT, Node, Pattern, TVar,
+    Var, loose_range,
 )
 
 
@@ -91,7 +99,7 @@ def _apply(s: Subst, n: Node, depth: int) -> Node:
     bound inside and stay; index i >= depth is `s`'s action on i - depth,
     a replacement shifted past the `depth` binders. A subterm with no free
     index at or above `depth` is returned as it is."""
-    if loose_range(n) <= depth:
+    if n._range <= depth:
         return n
     cls = type(n)
     if cls is Var or cls is TVar:
@@ -130,12 +138,23 @@ def compose(s1: Subst, s2: Subst) -> Subst:
     return Subst(tuple(prefix), s1.shift + s2.shift)
 
 
+_SHIFTED: dict = {}
+
+
 def shift(n: Node, amount: int) -> Node:
     """Shift all free indices; negative amounts must not strand variables
     (`ScopeEscape` when one would)."""
-    if amount == 0 or loose_range(n) == 0:
+    if amount == 0 or n._range == 0:
         return n
-    return apply(shift_subst(amount), n)
+    key = (id(n), amount)
+    hit = _SHIFTED.get(key)
+    if hit is not None and hit[0] is n:
+        return hit[1]
+    out = apply(shift_subst(amount), n)
+    if len(_SHIFTED) >= TABLE_LIMIT:
+        _SHIFTED.clear()
+    _SHIFTED[key] = n, out
+    return out
 
 
 def instantiate(body: Node, arg: Node) -> Node:

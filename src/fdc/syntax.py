@@ -6,35 +6,170 @@ belongs to (kinding vs typing) is decided by the checker, not the grammar.
 Variables bound by `Forall`/`Lam`/`TyLam`/`Univ` are de Bruijn indices into a
 single shared telescope; declared constants (type constants, constructors,
 open functions, lets) are strings resolved against the environment.
+
+Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): each class's constructor, generated from `FIELDS`,
+computes the node's structural hash and loose range from its children's
+stored values, with no recursion, and returns the node its class's intern
+table already holds when that node has the same fields. A class's table
+holds two generations of at most `TABLE_LIMIT` nodes each: when the newer
+is full it replaces the older, so a structure of up to `TABLE_LIMIT` nodes
+built twice in a row is one object. Two equal nodes need not be one object
+(one may predate a dropped generation): equality stays structural, and
+compares identity and stored hashes before any field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Iterator, Optional, Union
+
+# Entries per generation of an intern table, and in `subst`'s shift memo.
+TABLE_LIMIT = 2 ** 14
 
 
 class Node:
-    """Base class for all syntax nodes."""
+    """Base class for all syntax nodes, which are immutable. Each node class
+    declares one slot per field, so a node holds its fields, hash and loose
+    range in slots, with no `__dict__`."""
 
-    __slots__ = ()
+    __slots__ = ("_hash", "_range")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        """Structural equality: one object, or two different stored hashes,
+        answer at once; otherwise the fields are compared in order."""
+        if self is other:
+            return True
+        cls = type(self)
+        if type(other) is not cls:
+            return NotImplemented
+        return self._hash == other._hash and (
+            [getattr(self, f) for f, _ in FIELDS[cls]]
+            == [getattr(other, f) for f, _ in FIELDS[cls]])
+
+    def __repr__(self) -> str:
+        cls = type(self)
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f, _ in FIELDS[cls])
+        return f"{cls.__name__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        """Copy and pickle through the constructor, which interns."""
+        cls = type(self)
+        return cls, tuple(getattr(self, f) for f, _ in FIELDS[cls])
 
 
 # Annotations that mark a field as a binder body or a kind (see `FIELDS`).
 Body = Kind = Node
 
 
+# Per node class, its dataclass fields in order, each with its role, read
+# off its annotation: an open position (`Node`); a binder body (`Body`), one
+# telescope slot deeper; a closed kind (`Kind`: no variable or reference); a
+# pattern, whose type arguments are open positions; or data (index, name).
+OPEN, BINDER, KIND, PATTERN, DATA = "open", "binder", "kind", "pattern", "data"
+_ROLES = {"Node": OPEN, "Body": BINDER, "Kind": KIND, "Pattern": PATTERN}
+FIELDS: dict[type, tuple[tuple[str, str], ...]] = {}
+
+_TEMPLATE = """
+def __new__(cls, {params}):
+    h = hash(({tag}, {hashed}))
+    old = get(h)
+    if old is None:
+        old = get_older(h)
+    if old is not None{same}:
+        return old
+    n = new(C)
+    {store}
+    set_range(n, r)
+    set_hash(n, h)
+    if len(table) >= TABLE_LIMIT:
+        older.clear()
+        older.update(table)
+        table.clear()
+    table[h] = n
+    return n
+"""
+
+
+def _pattern_range(p: Pattern) -> int:
+    return max((t._range for t in p.type_args), default=0)
+
+
+def _intern(cls: type, tag: int) -> None:
+    """Give node class `cls` its interning constructor.
+
+    The constructor hashes the class's `tag` with each child's stored hash
+    and each datum (a pattern by its own hash, from its type arguments'),
+    and takes the loose range from the children's: an open child's range,
+    a binder body's less one, a pattern's largest, and a variable's index
+    plus one; kinds are closed. When the class's table holds a node under
+    that hash, in its newer generation or else its older, whose children
+    are these very objects and whose data are equal, that node is
+    returned; otherwise the new node goes into the newer generation."""
+    shape = FIELDS[cls]
+    nodes = [f for f, role in shape if role in (OPEN, BINDER, KIND)]
+    store = [f"set_{f}(n, {f})" for f, _ in shape]
+    if shape == (("index", DATA),):  # a variable
+        store.append("r = index + 1")
+    else:
+        store.append("r = 0")
+        for f, role in shape:
+            x = {OPEN: f"{f}._range", BINDER: f"{f}._range - 1",
+                 PATTERN: f"pattern_range({f})"}.get(role)
+            if x is not None:
+                store += [f"x = {x}", "if x > r: r = x"]
+    source = _TEMPLATE.format(
+        params=", ".join(f for f, _ in shape), tag=tag,
+        hashed="".join(f"{f}._hash, " if f in nodes else f"{f}, "
+                       for f, _ in shape),
+        same="".join(f" and old.{f} is {f}" if f in nodes
+                     else f" and old.{f} == {f}" for f, _ in shape),
+        store="\n    ".join(store))
+    table: dict = {}
+    older: dict = {}
+    ns = {"C": cls, "table": table, "get": table.get, "older": older,
+          "get_older": older.get, "new": object.__new__,
+          "TABLE_LIMIT": TABLE_LIMIT, "pattern_range": _pattern_range,
+          "set_hash": Node._hash.__set__, "set_range": Node._range.__set__,
+          **{f"set_{f}": cls.__dict__[f].__set__ for f, _ in shape}}
+    exec(source, ns)
+    cls.__new__ = staticmethod(ns["__new__"])
+
+
+def node(cls: type) -> type:
+    """Make `cls` a node class: a dataclass for its fields and match
+    arguments, with its `FIELDS` entry and the constructor generated from
+    it."""
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    FIELDS[cls] = tuple((f.name, _ROLES.get(f.type, DATA))
+                        for f in fields(cls))
+    _intern(cls, len(FIELDS))
+    return cls
+
+
 # ---------------------------------------------------------------- kinds
 
-@dataclass(frozen=True)
+@node
 class Star(Node):
     """Kind of inhabited types: `*`."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@node
 class KArr(Node):
     """Kind of type constructors: `k1 -> k2`."""
 
+    __slots__ = ("left", "right")
     left: Kind
     right: Kind
 
@@ -44,41 +179,46 @@ STAR = Star()
 
 # ---------------------------------------------------------------- types
 
-@dataclass(frozen=True)
+@node
 class TVar(Node):
     """De Bruijn type variable."""
 
+    __slots__ = ("index",)
     index: int
 
 
-@dataclass(frozen=True)
+@node
 class TCon(Node):
     """Named type constant (closed or open)."""
 
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class TApp(Node):
     """Type application. `a -> b` is sugar for `TApp(TApp(TCon('->'), a), b)`."""
 
+    __slots__ = ("fun", "arg")
     fun: Node
     arg: Node
 
 
-@dataclass(frozen=True)
+@node
 class EqTy(Node):
     """Coercion type `lhs ~[kind] rhs`."""
 
+    __slots__ = ("lhs", "rhs", "kind")
     lhs: Node
     rhs: Node
     kind: Kind
 
 
-@dataclass(frozen=True)
+@node
 class Forall(Node):
     """Universally quantified type; binds one type variable."""
 
+    __slots__ = ("kind", "body")
     kind: Kind
     body: Body
 
@@ -100,61 +240,71 @@ def un_arrow(ty: Node) -> Optional[tuple[Node, Node]]:
 
 # ---------------------------------------------------------------- terms
 
-@dataclass(frozen=True)
+@node
 class Var(Node):
     """De Bruijn term variable."""
 
+    __slots__ = ("index",)
     index: int
 
 
-@dataclass(frozen=True)
+@node
 class Con(Node):
     """Constructor constant (closed or open data)."""
 
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class Ref(Node):
     """Reference to an open function or a let binding, by name."""
 
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class Lam(Node):
     """Term abstraction; the annotation is the bound variable's type."""
 
+    __slots__ = ("ann", "body")
     ann: Node
     body: Body
 
 
-@dataclass(frozen=True)
+@node
 class App(Node):
+    """Term application `M N`."""
+
+    __slots__ = ("fun", "arg")
     fun: Node
     arg: Node
 
 
-@dataclass(frozen=True)
+@node
 class TyLam(Node):
     """Type abstraction; binds one type variable of the given kind."""
 
+    __slots__ = ("kind", "body")
     kind: Kind
     body: Body
 
 
-@dataclass(frozen=True)
+@node
 class TyApp(Node):
     """Type application of a term: `M [t]`."""
 
+    __slots__ = ("fun", "arg")
     fun: Node
     arg: Node
 
 
-@dataclass(frozen=True)
+@node
 class Cast(Node):
     """`M |> h` — cast the subject by a coercion."""
 
+    __slots__ = ("subject", "coercion")
     subject: Node
     coercion: Node
 
@@ -167,34 +317,39 @@ class Pattern:
     type_args: tuple[Node, ...] = ()
 
 
-@dataclass(frozen=True)
+@node
 class If(Node):
     """Pattern match over a closed data type, with an else branch."""
 
+    __slots__ = ("scrut", "pat", "cons", "alt")
     scrut: Node
     pat: Pattern
     cons: Node
     alt: Node
 
 
-@dataclass(frozen=True)
+@node
 class Guard(Node):
     """Pattern match over an open data type; a miss reduces to zero."""
 
+    __slots__ = ("scrut", "pat", "cons")
     scrut: Node
     pat: Pattern
     cons: Node
 
 
-@dataclass(frozen=True)
+@node
 class Zero(Node):
     """The failure element; inhabits every type, never a value."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@node
 class Choice(Node):
     """Nondeterministic choice between two alternatives."""
 
+    __slots__ = ("left", "right")
     left: Node
     right: Node
 
@@ -204,103 +359,82 @@ ZERO = Zero()
 
 # ------------------------------------------------------------- coercions
 
-@dataclass(frozen=True)
+@node
 class Refl(Node):
     """`refl(t)` — the only closed coercion value (up to choice trees)."""
 
+    __slots__ = ("type",)
     type: Node
 
 
-@dataclass(frozen=True)
+@node
 class Sym(Node):
+    """`sym(h)` — symmetry."""
+
+    __slots__ = ("arg",)
     arg: Node
 
 
-@dataclass(frozen=True)
+@node
 class Trans(Node):
     """`h ;; k` — transitivity."""
 
+    __slots__ = ("left", "right")
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@node
 class CApp(Node):
     """`h @ k` — congruence at a type application."""
 
+    __slots__ = ("left", "right")
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@node
 class Fst(Node):
     """`h .1` — head projection of an application coercion."""
 
+    __slots__ = ("arg",)
     arg: Node
 
 
-@dataclass(frozen=True)
+@node
 class Snd(Node):
     """`h .2` — argument projection of an application coercion."""
 
+    __slots__ = ("arg",)
     arg: Node
 
 
-@dataclass(frozen=True)
+@node
 class Univ(Node):
     """`forallc t:k. h` — congruence under a quantifier; binds one type var."""
 
+    __slots__ = ("kind", "body")
     kind: Kind
     body: Body
 
 
-@dataclass(frozen=True)
+@node
 class CInst(Node):
     """`h @[t]` — instantiation of a quantified coercion."""
 
+    __slots__ = ("coercion", "type")
     coercion: Node
     type: Node
 
 
-@dataclass(frozen=True)
+@node
 class Sim(Node):
     """`sim(h, k)` — congruence at a coercion type."""
 
+    __slots__ = ("left", "right")
     left: Node
     right: Node
 
-
-def _cache_hash(cls: type) -> None:
-    """Keep the dataclass's structural hash, computed once per node and
-    stored on it; equality stays structural. Nodes are immutable, so the
-    stored value never goes stale, and a parent's hash reuses its
-    children's instead of walking the whole tree."""
-    structural = cls.__hash__
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = structural(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls._hash = None
-    cls.__hash__ = __hash__
-
-
-# Per node class, its dataclass fields in order, each with its role, read
-# off its annotation: an open position (`Node`); a binder body (`Body`), one
-# telescope slot deeper; a closed kind (`Kind`: no variable or reference); a
-# pattern, whose type arguments are open positions; or data (index, name).
-OPEN, BINDER, KIND, PATTERN, DATA = "open", "binder", "kind", "pattern", "data"
-_ROLES = {"Node": OPEN, "Body": BINDER, "Kind": KIND, "Pattern": PATTERN}
-FIELDS: dict[type, tuple[tuple[str, str], ...]] = {}
-
-for _cls in Node.__subclasses__():
-    _cache_hash(_cls)
-    _cls._range = None  # see `loose_range`
-    FIELDS[_cls] = tuple((f.name, _ROLES.get(f.type, DATA))
-                         for f in fields(_cls))
 
 # The classes with a position a variable can occur in; the others (leaves,
 # and `KArr`, whose fields are all kinds) are closed.
@@ -309,30 +443,9 @@ SCOPED_FIELDS = {cls: shape for cls, shape in FIELDS.items()
 
 
 def loose_range(n: Node) -> int:
-    """1 + the largest free de Bruijn index of `n`, or 0 when `n` is closed.
-    Computed on first use from the children's ranges and stored on the node
-    beside its hash; a variable's is read off its index."""
-    r = n._range
-    if r is not None:
-        return r
-    cls = type(n)
-    if cls is Var or cls is TVar:
-        return n.index + 1
-    r = 0
-    for name, role in SCOPED_FIELDS.get(cls, ()):
-        x = getattr(n, name)
-        if role is OPEN:
-            v = loose_range(x)
-        elif role is BINDER:
-            v = loose_range(x) - 1
-        elif role is PATTERN:
-            v = max(map(loose_range, x.type_args), default=0)
-        else:
-            continue
-        if v > r:
-            r = v
-    object.__setattr__(n, "_range", r)
-    return r
+    """1 + the largest free de Bruijn index of `n`, or 0 when `n` is closed;
+    stored on the node when it was built."""
+    return n._range
 
 
 # ----------------------------------------------------------- declarations

@@ -4,6 +4,10 @@ checking, and the data/open head judgments.
 Inference is total and deterministic: `0` infers `AnyType`, which merges with
 an `Exactly` branch at a choice by taking the exact side; everything else is
 syntax-directed. Type equality is structural equality of de Bruijn trees.
+
+The checker builds the path to the current subterm as a cons list, `()` or
+`(parent, segment)`, so a step down costs one pair and no copy; `_fail`
+flattens it into the tuple a `Diagnostic` holds.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ class AnyType:
 
 ANY = AnyType()
 TypeResult = Union[Exactly, AnyType]
+
+# `()`, or `(parent path, segment)`: see the module docstring.
+Path = tuple
 
 
 @dataclass(frozen=True)
@@ -85,12 +92,17 @@ def _show(x: Node | str | None) -> Optional[str]:
     return x if x is None or isinstance(x, str) else printer.print_node(x)
 
 
-def _fail(code: str, message: str, path: tuple[str, ...] = (),
+def _fail(code: str, message: str, path: Path = (),
           expected: Node | str | None = None,
           found: Node | str | None = None,
           error: type[CheckError] = CheckError) -> NoReturn:
     """Raise `error` with a diagnostic; node details are printed."""
-    raise error(Diagnostic(code, message, path, _show(expected), _show(found)))
+    segments = []
+    while path:
+        path, segment = path
+        segments.append(segment)
+    raise error(Diagnostic(code, message, tuple(reversed(segments)),
+                           _show(expected), _show(found)))
 
 
 # ------------------------------------------------------------- kinding
@@ -104,7 +116,7 @@ def is_kind(n: Node) -> bool:
     return False
 
 
-def kind_of(env: Env, ty: Node, path: tuple[str, ...] = ()) -> Node:
+def kind_of(env: Env, ty: Node, path: Path = ()) -> Node:
     match ty:
         case TVar(i):
             entry = env.binder(i)
@@ -119,8 +131,8 @@ def kind_of(env: Env, ty: Node, path: tuple[str, ...] = ()) -> Node:
                 _fail("unbound-con", f"type constant {name!r} is not declared", path)
             return sig.kind
         case TApp(f, a):
-            kf = kind_of(env, f, path + ("fun",))
-            ka = kind_of(env, a, path + ("arg",))
+            kf = kind_of(env, f, (path, "fun"))
+            ka = kind_of(env, a, (path, "arg"))
             match kf:
                 case KArr(dom, cod):
                     if not node_eq(dom, ka):
@@ -132,7 +144,7 @@ def kind_of(env: Env, ty: Node, path: tuple[str, ...] = ()) -> Node:
         case Forall(k, body):
             if not is_kind(k):
                 _fail("bad-kind", "malformed kind annotation", path)
-            kb = kind_of(env.push(TyVarBind(k)), body, path + ("body",))
+            kb = kind_of(env.push(TyVarBind(k)), body, (path, "body"))
             if not node_eq(kb, STAR):
                 _fail("kind-mismatch", "quantified body must have kind *",
                       path, expected=STAR, found=kb)
@@ -140,8 +152,8 @@ def kind_of(env: Env, ty: Node, path: tuple[str, ...] = ()) -> Node:
         case EqTy(l, r, k):
             if not is_kind(k):
                 _fail("bad-kind", "malformed kind annotation", path)
-            kl = kind_of(env, l, path + ("lhs",))
-            kr = kind_of(env, r, path + ("rhs",))
+            kl = kind_of(env, l, (path, "lhs"))
+            kr = kind_of(env, r, (path, "rhs"))
             if not node_eq(kl, k) or not node_eq(kr, k):
                 _fail("kind-mismatch", "equality sides must share the annotated kind",
                       path, expected=k, found=kl if not node_eq(kl, k) else kr)
@@ -163,7 +175,7 @@ def is_open_head(env: Env, ty: Node) -> bool:
 # ------------------------------------------------------------- patterns
 
 def pattern_type(env: Env, p: Pattern, scrut_ty: Optional[Node] = None,
-                 path: tuple[str, ...] = ()) -> tuple[list[Node], list[Node], Node]:
+                 path: Path = ()) -> tuple[list[Node], list[Node], Node]:
     """Residual binder kinds, argument types (under the residual telescope),
     and the instantiated codomain (expressed outside the telescope).
 
@@ -178,7 +190,7 @@ def pattern_type(env: Env, p: Pattern, scrut_ty: Optional[Node] = None,
               f"pattern {p.head!r} instantiates {len(p.type_args)} of "
               f"{len(kinds)} quantifiers", path)
     for i, targ in enumerate(p.type_args):
-        ka = kind_of(env, targ, path + (f"pattern-arg-{i}",))
+        ka = kind_of(env, targ, (path, f"pattern-arg-{i}"))
         if not node_eq(ka, kinds[i]):
             _fail("kind-mismatch", "pattern type argument kind mismatch",
                   path, expected=kinds[i], found=ka)
@@ -215,7 +227,7 @@ def _open_pattern(ctor_type: Node, type_args: tuple[Node, ...]
 
 
 def _match_consequent(res_kinds: list[Node], arg_tys: list[Node],
-                      cons_ty: Node, path: tuple[str, ...]) -> Node:
+                      cons_ty: Node, path: Path) -> Node:
     """Strip the pattern telescope off an inferred consequent type and return
     the result type, expressed outside the telescope."""
     ty = cons_ty
@@ -253,22 +265,22 @@ def _match_consequent(res_kinds: list[Node], arg_tys: list[Node],
 # ------------------------------------------------------------- coercions
 
 def _coerce(env: Env, eta: Node,
-            path: tuple[str, ...]) -> Optional[tuple[Node, Node, Node]]:
+            path: Path) -> Optional[tuple[Node, Node, Node]]:
     """Coercion typing; None means the coercion is a zero-like term that can
     be given any coercion type."""
     match eta:
         case Refl(t):
-            k = kind_of(env, t, path + ("refl",))
+            k = kind_of(env, t, (path, "refl"))
             return t, t, k
         case Sym(a):
-            got = _coerce(env, a, path + ("sym",))
+            got = _coerce(env, a, (path, "sym"))
             if got is None:
                 return None
             l, r, k = got
             return r, l, k
         case Trans(a, b):
-            ga = _coerce(env, a, path + ("trans-left",))
-            gb = _coerce(env, b, path + ("trans-right",))
+            ga = _coerce(env, a, (path, "trans-left"))
+            gb = _coerce(env, b, (path, "trans-right"))
             if ga is None:
                 return None if gb is None else (gb[0], gb[1], gb[2])
             if gb is None:
@@ -281,8 +293,8 @@ def _coerce(env: Env, eta: Node,
                       path, expected=ga[2], found=gb[2])
             return ga[0], gb[1], ga[2]
         case CApp(a, b):
-            ga = _coerce(env, a, path + ("capp-fun",))
-            gb = _coerce(env, b, path + ("capp-arg",))
+            ga = _coerce(env, a, (path, "capp-fun"))
+            gb = _coerce(env, b, (path, "capp-arg"))
             if ga is None or gb is None:
                 return None
             match ga[2]:
@@ -296,7 +308,7 @@ def _coerce(env: Env, eta: Node,
                   path, found=ga[2])
         case Fst(a) | Snd(a):
             seg, side = ("fst", "fun") if isinstance(eta, Fst) else ("snd", "arg")
-            got = _coerce(env, a, path + (seg,))
+            got = _coerce(env, a, (path, seg))
             if got is None:
                 return None
             l, r, _ = got
@@ -305,17 +317,17 @@ def _coerce(env: Env, eta: Node,
                       "projection requires type applications on both sides",
                       path, found=l if not isinstance(l, TApp) else r)
             pl, pr = getattr(l, side), getattr(r, side)
-            return pl, pr, kind_of(env, pl, path + (seg,))
+            return pl, pr, kind_of(env, pl, (path, seg))
         case Univ(k, body):
             if not is_kind(k):
                 _fail("bad-kind", "malformed kind annotation", path)
-            got = _coerce(env.push(TyVarBind(k)), body, path + ("forallc",))
+            got = _coerce(env.push(TyVarBind(k)), body, (path, "forallc"))
             if got is None:
                 return None
             l, r, kk = got
             return Forall(k, l), Forall(k, r), kk
         case CInst(a, t):
-            got = _coerce(env, a, path + ("inst",))
+            got = _coerce(env, a, (path, "inst"))
             if got is None:
                 return None
             l, r, kk = got
@@ -324,14 +336,14 @@ def _coerce(env: Env, eta: Node,
                 _fail("coercion-shape",
                       "instantiation requires quantified types at one kind",
                       path, found=l if not isinstance(l, Forall) else r)
-            ka = kind_of(env, t, path + ("inst-arg",))
+            ka = kind_of(env, t, (path, "inst-arg"))
             if not node_eq(ka, l.kind):
                 _fail("kind-mismatch", "coercion instantiation kind mismatch",
                       path, expected=l.kind, found=ka)
             return instantiate(l.body, t), instantiate(r.body, t), kk
         case Sim(a, b):
-            ga = _coerce(env, a, path + ("sim-left",))
-            gb = _coerce(env, b, path + ("sim-right",))
+            ga = _coerce(env, a, (path, "sim-left"))
+            gb = _coerce(env, b, (path, "sim-right"))
             if ga is None or gb is None:
                 return None
             if not node_eq(ga[2], gb[2]):
@@ -352,7 +364,7 @@ def _coerce(env: Env, eta: Node,
 
 # ------------------------------------------------------------- terms
 
-def infer_term(env: Env, m: Node, path: tuple[str, ...] = ()) -> TypeResult:
+def infer_term(env: Env, m: Node, path: Path = ()) -> TypeResult:
     match m:
         case Var(i):
             entry = env.binder(i)
@@ -380,8 +392,8 @@ def infer_term(env: Env, m: Node, path: tuple[str, ...] = ()) -> TypeResult:
         case Lam():
             return _infer_lams(env, m, path)
         case App(f, a):
-            gf = infer_term(env, f, path + ("fun",))
-            ga = infer_term(env, a, path + ("arg",))
+            gf = infer_term(env, f, (path, "fun"))
+            ga = infer_term(env, a, (path, "arg"))
             if isinstance(gf, AnyType):
                 return ANY
             ac = un_arrow(gf.type)
@@ -395,13 +407,13 @@ def infer_term(env: Env, m: Node, path: tuple[str, ...] = ()) -> TypeResult:
         case TyLam(k, body):
             if not is_kind(k):
                 _fail("bad-kind", "malformed kind annotation", path)
-            got = infer_term(env.push(TyVarBind(k)), body, path + ("body",))
+            got = infer_term(env.push(TyVarBind(k)), body, (path, "body"))
             if isinstance(got, AnyType):
                 return ANY
             return Exactly(Forall(k, got.type))
         case TyApp(f, t):
-            gf = infer_term(env, f, path + ("fun",))
-            kt = kind_of(env, t, path + ("type-arg",))
+            gf = infer_term(env, f, (path, "fun"))
+            kt = kind_of(env, t, (path, "type-arg"))
             if isinstance(gf, AnyType):
                 return ANY
             match gf.type:
@@ -413,8 +425,8 @@ def infer_term(env: Env, m: Node, path: tuple[str, ...] = ()) -> TypeResult:
             _fail("not-forall", "type application of an unquantified term",
                   path, expected="a quantified type", found=gf.type)
         case Cast(subj, co):
-            got = _coerce(env, co, path + ("coercion",))
-            gs = infer_term(env, subj, path + ("subject",))
+            got = _coerce(env, co, (path, "coercion"))
+            gs = infer_term(env, subj, (path, "subject"))
             if got is None:
                 return ANY
             l, r, k = got
@@ -430,8 +442,8 @@ def infer_term(env: Env, m: Node, path: tuple[str, ...] = ()) -> TypeResult:
         case Guard(scrut, pat, cons):
             return _infer_match(env, scrut, pat, cons, None, path)
         case Choice(l, r):
-            gl = infer_term(env, l, path + ("left",))
-            gr = infer_term(env, r, path + ("right",))
+            gl = infer_term(env, l, (path, "left"))
+            gr = infer_term(env, r, (path, "right"))
             if isinstance(gl, AnyType):
                 return gr
             if isinstance(gr, AnyType):
@@ -450,20 +462,20 @@ def infer_term(env: Env, m: Node, path: tuple[str, ...] = ()) -> TypeResult:
     _fail("classification", "expected a term", path, found=m)
 
 
-def _infer_lams(env: Env, m: Node, path: tuple[str, ...]) -> TypeResult:
+def _infer_lams(env: Env, m: Node, path: Path) -> TypeResult:
     """A chain of lambdas in one pass: each annotation is kind-checked and
     its binder pushed, outermost first, and the innermost body is inferred
     once. Its type is unshifted once past the whole chain, and each
     annotation past the term binders before it."""
     anns = []
     while isinstance(m, Lam):
-        ka = kind_of(env, m.ann, path + ("ann",))
+        ka = kind_of(env, m.ann, (path, "ann"))
         if not node_eq(ka, STAR):
             _fail("kind-mismatch", "lambda annotation must be a * type",
                   path, expected=STAR, found=ka)
         anns.append(m.ann)
         env = env.push(TmVarBind(m.ann))
-        m, path = m.body, path + ("body",)
+        m, path = m.body, (path, "body")
     got = infer_term(env, m, path)
     if isinstance(got, AnyType):
         return ANY
@@ -476,7 +488,7 @@ def _infer_lams(env: Env, m: Node, path: tuple[str, ...]) -> TypeResult:
     # innermost first, finds the layer whose binder it is
     ty = got.type
     for ann in reversed(anns):
-        path = path[:-1]
+        path = path[0]
         cod = try_unshift(ty, 1)
         if cod is None:
             _fail("dependent-type", "body type mentions the term binder",
@@ -486,12 +498,12 @@ def _infer_lams(env: Env, m: Node, path: tuple[str, ...]) -> TypeResult:
 
 
 def _infer_match(env: Env, scrut: Node, pat: Pattern, cons: Node,
-                 alt: Optional[Node], path: tuple[str, ...]) -> TypeResult:
+                 alt: Optional[Node], path: Path) -> TypeResult:
     which = "if" if alt is not None else "guard"
-    gs = infer_term(env, scrut, path + ("scrut",))
+    gs = infer_term(env, scrut, (path, "scrut"))
     res_kinds, arg_tys, cod = pattern_type(
         env, pat, gs.type if isinstance(gs, Exactly) else None,
-        path + ("pattern",))
+        (path, "pattern"))
     scrut_ty = gs.type if isinstance(gs, Exactly) else cod
     if alt is not None:
         if not is_data_head(env, scrut_ty):
@@ -501,13 +513,13 @@ def _infer_match(env: Env, scrut: Node, pat: Pattern, cons: Node,
         if not is_open_head(env, scrut_ty):
             _fail("not-open", "guard scrutinee must be an open data type",
                   path, found=scrut_ty)
-    gc = infer_term(env, cons, path + ("cons",))
+    gc = infer_term(env, cons, (path, "cons"))
     result: Optional[Node] = None
     if isinstance(gc, Exactly):
         result = _match_consequent(res_kinds, arg_tys, gc.type,
-                                   path + ("cons",))
+                                   (path, "cons"))
     if alt is not None:
-        ga = infer_term(env, alt, path + ("alt",))
+        ga = infer_term(env, alt, (path, "alt"))
         if isinstance(ga, Exactly):
             if result is not None and not node_eq(result, ga.type):
                 _fail("type-mismatch",
@@ -518,7 +530,7 @@ def _infer_match(env: Env, scrut: Node, pat: Pattern, cons: Node,
 
 
 def check_term(env: Env, m: Node, expected: Node,
-               path: tuple[str, ...] = ()) -> None:
+               path: Path = ()) -> None:
     ke = kind_of(env, expected, path)
     if not node_eq(ke, STAR):
         _fail("kind-mismatch", "checked type must have kind *",
@@ -526,13 +538,13 @@ def check_term(env: Env, m: Node, expected: Node,
     _check(env, m, expected, path)
 
 
-def _check(env: Env, m: Node, expected: Node, path: tuple[str, ...]) -> None:
+def _check(env: Env, m: Node, expected: Node, path: Path) -> None:
     match m:
         case Zero():
             return
         case Choice(l, r):
-            _check(env, l, expected, path + ("left",))
-            _check(env, r, expected, path + ("right",))
+            _check(env, l, expected, (path, "left"))
+            _check(env, r, expected, (path, "right"))
             return
         case Lam():
             _check_lams(env, m, expected, path)
@@ -540,7 +552,7 @@ def _check(env: Env, m: Node, expected: Node, path: tuple[str, ...]) -> None:
         case TyLam(k, body):
             match expected:
                 case Forall(kk, ety) if node_eq(k, kk):
-                    _check(env.push(TyVarBind(k)), body, ety, path + ("body",))
+                    _check(env.push(TyVarBind(k)), body, ety, (path, "body"))
                     return
             _fail("type-mismatch", "type abstraction checked against a bad type",
                   path, expected=expected, found="a type abstraction")
@@ -554,7 +566,7 @@ def _check(env: Env, m: Node, expected: Node, path: tuple[str, ...]) -> None:
 
 
 def _check_lams(env: Env, m: Node, expected: Node,
-                path: tuple[str, ...]) -> None:
+                path: Path) -> None:
     """A chain of lambdas checked against an arrow telescope in one pass.
     The telescope stays over the binders outside the chain: each domain is
     shifted past the term binders before its lambda, and the codomain that
@@ -570,7 +582,7 @@ def _check_lams(env: Env, m: Node, expected: Node,
             _fail("type-mismatch", "lambda annotation mismatch",
                   path, expected=dom, found=m.ann)
         env = env.push(TmVarBind(m.ann))
-        expected, m, path, depth = ac[1], m.body, path + ("body",), depth + 1
+        expected, m, path, depth = ac[1], m.body, (path, "body"), depth + 1
     _check(env, m, shift(expected, depth), path)
 
 
@@ -582,7 +594,7 @@ def check_env(env: Env) -> None:
     the calculus's environment judgment, though only tests call it."""
     scope = Env(())
     for i, entry in enumerate(env.entries):
-        where = (f"entry-{i}",)
+        where = ((), f"entry-{i}")
         match entry:
             case TyVarBind(k):
                 if not is_kind(k):
@@ -619,13 +631,14 @@ def check_decl(env: Env, d: Decl) -> Env:
                       f"instance for undeclared open function {name!r}")
             if not is_closed(body):
                 _fail("closed-required", f"instance body for {name!r} must be closed")
-            check_term(env, body, sig.type)
+            # the signature was kinded when its MethodDecl was checked
+            _check(env, body, sig.type, ())
         case LetDecl(name, t, body):
             _fresh_term_name(env, name)
             _closed_star_type(env, name, t)
             if not is_closed(body):
                 _fail("closed-required", f"let body for {name!r} must be closed")
-            check_term(env, body, t)
+            _check(env, body, t, ())  # `_closed_star_type` kinded `t`
         case _:
             _fail("bad-decl", f"unknown declaration {d!r}")
     return env.push(d)

@@ -3,23 +3,19 @@ line and enforcing its stated time budget."""
 
 import time
 
-import pytest
-
 from fdc.analysis import check_no_zero_syntactic, extract_preamble, specialize
 from fdc.corpus import corpus_text, prelude_env
 from fdc.elaborate import elaborate_program
 from fdc.parser import parse_term, parse_type
 from fdc.printer import print_term
 from fdc.propcheck import GenConfig, run_properties, run_subst_laws
-from fdc.reduction import (
-    Choice as RChoice, Value, is_value, step_det_tagged, whnf,
-)
+from fdc.reduction import Value, step_det_tagged, whnf
 from fdc.surface import parse_surface
 from fdc.syntax import (
     App, CApp, Cast, Choice, Con, Fst, Guard, If, InstanceDecl, KArr, Lam,
-    LetDecl, MethodDecl, OpenCtorDecl, OpenTypeDecl, Pattern, Ref, Refl,
-    Sim, Snd, Sym, TApp, TCon, Trans, TyApp, TyLam, TVar, Univ, CInst, Var,
-    Zero, ZERO, STAR, arrow, node_eq, subnodes,
+    LetDecl, MethodDecl, OpenTypeDecl, Pattern, Ref, Refl, Sim, Snd, Sym, TApp,
+    TCon, Trans, TyApp, TyLam, TVar, Univ, CInst, Var, ZERO, STAR, arrow,
+    node_eq, subnodes,
 )
 from fdc.typecheck import check_program, check_term
 

@@ -7,15 +7,9 @@ from fdc.analysis import (
     extract_preamble, specialize,
 )
 from fdc.parser import parse_core, parse_term
-from fdc.printer import print_term
 from fdc.propcheck import GenConfig, gen_well_typed
-from fdc.reduction import Value, whnf
-from fdc.surface import parse_surface
-from fdc.elaborate import elaborate_program
-from fdc.syntax import (
-    Choice, Con, Guard, InstanceDecl, Pattern, Ref, TCon, Var, ZERO,
-    node_eq,
-)
+from fdc.reduction import whnf
+from fdc.syntax import Choice, Con, InstanceDecl, Ref, TCon, ZERO
 from fdc.typecheck import check_program, check_term, infer_term, Exactly
 
 BOOL = TCon("Bool")

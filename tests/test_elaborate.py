@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from fdc.analysis import check_hssdi, check_no_zero_syntactic, \
-    extract_preamble
+from fdc.analysis import check_hssdi, extract_preamble
 from fdc.corpus import corpus_text, prelude_env
 from fdc.elaborate import ElabOptions, Elaborator, elaborate_program
 from fdc.parser import parse_term, parse_type
@@ -12,9 +11,9 @@ from fdc.printer import print_core, print_term
 from fdc.surface import parse_surface
 from fdc.synthesis import Resolver, SynthError
 from fdc.syntax import (
-    App, Cast, CApp, Con, Env, EqTy, Guard, InstanceDecl, LetDecl,
-    MethodDecl, OpenCtorDecl, OpenTypeDecl, Ref, Refl, TApp, TCon, TVar,
-    TmVarBind, TyApp, TyVarBind, Var, Zero, STAR, arrow, node_eq, subnodes,
+    App, Cast, CApp, Con, EqTy, InstanceDecl, LetDecl, MethodDecl,
+    OpenCtorDecl, OpenTypeDecl, Ref, Refl, TApp, TCon, TVar, TmVarBind, TyApp,
+    TyVarBind, Var, Zero, STAR, arrow, node_eq, subnodes,
 )
 from fdc.typecheck import Exactly, check_program, infer_term
 from test_synthesis import CASES, fundep_program

@@ -9,17 +9,16 @@ import pytest
 from fdc import propcheck
 from fdc.propcheck import (
     ALL_PROPERTIES, BOOL, MEMO_SIZE, PRELUDES, PROPERTIES, GenConfig,
-    Generator, PropResult, env_table, gen_node, gen_subst, gen_well_typed,
-    prelude_for, run_properties, run_property, run_subst_laws, shrink,
+    Generator, PropResult, env_table, gen_well_typed, prelude_for,
+    run_properties, run_property, run_subst_laws, shrink,
 )
 from fdc.printer import print_node, print_term
 from fdc.reduction import is_value, step_all
 from fdc.subst import instantiate_all
 from fdc.syntax import (
-    App, Choice, EqTy, Refl, TApp, TCon, ZERO, arrow, node_eq, subnodes,
-    Zero,
+    App, Choice, EqTy, Refl, TApp, TCon, arrow, subnodes, Zero,
 )
-from fdc.typecheck import CheckError, check_term
+from fdc.typecheck import check_term
 
 
 def test_generator_soundness_all_preludes():

@@ -13,13 +13,12 @@ from fdc.parser import parse_term, parse_type
 from fdc.propcheck import GenConfig, gen_well_typed
 from fdc.reduction import (
     DEFAULT_FUEL, Diverges, Hit, IsValue, IsZero, Miss, NotReady, OutOfFuel,
-    Stepped, Stuck, StuckResult, Value, ZeroResult, eval_all, is_value,
-    match_pattern, step_all, step_det, step_det_tagged, whnf,
+    Stepped, Stuck, Value, eval_all, is_value, match_pattern, step_all,
+    step_det, step_det_tagged, whnf,
 )
 from fdc.syntax import (
-    App, CApp, Cast, Choice, Con, Env, Fst, Guard, If, Lam, Node, Pattern, Ref,
-    Refl, Sim, Snd, Sym, TApp, TCon, Trans, TyApp, Var, ZERO, STAR, arrow,
-    node_eq,
+    App, CApp, Cast, Choice, Con, Fst, If, Lam, Node, Pattern, Ref, Refl, Sim,
+    Snd, Sym, TApp, TCon, Trans, TyApp, Var, ZERO, arrow,
 )
 
 BOOL = TCon("Bool")
@@ -560,9 +559,9 @@ def _on_a_fresh_stack(fn, *args):
 
 def test_step_all_on_the_deepest_not_chain_the_whole_term_walk_handled(
         prelude):
-    # the first `hash()` of a fresh chain recurses down its arguments, which
-    # no evaluation-context walk enters; `step_all` and `eval_all` hash
-    # their input bottom-up without recursion
+    # `step_all` and `eval_all` key their memo by node; a node's hash is
+    # stored when it is built, so hashing the chain walks none of its
+    # arguments, which no evaluation-context walk enters either
     term = not_chain(10_000, "True")
     succs = _on_a_fresh_stack(step_all, prelude, term)
     assert succs == [App(prelude.let_def("not").body, term.arg)]

@@ -6,13 +6,12 @@ import subst_oracle as oracle
 from named_oracle import oracle_beta
 from fdc.propcheck import gen_node, gen_subst
 from fdc.subst import (
-    IDENTITY, Rename, Replace, ScopeEscape, Subst, apply, compose,
-    instantiate, instantiate_all, is_closed, lift, shift, shift_subst,
-    singleton, try_unshift,
+    IDENTITY, Rename, Replace, ScopeEscape, Subst, apply, compose, instantiate,
+    instantiate_all, is_closed, lift, shift, singleton, try_unshift,
 )
 from fdc.syntax import (
-    App, Con, EqTy, If, KArr, Lam, Pattern, Refl, TCon, TVar, Var, ZERO,
-    arrow, loose_range, node_eq, STAR, TyLam, Forall,
+    App, Con, EqTy, If, KArr, Lam, Pattern, Refl, TCon, TVar, Var, ZERO, arrow,
+    loose_range, STAR, TyLam, Forall,
 )
 
 

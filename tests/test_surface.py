@@ -4,9 +4,8 @@ from fdc.corpus import corpus_text
 from fdc.elaborate import elaborate_program
 from fdc.parser import ParseError
 from fdc.surface import (
-    SAnnot, SApp, SArrow, SClassDecl, SCon, SForall, SHole, SIf,
-    SInstanceDecl, SLam, SLetDecl, STApp, STCon, STVar, STyApp, STyLam,
-    SVar, parse_surface, validate_surface,
+    SAnnot, SApp, SArrow, SClassDecl, SCon, SForall, SHole, SInstanceDecl,
+    STApp, STCon, STVar, SVar, parse_surface, validate_surface,
 )
 from fdc.syntax import KArr, STAR
 from fdc.typecheck import Diagnostic

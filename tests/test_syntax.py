@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from dataclasses import fields
 
@@ -11,15 +13,17 @@ from fdc.parser import (
 from fdc.printer import print_core, print_node, print_term, print_type
 from fdc.propcheck import GenConfig, gen_node, gen_well_typed
 from fdc.syntax import (
-    App, CApp, Cast, Choice, CInst, Con, CtorDecl, DataDecl, EqTy, Forall,
-    Fst, Guard, If, InstanceDecl, KArr, Lam, LetDecl, MethodDecl,
-    OpenCtorDecl, OpenTypeDecl, Pattern, Ref, Refl, Sim, Snd, Star, Sym,
-    TApp, TCon, Trans, TVar, TyApp, TyLam, Univ, Var, Zero, ZERO, STAR,
-    BINDER, DATA, FIELDS, KIND, OPEN, PATTERN, Node, arrow, node_eq,
+    App, CApp, Cast, Choice, CInst, Con, CtorDecl, DataDecl, EqTy, Forall, Fst,
+    Guard, If, InstanceDecl, KArr, Lam, LetDecl, MethodDecl, OpenCtorDecl,
+    OpenTypeDecl, Pattern, Ref, Refl, Sim, Snd, Star, Sym, TApp, TCon, Trans,
+    TVar, TyApp, TyLam, Univ, Var, ZERO, STAR, BINDER, DATA, FIELDS, KIND,
+    OPEN, PATTERN, TABLE_LIMIT, Node, arrow, loose_range, node_eq,
 )
+from fdc.subst import shift
 
 from parser_oracle import oracle_parse_core, oracle_parse_term
 from test_cli import seeded_corpus_edits
+from test_reduction import _on_a_fresh_stack, not_chain
 
 
 def test_parse_open_type_decl():
@@ -244,7 +248,7 @@ def test_node_hash_is_cached_and_structural():
         return App(Lam(TCon("Bool"), Var(0)), Choice(Con("True"), ZERO))
 
     a, b = build(), build()
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b and a == b and hash(a) == hash(b)
     assert a in {b} and b in {a}
     # the same hash whether the parent or a child is hashed first
     parent_first, child_first = build(), build()
@@ -254,6 +258,44 @@ def test_node_hash_is_cached_and_structural():
     assert hash(child_first) == hash(parent_first)
     assert hash(child_first.arg) == hash(parent_first.arg)
     assert hash(child_first.fun) == hash(parent_first.fun)
+
+
+def test_a_deep_chain_is_built_hashed_and_compared_without_recursion():
+    # hash and loose range are read off the children when a node is built,
+    # and a chain built twice in a row is one object, so none of these
+    # walks the chain
+    def run():
+        a, b = not_chain(10_000, "True"), not_chain(10_000, "True")
+        other = not_chain(10_000, "False")
+        return (a is b, hash(a) == hash(b), loose_range(a), a == b,
+                a != other, shift(a, 1) is a)
+
+    assert _on_a_fresh_stack(run) == (True, True, 0, True, True, True)
+
+
+def test_a_node_built_after_its_table_is_emptied_equals_the_old_one():
+    def build():
+        return App(Lam(TCon("Bool"), Var(0)), Choice(Con("True"), ZERO))
+
+    old = build()
+    # a full generation replaces the older one: fill both, in the table of
+    # every class `build` uses, with nodes that share no field with its own
+    for i in range(1, 2 * TABLE_LIMIT + 1):
+        leaf = Var(i)
+        App(leaf, leaf), Lam(TCon(f"T{i}"), leaf)
+        Choice(Con(f"K{i}"), leaf)
+    new = build()
+    assert new.fun.body is not old.fun.body and new.arg is not old.arg
+    assert new is not old and new == old and old == new
+    assert hash(new) == hash(old) and loose_range(new) == loose_range(old)
+    assert new in {old} and old in {new}
+    # copies and pickles come back through the constructor
+    assert copy.deepcopy(new) is new and pickle.loads(pickle.dumps(old)) is new
+    # every node class is listed once, and holds its fields in slots
+    assert len(Node.__subclasses__()) == len(FIELDS)
+    for cls, shape in FIELDS.items():
+        assert cls.__slots__ == tuple(name for name, _ in shape)
+    assert not hasattr(new, "__dict__")
 
 
 def test_field_table_classifies_every_field_once():

@@ -11,9 +11,8 @@ from fdc.printer import print_node
 from fdc.propcheck import GenConfig, gen_well_typed
 from fdc.subst import shift
 from fdc.syntax import (
-    App, Con, Decl, Env, EqTy, Forall, KArr, Lam, Pattern, Ref, Refl, TApp,
-    TCon, TmVarBind, TVar, TyVarBind, Var, ZERO, STAR, arrow, node_eq,
-    spine_head, split_ctor_type,
+    Con, Decl, Env, EqTy, KArr, Lam, Pattern, Ref, Refl, TApp, TCon, TmVarBind,
+    TVar, TyVarBind, Var, ZERO, STAR, arrow, spine_head, split_ctor_type,
 )
 from fdc.typecheck import (
     AnyType, CheckError, Diagnostic, Exactly, check_decl, check_env,
