@@ -5,7 +5,7 @@ functional dependencies."""
 from .syntax import (  # noqa: F401
     Node, Star, KArr, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, Lam,
     App, TyLam, TyApp, Cast, Pattern, If, Guard, Zero, Choice, Refl, Sym,
-    Trans, CApp, Fst, Snd, Univ, CInst, Sim, Env, node_eq, arrow,
+    Trans, CApp, Fst, Snd, Univ, CInst, Sim, Env, arrow,
     STAR, ZERO,
 )
 from .parser import parse_core, parse_term, parse_type, ParseError  # noqa: F401

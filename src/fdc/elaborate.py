@@ -10,6 +10,7 @@ casts by synthesized coercions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +27,7 @@ from .syntax import (
     Node, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, Lam, App, TyLam,
     TyApp, Cast, Pattern, If, Guard, Env, TyVarBind, TmVarBind, Decl,
     DataDecl, CtorDecl, OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl,
-    LetDecl, STAR, applied, arrow, type_spine, un_arrow, node_eq,
+    LetDecl, STAR, applied, arrow, spine_head, type_spine, un_arrow,
 )
 from .subst import instantiate, shift, try_unshift
 from .typecheck import (
@@ -186,7 +187,7 @@ class Elaborator:
                 match fty:
                     case Forall(k, body):
                         kt = kind_of(env, tc)
-                        if not node_eq(kt, k):
+                        if kt != k:
                             _fail("kind-mismatch",
                                   "type argument kind mismatch",
                                   expected=k, found=kt)
@@ -210,30 +211,30 @@ class Elaborator:
             case SHole(t):
                 declared = self.ty(t, names)
                 term = self._resolve(env, declared)
-                if not node_eq(declared, expected):
+                if declared != expected:
                     term = self._cast(env, term, declared, expected)
                 return term
             case SLam(x, ann, body) if ann is not None:
                 parts = un_arrow(expected)
                 core_ann = self.ty(ann, names)
-                if parts is not None and node_eq(core_ann, parts[0]):
+                if parts is not None and core_ann == parts[0]:
                     inner = self.check(env.push(TmVarBind(core_ann)),
                                        names + [x], body, shift(parts[1], 1))
                     return Lam(core_ann, inner)
             case STyLam(t, k, body):
                 match expected:
-                    case Forall(kk, ety) if node_eq(k, kk):
+                    case Forall(kk, ety) if k == kk:
                         inner = self.check(env.push(TyVarBind(k)),
                                            names + [t], body, ety)
                         return TyLam(k, inner)
             case SAnnot(m, t):
                 tc = self.ty(t, names)
                 inner = self.check(env, names, m, tc)
-                if node_eq(tc, expected):
+                if tc == expected:
                     return inner
                 return self._cast(env, inner, tc, expected)
         core, ty = self.infer(env, names, s)
-        if node_eq(ty, expected):
+        if ty == expected:
             return core
         return self._cast(env, core, ty, expected)
 
@@ -248,7 +249,7 @@ class Elaborator:
         core_pat = Pattern(pat.head,
                            tuple(self.ty(a, names) for a in pat.type_args))
         res_kinds, arg_tys, cod = pattern_type(env, core_pat, None)
-        if not node_eq(sty, cod):
+        if sty != cod:
             sc = self._cast(env, sc, sty, cod)
         cc, cty = self.infer(env, names, cons)
         result = _match_consequent(res_kinds, arg_tys, cty, ())
@@ -313,9 +314,7 @@ class Elaborator:
             info.methods[mname] = full
         for stype in c.supers:
             pred = self.ty(stype, pnames)
-            head = pred
-            while isinstance(head, TApp):
-                head = head.fun
+            head = spine_head(pred)
             if not isinstance(head, TCon) or head.name not in self.registry.classes:
                 _fail("unknown-superclass",
                       f"superclass of {c.name!r} must be a declared class",
@@ -344,11 +343,8 @@ class Elaborator:
             _fail("class-arity", f"class {ins.class_name!r} takes {n} "
                                  f"parameters, instance supplies "
                                  f"{len(ins.head_args)}")
-        ivars: list[str] = []
-        for a in ins.head_args:
-            stype_vars(a, ivars)
-        for p in ins.context:
-            stype_vars(p, ivars)
+        ivars = list(sum(map(stype_vars, ins.head_args + ins.context),
+                         Counter()))
         m = len(ivars)
         count = self.instance_count.get(ins.class_name, 0)
         self.instance_count[ins.class_name] = count + 1
@@ -485,7 +481,7 @@ class Elaborator:
     def _absurd_name(self, kind: Node) -> str:
         if kind in self.absurd_names:
             return self.absurd_names[kind]
-        suffix = "" if node_eq(kind, STAR) else str(len(self.absurd_names))
+        suffix = "" if kind == STAR else str(len(self.absurd_names))
         name = self.fresh_term_name(f"absurdCo{suffix}")
         ty = Forall(kind, Forall(kind, EqTy(TVar(1), TVar(0), kind)))
         self.emit(MethodDecl(name, ty))

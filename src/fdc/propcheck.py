@@ -17,11 +17,12 @@ generated from its environment. Only the goal pool and the `if`
 scrutinees (`_goal_pool`, `_CLOSED_SCRUTINEES`) still name the bundled
 preludes' types.
 
-Each `Generator` builds one case. It memoizes, by `(scope, goal)`, the
-variables of the goal in the scope and the canonical term of the goal;
-neither draws from the generator's `rng`, so the terms and the draws are
-those an unmemoized generator makes. These memos die with the generator,
-and only the bounded `EnvTable` memos outlive a case.
+Each `Generator` builds one case. It memoizes the canonical term of each
+`(scope, goal)`, which draws nothing from the generator's `rng`, so the
+terms and the draws are those an unmemoized generator makes. The scope
+variables of a goal are scanned afresh: a shift of an interned type is
+itself memoized (see `subst`). The memo dies with the generator, and only
+the bounded `EnvTable` memos outlive a case.
 
 `run_properties` checks many suites over one generation pass: each case
 is generated once per `allow_zero` setting.
@@ -47,8 +48,8 @@ from .syntax import (
     App, TyLam, TyApp, Cast, Pattern, If, Guard, Choice, Refl, Sym,
     Trans, CApp, Fst, Snd, Univ, CInst, Sim, Env, CtorDecl, OpenCtorDecl,
     OpenTypeDecl, MethodDecl, LetDecl, STAR, ZERO, applied, arrow,
-    loose_range, node_eq, plug_spine, spine, spine_head, split_ctor_type,
-    subnodes, type_spine, un_arrow,
+    loose_range, plug_spine, spine, spine_head, split_ctor_type, subnodes,
+    type_spine, un_arrow,
 )
 from .synthesis import match_type
 from .typecheck import (
@@ -259,7 +260,7 @@ class EnvTable:
             if type_args is None:
                 continue
             proofs = [instantiate_all(a, type_args) for a in args]
-            if all(isinstance(p, EqTy) and node_eq(p.lhs, p.rhs)
+            if all(isinstance(p, EqTy) and p.lhs == p.rhs
                    for p in proofs):
                 return plug_spine(Con(c.name),
                                   [(True, t) for t in type_args]
@@ -299,7 +300,7 @@ def _instantiation(kinds, cod: Node, goal: Node) -> Optional[tuple]:
         return None
     for i in range(n):  # de Bruijn index i is quantifier n - 1 - i
         if i not in binding:
-            if not node_eq(kinds[n - 1 - i], STAR):
+            if kinds[n - 1 - i] != STAR:
                 return None
             binding[i] = BOOL  # free quantifier: any * type works
     return tuple(binding[n - 1 - pos] for pos in range(n))
@@ -315,7 +316,7 @@ def env_table(env: Env) -> EnvTable:
 class Generator:
     """Builds well-typed closed terms against a lambda-free environment.
     A scope is a tuple of binder types, innermost last; the `(scope,
-    goal)` memos live as long as the generator (see the module docstring)."""
+    goal)` memo lives as long as the generator (see the module docstring)."""
 
     def __init__(self, env: Env, rng: random.Random,
                  allow_zero: bool = True):
@@ -323,7 +324,6 @@ class Generator:
         self.table = env_table(env)
         self.rng = rng
         self.allow_zero = allow_zero
-        self._hits: dict[tuple[tuple, Node], tuple[Var, ...]] = {}
         self._canonical: dict[tuple[tuple, Node], Node | type] = {}
 
     def term(self, scope: tuple, goal: Node, size: int) -> Node:
@@ -374,7 +374,7 @@ class Generator:
             case Forall(k, body):
                 out.append((w["lambda"], lambda: TyLam(
                     k, self.term(scope + (k,), body, size - 1))))
-            case EqTy(l, r, _) if node_eq(l, r):
+            case EqTy(l, r, _) if l == r:
                 out.append((w["coercion_ops"],
                             lambda: self.coercion_node(scope, l, size)))
         return out
@@ -385,17 +385,11 @@ class Generator:
             return Choice(ZERO, inhabited)
         return Choice(inhabited, ZERO)
 
-    def _in_scope(self, scope: tuple, goal: Node) -> tuple[Var, ...]:
-        """The variables of type `goal` in `scope`, innermost first."""
-        key = (scope, goal)
-        hits = self._hits.get(key)
-        if hits is None:
-            hits = self._hits[key] = tuple(self._scan(scope, goal))
-        return hits
-
     @staticmethod
-    def _scan(scope: tuple, goal: Node):
+    def _in_scope(scope: tuple, goal: Node) -> list[Var]:
+        """The variables of type `goal` in `scope`, innermost first."""
         reach = loose_range(goal)
+        hits = []
         for i, ty in enumerate(reversed(scope)):
             if isinstance(ty, (Star, KArr)):
                 continue  # type binder
@@ -403,10 +397,11 @@ class Generator:
             # only a type that lands on the goal's range can match it
             r = loose_range(ty)
             if r == 0:
-                if reach == 0 and node_eq(ty, goal):
-                    yield Var(i)
-            elif r + i + 1 == reach and node_eq(shift(ty, i + 1), goal):
-                yield Var(i)
+                if reach == 0 and ty == goal:
+                    hits.append(Var(i))
+            elif r + i + 1 == reach and shift(ty, i + 1) == goal:
+                hits.append(Var(i))
+        return hits
 
     def _scope_var(self, scope, goal):
         hits = self._in_scope(scope, goal)
@@ -513,7 +508,7 @@ class Generator:
                 return Lam(dom, self.canonical(scope + (dom,), shift(cod, 1)))
             case Forall(k, body):
                 return TyLam(k, self.canonical(scope + (k,), body))
-            case EqTy(l, r, _) if node_eq(l, r):
+            case EqTy(l, r, _) if l == r:
                 return Refl(l)
         term = self.table.inhabitant(goal)
         if term is None:
@@ -624,9 +619,9 @@ def _prop_uniqueness(env, term, ty) -> Optional[str]:
     second = infer_term(env, term)
     if isinstance(first, AnyType) or isinstance(second, AnyType):
         return f"zero-free term inferred AnyType: {print_term(term)}"
-    if not node_eq(first.type, second.type):
+    if first.type != second.type:
         return "inference is not deterministic"
-    if not node_eq(first.type, ty):
+    if first.type != ty:
         return (f"inferred type differs from the generated type: "
                 f"{print_type(first.type)} vs {print_type(ty)}")
     return None

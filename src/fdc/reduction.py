@@ -59,7 +59,7 @@ from .syntax import (
     Node, Star, KArr, TVar, TCon, TApp, EqTy, Forall, Con, Ref, Lam,
     App, TyLam, TyApp, Cast, Pattern, If, Guard, Zero, Choice, Refl, Sym,
     Trans, CApp, Fst, Snd, Univ, CInst, Sim, Env, ZERO, FIELDS, DATA,
-    PATTERN, node_eq, spine, plug_spine,
+    PATTERN, spine, plug_spine,
 )
 from .subst import instantiate
 from .typecheck import CheckError, kind_of
@@ -161,7 +161,7 @@ def match_pattern(scrut: Node, p: Pattern) -> Union[Hit, Miss, NotReady]:
     if lead < want:
         return MISS
     for i in range(want):
-        if not node_eq(args[i][1], p.type_args[i]):
+        if args[i][1] != p.type_args[i]:
             return MISS
     return Hit(tuple(args[want:]))
 
@@ -189,7 +189,7 @@ def top_redexes(env: Env, m: Node) -> list[tuple[str, Node]]:
             out.append(("β∀", instantiate(body, arg)))
         case Sym(Refl(t)):
             out.append(("δ_refl", Refl(t)))
-        case Trans(Refl(a), Refl(b)) if node_eq(a, b):
+        case Trans(Refl(a), Refl(b)) if a == b:
             out.append(("δ_;", Refl(a)))
         case CApp(Refl(a), Refl(b)):
             out.append(("δ_@", Refl(TApp(a, b))))
@@ -446,33 +446,6 @@ def _refocus(env: Env, d: Decomposition,
     return next(_steps(env, d, skip), None)
 
 
-def _same(a: Node, b: Node) -> bool:
-    """`a == b` over an explicit stack: node equality recurses once per
-    level at which two equal subterms are not one object. Fields are
-    compared in order, as `==` does, so terms that differ near the head of
-    a long spine part at once."""
-    todo = [(a, b)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b) or a._hash != b._hash:
-            return False
-        for name, role in reversed(FIELDS[type(a)]):
-            x, y = getattr(a, name), getattr(b, name)
-            if role == DATA:
-                if x != y:
-                    return False
-            elif role == PATTERN:
-                if (x.head != y.head
-                        or len(x.type_args) != len(y.type_args)):
-                    return False
-                todo += zip(x.type_args, y.type_args)
-            else:
-                todo.append((x, y))
-    return True
-
-
 def normalize(env: Env, m: Node, fuel: int, table: dict = EVAL_FRAMES,
               skip: frozenset = frozenset(),
               trace: Optional[Callable[[str, Node], None]] = None,
@@ -504,9 +477,9 @@ def normalize(env: Env, m: Node, fuel: int, table: dict = EVAL_FRAMES,
         if trace is not None:
             trace(tag, d.plug(d.node))
         if (mark is not None and len(d.frames) == len(mark.frames)
-                and _same(d.node, mark.node)):
+                and d.node == mark.node):
             term = d.plug(d.node)
-            if _same(term, mark.plug(mark.node)):
+            if term == mark.plug(mark.node):
                 return term, fuel - n, n - at
         if n == fuel:
             return d.plug(d.node), 0, 0

@@ -11,12 +11,10 @@ substitution at each one, and returns any subterm whose loose range
 (`syntax.loose_range`, stored on each node) shows no free index it could
 touch.
 
-`shift` keeps a bounded memo keyed by the node's identity and the amount.
-Nodes are hash-consed (see `syntax`), so a type or telescope rebuilt
-elsewhere is most often the very object shifted before, and the memo
-answers for it. An entry holds its node, so the identity it is keyed by is
-never reused while the entry lives; the memo is emptied when it reaches
-`TABLE_LIMIT` entries.
+`shift` keeps a memo keyed by the node and the amount, emptied when it
+reaches `TABLE_LIMIT` entries. Nodes are hash-consed (see `syntax`), so a
+type or telescope rebuilt elsewhere is most often the very object shifted
+before, and the key is found by its stored hash and identity.
 """
 
 from __future__ import annotations
@@ -146,14 +144,13 @@ def shift(n: Node, amount: int) -> Node:
     (`ScopeEscape` when one would)."""
     if amount == 0 or n._range == 0:
         return n
-    key = (id(n), amount)
-    hit = _SHIFTED.get(key)
-    if hit is not None and hit[0] is n:
-        return hit[1]
-    out = apply(shift_subst(amount), n)
-    if len(_SHIFTED) >= TABLE_LIMIT:
-        _SHIFTED.clear()
-    _SHIFTED[key] = n, out
+    key = (n, amount)
+    out = _SHIFTED.get(key)
+    if out is None:
+        out = apply(shift_subst(amount), n)
+        if len(_SHIFTED) >= TABLE_LIMIT:
+            _SHIFTED.clear()
+        _SHIFTED[key] = out
     return out
 
 

@@ -10,6 +10,7 @@ argument, and `C args => t` is sugar for the explicit dictionary arrow
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,27 +70,19 @@ def stype_args(t: SType) -> list[SType]:
     return args
 
 
-def stype_vars(t: SType, out: Optional[list[str]] = None) -> list[str]:
-    """Free variable names in first-occurrence order."""
-    if out is None:
-        out = []
+def stype_vars(t: SType) -> Counter:
+    """Free variable names, each with its number of occurrences, in
+    first-occurrence order."""
     match t:
         case STVar(name):
-            if name not in out:
-                out.append(name)
-        case STApp(f, a):
-            stype_vars(f, out)
-            stype_vars(a, out)
-        case SArrow(d, c):
-            stype_vars(d, out)
-            stype_vars(c, out)
+            return Counter((name,))
+        case STApp(f, a) | SArrow(f, a):
+            return stype_vars(f) + stype_vars(a)
         case SForall(var, _, body):
-            inner: list[str] = []
-            stype_vars(body, inner)
-            for name in inner:
-                if name != var and name not in out:
-                    out.append(name)
-    return out
+            out = stype_vars(body)
+            del out[var]
+            return out
+    return Counter()
 
 
 # ---------------------------------------------------------------- terms
@@ -618,19 +611,6 @@ def _type_size(t: SType) -> int:
     raise TypeError(t)
 
 
-def _var_occurrences(t: SType, name: str) -> int:
-    match t:
-        case STVar(n):
-            return 1 if n == name else 0
-        case STCon(_):
-            return 0
-        case STApp(f, a) | SArrow(f, a):
-            return _var_occurrences(f, name) + _var_occurrences(a, name)
-        case SForall(v, _, b):
-            return 0 if v == name else _var_occurrences(b, name)
-    raise TypeError(t)
-
-
 def validate_surface(program: list[SDecl]) -> list[Diagnostic]:
     """Annotation placement, binder shape, fundep index bounds, and the
     Paterson termination conditions on instance contexts."""
@@ -652,20 +632,15 @@ def validate_surface(program: list[SDecl]) -> list[Diagnostic]:
             case SInstanceDecl(class_name, _, context, head_args, methods):
                 where = f"instance {class_name}"
                 head_size = sum(_type_size(a) for a in head_args)
-                head_vars = []
-                for a in head_args:
-                    stype_vars(a, head_vars)
+                head_occ = sum(map(stype_vars, head_args), Counter())
                 for pred in context:
                     if _type_size(pred) - 1 >= head_size:
                         issues.append(Diagnostic(
                             "paterson",
                             f"{where}: context {print_stype(pred)} is not "
                             f"smaller than the instance head"))
-                    for v in stype_vars(pred):
-                        pred_occ = _var_occurrences(pred, v)
-                        head_occ = sum(_var_occurrences(a, v)
-                                       for a in head_args)
-                        if pred_occ > head_occ:
+                    for v, occ in stype_vars(pred).items():
+                        if occ > head_occ[v]:
                             issues.append(Diagnostic(
                                 "paterson",
                                 f"{where}: {v!r} occurs more often in the "

@@ -15,8 +15,9 @@ table already holds when that node has the same fields. A class's table
 holds two generations of at most `TABLE_LIMIT` nodes each: when the newer
 is full it replaces the older, so a structure of up to `TABLE_LIMIT` nodes
 built twice in a row is one object. Two equal nodes need not be one object
-(one may predate a dropped generation): equality stays structural, and
-compares identity and stored hashes before any field.
+(one may predate a dropped generation): `==` is the one structural
+equality, and compares identity and stored hashes before any field, over
+an explicit stack.
 """
 
 from __future__ import annotations
@@ -39,16 +40,36 @@ class Node:
         return self._hash
 
     def __eq__(self, other) -> bool:
-        """Structural equality: one object, or two different stored hashes,
-        answer at once; otherwise the fields are compared in order."""
+        """Structural equality, which is alpha-equivalence under de Bruijn:
+        one object, or two different stored hashes, answer at once;
+        otherwise the fields are compared in order, over an explicit stack,
+        so two equal deep terms that are not one object compare without
+        recursion. A pattern compares its head and arity, then its type
+        arguments."""
         if self is other:
             return True
-        cls = type(self)
-        if type(other) is not cls:
+        if type(other) is not type(self):
             return NotImplemented
-        return self._hash == other._hash and (
-            [getattr(self, f) for f, _ in FIELDS[cls]]
-            == [getattr(other, f) for f, _ in FIELDS[cls]])
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for name, role in reversed(FIELDS[type(a)]):
+                x, y = getattr(a, name), getattr(b, name)
+                if role is DATA:
+                    if x != y:
+                        return False
+                elif role is PATTERN:
+                    if (x.head != y.head
+                            or len(x.type_args) != len(y.type_args)):
+                        return False
+                    todo += zip(reversed(x.type_args), reversed(y.type_args))
+                else:
+                    todo.append((x, y))
+        return True
 
     def __repr__(self) -> str:
         cls = type(self)
@@ -613,11 +634,6 @@ class Env:
 
 
 # ------------------------------------------------------------- utilities
-
-def node_eq(a: Node, b: Node) -> bool:
-    """Structural equality; alpha-equivalence is free under de Bruijn."""
-    return a == b
-
 
 def spine(term: Node) -> tuple[Node, list[tuple[bool, Node]]]:
     """Decompose nested applications into (head, args).

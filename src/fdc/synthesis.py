@@ -32,8 +32,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .syntax import (
     Node, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref,
     Cast, Refl, Sym, Trans, CApp, Fst, Snd, Univ, Sim, Env, TyVarBind,
-    TmVarBind, applied, node_eq, plug_spine, type_spine, spine_head,
-    un_arrow,
+    TmVarBind, applied, plug_spine, type_spine, spine_head, un_arrow,
 )
 from .subst import Subst, Replace, Rename, apply, shift, instantiate_all
 from .typecheck import CheckError, _fail
@@ -89,7 +88,7 @@ def match_type(pattern: Node, concrete: Node, n_vars: int,
     match pattern:
         case TVar(i) if i < n_vars:
             if i in binding:
-                return node_eq(binding[i], concrete)
+                return binding[i] == concrete
             binding[i] = concrete
             return True
     match pattern, concrete:
@@ -101,13 +100,13 @@ def match_type(pattern: Node, concrete: Node, n_vars: int,
             return (match_type(f1, f2, n_vars, binding)
                     and match_type(a1, a2, n_vars, binding))
         case (EqTy(l1, r1, k1), EqTy(l2, r2, k2)):
-            return (node_eq(k1, k2)
+            return (k1 == k2
                     and match_type(l1, l2, n_vars, binding)
                     and match_type(r1, r2, n_vars, binding))
         case (Forall(k1, b1), Forall(k2, b2)):
             # match variables cannot occur under the extra binder soundly;
             # require exact equality there
-            return node_eq(k1, k2) and node_eq(b1, b2)
+            return k1 == k2 and b1 == b2
     return False
 
 
@@ -416,7 +415,7 @@ class Resolver:
         premises: list[Node] = []
         for idx in range(len(inst.head)):
             concrete = subst_match_vars(inst.head[idx], n_vars, binding)
-            if idx not in deferred and node_eq(concrete, goal_args[idx]):
+            if idx not in deferred and concrete == goal_args[idx]:
                 premises.append(Refl(goal_args[idx]))
                 continue
             eta = self._synth(concrete, goal_args[idx], self.synth_depth,
@@ -527,7 +526,7 @@ class Resolver:
                 if ea is None:
                     return None
                 return CApp(ef, ea)
-            case (Forall(k1, b1), Forall(k2, b2)) if node_eq(k1, k2):
+            case (Forall(k1, b1), Forall(k2, b2)) if k1 == k2:
                 inner = replace(self, env=self.env.push(TyVarBind(k1)))
                 inner._ambiguities = self._ambiguities
                 shifted_exclude = frozenset(i + 1 for i in exclude)
@@ -535,7 +534,7 @@ class Resolver:
                 if eb is None:
                     return None
                 return Univ(k1, eb)
-            case (EqTy(l1, r1, k1), EqTy(l2, r2, k2)) if node_eq(k1, k2):
+            case (EqTy(l1, r1, k1), EqTy(l2, r2, k2)) if k1 == k2:
                 el = self._synth(l1, l2, depth, exclude, active)
                 if el is None:
                     return None
@@ -591,7 +590,7 @@ class Resolver:
                     out.append(Candidate(info, fd, None, term, args, term2,
                                          args2))
         return [c for c in out
-                if not node_eq(c.args1[c.fd.det], c.args2[c.fd.det])]
+                if c.args1[c.fd.det] != c.args2[c.fd.det]]
 
     def _improvement_edges(self, scope: Scope, depth, exclude, active):
         """fdFwd-style edges between determined parameters of the scope's
@@ -638,7 +637,7 @@ class Resolver:
                  depth: int, exclude, active) -> Optional[tuple[Node, Node, Node]]:
         det_coercions: dict[int, Node] = {}
         for i in fd.dets:
-            if node_eq(args1[i], args2[i]):
+            if args1[i] == args2[i]:
                 continue
             eta = self._synth(args1[i], args2[i], depth - 1, exclude, active)
             if eta is None:

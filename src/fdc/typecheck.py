@@ -22,8 +22,7 @@ from .syntax import (
     App, TyLam, TyApp, Cast, Pattern, If, Guard, Zero, Choice, Refl, Sym,
     Trans, CApp, Fst, Snd, Univ, CInst, Sim, Decl, DataDecl, CtorDecl,
     OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl, LetDecl, Env,
-    TyVarBind, TmVarBind, STAR, node_eq, spine_head, split_ctor_type,
-    un_arrow, arrow,
+    TyVarBind, TmVarBind, STAR, spine_head, split_ctor_type, un_arrow, arrow,
 )
 from .subst import (
     instantiate, instantiate_all, is_closed, shift, try_unshift,
@@ -135,7 +134,7 @@ def kind_of(env: Env, ty: Node, path: Path = ()) -> Node:
             ka = kind_of(env, a, (path, "arg"))
             match kf:
                 case KArr(dom, cod):
-                    if not node_eq(dom, ka):
+                    if dom != ka:
                         _fail("kind-mismatch", "type argument kind mismatch",
                               path, expected=dom, found=ka)
                     return cod
@@ -145,7 +144,7 @@ def kind_of(env: Env, ty: Node, path: Path = ()) -> Node:
             if not is_kind(k):
                 _fail("bad-kind", "malformed kind annotation", path)
             kb = kind_of(env.push(TyVarBind(k)), body, (path, "body"))
-            if not node_eq(kb, STAR):
+            if kb != STAR:
                 _fail("kind-mismatch", "quantified body must have kind *",
                       path, expected=STAR, found=kb)
             return STAR
@@ -154,9 +153,9 @@ def kind_of(env: Env, ty: Node, path: Path = ()) -> Node:
                 _fail("bad-kind", "malformed kind annotation", path)
             kl = kind_of(env, l, (path, "lhs"))
             kr = kind_of(env, r, (path, "rhs"))
-            if not node_eq(kl, k) or not node_eq(kr, k):
+            if kl != k or kr != k:
                 _fail("kind-mismatch", "equality sides must share the annotated kind",
-                      path, expected=k, found=kl if not node_eq(kl, k) else kr)
+                      path, expected=k, found=kl if kl != k else kr)
             return STAR
     _fail("classification", "expected a type", path, found=ty)
 
@@ -191,14 +190,14 @@ def pattern_type(env: Env, p: Pattern, scrut_ty: Optional[Node] = None,
               f"{len(kinds)} quantifiers", path)
     for i, targ in enumerate(p.type_args):
         ka = kind_of(env, targ, (path, f"pattern-arg-{i}"))
-        if not node_eq(ka, kinds[i]):
+        if ka != kinds[i]:
             _fail("kind-mismatch", "pattern type argument kind mismatch",
                   path, expected=kinds[i], found=ka)
     res_kinds, arg_tys, plain_cod = _open_pattern(sig.type, p.type_args)
     if plain_cod is None:
         _fail("codomain-escape",
               f"codomain of {p.head!r} mentions existential binders", path)
-    if scrut_ty is not None and not node_eq(plain_cod, scrut_ty):
+    if scrut_ty is not None and plain_cod != scrut_ty:
         _fail("pattern-mismatch", "pattern codomain does not match the scrutinee",
               path, expected=scrut_ty, found=plain_cod)
     return list(res_kinds), list(arg_tys), plain_cod
@@ -234,7 +233,7 @@ def _match_consequent(res_kinds: list[Node], arg_tys: list[Node],
     for i, k in enumerate(res_kinds):
         match ty:
             case Forall(kk, body):
-                if not node_eq(kk, k):
+                if kk != k:
                     _fail("pattern-mismatch",
                           f"consequent quantifier {i} has the wrong kind",
                           path, expected=k, found=kk)
@@ -249,7 +248,7 @@ def _match_consequent(res_kinds: list[Node], arg_tys: list[Node],
             _fail("pattern-mismatch",
                   f"consequent must take {len(arg_tys)} pattern arguments",
                   path, found=ty)
-        if not node_eq(ac[0], want):
+        if ac[0] != want:
             _fail("pattern-mismatch",
                   f"consequent argument {i} has the wrong type",
                   path, expected=want, found=ac[0])
@@ -285,10 +284,10 @@ def _coerce(env: Env, eta: Node,
                 return None if gb is None else (gb[0], gb[1], gb[2])
             if gb is None:
                 return ga
-            if not node_eq(ga[1], gb[0]):
+            if ga[1] != gb[0]:
                 _fail("coercion-shape", "transitivity endpoints do not meet",
                       path, expected=ga[1], found=gb[0])
-            if not node_eq(ga[2], gb[2]):
+            if ga[2] != gb[2]:
                 _fail("coercion-shape", "transitivity kinds differ",
                       path, expected=ga[2], found=gb[2])
             return ga[0], gb[1], ga[2]
@@ -299,7 +298,7 @@ def _coerce(env: Env, eta: Node,
                 return None
             match ga[2]:
                 case KArr(dom, cod):
-                    if not node_eq(dom, gb[2]):
+                    if dom != gb[2]:
                         _fail("coercion-shape",
                               "coercion application kind mismatch",
                               path, expected=dom, found=gb[2])
@@ -332,12 +331,12 @@ def _coerce(env: Env, eta: Node,
                 return None
             l, r, kk = got
             if not isinstance(l, Forall) or not isinstance(r, Forall) \
-                    or not node_eq(l.kind, r.kind):
+                    or l.kind != r.kind:
                 _fail("coercion-shape",
                       "instantiation requires quantified types at one kind",
                       path, found=l if not isinstance(l, Forall) else r)
             ka = kind_of(env, t, (path, "inst-arg"))
-            if not node_eq(ka, l.kind):
+            if ka != l.kind:
                 _fail("kind-mismatch", "coercion instantiation kind mismatch",
                       path, expected=l.kind, found=ka)
             return instantiate(l.body, t), instantiate(r.body, t), kk
@@ -346,7 +345,7 @@ def _coerce(env: Env, eta: Node,
             gb = _coerce(env, b, (path, "sim-right"))
             if ga is None or gb is None:
                 return None
-            if not node_eq(ga[2], gb[2]):
+            if ga[2] != gb[2]:
                 _fail("coercion-shape", "sim sides must share a kind",
                       path, expected=ga[2], found=gb[2])
             k = ga[2]
@@ -400,7 +399,7 @@ def infer_term(env: Env, m: Node, path: Path = ()) -> TypeResult:
             if ac is None:
                 _fail("not-arrow", "applied term is not a function",
                       path, expected="a function type", found=gf.type)
-            if isinstance(ga, Exactly) and not node_eq(ga.type, ac[0]):
+            if isinstance(ga, Exactly) and ga.type != ac[0]:
                 _fail("type-mismatch", "argument type mismatch",
                       path, expected=ac[0], found=ga.type)
             return Exactly(ac[1])
@@ -418,7 +417,7 @@ def infer_term(env: Env, m: Node, path: Path = ()) -> TypeResult:
                 return ANY
             match gf.type:
                 case Forall(k, body):
-                    if not node_eq(k, kt):
+                    if k != kt:
                         _fail("kind-mismatch", "type argument kind mismatch",
                               path, expected=k, found=kt)
                     return Exactly(instantiate(body, t))
@@ -430,10 +429,10 @@ def infer_term(env: Env, m: Node, path: Path = ()) -> TypeResult:
             if got is None:
                 return ANY
             l, r, k = got
-            if not node_eq(k, STAR):
+            if k != STAR:
                 _fail("kind-mismatch", "term-level casts require a * coercion",
                       path, expected=STAR, found=k)
-            if isinstance(gs, Exactly) and not node_eq(gs.type, l):
+            if isinstance(gs, Exactly) and gs.type != l:
                 _fail("type-mismatch", "cast subject does not match the coercion",
                       path, expected=l, found=gs.type)
             return Exactly(r)
@@ -448,7 +447,7 @@ def infer_term(env: Env, m: Node, path: Path = ()) -> TypeResult:
                 return gr
             if isinstance(gr, AnyType):
                 return gl
-            if not node_eq(gl.type, gr.type):
+            if gl.type != gr.type:
                 _fail("type-mismatch", "choice alternatives have different types",
                       path, expected=gl.type, found=gr.type)
             return gl
@@ -470,7 +469,7 @@ def _infer_lams(env: Env, m: Node, path: Path) -> TypeResult:
     anns = []
     while isinstance(m, Lam):
         ka = kind_of(env, m.ann, (path, "ann"))
-        if not node_eq(ka, STAR):
+        if ka != STAR:
             _fail("kind-mismatch", "lambda annotation must be a * type",
                   path, expected=STAR, found=ka)
         anns.append(m.ann)
@@ -521,7 +520,7 @@ def _infer_match(env: Env, scrut: Node, pat: Pattern, cons: Node,
     if alt is not None:
         ga = infer_term(env, alt, (path, "alt"))
         if isinstance(ga, Exactly):
-            if result is not None and not node_eq(result, ga.type):
+            if result is not None and result != ga.type:
                 _fail("type-mismatch",
                       f"{which} branches have different types",
                       path, expected=result, found=ga.type)
@@ -532,7 +531,7 @@ def _infer_match(env: Env, scrut: Node, pat: Pattern, cons: Node,
 def check_term(env: Env, m: Node, expected: Node,
                path: Path = ()) -> None:
     ke = kind_of(env, expected, path)
-    if not node_eq(ke, STAR):
+    if ke != STAR:
         _fail("kind-mismatch", "checked type must have kind *",
               path, expected=STAR, found=ke)
     _check(env, m, expected, path)
@@ -551,7 +550,7 @@ def _check(env: Env, m: Node, expected: Node, path: Path) -> None:
             return
         case TyLam(k, body):
             match expected:
-                case Forall(kk, ety) if node_eq(k, kk):
+                case Forall(kk, ety) if k == kk:
                     _check(env.push(TyVarBind(k)), body, ety, (path, "body"))
                     return
             _fail("type-mismatch", "type abstraction checked against a bad type",
@@ -560,7 +559,7 @@ def _check(env: Env, m: Node, expected: Node, path: Path) -> None:
             got = infer_term(env, m, path)
             if isinstance(got, AnyType):
                 return
-            if not node_eq(got.type, expected):
+            if got.type != expected:
                 _fail("type-mismatch", "term type mismatch",
                       path, expected=expected, found=got.type)
 
@@ -578,7 +577,7 @@ def _check_lams(env: Env, m: Node, expected: Node,
             _fail("type-mismatch", "lambda checked against a non-function type",
                   path, expected=shift(expected, depth), found="a lambda")
         dom = shift(ac[0], depth)
-        if not node_eq(m.ann, dom):
+        if m.ann != dom:
             _fail("type-mismatch", "lambda annotation mismatch",
                   path, expected=dom, found=m.ann)
         env = env.push(TmVarBind(m.ann))
@@ -601,7 +600,7 @@ def check_env(env: Env) -> None:
                     _fail("bad-kind", "malformed binder kind", where)
             case TmVarBind(t):
                 k = kind_of(scope, t, where)
-                if not node_eq(k, STAR):
+                if k != STAR:
                     _fail("kind-mismatch", "term binding must have kind *",
                           where, expected=STAR, found=k)
             case _:
@@ -658,7 +657,7 @@ def _closed_star_type(env: Env, name: str, t: Node) -> None:
     if not is_closed(t):
         _fail("closed-required", f"declared type of {name!r} must be closed")
     k = kind_of(env, t)
-    if not node_eq(k, STAR):
+    if k != STAR:
         _fail("kind-mismatch", f"declared type of {name!r} must have kind *",
               expected=STAR, found=k)
 

@@ -5,7 +5,7 @@ search in `fdc.synthesis`.
 the scope from the environment, coercion paths come from a depth-first walk
 over a flat edge list with its own congruence bridging (`_dfs`), the
 decomposition edges from a second walk over the hypothesis edges
-(`_hyp_path`), and every set of nodes is a list scanned with `node_eq`.
+(`_hyp_path`), and every set of nodes is a list scanned with `==`.
 `hyps_inconsistent` is the original quadratic closure over a list, and
 `OracleResolver.inconsistent` asks it. Its `_synth` tables no failed
 search, and its improvement edges match every dictionary against every
@@ -26,7 +26,7 @@ from fdc.synthesis import (
 )
 from fdc.syntax import (
     Node, TCon, TApp, EqTy, Forall, Var, Con, Ref, App, TyApp, Cast, Refl,
-    Sym, Trans, CApp, Fst, Snd, TmVarBind, applied, node_eq, plug_spine,
+    Sym, Trans, CApp, Fst, Snd, TmVarBind, applied, plug_spine,
     type_spine, spine_head, un_arrow,
 )
 from fdc.subst import shift, instantiate
@@ -39,10 +39,10 @@ def hyps_inconsistent(pairs: list[tuple[Node, Node]], limit: int = 200) -> bool:
     known: list[tuple[Node, Node]] = []
 
     def add(a: Node, b: Node) -> bool:
-        if node_eq(a, b):
+        if a == b:
             return False
         for (x, y) in known:
-            if node_eq(x, a) and node_eq(y, b):
+            if x == a and y == b:
                 return False
         known.append((a, b))
         return True
@@ -60,7 +60,7 @@ def hyps_inconsistent(pairs: list[tuple[Node, Node]], limit: int = 200) -> bool:
                 if add(b.fun, a.fun) or add(b.arg, a.arg):
                     changed = True
             for (c, d) in list(known):
-                if node_eq(b, c) and add(a, d):
+                if b == c and add(a, d):
                     changed = True
     return any(_rigid_clash(a, b) for a, b in known)
 
@@ -89,7 +89,7 @@ class OracleResolver(Resolver):
 
         def push(term: Node, ty: Node) -> None:
             for t in seen_types:
-                if node_eq(t, ty):
+                if t == ty:
                     return
             seen_types.append(ty)
             out.append((term, ty))
@@ -133,7 +133,7 @@ class OracleResolver(Resolver):
         for i, ty in self.scope_entries():
             if i in exclude:
                 continue
-            if node_eq(ty, goal):
+            if ty == goal:
                 return Var(i)
         head = spine_head(goal)
         _, goal_args = type_spine(goal)
@@ -147,7 +147,7 @@ class OracleResolver(Resolver):
         if candidates:
             distinct = []
             for _, t in candidates:
-                if not any(node_eq(t, u) for u in distinct):
+                if not any(t == u for u in distinct):
                     distinct.append(t)
             if len(distinct) > 1 and self.overlap == "reject":
                 raise SynthError(Diagnostic(
@@ -193,7 +193,7 @@ class OracleResolver(Resolver):
         premises: list[Node] = []
         for idx in range(len(inst.head)):
             concrete = subst_match_vars(inst.head[idx], n_vars, binding)
-            if idx not in deferred and node_eq(concrete, goal_args[idx]):
+            if idx not in deferred and concrete == goal_args[idx]:
                 premises.append(Refl(goal_args[idx]))
                 continue
             try:
@@ -223,7 +223,7 @@ class OracleResolver(Resolver):
     def _synth(self, frm: Node, to: Node, depth: int,
                exclude: frozenset[int],
                active: frozenset) -> Optional[Node]:
-        if node_eq(frm, to):
+        if frm == to:
             return Refl(frm)
         if depth <= 0:
             return None
@@ -252,28 +252,28 @@ class OracleResolver(Resolver):
         visited: list[Node] = []
 
         def seen(t: Node) -> bool:
-            return any(node_eq(t, v) for v in visited)
+            return any(t == v for v in visited)
 
         def walk(cur: Node) -> Optional[list[Node]]:
-            if node_eq(cur, to):
+            if cur == to:
                 return []
             visited.append(cur)
             for (a, b, term) in edges:
-                if node_eq(cur, a) and not seen(b):
+                if cur == a and not seen(b):
                     rest = walk(b)
                     if rest is not None:
                         return [term] + rest
             # structural congruence, direct and via known nodes
             targets = [to] + [n for n in nodeset if not seen(n)
-                              and not node_eq(n, to)]
+                              and n != to]
             for target in targets:
-                if node_eq(cur, target):
+                if cur == target:
                     continue
                 bridge = self._congruence(cur, target, depth - 1,
                                           exclude, active)
                 if bridge is None:
                     continue
-                if node_eq(target, to):
+                if target == to:
                     return [bridge]
                 if not seen(target):
                     rest = walk(target)
@@ -297,7 +297,7 @@ class OracleResolver(Resolver):
         apps = [n for n in nodeset if isinstance(n, TApp)]
         for i, a in enumerate(apps):
             for b in apps:
-                if a is b or node_eq(a, b):
+                if a is b or a == b:
                     continue
                 path = _hyp_path(a, b, hyp_edges)
                 if path is None:
@@ -375,7 +375,7 @@ class OracleResolver(Resolver):
                  depth: int, exclude, active) -> Optional[tuple[Node, Node, Node]]:
         det_coercions: dict[int, Node] = {}
         for i in fd.dets:
-            if node_eq(args1[i], args2[i]):
+            if args1[i] == args2[i]:
                 continue
             eta = self._synth(args1[i], args2[i], depth - 1, exclude, active)
             if eta is None:
@@ -383,7 +383,7 @@ class OracleResolver(Resolver):
             det_coercions[i] = eta
         lhs_det = args1[fd.det]
         rhs_det = args2[fd.det]
-        if node_eq(lhs_det, rhs_det):
+        if lhs_det == rhs_det:
             return None  # nothing to learn
         first = d1
         first_args = list(args1)
@@ -408,14 +408,14 @@ def _hyp_path(frm: Node, to: Node, edges) -> Optional[Node]:
     visited: list[Node] = []
 
     def seen(t: Node) -> bool:
-        return any(node_eq(t, v) for v in visited)
+        return any(t == v for v in visited)
 
     def walk(cur: Node) -> Optional[list[Node]]:
-        if node_eq(cur, to):
+        if cur == to:
             return []
         visited.append(cur)
         for (a, b, term) in edges:
-            if node_eq(cur, a) and not seen(b):
+            if cur == a and not seen(b):
                 rest = walk(b)
                 if rest is not None:
                     return [term] + rest
@@ -431,5 +431,5 @@ def _hyp_path(frm: Node, to: Node, edges) -> Optional[Node]:
 
 
 def _add_node(nodeset: list[Node], n: Node) -> None:
-    if not any(node_eq(n, m) for m in nodeset):
+    if not any(n == m for m in nodeset):
         nodeset.append(n)

@@ -15,7 +15,7 @@ from fdc.syntax import (
     App, CApp, Cast, Choice, Con, Fst, Guard, If, InstanceDecl, KArr, Lam,
     LetDecl, MethodDecl, OpenTypeDecl, Pattern, Ref, Refl, Sim, Snd, Sym, TApp,
     TCon, Trans, TyApp, TyLam, TVar, Univ, CInst, Var, ZERO, STAR, arrow,
-    node_eq, subnodes,
+    subnodes,
 )
 from fdc.typecheck import check_program, check_term
 
@@ -44,7 +44,7 @@ def test_acceptance_1_golden_eq_ord():
                  if isinstance(d, InstanceDecl) and d.name == "eq"]
     double_cast = CApp(CApp(Refl(ARROW), Var(0)),
                        CApp(CApp(Refl(ARROW), Var(0)), Refl(BOOL)))
-    assert any(node_eq(s, double_cast) for s in subnodes(eq_inst.body))
+    assert any(s == double_cast for s in subnodes(eq_inst.body))
     report(1, "Eq/Ord surface program elaborates to the expected core",
            time.time() - start, 1.0)
 
@@ -91,7 +91,7 @@ def test_acceptance_4_improvement_typing_and_evaluation():
     [f] = [d for d in core if isinstance(d, LetDecl) and d.name == "f"]
     witness = parse_term(
         "fdFwd [Int] [Bool] [#1] (FIB [Int] [Bool] refl(Int) refl(Bool)) #0")
-    assert any(node_eq(s, witness) for s in subnodes(f.body))
+    assert any(s == witness for s in subnodes(f.body))
     call = parse_term("f [Bool] (FIB [Int] [Bool] refl(Int) refl(Bool)) True")
     steps = [0]
     result = whnf(env, call, fuel=10000,
@@ -147,7 +147,7 @@ def test_acceptance_7_specialization():
         original = whnf(env, call)
         specialized = whnf(env, out)
         assert isinstance(original, Value) and isinstance(specialized, Value)
-        assert node_eq(_collapse(original.node), _collapse(specialized.node))
+        assert _collapse(original.node) == _collapse(specialized.node)
     report(7, "specialized corpus calls are zero-free, well-typed, and "
               "agree with direct evaluation", time.time() - start, 5.0)
 
@@ -157,7 +157,7 @@ def _collapse(n):
     if isinstance(n, Choice):
         left = _collapse(n.left)
         right = _collapse(n.right)
-        if node_eq(left, right):
+        if left == right:
             return left
         return Choice(left, right)
     return n
@@ -180,7 +180,7 @@ def test_acceptance_8_reduction_rule_table():
         tag, out = got
         assert tag == want_tag, (print_term(term), tag, want_tag)
         if want is not None:
-            assert node_eq(out, want), (print_term(out), print_term(want))
+            assert out == want, (print_term(out), print_term(want))
         seen[tag] = seen.get(tag, 0) + 1
 
     # redex rules
@@ -241,7 +241,7 @@ def test_acceptance_8_reduction_rule_table():
     inner = App(App(lam_id, lam_id), Con("True"))
     got = step_det_tagged(env, inner)
     assert got is not None and got[0] == "β→"
-    assert node_eq(got[1], App(lam_id, Con("True")))
+    assert got[1] == App(lam_id, Con("True"))
     seen["ξ"] = 1
 
     expected_tags = {

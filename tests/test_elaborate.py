@@ -13,7 +13,7 @@ from fdc.synthesis import Resolver, SynthError
 from fdc.syntax import (
     App, Cast, CApp, Con, EqTy, InstanceDecl, LetDecl, MethodDecl,
     OpenCtorDecl, OpenTypeDecl, Ref, Refl, TApp, TCon, TVar, TmVarBind, TyApp,
-    TyVarBind, Var, Zero, STAR, arrow, node_eq, subnodes,
+    TyVarBind, Var, Zero, STAR, arrow, subnodes,
 )
 from fdc.typecheck import Exactly, check_program, infer_term
 from test_synthesis import CASES, fundep_program
@@ -78,7 +78,7 @@ def test_method_instance_carries_double_cast(superclasses_core):
     h = Var(0)
     expected = CApp(CApp(Refl(ARROW), h),
                     CApp(CApp(Refl(ARROW), h), Refl(BOOL)))
-    assert any(node_eq(sub, expected) for sub in subnodes(eq_inst.body))
+    assert any(sub == expected for sub in subnodes(eq_inst.body))
 
 
 def test_lte_translation_matches_dictionary_passing(superclasses_core):
@@ -160,7 +160,7 @@ def test_f_translation_casts_not_by_the_witness(fundeps_core):
     # inside /\t. \d., the coercion source is that exact application
     found = [s for s in subnodes(f.body) if isinstance(s, Cast)]
     assert found
-    assert any(node_eq(sub, improvement) for s in found
+    assert any(sub == improvement for s in found
                for sub in subnodes(s.coercion))
 
 

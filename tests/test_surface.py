@@ -108,6 +108,17 @@ def test_validate_paterson_violation():
     assert any(i.code == "paterson" for i in issues)
 
 
+def test_validate_paterson_counts_each_variable_in_context_order():
+    # each variable of the context is counted against all the head's
+    # arguments; 'b' and 'a' each occur twice there and once in the head
+    program = parse_surface(
+        "class H t u v w; class G t; instance H b b a a => G (P a b c d e);")
+    assert validate_surface(program) == [
+        Diagnostic("paterson", f"instance G: {v!r} occurs more often in the "
+                               f"context than in the head")
+        for v in "ba"]
+
+
 def test_validate_paterson_accepts_structural_instance():
     program = parse_surface(
         "class F t u; instance F a b => F (Maybe a) (Maybe b);")

@@ -17,7 +17,7 @@ from fdc.syntax import (
     Guard, If, InstanceDecl, KArr, Lam, LetDecl, MethodDecl, OpenCtorDecl,
     OpenTypeDecl, Pattern, Ref, Refl, Sim, Snd, Star, Sym, TApp, TCon, Trans,
     TVar, TyApp, TyLam, Univ, Var, ZERO, STAR, BINDER, DATA, FIELDS, KIND,
-    OPEN, PATTERN, TABLE_LIMIT, Node, arrow, loose_range, node_eq,
+    OPEN, PATTERN, TABLE_LIMIT, Node, arrow, loose_range,
 )
 from fdc.subst import shift
 
@@ -118,10 +118,10 @@ def test_arrow_sugar_and_constant():
 def test_node_eq_alpha_equivalence_is_structural():
     a = parse_type("forall t:*. t -> t")
     b = parse_type("forall u:*. u -> u")
-    assert node_eq(a, b)
-    assert not node_eq(parse_type("Bool"), parse_type("Int"))
+    assert a == b
+    assert parse_type("Bool") != parse_type("Int")
     eq = parse_type("Eq Bool ~ Eq Bool")
-    assert node_eq(eq, eq)
+    assert eq == eq
 
 
 def test_parse_error_position_and_expected():
@@ -226,14 +226,14 @@ def test_node_eq_equivalence_relation():
     cfg = GenConfig(seed=13, size=12)
     nodes = [gen_well_typed(cfg, i)[1] for i in range(30)]
     for n in nodes:
-        assert node_eq(n, n)
+        assert n == n
     for a in nodes:
         for b in nodes:
-            assert node_eq(a, b) == node_eq(b, a)
-            if node_eq(a, b):
+            assert (a == b) == (b == a)
+            if a == b:
                 for c in nodes:
-                    if node_eq(b, c):
-                        assert node_eq(a, c)
+                    if b == c:
+                        assert a == c
 
 
 def test_free_indices_print_env_relative():
@@ -296,6 +296,21 @@ def test_a_node_built_after_its_table_is_emptied_equals_the_old_one():
     for cls, shape in FIELDS.items():
         assert cls.__slots__ == tuple(name for name, _ in shape)
     assert not hasattr(new, "__dict__")
+
+
+def test_equal_deep_chains_not_one_object_compare_without_recursion():
+    # the second chain is built after both generations of `App`'s table
+    # were filled, so none of its applications is the first chain's; `==`
+    # walks the pair to the leaf over an explicit stack
+    def run():
+        a = not_chain(10_000, "True")
+        for i in range(1, 2 * TABLE_LIMIT + 1):
+            App(Var(i), Var(i))
+        b = not_chain(10_000, "True")
+        return (a is not b, a == b, not (a != b), b in {a}, {a: 1}[b] == 1,
+                not_chain(10_000, "False") != b)
+
+    assert _on_a_fresh_stack(run) == (True,) * 6
 
 
 def test_field_table_classifies_every_field_once():
