@@ -24,6 +24,19 @@ variables of a goal are scanned afresh: a shift of an interned type is
 itself memoized (see `subst`). The memo dies with the generator, and only
 the bounded `EnvTable` memos outlive a case.
 
+A goal's productions are read off one static table per goal shape (an
+arrow, a `forall`, a reflexive equality, anything else) and `allow_zero`
+setting: `(weight, method)` entries in the fixed order the weighted pick
+reads. Inside the generator a production returns None when it gives up,
+and the canonical memo stores None for a goal with no canonical term; the
+public `Generator.term` and `Generator.canonical` raise `GiveUp` instead.
+Every draw goes through one of three methods: `_pick(weights, total)`, the
+weighted pick; `_index(n)`, a uniform index; and `_roll()`, a float in
+[0, 1) for a threshold. They call `random.Random._randbelow` and `random`,
+which `randrange` and `choice` reduce to on Python 3.10 and 3.11, so the
+draws, and with them the terms, are those that `randrange`, `choice` and
+`random` make.
+
 `run_properties` checks many suites over one generation pass: each case
 is generated once per `allow_zero` setting.
 """
@@ -108,7 +121,10 @@ def prelude_for(name: str) -> Env:
 BOOL = TCon("Bool")
 
 
-def _goal_pool(name: str) -> list[Node]:
+@lru_cache(maxsize=len(PRELUDES))
+def _goal_pool(name: str) -> tuple[Node, ...]:
+    """The goals the generator aims at in prelude `name`, in draw order;
+    built once per prelude."""
     b = BOOL
     bb = arrow(b, b)
     pool = [b, bb, arrow(b, bb), EqTy(b, b, STAR),
@@ -125,7 +141,7 @@ def _goal_pool(name: str) -> list[Node]:
         fib = TApp(TApp(TCon("F"), TCon("Int")), b)
         pool += [fib, EqTy(b, b, STAR),
                  TApp(TCon("Maybe"), b), arrow(fib, b)]
-    return pool
+    return tuple(pool)
 
 
 @dataclass(frozen=True)
@@ -316,7 +332,8 @@ def env_table(env: Env) -> EnvTable:
 class Generator:
     """Builds well-typed closed terms against a lambda-free environment.
     A scope is a tuple of binder types, innermost last; the `(scope,
-    goal)` memo lives as long as the generator (see the module docstring)."""
+    goal)` memo lives as long as the generator (see the module docstring).
+    Every draw goes through `_pick`, `_index` or `_roll`."""
 
     def __init__(self, env: Env, rng: random.Random,
                  allow_zero: bool = True):
@@ -324,66 +341,87 @@ class Generator:
         self.table = env_table(env)
         self.rng = rng
         self.allow_zero = allow_zero
-        self._canonical: dict[tuple[tuple, Node], Node | type] = {}
+        self._canonical: dict[tuple[tuple, Node], Optional[Node]] = {}
+
+    # -- draws (see the module docstring)
+
+    def _pick(self, weights: list[int], total: int) -> int:
+        """The index of an entry drawn with probability its weight over
+        `total`, the sum of `weights`."""
+        pick = self.rng._randbelow(total)
+        i = 0
+        while pick >= weights[i]:
+            pick -= weights[i]
+            i += 1
+        return i
+
+    def _index(self, n: int) -> int:
+        """An index below `n`, drawn uniformly."""
+        return self.rng._randbelow(n)
+
+    def _roll(self) -> float:
+        """A float in [0, 1)."""
+        return self.rng.random()
+
+    # -- terms: each production returns None when it gives up
 
     def term(self, scope: tuple, goal: Node, size: int) -> Node:
         """A term of the goal type; scope holds binder types, innermost
-        last, each expressed at its own binding point."""
-        if size <= 0:
-            return self.canonical(scope, goal)
-        # weighted choice with fallback: failed productions defer to others
-        attempts = self._productions(scope, goal, size)
-        total = sum(w for w, _ in attempts)
-        while attempts:
-            pick = self.rng.randrange(total)
-            acc = 0
-            for chosen, (w, _) in enumerate(attempts):
-                acc += w
-                if pick < acc:  # always met: pick < total
-                    break
-            w, fn = attempts.pop(chosen)
-            total -= w
-            try:
-                return fn()
-            except GiveUp:
-                continue
-        return self.canonical(scope, goal)
-
-    def _productions(self, scope, goal, size):
-        w = WEIGHTS
-        out = [(w["canonical"], lambda: self.canonical(scope, goal))]
-        out.append((w["var"], lambda: self._scope_var(scope, goal)))
-        out.append((w["spine"], lambda: self._spine(scope, goal, size)))
-        out.append((w["choice"], lambda: Choice(
-            self.term(scope, goal, size // 2),
-            self.term(scope, goal, size // 2))))
-        if self.allow_zero:
-            out.append((w["zero_choice"], lambda: self._zero_choice(
-                scope, goal, size)))
-        out.append((w["cast"], lambda: Cast(
-            self.term(scope, goal, size // 2),
-            self.coercion_node(scope, goal, size // 2))))
-        out.append((w["if"], lambda: self._match(scope, goal, size, False)))
-        out.append((w["guard"], lambda: self._match(scope, goal, size, True)))
-        out.append((w["app"], lambda: self._app(scope, goal, size)))
-        match goal:
-            case TApp(TApp(TCon("->"), dom), cod):
-                out.append((w["lambda"], lambda: Lam(
-                    dom, self.term(scope + (dom,), shift(cod, 1),
-                                   size - 1))))
-            case Forall(k, body):
-                out.append((w["lambda"], lambda: TyLam(
-                    k, self.term(scope + (k,), body, size - 1))))
-            case EqTy(l, r, _) if l == r:
-                out.append((w["coercion_ops"],
-                            lambda: self.coercion_node(scope, l, size)))
+        last, each expressed at its own binding point. Raises `GiveUp`
+        when every production fails."""
+        out = self._term(scope, goal, size)
+        if out is None:
+            raise GiveUp
         return out
 
+    def _term(self, scope: tuple, goal: Node, size: int) -> Optional[Node]:
+        if size <= 0:
+            return self._canon(scope, goal)
+        # weighted choice with fallback: failed productions defer to others
+        weights, methods, total = _productions(self.allow_zero, goal)
+        weights, methods = list(weights), list(methods)
+        while True:  # the canonical production is among those that failed
+            i = self._pick(weights, total)
+            total -= weights.pop(i)
+            out = methods.pop(i)(self, scope, goal, size)
+            if out is not None or not weights:
+                return out
+
+    def _canonical_production(self, scope, goal, size):
+        return self._canon(scope, goal)
+
+    def _choice(self, scope, goal, size):
+        left = self._term(scope, goal, size // 2)
+        if left is None:
+            return None
+        right = self._term(scope, goal, size // 2)
+        return None if right is None else Choice(left, right)
+
     def _zero_choice(self, scope, goal, size):
-        inhabited = self.term(scope, goal, size // 2)
-        if self.rng.random() < 0.5:
+        inhabited = self._term(scope, goal, size // 2)
+        if inhabited is None:
+            return None
+        if self._roll() < 0.5:
             return Choice(ZERO, inhabited)
         return Choice(inhabited, ZERO)
+
+    def _cast(self, scope, goal, size):
+        inner = self._term(scope, goal, size // 2)
+        if inner is None:
+            return None
+        return Cast(inner, self.coercion_node(scope, goal, size // 2))
+
+    def _lambda(self, scope, goal, size):
+        dom, cod = un_arrow(goal)
+        body = self._term(scope + (dom,), shift(cod, 1), size - 1)
+        return None if body is None else Lam(dom, body)
+
+    def _type_lambda(self, scope, goal, size):
+        body = self._term(scope + (goal.kind,), goal.body, size - 1)
+        return None if body is None else TyLam(goal.kind, body)
+
+    def _coercion_ops(self, scope, goal, size):
+        return self.coercion_node(scope, goal.lhs, size)
 
     @staticmethod
     def _in_scope(scope: tuple, goal: Node) -> list[Var]:
@@ -403,28 +441,41 @@ class Generator:
                 hits.append(Var(i))
         return hits
 
-    def _scope_var(self, scope, goal):
+    def _scope_var(self, scope, goal, size):
         hits = self._in_scope(scope, goal)
         if not hits:
-            raise GiveUp
-        return self.rng.choice(hits)
+            return None
+        return hits[self._index(len(hits))]
 
     def _spine(self, scope, goal, size):
         """A declared constructor, open function, or let applied to matching
         arguments."""
         options = self.table.spine_options(goal)
         if not options:
-            raise GiveUp
-        head, type_args, args = self.rng.choice(options)
+            return None
+        head, type_args, args = options[self._index(len(options))]
         budget = max(size - 1, 0) // max(len(args), 1)
-        return plug_spine(head, [(True, t) for t in type_args] + [
-            (False, self.term(scope, a, budget)) for a in args])
+        spine_args = [(True, t) for t in type_args]
+        for a in args:
+            arg = self._term(scope, a, budget)
+            if arg is None:
+                return None
+            spine_args.append((False, arg))
+        return plug_spine(head, spine_args)
 
     def _app(self, scope, goal, size):
-        dom = self.rng.choice([BOOL, arrow(BOOL, BOOL)])
-        fun = self.term(scope, arrow(dom, goal), size // 2)
-        arg = self.term(scope, dom, size // 2)
-        return App(fun, arg)
+        dom = _APP_DOMAINS[self._index(len(_APP_DOMAINS))]
+        fun = self._term(scope, arrow(dom, goal), size // 2)
+        if fun is None:
+            return None
+        arg = self._term(scope, dom, size // 2)
+        return None if arg is None else App(fun, arg)
+
+    def _if(self, scope, goal, size):
+        return self._match(scope, goal, size, False)
+
+    def _guard(self, scope, goal, size):
+        return self._match(scope, goal, size, True)
 
     def _match(self, scope, goal, size, guard: bool):
         """An `If` on a closed-type scrutinee, or a `Guard` on an open-type
@@ -432,21 +483,28 @@ class Generator:
         choices = (self.table.open_scrutinees if guard
                    else _CLOSED_SCRUTINEES)
         if not choices:
-            raise GiveUp
-        scrut_ty, ctors = self.rng.choice(choices)
+            return None
+        scrut_ty, ctors = choices[self._index(len(choices))]
         pats = self.table.patterns(scrut_ty, ctors)  # after the draw
         if not pats:
-            raise GiveUp
-        scrut = self.term(scope, scrut_ty, size // 3)
-        pat, res_kinds, lams = self.rng.choice(pats)
+            return None
+        scrut = self._term(scope, scrut_ty, size // 3)
+        if scrut is None:
+            return None
+        pat, res_kinds, lams = pats[self._index(len(pats))]
         cons = self._consequent(scope, res_kinds, lams, goal, size // 3)
+        if cons is None:
+            return None
         if guard:
             return Guard(scrut, pat, cons)
-        return If(scrut, pat, cons, self.term(scope, goal, size // 3))
+        alt = self._term(scope, goal, size // 3)
+        return None if alt is None else If(scrut, pat, cons, alt)
 
     def _consequent(self, scope, res_kinds, lams, goal, size):
-        body = self.term(scope + res_kinds + lams,
-                         shift(goal, len(res_kinds) + len(lams)), size)
+        body = self._term(scope + res_kinds + lams,
+                          shift(goal, len(res_kinds) + len(lams)), size)
+        if body is None:
+            return None
         for ann in reversed(lams):
             body = Lam(ann, body)
         for k in reversed(res_kinds):
@@ -456,10 +514,10 @@ class Generator:
     # -- coercions at reflexive goals
 
     def coercion_node(self, scope, ty: Node, size: int) -> Node:
-        """A coercion term proving `ty ~ ty`."""
+        """A coercion term proving `ty ~ ty`; it never gives up."""
         if size <= 0:
             return Refl(ty)
-        roll = self.rng.random()
+        roll = self._roll()
         if roll < 0.3:
             return Refl(ty)
         if roll < 0.45:
@@ -486,34 +544,92 @@ class Generator:
 
     def canonical(self, scope: tuple, goal: Node) -> Node:
         """The innermost variable of type `goal` in scope, else a small
-        inhabitant read off the goal's shape or the environment."""
-        key = (scope, goal)
-        out = self._canonical.get(key)
+        inhabitant read off the goal's shape or the environment. Raises
+        `GiveUp` when there is none."""
+        out = self._canon(scope, goal)
         if out is None:
-            try:
-                out = self._canonical_miss(scope, goal)
-            except GiveUp:
-                out = GiveUp
-            self._canonical[key] = out
-        if out is GiveUp:
             raise GiveUp
         return out
 
-    def _canonical_miss(self, scope: tuple, goal: Node) -> Node:
+    def _canon(self, scope: tuple, goal: Node) -> Optional[Node]:
+        key = (scope, goal)
+        out = self._canonical.get(key, _UNSEEN)
+        if out is _UNSEEN:  # None is memoized too: the goal has no term
+            out = self._canonical[key] = self._canonical_miss(scope, goal)
+        return out
+
+    def _canonical_miss(self, scope: tuple, goal: Node) -> Optional[Node]:
         hits = self._in_scope(scope, goal)
         if hits:
             return hits[0]
         match goal:
             case TApp(TApp(TCon("->"), dom), cod):
-                return Lam(dom, self.canonical(scope + (dom,), shift(cod, 1)))
+                body = self._canon(scope + (dom,), shift(cod, 1))
+                return None if body is None else Lam(dom, body)
             case Forall(k, body):
-                return TyLam(k, self.canonical(scope + (k,), body))
+                body = self._canon(scope + (k,), body)
+                return None if body is None else TyLam(k, body)
             case EqTy(l, r, _) if l == r:
                 return Refl(l)
-        term = self.table.inhabitant(goal)
-        if term is None:
-            raise GiveUp
-        return term
+        return self.table.inhabitant(goal)
+
+
+_UNSEEN = object()  # a `(scope, goal)` the canonical memo has not met
+
+# The argument types `_app` draws from.
+_APP_DOMAINS = (BOOL, arrow(BOOL, BOOL))
+
+# The productions of every goal, then those of each goal shape, in the
+# order the weighted pick reads them. Each is a `Generator` method that
+# takes the scope, goal and size and returns a term, or None when it gives
+# up.
+_COMMON = (
+    (WEIGHTS["canonical"], Generator._canonical_production),
+    (WEIGHTS["var"], Generator._scope_var),
+    (WEIGHTS["spine"], Generator._spine),
+    (WEIGHTS["choice"], Generator._choice),
+    (WEIGHTS["zero_choice"], Generator._zero_choice),
+    (WEIGHTS["cast"], Generator._cast),
+    (WEIGHTS["if"], Generator._if),
+    (WEIGHTS["guard"], Generator._guard),
+    (WEIGHTS["app"], Generator._app),
+)
+_BY_SHAPE = {
+    "arrow": ((WEIGHTS["lambda"], Generator._lambda),),
+    "forall": ((WEIGHTS["lambda"], Generator._type_lambda),),
+    "refl": ((WEIGHTS["coercion_ops"], Generator._coercion_ops),),
+    "other": (),
+}
+
+
+def _table(allow_zero: bool, extra: tuple) -> tuple[tuple, tuple, int]:
+    """The weights, the methods and the weights' total of the productions
+    of a goal with shape-specific productions `extra`."""
+    entries = [e for e in _COMMON
+               if allow_zero or e[1] is not Generator._zero_choice]
+    entries += extra
+    return (tuple(w for w, _ in entries), tuple(m for _, m in entries),
+            sum(w for w, _ in entries))
+
+
+# Per `allow_zero` setting and goal shape, built once.
+_PRODUCTIONS = {(allow_zero, shape): _table(allow_zero, extra)
+                for allow_zero in (False, True)
+                for shape, extra in _BY_SHAPE.items()}
+
+
+def _productions(allow_zero: bool, goal: Node) -> tuple[tuple, tuple, int]:
+    """The production table of `goal`, read off its shape."""
+    match goal:
+        case TApp(TApp(TCon("->"), _), _):
+            shape = "arrow"
+        case Forall(_, _):
+            shape = "forall"
+        case EqTy(l, r, _) if l == r:
+            shape = "refl"
+        case _:
+            shape = "other"
+    return _PRODUCTIONS[allow_zero, shape]
 
 
 def gen_well_typed(cfg: GenConfig, case_index: int = 0,
@@ -527,12 +643,10 @@ def gen_well_typed(cfg: GenConfig, case_index: int = 0,
     gen = Generator(env, rng, cfg.allow_zero)
     pool = _goal_pool(name)
     for _ in range(20):
-        goal = rng.choice(pool)
-        try:
-            term = gen.term((), goal, cfg.size)
-        except GiveUp:
-            continue
-        return env, term, goal
+        goal = pool[gen._index(len(pool))]
+        term = gen._term((), goal, cfg.size)
+        if term is not None:
+            return env, term, goal
     raise RuntimeError("generation retry budget exhausted")
 
 

@@ -72,9 +72,33 @@ class Node:
         return True
 
     def __repr__(self) -> str:
-        cls = type(self)
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f, _ in FIELDS[cls])
-        return f"{cls.__name__}({shown})"
+        """`Class(field=value, ...)`, a pattern shown as its dataclass
+        repr, written over an explicit stack, so a deep node prints
+        without recursion."""
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            x = todo.pop()
+            if not isinstance(x, Node):
+                out.append(x)
+                continue
+            cls = type(x)
+            parts: list = [f"{cls.__name__}("]
+            for k, (name, role) in enumerate(FIELDS[cls]):
+                v = getattr(x, name)
+                parts.append(f"{', ' if k else ''}{name}=")
+                if role is DATA:
+                    parts.append(repr(v))
+                elif role is PATTERN:
+                    parts.append(f"Pattern(head={v.head!r}, type_args=(")
+                    for j, t in enumerate(v.type_args):
+                        parts += (", ", t) if j else (t,)
+                    parts.append(",))" if len(v.type_args) == 1 else "))")
+                else:
+                    parts.append(v)
+            parts.append(")")
+            todo += reversed(parts)
+        return "".join(out)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -16,7 +16,7 @@ from fdc.printer import print_node, print_term
 from fdc.reduction import is_value, step_all
 from fdc.subst import instantiate_all
 from fdc.syntax import (
-    App, Choice, EqTy, Refl, TApp, TCon, arrow, subnodes, Zero,
+    App, Choice, EqTy, Refl, STAR, TApp, TCon, arrow, subnodes, Zero,
 )
 from fdc.typecheck import check_term
 
@@ -187,6 +187,78 @@ def test_generation_is_the_same_cold_and_warm():
                 continue
             break
         assert print_term(term) + "\n" + print_node(goal) + "\n" == cold
+
+
+class _TracedRandom(random.Random):
+    """A `random.Random` that feeds each `_randbelow(n)` and `random()`
+    call, with its result, to its `trace`: `randrange` and `choice` reach
+    the source through `_randbelow`."""
+
+    def _randbelow(self, n):
+        r = super()._randbelow(n)
+        self.trace.update(f"b {n} {r}\n".encode())
+        return r
+
+    def random(self):
+        x = super().random()
+        self.trace.update(f"r {x!r}\n".encode())
+        return x
+
+
+# SHA-256 of the trace of every draw seed-42, size-30 cases 0..99 make:
+# the same terms from other draws would leave `GENERATED_DIGEST` as it is
+# but move this one.
+DRAW_TRACE_DIGEST = (
+    "2e3c78a27af325d5a9149a4b7bc4ab7fdbdaa7140b71385d1426de52a06bbb71")
+
+
+def test_generation_draws_are_pinned(monkeypatch):
+    trace = hashlib.sha256()
+
+    def traced(seed):
+        rng = _TracedRandom(seed)
+        rng.trace = trace
+        return rng
+
+    monkeypatch.setattr(propcheck.random, "Random", traced)
+    cfg = GenConfig(seed=42, size=30)
+    for i in range(100):
+        gen_well_typed(cfg, i)
+    assert trace.hexdigest() == DRAW_TRACE_DIGEST
+
+
+def _outcome(gen, goal):
+    try:
+        return print_term(gen.term((), goal, 30))
+    except propcheck.GiveUp:
+        return None
+
+
+@pytest.mark.parametrize("prelude, goal, sizes", [
+    # no instance of F has the canonical form F Bool Bool; at larger sizes
+    # the fundep prelude's `absurdCo` does build one (seed 7 fails at 5)
+    ("fundep", TApp(TApp(TCon("F"), BOOL), BOOL), (0, 5)),
+    # nothing in the maybe prelude proves Bool ~ Maybe Bool, at any size
+    ("maybe", EqTy(BOOL, TApp(TCon("Maybe"), BOOL), STAR), (0, 30)),
+])
+def test_uninhabited_goals_give_up_and_leave_the_generator_as_fresh(
+        prelude, goal, sizes):
+    """`term` and `canonical` raise `GiveUp` at a goal they cannot build,
+    and the generator then builds each pool goal as a fresh one does from
+    the same `rng` state."""
+    env = prelude_for(prelude)
+    gen = Generator(env, random.Random(7))
+    for size in sizes:
+        with pytest.raises(propcheck.GiveUp):
+            gen.term((), goal, size)
+    with pytest.raises(propcheck.GiveUp):
+        gen.canonical((), goal)
+    fresh = Generator(env, random.Random())
+    fresh.rng.setstate(gen.rng.getstate())
+    pool = propcheck._goal_pool(prelude)
+    built = [_outcome(gen, g) for g in pool]
+    assert built == [_outcome(fresh, g) for g in pool]
+    assert all(built)
 
 
 def test_memos_stay_bounded_and_die_with_their_case(monkeypatch):

@@ -313,6 +313,41 @@ def test_equal_deep_chains_not_one_object_compare_without_recursion():
     assert _on_a_fresh_stack(run) == (True,) * 6
 
 
+def test_repr_prints_shallow_nodes_as_before_and_deep_ones_without_recursion():
+    # the three shallow nodes cover every other node class and a pattern
+    # with zero, one and two type arguments
+    shallow = {
+        If(Var(0), Pattern("Just", (TCon("Bool"),)),
+           Lam(TApp(TCon("Maybe"), TVar(0)), Var(0)), ZERO):
+        "If(scrut=Var(index=0), pat=Pattern(head='Just', type_args=("
+        "TCon(name='Bool'),)), cons=Lam(ann=TApp(fun=TCon(name='Maybe'), "
+        "arg=TVar(index=0)), body=Var(index=0)), alt=Zero())",
+        Guard(Ref("d"), Pattern("FMM", (TCon("Int"), TVar(1))),
+              TyLam(KArr(STAR, STAR), Choice(Con("K"), Refl(
+                  EqTy(TCon("Bool"), TCon("Bool"), STAR))))):
+        "Guard(scrut=Ref(name='d'), pat=Pattern(head='FMM', type_args=("
+        "TCon(name='Int'), TVar(index=1))), cons=TyLam(kind=KArr("
+        "left=Star(), right=Star()), body=Choice(left=Con(name='K'), "
+        "right=Refl(type=EqTy(lhs=TCon(name='Bool'), rhs=TCon(name='Bool'), "
+        "kind=Star())))))",
+        Guard(Ref("d"), Pattern("FIB"), Cast(Con("True"), Sym(Trans(
+            CApp(Fst(Var(1)), Snd(Var(2))),
+            Sim(Univ(STAR, CInst(Var(0), TVar(0))),
+                TyApp(Ref("f"), Forall(STAR, TVar(0)))))))):
+        "Guard(scrut=Ref(name='d'), pat=Pattern(head='FIB', type_args=()), "
+        "cons=Cast(subject=Con(name='True'), coercion=Sym(arg=Trans("
+        "left=CApp(left=Fst(arg=Var(index=1)), right=Snd(arg=Var(index=2))), "
+        "right=Sim(left=Univ(kind=Star(), body=CInst(coercion=Var(index=0), "
+        "type=TVar(index=0))), right=TyApp(fun=Ref(name='f'), arg=Forall("
+        "kind=Star(), body=TVar(index=0))))))))",
+    }
+    for n, shown in shallow.items():
+        assert repr(n) == shown
+    deep = _on_a_fresh_stack(lambda: repr(not_chain(10_000, "True")))
+    assert deep == ("App(fun=Ref(name='not'), arg=" * 10_000
+                    + "Con(name='True')" + ")" * 10_000)
+
+
 def test_field_table_classifies_every_field_once():
     assert set(FIELDS) == set(Node.__subclasses__())
     where: dict[str, set[str]] = {}
