@@ -68,8 +68,11 @@ def _report(diags: list[Diagnostic], as_json: bool, path: str = "") -> None:
 
 
 def _read_source(path: str) -> str:
+    """The UTF-8 text of `path` without one leading byte-order mark; a
+    decode error counts its bytes from the start of the file."""
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        text = fh.read()
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 # An input that does not decode as UTF-8 or does not parse.

@@ -8,12 +8,18 @@ index relative to the enclosing binders (used for open terms). Constructor
 and type-constant names start uppercase, open-function and let names start
 lowercase; that convention is what lets the parser resolve free names
 without an environment.
+
+A text is lexed once, by one `re.findall`, into two flat lists: the token
+kinds and the token texts. `Cursor`, which the surface parser shares,
+steps through them by index; a token's line and column are worked out only
+when an error or a declaration span asks for them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import string
+from bisect import bisect_right
 from typing import NamedTuple, Optional
 
 from .printer import (
@@ -42,14 +48,23 @@ _SYMBOLS = [
     "{", "}", "|",
 ]
 
+# One regex for every token, tried in this order. Its one group is the
+# token; a skipped run (white space or a `--` comment) matches with the
+# group empty, and a character no token starts with is a one-character
+# token of no kind.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>--[^\n]*)"
-    r"|(?P<hash>#[0-9]+)"
-    r"|(?P<num>[0-9]+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
-    r"|(?P<sym>" + "|".join(re.escape(s) for s in _SYMBOLS) + r")"
+    r"\s+|--[^\n]*|(#[0-9]+|[0-9]+|[A-Za-z_][A-Za-z0-9_']*|"
+    + "|".join(re.escape(s) for s in _SYMBOLS) + r"|.)"
 )
+_NEWLINE_RE = re.compile("\n")
+
+# token text -> kind for the symbols and keywords; other tokens take theirs
+# from their first character, and a `#` with digits after it is a `hash`
+_KIND_OF_TEXT = {**{s: s for s in _SYMBOLS}, **dict.fromkeys(KEYWORDS, "kw")}
+_KIND_OF_FIRST = {
+    **dict.fromkeys(string.ascii_letters + "_", "name"),
+    **dict.fromkeys(string.digits, "num"),
+}
 
 
 class ParseError(Exception):
@@ -72,94 +87,105 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    line, line_start, pos = 1, 0, 0  # line_start: offset of the line's start
-    for m in _TOKEN_RE.finditer(text):
-        start, end = m.span()
-        if start != pos:  # finditer skipped a character no token matches
-            break
-        pos = end
-        kind = m.lastgroup
-        if kind == "ws":
-            newlines = text.count("\n", start, end)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", start, end) + 1
-        elif kind != "comment":
-            lexeme = m.group()
-            if kind == "name":
-                if lexeme in KEYWORDS:
-                    kind = "kw"
-            elif kind == "sym":
-                kind = lexeme
-            append(Token(kind, lexeme, line, start - line_start + 1))
-    if pos < len(text):
-        raise ParseError(f"unsupported character {text[pos]!r}", line,
-                         pos - line_start + 1)
-    append(Token("eof", "", line, pos - line_start + 1))
-    return tokens
+    c = Cursor(text)
+    return [Token(kind, tok, *c.where(i))
+            for i, (kind, tok) in enumerate(zip(c.kinds, c.texts))]
 
 
-@dataclass
 class Cursor:
-    """A position in a token list, the grammar of kinds and the declaration
-    loop; shared by the core and the surface parser."""
+    """A position in a lexed text, the grammar of kinds and the declaration
+    loop; shared by the core and the surface parser.
 
-    tokens: list[Token]
-    pos: int = 0
+    The text is lexed once into two lists, each token's kind and its text,
+    ending with an `eof` token of empty text. Where a token starts (its
+    line and column) is worked out only when an error or a span asks."""
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self._lines: Optional[tuple[list[int], list[int]]] = None
+        texts = list(filter(None, _TOKEN_RE.findall(text)))
+        kind_of_text, kind_of_first = _KIND_OF_TEXT.get, _KIND_OF_FIRST.get
+        kinds = [kind_of_text(tok) or kind_of_first(tok[0])
+                 or ("hash" if len(tok) > 1 else None) for tok in texts]
+        if None in kinds:
+            bad = kinds.index(None)
+            self.fail_at(bad, f"unsupported character {texts[bad]!r}")
+        kinds.append("eof")
+        texts.append("")
+        self.kinds: list[str] = kinds
+        self.texts: list[str] = texts
 
-    def at(self, *kinds: str) -> bool:
-        return self.cur.kind in kinds
+    def where(self, i: int) -> tuple[int, int]:
+        """The (line, column) token `i` starts at."""
+        if self._lines is None:
+            starts = [m.start() for m in _TOKEN_RE.finditer(self.text)
+                      if m.group(1)]
+            starts.append(len(self.text))
+            line_starts = [0]
+            line_starts += [m.end() for m in _NEWLINE_RE.finditer(self.text)]
+            self._lines = starts, line_starts
+        starts, line_starts = self._lines
+        offset = starts[i]
+        line = bisect_right(line_starts, offset)
+        return line, offset - line_starts[line - 1] + 1
 
-    def at_kw(self, *words: str) -> bool:
-        return self.cur.kind == "kw" and self.cur.text in words
-
-    def advance(self) -> Token:
-        tok = self.cur
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        if self.cur.kind != kind:
-            raise ParseError(f"unexpected {self.cur.text or 'end of input'!r}",
-                             self.cur.line, self.cur.col, frozenset({kind}))
-        return self.advance()
-
-    def expect_kw(self, word: str) -> Token:
-        if not self.at_kw(word):
-            raise ParseError(f"unexpected {self.cur.text or 'end of input'!r}",
-                             self.cur.line, self.cur.col, frozenset({word}))
-        return self.advance()
+    def fail_at(self, i: int, message: str,
+                expected: frozenset[str] = frozenset()):
+        raise ParseError(message, *self.where(i), expected)
 
     def fail(self, message: str, expected: frozenset[str] = frozenset()):
-        raise ParseError(message, self.cur.line, self.cur.col, expected)
+        self.fail_at(self.pos, message, expected)
+
+    def at(self, *kinds: str) -> bool:
+        return self.kinds[self.pos] in kinds
+
+    def at_kw(self, *words: str) -> bool:
+        # a keyword's text always lexes as a `kw` token
+        return self.texts[self.pos] in words
+
+    def advance(self) -> str:
+        """The current token's text; moves past it."""
+        self.pos += 1
+        return self.texts[self.pos - 1]
+
+    def expect(self, kind: str) -> str:
+        if self.kinds[self.pos] != kind:
+            self.unexpected(kind)
+        self.pos += 1
+        return self.texts[self.pos - 1]
+
+    def expect_kw(self, word: str) -> str:
+        if self.texts[self.pos] != word:
+            self.unexpected(word)
+        self.pos += 1
+        return word
+
+    def unexpected(self, expected: str):
+        self.fail_at(self.pos,
+                     f"unexpected {self.texts[self.pos] or 'end of input'!r}",
+                     frozenset({expected}))
 
     def name(self, upper: Optional[bool] = None) -> str:
         """A declared or bound name: not a generated binder name, and
         starting uppercase or lowercase if `upper` says which."""
-        tok = self.expect("name")
-        text = tok.text
+        i = self.pos
+        text = self.expect("name")
         if RESERVED_NAME.match(text):
-            raise ParseError(f"{text!r} is reserved for generated binder names",
-                             tok.line, tok.col)
+            self.fail_at(i, f"{text!r} is reserved for generated binder names")
         if upper is not None and text[0].isupper() != upper:
             case = "uppercase" if upper else "lowercase"
-            raise ParseError(f"{text!r} must start {case}", tok.line, tok.col)
+            self.fail_at(i, f"{text!r} must start {case}")
         return text
 
-    def program_with_spans(self) -> tuple[list, list[tuple[int, int]]]:
+    def program(self) -> tuple[list, list[int]]:
         """Every declaration up to the end of input, by the subclass's
-        `decl`, and the (line, column) each starts at."""
-        decls, spans = [], []
-        while not self.at("eof"):
-            spans.append((self.cur.line, self.cur.col))
+        `decl`, and the index of the token each starts at."""
+        decls, firsts = [], []
+        while self.kinds[self.pos] != "eof":
+            firsts.append(self.pos)
             decls.append(self.decl())
-        return decls, spans
+        return decls, firsts
 
     # ---------------------------------------------------------- kinds
 
@@ -182,16 +208,17 @@ class Cursor:
         self.fail("expected a kind", frozenset({"*", "("}))
 
 
-@dataclass
 class Parser(Cursor):
-    stack: list[str] = field(default_factory=list)  # binder names, outer first
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.stack: list[str] = []  # binder names, outer first
 
     # ---------------------------------------------------------- types
 
     def type_(self) -> Node:
         if self.at_kw("forall"):
             self.advance()
-            name = self.expect("name").text
+            name = self.expect("name")
             self.expect(":")
             k = self.kind()
             self.expect(".")
@@ -231,11 +258,9 @@ class Parser(Cursor):
 
     def ty_atom(self) -> Node:
         if self.at("name"):
-            tok = self.advance()
-            return self.resolve_type_name(tok)
+            return self.resolve_type_name(self.advance())
         if self.at("hash"):
-            tok = self.advance()
-            return TVar(int(tok.text[1:]) + len(self.stack))
+            return TVar(int(self.advance()[1:]) + len(self.stack))
         if self.at("("):
             self.advance()
             if self.at("->"):
@@ -247,14 +272,13 @@ class Parser(Cursor):
             return t
         self.fail("expected a type", frozenset({"name", "(", "#"}))
 
-    def resolve_type_name(self, tok: Token) -> Node:
-        name = tok.text
-        for depth, bound in enumerate(reversed(self.stack)):
-            if bound == name:
-                return TVar(depth)
+    def resolve_type_name(self, name: str) -> Node:
+        """The type `name`, the token just read, denotes."""
+        if name in self.stack:
+            return TVar(self.stack[::-1].index(name))
         if name[0].isupper():
             return TCon(name)
-        raise ParseError(f"unbound type variable {name!r}", tok.line, tok.col)
+        self.fail_at(self.pos - 1, f"unbound type variable {name!r}")
 
     # ---------------------------------------------------------- terms
 
@@ -266,7 +290,7 @@ class Parser(Cursor):
         (precedence climbing over `printer.INFIX`)."""
         left = self.operand()
         while True:
-            op = INFIX.get(self.cur.kind)
+            op = INFIX.get(self.kinds[self.pos])
             if op is not None and op[1] >= level:
                 self.advance()
                 cls, op_level, right = op
@@ -282,10 +306,11 @@ class Parser(Cursor):
     def operand(self) -> Node:
         """A binder form, `if`, `guard` or `sym`, each of which extends as
         far right as it can, or an application with its projections."""
-        binder = BINDERS.get(self.cur.text)
+        text = self.texts[self.pos]
+        binder = BINDERS.get(text)
         if binder is not None:
             self.advance()
-            name = self.expect("name").text
+            name = self.expect("name")
             self.expect(":")
             kind_ann = FIELDS[binder][0][1] is KIND
             ann = self.kind() if kind_ann else self.type_()
@@ -294,7 +319,7 @@ class Parser(Cursor):
             body = self.term()
             self.stack.pop()
             return binder(ann, body)
-        if self.at_kw("if"):
+        if text == "if":
             self.advance()
             scrut = self.term()
             self.expect_kw("is")
@@ -304,7 +329,7 @@ class Parser(Cursor):
             self.expect_kw("else")
             alt = self.term()
             return If(scrut, pat, cons, alt)
-        if self.at_kw("guard"):
+        if text == "guard":
             self.advance()
             scrut = self.term()
             self.expect_kw("is")
@@ -312,7 +337,7 @@ class Parser(Cursor):
             self.expect_kw("then")
             cons = self.term()
             return Guard(scrut, pat, cons)
-        if self.at_kw("sym"):
+        if text == "sym":
             self.advance()
             return Sym(self.operand())
         node = self.atom()
@@ -327,26 +352,22 @@ class Parser(Cursor):
             else:
                 break
         while self.at(".1", ".2"):
-            node = Fst(node) if self.advance().kind == ".1" else Snd(node)
+            node = Fst(node) if self.advance() == ".1" else Snd(node)
         return node
 
     def _at_atom(self) -> bool:
-        return (self.at("name", "hash", "num", "(")
-                or self.at_kw("refl", "sim"))
+        return (self.kinds[self.pos] in _ATOM_KINDS
+                or self.texts[self.pos] in ("refl", "sim"))
 
     def atom(self) -> Node:
         if self.at("name"):
-            tok = self.advance()
-            return self.resolve_term_name(tok)
+            return self.resolve_term_name(self.advance())
         if self.at("hash"):
-            tok = self.advance()
-            return Var(int(tok.text[1:]) + len(self.stack))
+            return Var(int(self.advance()[1:]) + len(self.stack))
         if self.at("num"):
-            tok = self.advance()
-            if tok.text != "0":
-                raise ParseError("numeric literals are not supported "
-                                 "(only the failure element 0)",
-                                 tok.line, tok.col)
+            if self.advance() != "0":
+                self.fail_at(self.pos - 1, "numeric literals are not supported "
+                             "(only the failure element 0)")
             return ZERO
         if self.at_kw("refl"):
             self.advance()
@@ -370,33 +391,31 @@ class Parser(Cursor):
         self.fail("expected a term",
                   frozenset({"name", "0", "refl", "sim", "("}))
 
-    def resolve_term_name(self, tok: Token) -> Node:
-        name = tok.text
-        for depth, bound in enumerate(reversed(self.stack)):
-            if bound == name:
-                return Var(depth)
+    def resolve_term_name(self, name: str) -> Node:
+        if name in self.stack:
+            return Var(self.stack[::-1].index(name))
         if name[0].isupper():
             return Con(name)
         return Ref(name)
 
     def pattern(self) -> Pattern:
-        tok = self.expect("name")
-        if not tok.text[0].isupper():
-            raise ParseError(f"pattern head {tok.text!r} must be a constructor",
-                             tok.line, tok.col)
+        head = self.expect("name")
+        if not head[0].isupper():
+            self.fail_at(self.pos - 1,
+                         f"pattern head {head!r} must be a constructor")
         args = []
         while self.at("["):
             self.advance()
             args.append(self.type_())
             self.expect("]")
-        return Pattern(tok.text, tuple(args))
+        return Pattern(head, tuple(args))
 
     # ---------------------------------------------------- declarations
 
     def decl(self) -> Decl:
         """One declaration, read by its form in `printer.DECLS`; when two
         forms share the keyword, the name's case picks one."""
-        forms = _DECL_FORMS.get(self.cur.text)
+        forms = _DECL_FORMS.get(self.texts[self.pos])
         if forms is None:
             self.fail("expected a declaration", frozenset(_DECL_FORMS))
         self.advance()
@@ -411,6 +430,7 @@ class Parser(Cursor):
         return cls(*values)
 
 
+_ATOM_KINDS = frozenset({"name", "hash", "num", "("})
 # keyword -> {name starts uppercase?: (declaration class, its fields)}
 _DECL_FORMS: dict[str, dict[bool, tuple]] = {}
 for _cls, (_keyword, _upper, _fields) in DECLS.items():
@@ -420,23 +440,26 @@ _READ = {"kind": "kind", "type": "type_", "term": "term"}
 
 
 def parse_core(text: str) -> list[Decl]:
-    return Parser(tokenize(text)).program_with_spans()[0]
+    return Parser(text).program()[0]
 
 
 def parse_core_with_spans(text: str) -> tuple[list[Decl],
                                               list[tuple[int, int]]]:
-    return Parser(tokenize(text)).program_with_spans()
+    """The declarations and the (line, column) each starts at."""
+    p = Parser(text)
+    decls, firsts = p.program()
+    return decls, [p.where(i) for i in firsts]
 
 
 def parse_term(text: str) -> Node:
-    p = Parser(tokenize(text))
+    p = Parser(text)
     node = p.term()
     p.expect("eof")
     return node
 
 
 def parse_type(text: str) -> Node:
-    p = Parser(tokenize(text))
+    p = Parser(text)
     node = p.type_()
     p.expect("eof")
     return node

@@ -851,16 +851,20 @@ def gen_type_node(rng: random.Random, size: int) -> Node:
     """An arbitrary type tree with free de Bruijn indices."""
     if size <= 0:
         return rng.choice([TVar(rng.randrange(4)), TCon("T"), TCon("Maybe")])
-    half = size // 2
-    builders = [
-        lambda: TApp(gen_type_node(rng, half), gen_type_node(rng, half)),
-        lambda: EqTy(gen_type_node(rng, half), gen_type_node(rng, half),
-                     STAR),
-        lambda: Forall(STAR, gen_type_node(rng, size - 1)),
-        lambda: arrow(gen_type_node(rng, half), gen_type_node(rng, half)),
-        lambda: gen_type_node(rng, 0),
-    ]
-    return rng.choice(builders)()
+    return rng.choice(_TYPE_BUILDERS)(rng, size, size // 2)
+
+
+# gen_type_node's productions above size 0, each given (rng, size, half)
+_TYPE_BUILDERS = (
+    lambda rng, size, half: TApp(gen_type_node(rng, half),
+                                 gen_type_node(rng, half)),
+    lambda rng, size, half: EqTy(gen_type_node(rng, half),
+                                 gen_type_node(rng, half), STAR),
+    lambda rng, size, half: Forall(STAR, gen_type_node(rng, size - 1)),
+    lambda rng, size, half: arrow(gen_type_node(rng, half),
+                                  gen_type_node(rng, half)),
+    lambda rng, size, half: gen_type_node(rng, 0),
+)
 
 
 def gen_node(rng: random.Random, size: int) -> Node:
@@ -869,31 +873,36 @@ def gen_node(rng: random.Random, size: int) -> Node:
     if size <= 0:
         return rng.choice([Var(rng.randrange(4)), Con("K"), ZERO,
                            Refl(gen_type_node(rng, 0)), Ref("k")])
-    half = size // 2
-    builders = [
-        lambda: App(gen_node(rng, half), gen_node(rng, half)),
-        lambda: TyApp(gen_node(rng, half), gen_type_node(rng, half)),
-        lambda: Lam(gen_type_node(rng, half), gen_node(rng, half)),
-        lambda: TyLam(STAR, gen_node(rng, size - 1)),
-        lambda: Univ(STAR, gen_node(rng, size - 1)),
-        lambda: Cast(gen_node(rng, half), gen_node(rng, half)),
-        lambda: Choice(gen_node(rng, half), gen_node(rng, half)),
-        lambda: Trans(gen_node(rng, half), gen_node(rng, half)),
-        lambda: CApp(gen_node(rng, half), gen_node(rng, half)),
-        lambda: Sym(gen_node(rng, size - 1)),
-        lambda: Fst(gen_node(rng, size - 1)),
-        lambda: Snd(gen_node(rng, size - 1)),
-        lambda: Sim(gen_node(rng, half), gen_node(rng, half)),
-        lambda: CInst(gen_node(rng, half), gen_type_node(rng, half)),
-        lambda: Refl(gen_type_node(rng, size - 1)),
-        lambda: If(gen_node(rng, half),
-                   Pattern("K", (gen_type_node(rng, half),)),
-                   gen_node(rng, half), gen_node(rng, half)),
-        lambda: Guard(gen_node(rng, half), Pattern("K", ()),
-                      gen_node(rng, half)),
-        lambda: gen_node(rng, 0),
-    ]
-    return rng.choice(builders)()
+    return rng.choice(_NODE_BUILDERS)(rng, size, size // 2)
+
+
+# gen_node's productions above size 0, each given (rng, size, half)
+_NODE_BUILDERS = (
+    lambda rng, size, half: App(gen_node(rng, half), gen_node(rng, half)),
+    lambda rng, size, half: TyApp(gen_node(rng, half),
+                                  gen_type_node(rng, half)),
+    lambda rng, size, half: Lam(gen_type_node(rng, half),
+                                gen_node(rng, half)),
+    lambda rng, size, half: TyLam(STAR, gen_node(rng, size - 1)),
+    lambda rng, size, half: Univ(STAR, gen_node(rng, size - 1)),
+    lambda rng, size, half: Cast(gen_node(rng, half), gen_node(rng, half)),
+    lambda rng, size, half: Choice(gen_node(rng, half), gen_node(rng, half)),
+    lambda rng, size, half: Trans(gen_node(rng, half), gen_node(rng, half)),
+    lambda rng, size, half: CApp(gen_node(rng, half), gen_node(rng, half)),
+    lambda rng, size, half: Sym(gen_node(rng, size - 1)),
+    lambda rng, size, half: Fst(gen_node(rng, size - 1)),
+    lambda rng, size, half: Snd(gen_node(rng, size - 1)),
+    lambda rng, size, half: Sim(gen_node(rng, half), gen_node(rng, half)),
+    lambda rng, size, half: CInst(gen_node(rng, half),
+                                  gen_type_node(rng, half)),
+    lambda rng, size, half: Refl(gen_type_node(rng, size - 1)),
+    lambda rng, size, half: If(gen_node(rng, half),
+                               Pattern("K", (gen_type_node(rng, half),)),
+                               gen_node(rng, half), gen_node(rng, half)),
+    lambda rng, size, half: Guard(gen_node(rng, half), Pattern("K", ()),
+                                  gen_node(rng, half)),
+    lambda rng, size, half: gen_node(rng, 0),
+)
 
 
 def gen_subst(rng: random.Random, size: int) -> Subst:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .parser import Cursor, ParseError, tokenize
+from .parser import Cursor, ParseError
 from .printer import print_kind
 from .syntax import Node, KArr, STAR
 from .typecheck import Diagnostic
@@ -201,7 +201,7 @@ class SLetDecl(SDecl):
 
 class SurfaceParser(Cursor):
     def at_name(self) -> bool:
-        return self.cur.kind == "name"
+        return self.kinds[self.pos] == "name"
 
     # ---- types
 
@@ -243,10 +243,10 @@ class SurfaceParser(Cursor):
 
     def ty_atom(self) -> SType:
         if self.at_name():
-            tok = self.advance()
-            if tok.text[0].isupper():
-                return STCon(tok.text)
-            return STVar(tok.text)
+            name = self.advance()
+            if name[0].isupper():
+                return STCon(name)
+            return STVar(name)
         if self.at("("):
             self.advance()
             if self.at("->"):
@@ -305,15 +305,15 @@ class SurfaceParser(Cursor):
 
     def atom(self) -> STerm:
         if self.at_name():
-            tok = self.advance()
-            if tok.text == "_":
+            name = self.advance()
+            if name == "_":
                 self.fail("holes must be written (_ :: type)")
-            if tok.text[0].isupper():
-                return SCon(tok.text)
-            return SVar(tok.text)
+            if name[0].isupper():
+                return SCon(name)
+            return SVar(name)
         if self.at("("):
             self.advance()
-            if self.at_name() and self.cur.text == "_":
+            if self.texts[self.pos] == "_":
                 self.advance()
                 self.expect("::")
                 t = self.type_()
@@ -434,15 +434,14 @@ class SurfaceParser(Cursor):
                     self.pos = save
             except ParseError:
                 self.pos = save
-        name_tok = self.cur
+        name_at = self.pos
         name = self.name(upper=True)
         params: list[tuple[str, Node]] = []
         while self.at_name() or self.at("("):
             params.append(self.binder_param())
         param_names = [p for p, _ in params]
         if len(set(param_names)) != len(param_names):
-            raise ParseError(f"class {name!r} has repeated parameters",
-                             name_tok.line, name_tok.col)
+            self.fail_at(name_at, f"class {name!r} has repeated parameters")
         return self._finish_class(name, params, supers)
 
     def _finish_class(self, name, params, supers) -> SDecl:
@@ -469,17 +468,16 @@ class SurfaceParser(Cursor):
                           tuple(fundeps), tuple(methods))
 
     def _param_index(self, params) -> int:
-        tok = self.expect("name")
+        name = self.expect("name")
         for i, (p, _) in enumerate(params):
-            if p == tok.text:
+            if p == name:
                 return i
-        raise ParseError(f"{tok.text!r} is not a class parameter",
-                         tok.line, tok.col)
+        self.fail_at(self.pos - 1, f"{name!r} is not a class parameter")
 
     def instance_decl(self) -> SDecl:
         ctor_name: Optional[str] = None
-        if (self.at_name() and self.cur.text[0].isupper()
-                and self.tokens[self.pos + 1].kind == ":"):
+        if (self.at_name() and self.texts[self.pos][0].isupper()
+                and self.kinds[self.pos + 1] == ":"):
             ctor_name = self.name(upper=True)
             self.expect(":")
         preds, head = self.context_then_head()
@@ -496,7 +494,7 @@ class SurfaceParser(Cursor):
 
 
 def parse_surface(text: str) -> list[SDecl]:
-    return SurfaceParser(tokenize(text)).program_with_spans()[0]
+    return SurfaceParser(text).program()[0]
 
 
 # ------------------------------------------- type printer, for diagnostics

@@ -7,15 +7,60 @@ precedence level (`term` → `choice` → `cast` → `trans` → `capp` → `pre
 with a binder, `if` or `guard` (`_operand`). It shares the lexer, the atoms,
 types, kinds, patterns and declarations with the parser under test, and its
 atoms come back to its own `term`, so a whole term is read by the old code.
+
+`reference_tokenize` is the original lexer, one `Token` per regex match with
+its line and column counted as it goes; the lexer in `fdc.parser` is
+checked against it.
 """
 
 from __future__ import annotations
 
-from fdc.parser import Parser, tokenize
+import re
+
+from fdc.parser import KEYWORDS, ParseError, Parser, Token, _SYMBOLS
 from fdc.syntax import (
     Node, Lam, App, TyLam, TyApp, Cast, If, Guard, Choice, Sym, Trans, CApp,
     Fst, Snd, Univ, CInst, Decl,
 )
+
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<comment>--[^\n]*)"
+    r"|(?P<hash>#[0-9]+)"
+    r"|(?P<num>[0-9]+)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
+    r"|(?P<sym>" + "|".join(re.escape(s) for s in _SYMBOLS) + r")"
+)
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    append = tokens.append
+    line, line_start, pos = 1, 0, 0  # line_start: offset of the line's start
+    for m in _TOKEN_RE.finditer(text):
+        start, end = m.span()
+        if start != pos:  # finditer skipped a character no token matches
+            break
+        pos = end
+        kind = m.lastgroup
+        if kind == "ws":
+            newlines = text.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, end) + 1
+        elif kind != "comment":
+            lexeme = m.group()
+            if kind == "name":
+                if lexeme in KEYWORDS:
+                    kind = "kw"
+            elif kind == "sym":
+                kind = lexeme
+            append(Token(kind, lexeme, line, start - line_start + 1))
+    if pos < len(text):
+        raise ParseError(f"unsupported character {text[pos]!r}", line,
+                         pos - line_start + 1)
+    append(Token("eof", "", line, pos - line_start + 1))
+    return tokens
 
 
 class OracleParser(Parser):
@@ -26,21 +71,21 @@ class OracleParser(Parser):
     def term(self) -> Node:
         if self.at("\\"):
             self.advance()
-            name = self.expect("name").text
+            name = self.expect("name")
             self.expect(":")
             ann = self.type_()
             self.expect(".")
             return Lam(ann, self._under(name))
         if self.at("/\\"):
             self.advance()
-            name = self.expect("name").text
+            name = self.expect("name")
             self.expect(":")
             k = self.kind()
             self.expect(".")
             return TyLam(k, self._under(name))
         if self.at_kw("forallc"):
             self.advance()
-            name = self.expect("name").text
+            name = self.expect("name")
             self.expect(":")
             k = self.kind()
             self.expect(".")
@@ -120,7 +165,7 @@ class OracleParser(Parser):
     def proj(self) -> Node:
         node = self.app()
         while self.at(".1", ".2"):
-            node = Fst(node) if self.advance().kind == ".1" else Snd(node)
+            node = Fst(node) if self.advance() == ".1" else Snd(node)
         return node
 
     def app(self) -> Node:
@@ -138,11 +183,11 @@ class OracleParser(Parser):
 
 
 def oracle_parse_core(text: str) -> list[Decl]:
-    return OracleParser(tokenize(text)).program_with_spans()[0]
+    return OracleParser(text).program()[0]
 
 
 def oracle_parse_term(text: str) -> Node:
-    p = OracleParser(tokenize(text))
+    p = OracleParser(text)
     node = p.term()
     p.expect("eof")
     return node

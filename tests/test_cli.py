@@ -422,6 +422,30 @@ def test_undecodable_input_is_a_decode_error(tmp_path, capsys):
     assert err.count("decode-error") == 2
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys):
+    for name in ("superclasses.fd", "superclasses.hsk"):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + corpus_text(name).encode())
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out, err) == (0, f"{path}: ok\n", ""), name
+    code, out, err = run_cli(capsys, "elab", str(tmp_path / "superclasses.hsk"))
+    assert (code, out, err) == (0, corpus_text("superclasses.fd"), "")
+    # only one mark, and only at the start, is dropped
+    path = tmp_path / "marks.fd"
+    for text, where in (("\ufeff\ufeffdata T : *;\n", "1:1"),
+                        ("\ufeffdata T : *;\n\ufeffdata U : *;\n", "2:1"),
+                        ("data T : *;\ufeff\n", "1:12")):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"{path}: {where}: parse-error: "
+                       "unsupported character '\\ufeff'\n")
+    # a decode error's byte offset counts the mark's three bytes
+    path.write_bytes(b"\xef\xbb\xbfdata \xff")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 1 and err.endswith(": invalid start byte at byte 8\n")
+
+
 BOOL_ONLY = "data Bool : *;\nctor True : Bool;\nctor False : Bool;\n"
 NO_MAYBE = "bundled prelude 'maybe': type constant 'Maybe'"
 

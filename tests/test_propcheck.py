@@ -104,6 +104,27 @@ def test_subst_laws_bulk():
     assert result.ok
 
 
+# SHA-256 over the repr of each case (node, s1, s2) that
+# `run_subst_laws(GenConfig(seed=42, size=30, count=1000))` generates; the
+# laws' generators draw straight from `random.Random`, so a change to their
+# productions or their order moves it.
+SUBST_LAW_CASES_DIGEST = (
+    "5aa4a58cc0b563604b71f897d572523cb05c6a7c462667376714104e9db4a131")
+
+
+def test_subst_law_cases_are_pinned(monkeypatch):
+    h = hashlib.sha256()
+
+    def record(node, s1, s2):
+        h.update(f"{node!r}\n{s1!r}\n{s2!r}\n".encode())
+        return None
+
+    monkeypatch.setattr(propcheck, "_subst_law_failure", record)
+    result = run_subst_laws(GenConfig(seed=42, size=30, count=1000))
+    assert result.cases == 1000 and result.ok
+    assert h.hexdigest() == SUBST_LAW_CASES_DIGEST
+
+
 def test_prelude_for_caches_and_checks():
     for name in ("bool", "maybe", "eqord", "fundep"):
         env = prelude_for(name)

@@ -8,7 +8,8 @@ import pytest
 from fdc import printer
 from fdc.corpus import corpus_text
 from fdc.parser import (
-    ParseError, parse_core, parse_term, parse_type, tokenize,
+    ParseError, parse_core, parse_core_with_spans, parse_term, parse_type,
+    tokenize,
 )
 from fdc.printer import print_core, print_node, print_term, print_type
 from fdc.propcheck import GenConfig, gen_node, gen_well_typed
@@ -21,7 +22,9 @@ from fdc.syntax import (
 )
 from fdc.subst import shift
 
-from parser_oracle import oracle_parse_core, oracle_parse_term
+from parser_oracle import (
+    oracle_parse_core, oracle_parse_term, reference_tokenize,
+)
 from test_cli import seeded_corpus_edits
 from test_reduction import _on_a_fresh_stack, not_chain
 
@@ -148,6 +151,63 @@ def test_token_positions_after_comments_and_blank_lines():
         ("kw", "ctor", 5, 3), ("name", "K", 5, 8), (":", ":", 5, 10),
         ("name", "T", 5, 12), (";", ";", 5, 13), ("eof", "", 6, 3),
     ]
+
+
+def _lexed(lex, text):
+    try:
+        return lex(text)
+    except ParseError as e:
+        return e.message, e.line, e.col
+
+
+# Fragments that start no token: a lone "#", "-", "<" or "/" (each a prefix
+# of longer tokens), a byte-order mark, a non-ASCII letter and other stray
+# characters; and NBSP, which is skipped as Unicode white space.
+_ODD_FRAGMENTS = ["#", "-", "<", "/", "\u00a0", "\ufeff", "\u00e9", "$", "+",
+                  ">"]
+_TOKEN_FRAGMENTS = [
+    " ", "  ", "\n", "\r\n", "\t", "-- x\n", "--", "#12", "#0", "0", "42",
+    "x", "T", "_", "a1'", "Ab_c", "data", "forall", "is", "@[", ";;", "<+>",
+    "|>", "->", "/\\", ".1", ".2", "::", "=>", "~", "@", ";", ":", ".", ",",
+    "(", ")", "[", "]", "\\", "*", "=", "{", "}", "|",
+]
+
+
+_CORPUS_FD = ("prelude.fd", "maybe.fd", "superclasses.fd", "fundeps.fd")
+
+
+def test_lexer_matches_the_reference_lexer():
+    """Every token's kind, text, line and column, and every lexing error's
+    message, line and column, are the reference lexer's."""
+    rng = random.Random(2501)
+    failed = 0
+    for i in range(6000):
+        fragments = _TOKEN_FRAGMENTS + _ODD_FRAGMENTS * (i % 2)
+        text = "".join(rng.choice(fragments) for _ in range(rng.randrange(30)))
+        if i % 5 == 0:
+            text += "--"  # a comment that ends the text
+        got = _lexed(tokenize, text)
+        assert got == _lexed(reference_tokenize, text), repr(text)
+        failed += isinstance(got, tuple)
+    # both sides of the comparison are exercised
+    assert 1000 < failed < 2500, failed
+    texts = [corpus_text(name) for name in _CORPUS_FD]
+    texts += [edited for *_, edited in seeded_corpus_edits()]
+    for text in texts:
+        assert _lexed(tokenize, text) == _lexed(reference_tokenize, text)
+
+
+def test_declaration_spans_are_the_reference_positions():
+    """Each declaration's span is where the reference lexer puts its first
+    token: the first token and each one after a `;`."""
+    for name in _CORPUS_FD:
+        text = corpus_text(name)
+        tokens = reference_tokenize(text)
+        firsts = [tokens[0]] + [t for prev, t in zip(tokens, tokens[1:])
+                                if prev.kind == ";" and t.kind != "eof"]
+        decls, spans = parse_core_with_spans(text)
+        assert spans == [(t.line, t.col) for t in firsts], name
+        assert len(decls) == len(spans)
 
 
 def test_reserved_binder_names_rejected():
