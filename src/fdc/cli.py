@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from .analysis import check_no_zero_syntactic, hssdi_report, specialize
-from .corpus import check_prelude, prelude_name
+from .corpus import check_prelude, prelude_name, read_source
 from .elaborate import ElabOptions, Elaborator, elaborate_program
 from .parser import ParseError, parse_core_with_spans, parse_term
 from .printer import print_core, print_term
@@ -37,7 +37,7 @@ def _load_env(path: str, options: ElabOptions, base: Env,
     .hsk file is checked as it is elaborated. A .fd file that redeclares a
     prelude name (the prelude itself, or an edited copy of it) is checked
     from the builtin environment."""
-    text = _read_source(path)
+    text = read_source(path)
     if path.endswith(".hsk"):
         elab = Elaborator(base, options)
         diags = elab.run(parse_surface(text))
@@ -65,14 +65,6 @@ def _report(diags: list[Diagnostic], as_json: bool, path: str = "") -> None:
         else:
             prefix = f"{path}: " if path else ""
             print(f"{prefix}{d}", file=sys.stderr)
-
-
-def _read_source(path: str) -> str:
-    """The UTF-8 text of `path` without one leading byte-order mark; a
-    decode error counts its bytes from the start of the file."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return text[1:] if text.startswith("\ufeff") else text
 
 
 # An input that does not decode as UTF-8 or does not parse.
@@ -132,7 +124,7 @@ def cmd_elab(args) -> int:
     status = 0
     for path in args.files:
         try:
-            program = parse_surface(_read_source(path))
+            program = parse_surface(read_source(path))
         except _BAD_INPUT as e:
             status = max(status, _input_failure(e, args.json, path))
             continue

@@ -17,11 +17,18 @@ def corpus_text(name: str) -> str:
     return (resources.files(__package__) / "corpus" / name).read_text()
 
 
+def read_source(path: str) -> str:
+    """The UTF-8 text of `path` without one leading byte-order mark; a
+    decode error counts its bytes from the start of the file."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return text[1:] if text.startswith("\ufeff") else text
+
+
 def prelude_text() -> str:
     override = os.environ.get(PRELUDE_ENV_VAR)
     if override:
-        with open(override, encoding="utf-8") as fh:
-            return fh.read()
+        return read_source(override)
     return corpus_text("prelude.fd")
 
 

@@ -4,35 +4,35 @@ A class becomes an open type plus open functions for its methods,
 superclass projections, and functional-dependency witnesses. An instance
 becomes a Henry-Ford open constructor (equality premises instead of a
 restricted index) plus guarded instances of each of those open functions.
-Holes become resolved instance dictionaries, and type mismatches become
-casts by synthesized coercions.
+
+Terms are typed by the core checker's own rules (`typecheck._check` with a
+hook, `_Fixes`): it asks for a dictionary at each hole and a cast at each
+mismatch, and the term is rebuilt with them. The types a declaration
+states are kinded before anything built from them is emitted, and every
+emitted declaration is checked again as it is emitted.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .corpus import prelude_env
 from .surface import (
-    SType, STVar, STCon, STApp, SArrow, SForall, STerm, SVar, SCon, SLam,
-    STyLam, SApp, STyApp, SIf, SHole, SAnnot, SDecl, SDataDecl,
-    SClassDecl, SInstanceDecl, SLetDecl, stype_vars, validate_surface,
+    SDecl, SDataDecl, SClassDecl, SInstanceDecl, SLetDecl, validate_surface,
 )
 from .synthesis import (
     ClassInfo, FundepInfo, InstanceInfo, Registry, Resolver, SynthError,
 )
 from .syntax import (
-    Node, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, Lam, App, TyLam,
-    TyApp, Cast, Pattern, If, Guard, Env, TyVarBind, TmVarBind, Decl,
-    DataDecl, CtorDecl, OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl,
-    LetDecl, STAR, applied, arrow, spine_head, type_spine, un_arrow,
+    Node, TVar, TCon, EqTy, Forall, Var, Ref, Lam, TyLam, TyApp, Cast,
+    Pattern, Guard, Env, TyVarBind, TmVarBind, Decl, DataDecl, CtorDecl,
+    OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl, LetDecl, FIELDS,
+    STAR, applied, arrow, spine_head, subnodes, type_spine, un_arrow,
 )
-from .subst import instantiate, shift, try_unshift
+from .subst import shift
 from .typecheck import (
-    CheckError, Diagnostic, Exactly, check_decl, infer_term, kind_of,
-    pattern_type, _fail, _match_consequent,
+    CheckError, Diagnostic, check_decl, kind_of, pattern_type, _check, _fail,
 )
 
 
@@ -67,6 +67,15 @@ def _class_dict(name: str, n: int) -> Node:
     return applied(name, [TVar(n - 1 - i) for i in range(n)])
 
 
+def _look_up_names(env: Env, types: list[Node]) -> None:
+    """Each type constant in `types`, left to right, looked up: the first
+    unbound one is reported as `kind_of` reports it."""
+    for t in types:
+        for n in subnodes(t):
+            if isinstance(n, TCon):
+                kind_of(env, n)
+
+
 def _witness_telescope(name: str, kinds: tuple[Node, ...], fd: FundepInfo):
     """A dependency witness's type binders: the class parameters, then a
     second copy of those `fd` does not determine from. Over them: the two
@@ -80,6 +89,54 @@ def _witness_telescope(name: str, kinds: tuple[Node, ...], fd: FundepInfo):
     d1 = applied(name, [TVar(q - 1 - i) for i in range(n)])
     d2 = applied(name, [TVar(q - 1 - pos) for pos in second])
     return qkinds, d1, d2, TVar(q - 1 - fd.det), TVar(q - 1 - second[fd.det])
+
+
+class _Fixes:
+    """The checker's elaboration hook for one term: each hole's
+    dictionary, each annotation's erasure and each cast, kept as a function
+    of the subterm under the path the checker names it by, in the order the
+    checker asks for them."""
+
+    def __init__(self, elab: Elaborator):
+        self.elab = elab
+        self.fixes: list = []  # (path, fix)
+
+    def hole(self, env: Env, goal: Node, path) -> None:
+        found = self.elab.resolver(env).resolve(goal)
+        self.fixes.append((path, lambda _: found))
+
+    def erase(self, path) -> None:
+        self.fixes.append((path, lambda annotated: annotated.term))
+
+    def cast(self, env: Env, found: Node, expected: Node, path) -> None:
+        co = self.elab.resolver(env).synth(found, expected)
+        self.fixes.append((path, lambda n: Cast(n, co)))
+
+    def apply(self, term: Node) -> Node:
+        """`term` with every fix applied where its path leads."""
+        tree: dict = {}  # segment -> subtree; None -> fixes at this node
+        for path, fix in self.fixes:
+            segments = []
+            while path:
+                path, segment = path
+                segments.append(segment)
+            node = tree
+            for segment in reversed(segments):
+                node = node.setdefault(segment, {})
+            node.setdefault(None, []).append(fix)
+        return _rebuild(term, tree)
+
+
+def _rebuild(n: Node, tree: dict) -> Node:
+    """`n` with each field `tree` names rebuilt, then the fixes at `n`."""
+    for segment, below in tree.items():
+        if segment is not None:
+            child = _rebuild(getattr(n, segment), below)
+            n = type(n)(*(child if f == segment else getattr(n, f)
+                          for f, _ in FIELDS[type(n)]))
+    for fix in tree.get(None, ()):
+        n = fix(n)
+    return n
 
 
 class Elaborator:
@@ -118,143 +175,22 @@ class Elaborator:
             k += 1
         return f"{base}{alt}{k}"
 
-    def ty(self, st: SType, scope: list) -> Node:
-        match st:
-            case STVar(name):
-                for i, bound in enumerate(reversed(scope)):
-                    if bound == name:
-                        return TVar(i)
-                _fail("unbound-tyvar", f"type variable {name!r} is not in scope")
-            case STCon(name):
-                if self.env.type_sig(name) is None:
-                    _fail("unbound-con",
-                          f"type constant {name!r} is not declared")
-                return TCon(name)
-            case STApp(f, a):
-                return TApp(self.ty(f, scope), self.ty(a, scope))
-            case SArrow(d, c):
-                return arrow(self.ty(d, scope), self.ty(c, scope))
-            case SForall(var, kind, body):
-                return Forall(kind, self.ty(body, scope + [var]))
-        raise TypeError(f"not a surface type: {st!r}")
+    def _kinded(self, env: Env, types: list[Node]) -> None:
+        """Kind types the user wrote, before anything built from them is
+        emitted: their names first, then each must have kind *."""
+        _look_up_names(env, types)
+        for t in types:
+            k = kind_of(env, t)
+            if k != STAR:
+                _fail("kind-mismatch", "declared type must have kind *",
+                      expected=STAR, found=k)
 
-    # ---------------------------------------------------------- terms
-
-    def infer(self, env: Env, names: list, s: STerm) -> tuple[Node, Node]:
-        match s:
-            case SVar(name):
-                for i, bound in enumerate(reversed(names)):
-                    if bound == name:
-                        got = infer_term(env, Var(i))
-                        assert isinstance(got, Exactly)
-                        return Var(i), got.type
-                if env.method_sig(name) is not None:
-                    return Ref(name), env.method_sig(name).type
-                if env.let_sig(name) is not None:
-                    return Ref(name), env.let_sig(name).type
-                _fail("unbound-var", f"{name!r} is not in scope")
-            case SCon(name):
-                sig = env.ctor_sig(name)
-                if sig is None:
-                    _fail("unbound-con", f"constructor {name!r} is not declared")
-                return Con(name), sig.type
-            case SLam(x, ann, body):
-                if ann is None:
-                    _fail("annotation-required",
-                          f"lambda binder {x!r} needs a type annotation")
-                core_ann = self.ty(ann, names)
-                bcore, bty = self.infer(env.push(TmVarBind(core_ann)),
-                                        names + [x], body)
-                cod = try_unshift(bty, 1)
-                if cod is None:
-                    _fail("internal", "body type mentions the term binder")
-                return Lam(core_ann, bcore), arrow(core_ann, cod)
-            case STyLam(t, k, body):
-                bcore, bty = self.infer(env.push(TyVarBind(k)),
-                                        names + [t], body)
-                return TyLam(k, bcore), Forall(k, bty)
-            case SApp(f, a):
-                fc, fty = self.infer(env, names, f)
-                parts = un_arrow(fty)
-                if parts is None:
-                    _fail("not-arrow", "applied term is not a function",
-                          found=fty)
-                ac = self.check(env, names, a, parts[0])
-                return App(fc, ac), parts[1]
-            case STyApp(f, t):
-                fc, fty = self.infer(env, names, f)
-                tc = self.ty(t, names)
-                match fty:
-                    case Forall(k, body):
-                        kt = kind_of(env, tc)
-                        if kt != k:
-                            _fail("kind-mismatch",
-                                  "type argument kind mismatch",
-                                  expected=k, found=kt)
-                        return TyApp(fc, tc), instantiate(body, tc)
-                _fail("not-forall",
-                      "type application of an unquantified term",
-                      found=fty)
-            case SHole(t):
-                goal = self.ty(t, names)
-                term = self._resolve(env, goal)
-                return term, goal
-            case SAnnot(m, t):
-                tc = self.ty(t, names)
-                return self.check(env, names, m, tc), tc
-            case SIf(scrut, pat, cons, alt):
-                return self._elab_if(env, names, scrut, pat, cons, alt)
-        raise TypeError(f"not a surface term: {s!r}")
-
-    def check(self, env: Env, names: list, s: STerm, expected: Node) -> Node:
-        match s:
-            case SHole(t):
-                declared = self.ty(t, names)
-                term = self._resolve(env, declared)
-                if declared != expected:
-                    term = self._cast(env, term, declared, expected)
-                return term
-            case SLam(x, ann, body) if ann is not None:
-                parts = un_arrow(expected)
-                core_ann = self.ty(ann, names)
-                if parts is not None and core_ann == parts[0]:
-                    inner = self.check(env.push(TmVarBind(core_ann)),
-                                       names + [x], body, shift(parts[1], 1))
-                    return Lam(core_ann, inner)
-            case STyLam(t, k, body):
-                match expected:
-                    case Forall(kk, ety) if k == kk:
-                        inner = self.check(env.push(TyVarBind(k)),
-                                           names + [t], body, ety)
-                        return TyLam(k, inner)
-            case SAnnot(m, t):
-                tc = self.ty(t, names)
-                inner = self.check(env, names, m, tc)
-                if tc == expected:
-                    return inner
-                return self._cast(env, inner, tc, expected)
-        core, ty = self.infer(env, names, s)
-        if ty == expected:
-            return core
-        return self._cast(env, core, ty, expected)
-
-    def _cast(self, env: Env, core: Node, frm: Node, to: Node) -> Node:
-        return Cast(core, self.resolver(env).synth(frm, to))
-
-    def _resolve(self, env: Env, goal: Node) -> Node:
-        return self.resolver(env).resolve(goal)
-
-    def _elab_if(self, env, names, scrut, pat, cons, alt):
-        sc, sty = self.infer(env, names, scrut)
-        core_pat = Pattern(pat.head,
-                           tuple(self.ty(a, names) for a in pat.type_args))
-        res_kinds, arg_tys, cod = pattern_type(env, core_pat, None)
-        if sty != cod:
-            sc = self._cast(env, sc, sty, cod)
-        cc, cty = self.infer(env, names, cons)
-        result = _match_consequent(res_kinds, arg_tys, cty, ())
-        ac = self.check(env, names, alt, result)
-        return If(sc, core_pat, cc, ac), result
+    def _elab_term(self, env: Env, term: Node, expected: Node) -> Node:
+        """`term`, a parsed surface term, checked against `expected` by the
+        core rules with holes resolved and mismatches cast."""
+        fixes = _Fixes(self)
+        _check(env, term, expected, (), fixes)
+        return fixes.apply(term)
 
     # ---------------------------------------------------- declarations
 
@@ -269,7 +205,9 @@ class Elaborator:
             try:
                 self.do_decl(d)
             except CheckError as e:
-                self.diags.append(e.diagnostic)
+                # the checker's path leads through the parsed term's
+                # fields, not the source text, and is left out
+                self.diags.append(replace(e.diagnostic, path=()))
         return self.diags
 
     def do_decl(self, d: SDecl) -> None:
@@ -287,18 +225,18 @@ class Elaborator:
 
     def do_data(self, d: SDataDecl) -> None:
         self.emit(DataDecl(d.name, d.kind))
-        for cname, st in d.ctors:
-            self.emit(CtorDecl(cname, self.ty(st, [])))
+        for cname, t in d.ctors:
+            self._kinded(self.env, [t])
+            self.emit(CtorDecl(cname, t))
 
     def do_let(self, d: SLetDecl) -> None:
-        core_ty = self.ty(d.type, [])
-        body = self.check(self.env, [], d.body, core_ty)
-        self.emit(LetDecl(d.name, core_ty, body))
+        self._kinded(self.env, [d.type])
+        body = self._elab_term(self.env, d.body, d.type)
+        self.emit(LetDecl(d.name, d.type, body))
 
     def do_class(self, c: SClassDecl) -> None:
         if c.name in self.registry.classes:
             _fail("duplicate-name", f"class {c.name!r} is already declared")
-        pnames = [p for p, _ in c.params]
         kinds = [k for _, k in c.params]
         c_applied = _class_dict(c.name, len(kinds))
 
@@ -306,19 +244,21 @@ class Elaborator:
             return _foralls(kinds, body)
 
         self.emit(OpenTypeDecl(c.name, c.kind))
+        scope = self.env.push(*map(TyVarBind, kinds))
         info = ClassInfo(c.name, tuple(kinds))
-        for mname, mtype in c.methods:
-            sigma = self.ty(mtype, pnames)
+        for mname, sigma in c.methods:
+            self._kinded(scope, [sigma])
             full = close(arrow(c_applied, sigma))
             self.emit(MethodDecl(mname, full))
             info.methods[mname] = full
-        for stype in c.supers:
-            pred = self.ty(stype, pnames)
+        for pred in c.supers:
+            _look_up_names(scope, [pred])
             head = spine_head(pred)
             if not isinstance(head, TCon) or head.name not in self.registry.classes:
                 _fail("unknown-superclass",
                       f"superclass of {c.name!r} must be a declared class",
                       found=pred)
+            self._kinded(scope, [pred])
             proj = self.fresh_term_name(
                 c.name[0].lower() + c.name[1:] + head.name)
             self.emit(MethodDecl(proj, close(arrow(c_applied, pred))))
@@ -343,17 +283,16 @@ class Elaborator:
             _fail("class-arity", f"class {ins.class_name!r} takes {n} "
                                  f"parameters, instance supplies "
                                  f"{len(ins.head_args)}")
-        ivars = list(sum(map(stype_vars, ins.head_args + ins.context),
-                         Counter()))
-        m = len(ivars)
+        m = len(ins.ivars)
         count = self.instance_count.get(ins.class_name, 0)
         self.instance_count[ins.class_name] = count + 1
         ctor = ins.ctor_name or self.fresh_term_name(
             f"K_{ins.class_name}_{count}")
         if self.env.term_name_taken(ctor):
             _fail("duplicate-name", f"constructor {ctor!r} is already declared")
-        head_core = [self.ty(a, ivars) for a in ins.head_args]
-        ctx_core = [self.ty(p, ivars) for p in ins.context]
+        head_core, ctx_core = list(ins.head_args), list(ins.context)
+        self._kinded(self.env.push(*[TyVarBind(STAR)] * m),
+                     [applied(ins.class_name, head_core), *ctx_core])
 
         def a_var(i: int) -> Node:
             return TVar(m + n - 1 - i)
@@ -371,7 +310,7 @@ class Elaborator:
             if mname not in info.methods:
                 _fail("unknown-method",
                       f"{mname!r} is not a method of {ins.class_name!r}")
-        guards = [(_class_dict(ins.class_name, n), inst_info, ivars)]
+        guards = [(_class_dict(ins.class_name, n), inst_info)]
         for mname in info.methods:
             if mname in given:
                 self._method_instance(info, guards, mname, given[mname])
@@ -389,44 +328,45 @@ class Elaborator:
     # -- pieces of instance elaboration
 
     def _method_instance(self, info: ClassInfo, guards: list, mname: str,
-                         surface_body) -> None:
+                         body: Node) -> None:
         method_ty = info.methods[mname]
         for _ in range(len(info.param_kinds)):
             assert isinstance(method_ty, Forall)
             method_ty = method_ty.body
         sigma = un_arrow(method_ty)[1]  # drop the dictionary arrow
+        # `body` is over the instance's variables; the guard's premise and
+        # context binders come inside them
+        inst = guards[0][1]
+        body = shift(body, len(inst.head) + len(inst.context))
         self._instance_clause(
             mname, info.param_kinds, guards,
-            lambda env, names, k: self.check(env, names, surface_body,
-                                             shift(sigma, k)))
+            lambda env, k: self._elab_term(env, body, shift(sigma, k)))
 
     def _super_instance(self, info: ClassInfo, guards: list, proj: str,
                         pred: Node) -> None:
         self._instance_clause(
             proj, info.param_kinds, guards,
-            lambda env, names, k: self._resolve(env, shift(pred, k)))
+            lambda env, k: self.resolver(env).resolve(shift(pred, k)))
 
     def _instance_clause(self, name: str, kinds, guards, body_of) -> None:
         """Emit an instance of open function `name`: under type binders of
         `kinds`, one dictionary binder per guard, then the guards, outermost
-        first. A guard is (dictionary type over `kinds`, `InstanceInfo`,
-        instance-variable names); it matches its dictionary against the
-        instance's constructor at the dictionary type's arguments and opens
-        the pattern's telescope. `body_of(env, names, k)` gives the innermost
-        consequent, `k` binders inside `kinds`; if it gives None, nothing is
-        emitted."""
+        first. A guard is (dictionary type over `kinds`, `InstanceInfo`);
+        it matches its dictionary against the instance's constructor at the
+        dictionary type's arguments and opens the pattern's telescope.
+        `body_of(env, k)` gives the innermost consequent, `k` binders inside
+        `kinds`; if it gives None, nothing is emitted."""
         env = self.env
         for k in kinds:
             env = env.push(TyVarBind(k))
         # each binder's type is shifted once, for the binder pushed here and
         # the lambda wrapped below
         dict_tys = [shift(dict_ty, i)
-                    for i, (dict_ty, _, _) in enumerate(guards)]
+                    for i, (dict_ty, _) in enumerate(guards)]
         env = env.push(*map(TmVarBind, dict_tys))
-        names = [None] * (len(kinds) + len(guards))
         depth = len(guards)  # binders inside `kinds`
         opened = []
-        for j, (dict_ty, inst, ivars) in enumerate(guards):
+        for j, (dict_ty, inst) in enumerate(guards):
             scrut_ty = shift(dict_ty, depth)
             pat = Pattern(inst.ctor_name, tuple(type_spine(scrut_ty)[1]))
             res_kinds, arg_tys, _ = pattern_type(env, pat, scrut_ty)
@@ -435,9 +375,8 @@ class Elaborator:
             for k in res_kinds:
                 env = env.push(TyVarBind(k))
             env = env.push(*map(TmVarBind, arg_tys))
-            names += list(ivars) + [None] * len(arg_tys)
             depth += len(res_kinds) + len(arg_tys)
-        body = body_of(env, names, depth)
+        body = body_of(env, depth)
         if body is None:
             return
         for scrut, pat, res_kinds, arg_tys in reversed(opened):
@@ -454,7 +393,7 @@ class Elaborator:
             info.name, info.param_kinds, fd)
         kappa = info.param_kinds[fd.det]
 
-        def body_of(env: Env, names: list, k: int) -> Optional[Node]:
+        def body_of(env: Env, k: int) -> Optional[Node]:
             # the two dictionaries are the outermost binders inside qkinds
             lhs_k, rhs_k = shift(lhs, k), shift(rhs, k)
             resolver = self.resolver(env)
@@ -475,8 +414,7 @@ class Elaborator:
 
         self._instance_clause(
             fd.name, qkinds,
-            [(d1, inst1, [None] * len(inst1.var_kinds)),
-             (d2, inst2, [None] * len(inst2.var_kinds))], body_of)
+            [(d1, inst1), (d2, inst2)], body_of)
 
     def _absurd_name(self, kind: Node) -> str:
         if kind in self.absurd_names:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 import string
 from bisect import bisect_right
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .printer import (
     BINDER, BINDERS, CAPP, DECLS, INFIX, TERM_PREFIX, TYPE_PREFIX,
@@ -79,25 +79,13 @@ class ParseError(Exception):
         super().__init__(f"{where}: {message}{exp}")
 
 
-class Token(NamedTuple):
-    kind: str  # 'name' | 'kw' | 'num' | 'hash' | a symbol | 'eof'
-    text: str
-    line: int
-    col: int
-
-
-def tokenize(text: str) -> list[Token]:
-    c = Cursor(text)
-    return [Token(kind, tok, *c.where(i))
-            for i, (kind, tok) in enumerate(zip(c.kinds, c.texts))]
-
-
 class Cursor:
     """A position in a lexed text, the grammar of kinds and the declaration
     loop; shared by the core and the surface parser.
 
-    The text is lexed once into two lists, each token's kind and its text,
-    ending with an `eof` token of empty text. Where a token starts (its
+    The text is lexed once into two lists, each token's kind (`name`,
+    `kw`, `num`, `hash` or the symbol itself) and its text, ending with an
+    `eof` token of empty text. Where a token starts (its
     line and column) is worked out only when an error or a span asks."""
 
     def __init__(self, text: str):

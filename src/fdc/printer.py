@@ -192,8 +192,11 @@ class _Printer:
         raise TypeError(f"not a term: {m!r}")
 
 
-def print_type(t: Node) -> str:
-    return _Printer().ty(t)
+def print_type(t: Node, names: tuple[str, ...] = ()) -> str:
+    """`t` with its free variables named by `names`, the last innermost."""
+    p = _Printer()
+    p.stack = list(names)
+    return p.ty(t)
 
 
 def print_term(m: Node) -> str:

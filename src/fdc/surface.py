@@ -14,145 +14,26 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .parser import Cursor, ParseError
-from .printer import print_kind
-from .syntax import Node, KArr, STAR
+from .parser import Parser, ParseError
+from .printer import print_type
+from .syntax import (
+    Node, KArr, TVar, TCon, TApp, Forall, Var, Con, Ref, Lam, App, TyLam,
+    TyApp, Pattern, If, Hole, Annot, STAR, ARROW, arrow, is_variable_name,
+    spine, subnodes, type_spine, un_arrow,
+)
 from .typecheck import Diagnostic
 
-
-# ---------------------------------------------------------------- types
-
-class SType:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class STVar(SType):
-    name: str
-
-
-@dataclass(frozen=True)
-class STCon(SType):
-    name: str
-
-
-@dataclass(frozen=True)
-class STApp(SType):
-    fun: SType
-    arg: SType
-
-
-@dataclass(frozen=True)
-class SArrow(SType):
-    dom: SType
-    cod: SType
-
-
-@dataclass(frozen=True)
-class SForall(SType):
-    var: str
-    kind: Node
-    body: SType
-
-
-def stype_head(t: SType) -> SType:
-    while isinstance(t, STApp):
-        t = t.fun
-    return t
-
-
-def stype_args(t: SType) -> list[SType]:
-    args = []
-    while isinstance(t, STApp):
-        args.append(t.arg)
-        t = t.fun
-    args.reverse()
-    return args
-
-
-def stype_vars(t: SType) -> Counter:
-    """Free variable names, each with its number of occurrences, in
-    first-occurrence order."""
-    match t:
-        case STVar(name):
-            return Counter((name,))
-        case STApp(f, a) | SArrow(f, a):
-            return stype_vars(f) + stype_vars(a)
-        case SForall(var, _, body):
-            out = stype_vars(body)
-            del out[var]
-            return out
-    return Counter()
-
-
-# ---------------------------------------------------------------- terms
-
-class STerm:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class SVar(STerm):
-    name: str
-
-
-@dataclass(frozen=True)
-class SCon(STerm):
-    name: str
-
-
-@dataclass(frozen=True)
-class SLam(STerm):
-    var: str
-    ann: Optional[SType]
-    body: STerm
-
-
-@dataclass(frozen=True)
-class STyLam(STerm):
-    var: str
-    kind: Node
-    body: STerm
-
-
-@dataclass(frozen=True)
-class SApp(STerm):
-    fun: STerm
-    arg: STerm
-
-
-@dataclass(frozen=True)
-class STyApp(STerm):
-    fun: STerm
-    arg: SType
-
-
-@dataclass(frozen=True)
-class SPat:
-    head: str
-    type_args: tuple[SType, ...] = ()
-
-
-@dataclass(frozen=True)
-class SIf(STerm):
-    scrut: STerm
-    pat: SPat
-    cons: STerm
-    alt: STerm
-
-
-@dataclass(frozen=True)
-class SHole(STerm):
-    type: SType
-
-
-@dataclass(frozen=True)
-class SAnnot(STerm):
-    term: STerm
-    type: SType
+# The annotation of a lambda binder written without one, which
+# `validate_surface` reports: a hole in the place of its type.
+UNANNOTATED = Hole(STAR)
 
 
 # ----------------------------------------------------------- declarations
+#
+# Types and terms are core nodes (`Hole` and `Annot` included), their names
+# resolved as they are read: a class's methods and superclasses over its
+# parameters, an instance's head, context and methods over its variables,
+# and everything else closed.
 
 class SDecl:
     __slots__ = ()
@@ -162,16 +43,16 @@ class SDecl:
 class SDataDecl(SDecl):
     name: str
     kind: Node
-    ctors: tuple[tuple[str, SType], ...]
+    ctors: tuple[tuple[str, Node], ...]
 
 
 @dataclass(frozen=True)
 class SClassDecl(SDecl):
     name: str
     params: tuple[tuple[str, Node], ...]  # (name, kind)
-    supers: tuple[SType, ...]
+    supers: tuple[Node, ...]
     fundeps: tuple[tuple[tuple[int, ...], int], ...]
-    methods: tuple[tuple[str, SType], ...]
+    methods: tuple[tuple[str, Node], ...]
 
     @property
     def kind(self) -> Node:
@@ -185,32 +66,45 @@ class SClassDecl(SDecl):
 class SInstanceDecl(SDecl):
     class_name: str
     ctor_name: Optional[str]
-    context: tuple[SType, ...]
-    head_args: tuple[SType, ...]
-    methods: tuple[tuple[str, STerm], ...]
+    context: tuple[Node, ...]
+    head_args: tuple[Node, ...]
+    methods: tuple[tuple[str, Node], ...]
+    # the instance's variables, outermost first: in the order each first
+    # occurs in the head, then the context
+    ivars: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class SLetDecl(SDecl):
     name: str
-    type: SType
-    body: STerm
+    type: Node
+    body: Node
 
 
 # ---------------------------------------------------------------- parser
 
-class SurfaceParser(Cursor):
+class SurfaceParser(Parser):
+    """Reads declarations into core nodes over `Parser`'s binder stack."""
+
     def at_name(self) -> bool:
         return self.kinds[self.pos] == "name"
 
+    def bound(self, names: list[str], read):
+        """`read()` with `names` bound, the last innermost."""
+        self.stack += names
+        try:
+            return read()
+        finally:
+            del self.stack[len(self.stack) - len(names):]
+
     # ---- types
 
-    def type_(self) -> SType:
+    def type_(self) -> Node:
         if self.at_kw("forall"):
             self.advance()
             var, kind = self.binder_param()
             self.expect(".")
-            return SForall(var, kind, self.type_())
+            return Forall(kind, self.bound([var], self.type_))
         return self.ty_arrow()
 
     def binder_param(self) -> tuple[str, Node]:
@@ -228,48 +122,51 @@ class SurfaceParser(Cursor):
             kind = self.kind()
         return var, kind
 
-    def ty_arrow(self) -> SType:
+    def ty_arrow(self) -> Node:
         left = self.ty_app()
         if self.at("->", "=>"):  # `=>` is sugar for a dictionary arrow
             self.advance()
-            return SArrow(left, self.type_())
+            return arrow(left, self.type_())
         return left
 
-    def ty_app(self) -> SType:
+    def ty_app(self) -> Node:
         f = self.ty_atom()
         while self.at_name() or self.at("("):
-            f = STApp(f, self.ty_atom())
+            f = TApp(f, self.ty_atom())
         return f
 
-    def ty_atom(self) -> SType:
+    def ty_atom(self) -> Node:
         if self.at_name():
-            name = self.advance()
-            if name[0].isupper():
-                return STCon(name)
-            return STVar(name)
+            return self.resolve_type_name(self.advance())
         if self.at("("):
             self.advance()
             if self.at("->"):
                 self.advance()
                 self.expect(")")
-                return STCon("->")
+                return ARROW
             t = self.type_()
             self.expect(")")
             return t
         self.fail("expected a type", frozenset({"name", "("}))
 
+    def resolve_type_name(self, name: str) -> Node:
+        """A bound name's variable, and any other name's type constant."""
+        if name in self.stack:
+            return TVar(self.stack[::-1].index(name))
+        return TCon(name)
+
     # ---- terms
 
-    def term(self) -> STerm:
+    def term(self) -> Node:
         if self.at("\\"):
             self.advance()
             var = self.name(upper=False)
-            ann: Optional[SType] = None
+            ann = UNANNOTATED
             if self.at("::"):
                 self.advance()
                 ann = self.type_()
             self.expect(".")
-            return SLam(var, ann, self.term())
+            return Lam(ann, self.bound([var], self.term))
         if self.at("/\\"):
             self.advance()
             var = self.name(upper=False)
@@ -278,7 +175,7 @@ class SurfaceParser(Cursor):
                 self.advance()
                 kind = self.kind()
             self.expect(".")
-            return STyLam(var, kind, self.term())
+            return TyLam(kind, self.bound([var], self.term))
         if self.at_kw("if"):
             self.advance()
             scrut = self.term()
@@ -287,30 +184,28 @@ class SurfaceParser(Cursor):
             self.expect_kw("then")
             cons = self.term()
             self.expect_kw("else")
-            return SIf(scrut, pat, cons, self.term())
+            return If(scrut, pat, cons, self.term())
         return self.app()
 
-    def app(self) -> STerm:
+    def app(self) -> Node:
         f = self.atom()
         while True:
             if self.at("["):
                 self.advance()
                 t = self.type_()
                 self.expect("]")
-                f = STyApp(f, t)
+                f = TyApp(f, t)
             elif self.at_name() or self.at("("):
-                f = SApp(f, self.atom())
+                f = App(f, self.atom())
             else:
                 return f
 
-    def atom(self) -> STerm:
+    def atom(self) -> Node:
         if self.at_name():
             name = self.advance()
             if name == "_":
                 self.fail("holes must be written (_ :: type)")
-            if name[0].isupper():
-                return SCon(name)
-            return SVar(name)
+            return self.resolve_term_name(name)
         if self.at("("):
             self.advance()
             if self.texts[self.pos] == "_":
@@ -318,25 +213,25 @@ class SurfaceParser(Cursor):
                 self.expect("::")
                 t = self.type_()
                 self.expect(")")
-                return SHole(t)
+                return Hole(t)
             inner = self.term()
             if self.at("::"):
                 self.advance()
                 t = self.type_()
                 self.expect(")")
-                return SAnnot(inner, t)
+                return Annot(inner, t)
             self.expect(")")
             return inner
         self.fail("expected a term", frozenset({"name", "("}))
 
-    def pattern(self) -> SPat:
+    def pattern(self) -> Pattern:
         head = self.name(upper=True)
         args = []
         while self.at("["):
             self.advance()
             args.append(self.type_())
             self.expect("]")
-        return SPat(head, tuple(args))
+        return Pattern(head, tuple(args))
 
     # ---- declarations
 
@@ -351,10 +246,10 @@ class SurfaceParser(Cursor):
         self.expect("}")
         return out
 
-    def context_then_head(self) -> tuple[list[SType], SType]:
+    def context_then_head(self) -> tuple[list[Node], Node]:
         """Parse `[preds =>] head-application`, distinguishing the two by the
         `=>` lookahead."""
-        preds: list[SType] = []
+        preds: list[Node] = []
         first = self.ty_app()
         while self.at("=>"):
             self.advance()
@@ -368,7 +263,7 @@ class SurfaceParser(Cursor):
             name = self.name(upper=True)
             self.expect("::")
             kind = self.kind()
-            ctors: list[tuple[str, SType]] = []
+            ctors: list[tuple[str, Node]] = []
             if self.at_kw("where"):
                 self.advance()
                 ctors = self.braced(self._signature, True)
@@ -392,20 +287,39 @@ class SurfaceParser(Cursor):
         self.fail("expected a declaration",
                   frozenset({"data", "class", "instance", "let"}))
 
-    def _signature(self, upper: bool) -> tuple[str, SType]:
+    def _signature(self, upper: bool) -> tuple[str, Node]:
         """A constructor's (uppercase) or a method's (lowercase) `name ::
         type`."""
         name = self.name(upper)
         self.expect("::")
         return name, self.type_()
 
-    def _method_def_item(self) -> tuple[str, STerm]:
+    def _method_def_item(self) -> tuple[str, Node]:
         name = self.name(upper=False)
         self.expect("=")
         return name, self.term()
 
     def class_decl(self) -> SDecl:
-        supers: list[SType] = []
+        start = self.pos
+        supers = self._superclasses()
+        name_at = self.pos
+        name = self.name(upper=True)
+        params: list[tuple[str, Node]] = []
+        while self.at_name() or self.at("("):
+            params.append(self.binder_param())
+        param_names = [p for p, _ in params]
+        if len(set(param_names)) != len(param_names):
+            self.fail_at(name_at, f"class {name!r} has repeated parameters")
+        if supers:  # read again, with the parameters they name bound
+            end, self.pos = self.pos, start
+            supers = self.bound(param_names, self._superclasses)
+            self.pos = end
+        return self.bound(param_names,
+                          lambda: self._finish_class(name, params, supers))
+
+    def _superclasses(self) -> list[Node]:
+        """`Super a =>` or `(S1 a, S2 a) =>`, read up to the `=>`, or
+        nothing read."""
         # `class Super a => C a ...` or `class (S1 a, S2 a) => C a ...`
         if self.at("("):
             save = self.pos
@@ -418,31 +332,20 @@ class SurfaceParser(Cursor):
                 self.expect(")")
                 if self.at("=>"):
                     self.advance()
-                    supers = preds
-                else:
-                    self.pos = save
+                    return preds
             except ParseError:
-                self.pos = save
-        if not supers:
-            save = self.pos
-            try:
-                pred = self.ty_app()
-                if self.at("=>"):
-                    self.advance()
-                    supers = [pred]
-                else:
-                    self.pos = save
-            except ParseError:
-                self.pos = save
-        name_at = self.pos
-        name = self.name(upper=True)
-        params: list[tuple[str, Node]] = []
-        while self.at_name() or self.at("("):
-            params.append(self.binder_param())
-        param_names = [p for p, _ in params]
-        if len(set(param_names)) != len(param_names):
-            self.fail_at(name_at, f"class {name!r} has repeated parameters")
-        return self._finish_class(name, params, supers)
+                pass
+            self.pos = save
+        save = self.pos
+        try:
+            pred = self.ty_app()
+            if self.at("=>"):
+                self.advance()
+                return [pred]
+        except ParseError:
+            pass
+        self.pos = save
+        return []
 
     def _finish_class(self, name, params, supers) -> SDecl:
         fundeps: list[tuple[tuple[int, ...], int]] = []
@@ -459,7 +362,7 @@ class SurfaceParser(Cursor):
                     self.advance()
                     continue
                 break
-        methods: list[tuple[str, SType]] = []
+        methods: list[tuple[str, Node]] = []
         if self.at_kw("where"):
             self.advance()
             methods = self.braced(self._signature, False)
@@ -480,115 +383,96 @@ class SurfaceParser(Cursor):
                 and self.kinds[self.pos + 1] == ":"):
             ctor_name = self.name(upper=True)
             self.expect(":")
+        start = self.pos
         preds, head = self.context_then_head()
-        head_con = stype_head(head)
-        if not isinstance(head_con, STCon):
+        head_con, head_args = type_spine(head)
+        if not isinstance(head_con, TCon) or is_variable_name(head_con.name):
             self.fail("instance head must name a class")
-        methods: list[tuple[str, STerm]] = []
+        # the head and context again, with the instance's variables bound
+        ivars = list(dict.fromkeys(
+            n.name for t in head_args + preds for n in subnodes(t)
+            if isinstance(n, TCon) and is_variable_name(n.name)))
+        self.pos = start
+        preds, head = self.bound(ivars, self.context_then_head)
+        methods: list[tuple[str, Node]] = []
         if self.at_kw("where"):
             self.advance()
-            methods = self.braced(self._method_def_item)
+            methods = self.bound(ivars,
+                                 lambda: self.braced(self._method_def_item))
         self.expect(";")
         return SInstanceDecl(head_con.name, ctor_name, tuple(preds),
-                             tuple(stype_args(head)), tuple(methods))
+                             tuple(type_spine(head)[1]), tuple(methods),
+                             tuple(ivars))
 
 
 def parse_surface(text: str) -> list[SDecl]:
     return SurfaceParser(text).program()[0]
 
 
-# ------------------------------------------- type printer, for diagnostics
-
-def print_stype(t: SType, level: int = 0) -> str:
-    # levels: 0 forall/arrow, 1 app, 2 atom
-    match t:
-        case STVar(name) | STCon(name):
-            return "(->)" if name == "->" else name
-        case SForall(var, kind, body):
-            s = f"forall ({var} :: {print_kind(kind)}). {print_stype(body)}"
-            return f"({s})" if level > 0 else s
-        case SArrow(dom, cod):
-            s = f"{print_stype(dom, 1)} -> {print_stype(cod)}"
-            return f"({s})" if level > 0 else s
-        case STApp(f, a):
-            s = f"{print_stype(f, 1)} {print_stype(a, 2)}"
-            return f"({s})" if level > 1 else s
-    raise TypeError(f"not a surface type: {t!r}")
-
-
 # ------------------------------------------------------------ validation
 
-def _spine_head_term(t: STerm) -> STerm:
-    while True:
-        match t:
-            case SApp(f, _) | STyApp(f, _):
-                t = f
-            case _:
-                return t
-
-
-def _check_annotations(t: STerm, issues: list[Diagnostic], where: str) -> None:
+def _check_annotations(t: Node, issues: list[Diagnostic], where: str) -> None:
     match t:
-        case SApp(_, _) | STyApp(_, _):
-            head = _spine_head_term(t)
-            if not isinstance(head, (SVar, SCon, SAnnot, SHole)):
+        case App(_, _) | TyApp(_, _):
+            if not isinstance(spine(t)[0], (Var, Ref, Con, Annot, Hole)):
                 issues.append(Diagnostic(
                     "annotation-required",
                     f"{where}: non-variable application head must be annotated"))
             match t:
-                case SApp(f, a):
+                case App(f, a):
                     _check_annotations(f, issues, where)
                     _check_annotations(a, issues, where)
-                case STyApp(f, _):
+                case TyApp(f, _):
                     _check_annotations(f, issues, where)
-        case SLam(_, ann, body):
-            if ann is None:
+        case Lam(ann, body):
+            if ann == UNANNOTATED:
                 issues.append(Diagnostic(
                     "annotation-required",
                     f"{where}: lambda binders must carry a type"))
             _check_annotations(body, issues, where)
-        case STyLam(_, _, body):
+        case TyLam(_, body):
             _check_annotations(body, issues, where)
-        case SIf(scrut, _, cons, alt):
-            if not isinstance(scrut, (SAnnot, SVar, SHole)):
+        case If(scrut, _, cons, alt):
+            if not isinstance(scrut, (Annot, Var, Ref, Hole)):
                 issues.append(Diagnostic(
                     "annotation-required",
                     f"{where}: if scrutinee must be annotated"))
-            if not isinstance(cons, (SAnnot, SVar, SCon, SHole)):
+            if not isinstance(cons, (Annot, Var, Ref, Con, Hole)):
                 issues.append(Diagnostic(
                     "annotation-required",
                     f"{where}: if consequent must be annotated"))
             _check_annotations(scrut, issues, where)
             _check_annotations(cons, issues, where)
             _check_annotations(alt, issues, where)
-        case SAnnot(term, _):
+        case Annot(term, _):
             _check_annotations(term, issues, where)
         case _:
             pass
 
 
-def _eta_shape(t: SType, body: STerm, issues: list[Diagnostic],
+def _eta_shape(t: Node, body: Node, issues: list[Diagnostic],
                where: str) -> None:
     """Leading binders must track the declared type until the body stops
     being a binder at all (prefix discipline, not full eta length)."""
     ty, tm = t, body
     while True:
+        arrow_parts = un_arrow(ty)
         match ty, tm:
-            case (SForall(_, _, b), STyLam(_, _, tb)):
+            case (Forall(_, b), TyLam(_, tb)):
                 ty, tm = b, tb
-            case (SArrow(_, c), SLam(_, _, lb)):
-                ty, tm = c, lb
-            case (SForall(_, _, _), SLam(_, _, _)):
+            case (_, Lam(_, lb)) if arrow_parts is not None:
+                ty, tm = arrow_parts[1], lb
+            case (Forall(), Lam()):
                 issues.append(Diagnostic(
                     "eta-shape",
                     f"{where}: term binder where the type expects a type binder"))
                 return
-            case (SArrow(_, _), STyLam(_, _, _)):
+            case (_, TyLam()) if arrow_parts is not None:
                 issues.append(Diagnostic(
                     "eta-shape",
                     f"{where}: type binder where the type expects a term binder"))
                 return
-            case (_, SLam(_, _, _)) | (_, STyLam(_, _, _)):
+            case (_, Lam()) | (_, TyLam()):
                 issues.append(Diagnostic(
                     "eta-shape",
                     f"{where}: more binders than the declared type provides"))
@@ -597,16 +481,33 @@ def _eta_shape(t: SType, body: STerm, issues: list[Diagnostic],
                 return
 
 
-def _type_size(t: SType) -> int:
-    """Constructor and variable occurrences, counting repetitions."""
+def _type_size(t: Node) -> int:
+    """Constructor and variable occurrences, counting repetitions; an arrow
+    counts only its two sides."""
+    arrow_parts = un_arrow(t)
+    if arrow_parts is not None:
+        return _type_size(arrow_parts[0]) + _type_size(arrow_parts[1])
     match t:
-        case STVar(_) | STCon(_):
+        case TVar(_) | TCon(_):
             return 1
-        case STApp(f, a) | SArrow(f, a):
+        case TApp(f, a):
             return _type_size(f) + _type_size(a)
-        case SForall(_, _, b):
+        case Forall(_, b):
             return 1 + _type_size(b)
     raise TypeError(t)
+
+
+def _type_vars(t: Node, depth: int = 0) -> Counter:
+    """Free variables, by index, each with its number of occurrences, in
+    first-occurrence order."""
+    match t:
+        case TVar(i):
+            return Counter((i - depth,)) if i >= depth else Counter()
+        case TApp(f, a):
+            return _type_vars(f, depth) + _type_vars(a, depth)
+        case Forall(_, body):
+            return _type_vars(body, depth + 1)
+    return Counter()
 
 
 def validate_surface(program: list[SDecl]) -> list[Diagnostic]:
@@ -627,25 +528,26 @@ def validate_surface(program: list[SDecl]) -> list[Diagnostic]:
                             "fundep-index",
                             f"class {name!r}: determined parameter is also "
                             f"a determiner"))
-            case SInstanceDecl(class_name, _, context, head_args, methods):
+            case SInstanceDecl(class_name, _, context, head_args, methods,
+                               ivars):
                 where = f"instance {class_name}"
                 head_size = sum(_type_size(a) for a in head_args)
-                head_occ = sum(map(stype_vars, head_args), Counter())
+                head_occ = sum(map(_type_vars, head_args), Counter())
                 for pred in context:
                     if _type_size(pred) - 1 >= head_size:
                         issues.append(Diagnostic(
                             "paterson",
-                            f"{where}: context {print_stype(pred)} is not "
-                            f"smaller than the instance head"))
-                    for v, occ in stype_vars(pred).items():
+                            f"{where}: context {print_type(pred, ivars)} is "
+                            f"not smaller than the instance head"))
+                    for v, occ in _type_vars(pred).items():
                         if occ > head_occ[v]:
                             issues.append(Diagnostic(
                                 "paterson",
-                                f"{where}: {v!r} occurs more often in the "
-                                f"context than in the head"))
+                                f"{where}: {ivars[-1 - v]!r} occurs more "
+                                f"often in the context than in the head"))
                 for mname, body in methods:
                     mwhere = f"{where}.{mname}"
-                    if not isinstance(body, SAnnot):
+                    if not isinstance(body, Annot):
                         issues.append(Diagnostic(
                             "annotation-required",
                             f"{mwhere}: instance method bodies must be "

@@ -5,7 +5,9 @@ One merged node family covers every syntactic category; which judgment a node
 belongs to (kinding vs typing) is decided by the checker, not the grammar.
 Variables bound by `Forall`/`Lam`/`TyLam`/`Univ` are de Bruijn indices into a
 single shared telescope; declared constants (type constants, constructors,
-open functions, lets) are strings resolved against the environment.
+open functions, lets) are strings resolved against the environment. Two
+classes, `Hole` and `Annot`, occur only in parsed surface terms, which
+elaboration turns into core terms.
 
 Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): each class's constructor, generated from `FIELDS`,
@@ -271,6 +273,13 @@ class Forall(Node):
 ARROW = TCon("->")
 
 
+def is_variable_name(name: str) -> bool:
+    """Whether a name is a variable's: it starts lowercase or with `_`. The
+    surface parser reads a type variable no binder binds as a type
+    constant of that name, which kinding reports as unbound."""
+    return name[:1].islower() or name[:1] == "_"
+
+
 def arrow(dom: Node, cod: Node) -> Node:
     return TApp(TApp(ARROW, dom), cod)
 
@@ -479,6 +488,25 @@ class Sim(Node):
     __slots__ = ("left", "right")
     left: Node
     right: Node
+
+
+# ------------------------------------------------------- surface-only terms
+
+@node
+class Hole(Node):
+    """`(_ :: t)` — a dictionary of type `t` for elaboration to find."""
+
+    __slots__ = ("type",)
+    type: Node
+
+
+@node
+class Annot(Node):
+    """`(m :: t)` — `m` checked against `t`; elaboration erases it."""
+
+    __slots__ = ("term", "type")
+    term: Node
+    type: Node
 
 
 # The classes with a position a variable can occur in; the others (leaves,

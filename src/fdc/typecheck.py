@@ -7,22 +7,34 @@ syntax-directed. Type equality is structural equality of de Bruijn trees.
 
 The checker builds the path to the current subterm as a cons list, `()` or
 `(parent, segment)`, so a step down costs one pair and no copy; `_fail`
-flattens it into the tuple a `Diagnostic` holds.
+flattens it into the tuple a `Diagnostic` holds. A term's path segments are
+the names of the fields it descends through.
+
+`infer_term` and `check_term` also elaborate. Given a hook, they type a
+parsed surface term by the same rules: at a `Hole` they ask the hook for a
+dictionary, at an `Annot` they check the term against the annotation and
+ask the hook to erase it, and where a type mismatch would fail (`_check`'s
+fallback, a lambda whose annotation or arrow does not fit, a scrutinee
+against its pattern's codomain) they ask it for a cast. Each request names
+the path of the subterm it fixes. Under a hook an application's argument
+and an `if`'s alternative are checked, not inferred and compared, so casts
+land as deep as they can. Without a hook, `Hole` and `Annot` are errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NoReturn, Optional, Union
+from typing import NoReturn, Optional, Protocol, Union
 
 from . import printer
 from .syntax import (
     Node, Star, KArr, TVar, TCon, TApp, EqTy, Forall, Var, Con, Ref, Lam,
     App, TyLam, TyApp, Cast, Pattern, If, Guard, Zero, Choice, Refl, Sym,
-    Trans, CApp, Fst, Snd, Univ, CInst, Sim, Decl, DataDecl, CtorDecl,
-    OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl, LetDecl, Env,
-    TyVarBind, TmVarBind, STAR, spine_head, split_ctor_type, un_arrow, arrow,
+    Trans, CApp, Fst, Snd, Univ, CInst, Sim, Hole, Annot, Decl, DataDecl,
+    CtorDecl, OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl, LetDecl,
+    Env, TyVarBind, TmVarBind, STAR, is_variable_name, spine_head,
+    split_ctor_type, un_arrow, arrow,
 )
 from .subst import (
     instantiate, instantiate_all, is_closed, shift, try_unshift,
@@ -44,6 +56,17 @@ TypeResult = Union[Exactly, AnyType]
 
 # `()`, or `(parent path, segment)`: see the module docstring.
 Path = tuple
+
+
+class ElabHook(Protocol):
+    """What elaboration adds to checking; see the module docstring."""
+
+    def hole(self, env: Env, goal: Node, path: Path) -> None: ...
+
+    def erase(self, path: Path) -> None: ...
+
+    def cast(self, env: Env, found: Node, expected: Node,
+             path: Path) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -127,6 +150,9 @@ def kind_of(env: Env, ty: Node, path: Path = ()) -> Node:
         case TCon(name):
             sig = env.type_sig(name)
             if sig is None:
+                if is_variable_name(name):
+                    _fail("unbound-tyvar",
+                          f"type variable {name!r} is not in scope", path)
                 _fail("unbound-con", f"type constant {name!r} is not declared", path)
             return sig.kind
         case TApp(f, a):
@@ -363,7 +389,8 @@ def _coerce(env: Env, eta: Node,
 
 # ------------------------------------------------------------- terms
 
-def infer_term(env: Env, m: Node, path: Path = ()) -> TypeResult:
+def infer_term(env: Env, m: Node, path: Path = (),
+               hook: Optional[ElabHook] = None) -> TypeResult:
     match m:
         case Var(i):
             entry = env.binder(i)
@@ -384,34 +411,40 @@ def infer_term(env: Env, m: Node, path: Path = ()) -> TypeResult:
             lsig = env.let_sig(name)
             if lsig is not None:
                 return Exactly(lsig.type)
-            _fail("unbound-var", f"{name!r} is not a declared open function or let",
-                  path)
+            # under a hook the name is one the source wrote and no binder bound
+            what = ("in scope" if hook is not None
+                    else "a declared open function or let")
+            _fail("unbound-var", f"{name!r} is not {what}", path)
         case Zero():
             return ANY
         case Lam():
-            return _infer_lams(env, m, path)
+            return _infer_lams(env, m, path, hook)
         case App(f, a):
-            gf = infer_term(env, f, (path, "fun"))
-            ga = infer_term(env, a, (path, "arg"))
+            gf = infer_term(env, f, (path, "fun"), hook)
+            if hook is None:
+                ga = infer_term(env, a, (path, "arg"))
             if isinstance(gf, AnyType):
                 return ANY
             ac = un_arrow(gf.type)
             if ac is None:
                 _fail("not-arrow", "applied term is not a function",
                       path, expected="a function type", found=gf.type)
-            if isinstance(ga, Exactly) and ga.type != ac[0]:
+            if hook is not None:
+                _check(env, a, ac[0], (path, "arg"), hook)
+            elif isinstance(ga, Exactly) and ga.type != ac[0]:
                 _fail("type-mismatch", "argument type mismatch",
                       path, expected=ac[0], found=ga.type)
             return Exactly(ac[1])
         case TyLam(k, body):
             if not is_kind(k):
                 _fail("bad-kind", "malformed kind annotation", path)
-            got = infer_term(env.push(TyVarBind(k)), body, (path, "body"))
+            got = infer_term(env.push(TyVarBind(k)), body, (path, "body"),
+                             hook)
             if isinstance(got, AnyType):
                 return ANY
             return Exactly(Forall(k, got.type))
         case TyApp(f, t):
-            gf = infer_term(env, f, (path, "fun"))
+            gf = infer_term(env, f, (path, "fun"), hook)
             kt = kind_of(env, t, (path, "type-arg"))
             if isinstance(gf, AnyType):
                 return ANY
@@ -437,9 +470,9 @@ def infer_term(env: Env, m: Node, path: Path = ()) -> TypeResult:
                       path, expected=l, found=gs.type)
             return Exactly(r)
         case If(scrut, pat, cons, alt):
-            return _infer_match(env, scrut, pat, cons, alt, path)
+            return _infer_match(env, scrut, pat, cons, alt, path, hook)
         case Guard(scrut, pat, cons):
-            return _infer_match(env, scrut, pat, cons, None, path)
+            return _infer_match(env, scrut, pat, cons, None, path, hook)
         case Choice(l, r):
             gl = infer_term(env, l, (path, "left"))
             gr = infer_term(env, r, (path, "right"))
@@ -458,10 +491,22 @@ def infer_term(env: Env, m: Node, path: Path = ()) -> TypeResult:
                 return ANY
             l, r, k = got
             return Exactly(EqTy(l, r, k))
+        case Hole() | Annot() if hook is None:
+            _fail("not-core", "holes and type annotations are surface syntax, "
+                              "typed only by elaboration", path)
+        case Hole(t):
+            _kind_star(env, t, path)
+            hook.hole(env, t, path)
+            return Exactly(t)
+        case Annot(term, t):
+            check_term(env, term, t, (path, "term"), hook)
+            hook.erase(path)
+            return Exactly(t)
     _fail("classification", "expected a term", path, found=m)
 
 
-def _infer_lams(env: Env, m: Node, path: Path) -> TypeResult:
+def _infer_lams(env: Env, m: Node, path: Path,
+                hook: Optional[ElabHook]) -> TypeResult:
     """A chain of lambdas in one pass: each annotation is kind-checked and
     its binder pushed, outermost first, and the innermost body is inferred
     once. Its type is unshifted once past the whole chain, and each
@@ -475,7 +520,7 @@ def _infer_lams(env: Env, m: Node, path: Path) -> TypeResult:
         anns.append(m.ann)
         env = env.push(TmVarBind(m.ann))
         m, path = m.body, (path, "body")
-    got = infer_term(env, m, path)
+    got = infer_term(env, m, path, hook)
     if isinstance(got, AnyType):
         return ANY
     ty = try_unshift(got.type, len(anns))
@@ -497,13 +542,16 @@ def _infer_lams(env: Env, m: Node, path: Path) -> TypeResult:
 
 
 def _infer_match(env: Env, scrut: Node, pat: Pattern, cons: Node,
-                 alt: Optional[Node], path: Path) -> TypeResult:
+                 alt: Optional[Node], path: Path,
+                 hook: Optional[ElabHook]) -> TypeResult:
     which = "if" if alt is not None else "guard"
-    gs = infer_term(env, scrut, (path, "scrut"))
+    gs = infer_term(env, scrut, (path, "scrut"), hook)
+    scrut_ty = gs.type if isinstance(gs, Exactly) else None
     res_kinds, arg_tys, cod = pattern_type(
-        env, pat, gs.type if isinstance(gs, Exactly) else None,
-        (path, "pattern"))
-    scrut_ty = gs.type if isinstance(gs, Exactly) else cod
+        env, pat, scrut_ty if hook is None else None, (path, "pattern"))
+    if hook is not None and scrut_ty != cod:
+        hook.cast(env, scrut_ty, cod, (path, "scrut"))
+    scrut_ty = cod
     if alt is not None:
         if not is_data_head(env, scrut_ty):
             _fail("not-data", "if scrutinee must be a closed data type",
@@ -512,12 +560,14 @@ def _infer_match(env: Env, scrut: Node, pat: Pattern, cons: Node,
         if not is_open_head(env, scrut_ty):
             _fail("not-open", "guard scrutinee must be an open data type",
                   path, found=scrut_ty)
-    gc = infer_term(env, cons, (path, "cons"))
+    gc = infer_term(env, cons, (path, "cons"), hook)
     result: Optional[Node] = None
     if isinstance(gc, Exactly):
         result = _match_consequent(res_kinds, arg_tys, gc.type,
                                    (path, "cons"))
-    if alt is not None:
+    if hook is not None and alt is not None:
+        _check(env, alt, result, (path, "alt"), hook)
+    elif alt is not None:
         ga = infer_term(env, alt, (path, "alt"))
         if isinstance(ga, Exactly):
             if result is not None and result != ga.type:
@@ -528,16 +578,21 @@ def _infer_match(env: Env, scrut: Node, pat: Pattern, cons: Node,
     return Exactly(result) if result is not None else ANY
 
 
-def check_term(env: Env, m: Node, expected: Node,
-               path: Path = ()) -> None:
-    ke = kind_of(env, expected, path)
-    if ke != STAR:
+def check_term(env: Env, m: Node, expected: Node, path: Path = (),
+               hook: Optional[ElabHook] = None) -> None:
+    _kind_star(env, expected, path)
+    _check(env, m, expected, path, hook)
+
+
+def _kind_star(env: Env, t: Node, path: Path) -> None:
+    k = kind_of(env, t, path)
+    if k != STAR:
         _fail("kind-mismatch", "checked type must have kind *",
-              path, expected=STAR, found=ke)
-    _check(env, m, expected, path)
+              path, expected=STAR, found=k)
 
 
-def _check(env: Env, m: Node, expected: Node, path: Path) -> None:
+def _check(env: Env, m: Node, expected: Node, path: Path,
+           hook: Optional[ElabHook] = None) -> None:
     match m:
         case Zero():
             return
@@ -546,43 +601,57 @@ def _check(env: Env, m: Node, expected: Node, path: Path) -> None:
             _check(env, r, expected, (path, "right"))
             return
         case Lam():
-            _check_lams(env, m, expected, path)
+            _check_lams(env, m, expected, path, hook)
             return
         case TyLam(k, body):
             match expected:
                 case Forall(kk, ety) if k == kk:
-                    _check(env.push(TyVarBind(k)), body, ety, (path, "body"))
+                    _check(env.push(TyVarBind(k)), body, ety, (path, "body"),
+                           hook)
                     return
-            _fail("type-mismatch", "type abstraction checked against a bad type",
-                  path, expected=expected, found="a type abstraction")
-        case _:
-            got = infer_term(env, m, path)
-            if isinstance(got, AnyType):
-                return
-            if got.type != expected:
-                _fail("type-mismatch", "term type mismatch",
-                      path, expected=expected, found=got.type)
+            if hook is None:
+                _fail("type-mismatch",
+                      "type abstraction checked against a bad type",
+                      path, expected=expected, found="a type abstraction")
+    _check_inferred(env, m, expected, path, hook)
 
 
-def _check_lams(env: Env, m: Node, expected: Node,
-                path: Path) -> None:
+def _check_inferred(env: Env, m: Node, expected: Node, path: Path,
+                    hook: Optional[ElabHook]) -> None:
+    """`m`'s inferred type against `expected`: where they differ, the hook
+    casts `m`, and without one the check fails."""
+    got = infer_term(env, m, path, hook)
+    if isinstance(got, AnyType) or got.type == expected:
+        return
+    if hook is None:
+        _fail("type-mismatch", "term type mismatch",
+              path, expected=expected, found=got.type)
+    hook.cast(env, got.type, expected, path)
+
+
+def _check_lams(env: Env, m: Node, expected: Node, path: Path,
+                hook: Optional[ElabHook]) -> None:
     """A chain of lambdas checked against an arrow telescope in one pass.
     The telescope stays over the binders outside the chain: each domain is
     shifted past the term binders before its lambda, and the codomain that
-    remains is shifted once, for the innermost body."""
+    remains is shifted once, for the innermost body. Under a hook, the
+    first lambda that does not fit is inferred and cast."""
     depth = 0
     while isinstance(m, Lam):
         ac = un_arrow(expected)
-        if ac is None:
-            _fail("type-mismatch", "lambda checked against a non-function type",
-                  path, expected=shift(expected, depth), found="a lambda")
-        dom = shift(ac[0], depth)
-        if m.ann != dom:
+        if ac is None or m.ann != shift(ac[0], depth):
+            if hook is not None:
+                _check_inferred(env, m, shift(expected, depth), path, hook)
+                return
+            if ac is None:
+                _fail("type-mismatch",
+                      "lambda checked against a non-function type",
+                      path, expected=shift(expected, depth), found="a lambda")
             _fail("type-mismatch", "lambda annotation mismatch",
-                  path, expected=dom, found=m.ann)
+                  path, expected=shift(ac[0], depth), found=m.ann)
         env = env.push(TmVarBind(m.ann))
         expected, m, path, depth = ac[1], m.body, (path, "body"), depth + 1
-    _check(env, m, shift(expected, depth), path)
+    _check(env, m, shift(expected, depth), path, hook)
 
 
 # --------------------------------------------------------- environments

@@ -16,8 +16,9 @@ checked against it.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
-from fdc.parser import KEYWORDS, ParseError, Parser, Token, _SYMBOLS
+from fdc.parser import KEYWORDS, ParseError, Parser, _SYMBOLS
 from fdc.syntax import (
     Node, Lam, App, TyLam, TyApp, Cast, If, Guard, Choice, Sym, Trans, CApp,
     Fst, Snd, Univ, CInst, Decl,
@@ -31,6 +32,13 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
     r"|(?P<sym>" + "|".join(re.escape(s) for s in _SYMBOLS) + r")"
 )
+
+
+class Token(NamedTuple):
+    kind: str  # 'name' | 'kw' | 'num' | 'hash' | a symbol | 'eof'
+    text: str
+    line: int
+    col: int
 
 
 def reference_tokenize(text: str) -> list[Token]:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -402,6 +403,31 @@ def test_seeded_corpus_edits_never_crash(tmp_path, capsys):
         assert code in (0, 1, 2), (name, op, pos, ch, code)
 
 
+# The SHA-256 of `fdc elab`'s outcome on each seeded edit of a `.hsk` file:
+# 27 parse errors, 18 elaborations, 10 `fundep-violation`, 1 `unbound-con`
+# and 1 `unbound-tyvar`. Any change to what elaboration prints or reports on
+# these near-miss programs fails the test.
+SEEDED_ELAB_DIGEST = \
+    "e13bb4f415b96efc490a0304234e6101e496b5f08d4aaa9dff215183e9d511bb"
+
+
+def test_seeded_hsk_edits_elaborate_as_pinned(tmp_path, capsys):
+    h = hashlib.sha256()
+    count = 0
+    for name, op, pos, ch, edited in seeded_corpus_edits():
+        if not name.endswith(".hsk"):
+            continue
+        path = tmp_path / name
+        path.write_text(edited)
+        code, out, err = run_cli(capsys, "elab", str(path))
+        count += 1
+        h.update(f"{name} {op} {pos} {ch!r} exit {code}\n".encode())
+        h.update(out.encode())
+        h.update(err.replace(str(path), name).encode())
+    assert count == 57
+    assert h.hexdigest() == SEEDED_ELAB_DIGEST
+
+
 def test_undecodable_input_is_a_decode_error(tmp_path, capsys):
     bad = tmp_path / "bad.hsk"
     bad.write_bytes(b"\xff" + corpus_text("superclasses.hsk").encode())
@@ -486,6 +512,40 @@ def test_fuzz_reports_an_unusable_prelude(tmp_path, without_maybe, extra,
     else:
         [shown] = proc.stderr.splitlines()
     assert shown.startswith(f"{code}: ") and names in shown
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("class C a where { m :: Maybe -> a; };\n",
+     "type argument kind mismatch (expected *, found * -> *)"),
+    ("data T :: * where { K :: Maybe -> T; };\n",
+     "type argument kind mismatch (expected *, found * -> *)"),
+    ("class C a; instance C Maybe;\n",
+     "type argument kind mismatch (expected *, found * -> *)"),
+    ("let f :: Bool -> Bool = \\ x :: Maybe. x;\n",
+     "lambda annotation must be a * type (expected *, found * -> *)"),
+], ids=["method", "ctor", "instance", "lambda"])
+def test_user_kind_errors_are_user_errors(tmp_path, capsys, text, shown):
+    # the types a program writes are kinded before anything built from them
+    # is emitted or searched for a coercion
+    path = tmp_path / "kinds.hsk"
+    path.write_text(text)
+    for command in ("elab", "check"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (1, ""), command
+        assert err == f"{path}: kind-mismatch: {shown}\n", command
+
+
+def test_a_prelude_byte_order_mark_is_dropped(tmp_path):
+    # a child process, because `prelude_for` caches the prelude
+    prelude = tmp_path / "bom-prelude.fd"
+    prelude.write_bytes(b"\xef\xbb\xbf" + corpus_text("prelude.fd").encode())
+    proc = subprocess.run(
+        [sys.executable, "-m", "fdc", "check",
+         corpus_path("superclasses.fd")],
+        capture_output=True, text=True,
+        env={**checkout_env(), "FDC_PRELUDE": str(prelude)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{corpus_path('superclasses.fd')}: ok\n"
 
 
 @pytest.mark.parametrize("text", [

@@ -4,10 +4,12 @@ from fdc.corpus import corpus_text
 from fdc.elaborate import elaborate_program
 from fdc.parser import ParseError
 from fdc.surface import (
-    SAnnot, SApp, SArrow, SClassDecl, SCon, SForall, SHole, SInstanceDecl,
-    STApp, STCon, STVar, SVar, parse_surface, validate_surface,
+    SClassDecl, SInstanceDecl, parse_surface, validate_surface,
 )
-from fdc.syntax import KArr, STAR
+from fdc.syntax import (
+    Annot, App, Con, Forall, Hole, KArr, Ref, STAR, TApp, TCon, TVar, arrow,
+    un_arrow,
+)
 from fdc.typecheck import Diagnostic
 
 
@@ -20,7 +22,8 @@ def test_class_decl_shape():
     assert decl.supers == ()
     [(name, ty)] = decl.methods
     assert name == "eq"
-    assert ty == SArrow(STVar("a"), SArrow(STVar("a"), STCon("Bool")))
+    # the class parameter is the one bound variable
+    assert ty == arrow(TVar(0), arrow(TVar(0), TCon("Bool")))
 
 
 def test_fundep_clauses_to_index_sets():
@@ -35,7 +38,7 @@ def test_multi_determiner_fundep():
 
 def test_superclass_sugar():
     [decl] = parse_surface("class Eq a => Ord a where { lt :: a -> a -> Bool; };")
-    assert decl.supers == (STApp(STCon("Eq"), STVar("a")),)
+    assert decl.supers == (TApp(TCon("Eq"), TVar(0)),)
 
 
 def test_instance_with_context():
@@ -43,16 +46,17 @@ def test_instance_with_context():
     assert isinstance(decl, SInstanceDecl)
     assert decl.class_name == "F"
     assert decl.ctor_name is None
-    assert decl.context == (STApp(STApp(STCon("F"), STVar("a")),
-                                  STVar("b")),)
-    assert decl.head_args == (STApp(STCon("Maybe"), STVar("a")),
-                              STApp(STCon("Maybe"), STVar("b")))
+    # the instance's variables, a then b, b innermost
+    assert decl.ivars == ("a", "b")
+    assert decl.context == (TApp(TApp(TCon("F"), TVar(1)), TVar(0)),)
+    assert decl.head_args == (TApp(TCon("Maybe"), TVar(1)),
+                              TApp(TCon("Maybe"), TVar(0)))
 
 
 def test_instance_with_explicit_ctor_name():
     [decl] = parse_surface("instance FIB : F Int Bool;")
     assert decl.ctor_name == "FIB"
-    assert decl.head_args == (STCon("Int"), STCon("Bool"))
+    assert decl.head_args == (TCon("Int"), TCon("Bool"))
 
 
 def _let_body(term: str):
@@ -63,13 +67,14 @@ def _let_body(term: str):
 
 def test_hole_and_annotation_terms():
     t = _let_body("eq [a] (_ :: Eq a) x y")
-    # spine: (((eq [a]) hole) x) y
-    assert isinstance(t, SApp)
-    assert t.arg == SVar("y")
+    # spine: (((eq [a]) hole) x) y, with every name free: a type variable
+    # no binder binds is read as a type constant of its name
+    assert isinstance(t, App)
+    assert t.arg == Ref("y")
     hole = t.fun.fun.arg
-    assert hole == SHole(STApp(STCon("Eq"), STVar("a")))
+    assert hole == Hole(TApp(TCon("Eq"), TCon("a")))
     annotated = _let_body("(True :: Bool)")
-    assert annotated == SAnnot(SCon("True"), STCon("Bool"))
+    assert annotated == Annot(Con("True"), TCon("Bool"))
 
 
 def test_kind_annotated_class_params():
@@ -83,8 +88,8 @@ def test_context_arrow_sugar_in_types():
     [decl] = parse_surface("let f :: forall t. F Int t => t -> t "
                            "= /\\ t. \\ d :: F Int t. not;")
     ty = decl.type
-    assert isinstance(ty, SForall)
-    assert isinstance(ty.body, SArrow)  # the dictionary arrow
+    assert isinstance(ty, Forall)
+    assert un_arrow(ty.body) is not None  # the dictionary arrow
 
 
 def test_roundtrip_corpus_files():
@@ -166,5 +171,5 @@ def test_fundep_index_of_unknown_param_fails():
 def test_multiple_superclasses_parse():
     [decl] = parse_surface(
         "class (Eq a, Ord a) => Both a where { m :: a -> a; };")
-    assert decl.supers == (STApp(STCon("Eq"), STVar("a")),
-                           STApp(STCon("Ord"), STVar("a")))
+    assert decl.supers == (TApp(TCon("Eq"), TVar(0)),
+                           TApp(TCon("Ord"), TVar(0)))

@@ -8,8 +8,8 @@ import pytest
 from fdc import printer
 from fdc.corpus import corpus_text
 from fdc.parser import (
-    ParseError, parse_core, parse_core_with_spans, parse_term, parse_type,
-    tokenize,
+    Cursor, ParseError, parse_core, parse_core_with_spans, parse_term,
+    parse_type,
 )
 from fdc.printer import print_core, print_node, print_term, print_type
 from fdc.propcheck import GenConfig, gen_node, gen_well_typed
@@ -134,6 +134,13 @@ def test_parse_error_position_and_expected():
     assert exc.value.col > 1
 
 
+def tokenize(text):
+    """(kind, text, line, col) of each token `Cursor` lexes, `eof` last."""
+    c = Cursor(text)
+    return [(kind, tok, *c.where(i))
+            for i, (kind, tok) in enumerate(zip(c.kinds, c.texts))]
+
+
 def test_token_positions_after_comments_and_blank_lines():
     text = ("-- a comment\n"
             "--   over two lines\n"
@@ -144,7 +151,7 @@ def test_token_positions_after_comments_and_blank_lines():
     with pytest.raises(ParseError) as exc:
         tokenize(text)
     assert (exc.value.line, exc.value.col) == (6, 3)
-    got = [(t.kind, t.text, t.line, t.col) for t in tokenize(text[:-1])]
+    got = tokenize(text[:-1])
     assert got == [
         ("kw", "data", 3, 1), ("name", "T", 3, 6), (":", ":", 3, 8),
         ("*", "*", 3, 10), (";", ";", 3, 11),
@@ -488,8 +495,9 @@ def test_term_parser_matches_the_oracle():
             text = _NoisyPrinter(rng, 0.1, 0.2).tm(node)
         assert _outcome(parse_term, text) == _outcome(oracle_parse_term,
                                                       text), text
-        kinds = [tok.kind if tok.kind != "kw" else tok.text
-                 for tok in tokenize(text)]
+        c = Cursor(text)
+        kinds = [tok if kind == "kw" else kind
+                 for kind, tok in zip(c.kinds, c.texts)]
         bare += any(a in printer.INFIX
                     and b in {*printer.BINDERS, "if", "guard", "sym"}
                     for a, b in zip(kinds, kinds[1:]))

@@ -11,8 +11,9 @@ from fdc.printer import print_node
 from fdc.propcheck import GenConfig, gen_well_typed
 from fdc.subst import shift
 from fdc.syntax import (
-    Con, Decl, Env, EqTy, KArr, Lam, Pattern, Ref, Refl, TApp, TCon, TmVarBind,
-    TVar, TyVarBind, Var, ZERO, STAR, arrow, spine_head, split_ctor_type,
+    Annot, App, Con, Decl, Env, EqTy, Hole, KArr, Lam, Pattern, Ref, Refl,
+    TApp, TCon, TmVarBind, TVar, TyVarBind, Var, ZERO, STAR, arrow,
+    spine_head, split_ctor_type,
 )
 from fdc.typecheck import (
     AnyType, CheckError, Diagnostic, Exactly, check_decl, check_env,
@@ -23,6 +24,25 @@ from fdc.syntax import DataDecl, CtorDecl, OpenTypeDecl, OpenCtorDecl, \
     MethodDecl, InstanceDecl, LetDecl
 
 BOOL = TCon("Bool")
+
+
+@pytest.mark.parametrize("term, path", [
+    (Hole(TApp(TCon("Eq"), BOOL)), ()),
+    (Annot(Con("True"), BOOL), ()),
+    (App(Ref("not"), Annot(Con("True"), BOOL)), ("arg",)),
+    (Lam(BOOL, Hole(BOOL)), ("body",)),
+], ids=["hole", "annotation", "argument", "lambda-body"])
+def test_surface_nodes_are_a_diagnostic_without_a_hook(prelude, term, path):
+    # only elaboration types holes and annotations; the plain checker
+    # reports them where they are, and raises nothing else
+    wanted = Diagnostic("not-core", "holes and type annotations are surface "
+                                    "syntax, typed only by elaboration", path)
+    expected = BOOL if not isinstance(term, Lam) else arrow(BOOL, BOOL)
+    for check in (lambda: infer_term(prelude, term),
+                  lambda: check_term(prelude, term, expected)):
+        with pytest.raises(CheckError) as exc:
+            check()
+        assert exc.value.diagnostic == wanted
 
 
 def test_check_env_empty_and_arrow_seed():
