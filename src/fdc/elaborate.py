@@ -28,11 +28,12 @@ from .syntax import (
     Node, TVar, TCon, EqTy, Forall, Var, Ref, Lam, TyLam, TyApp, Cast,
     Pattern, Guard, Env, TyVarBind, TmVarBind, Decl, DataDecl, CtorDecl,
     OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl, LetDecl, FIELDS,
-    STAR, applied, arrow, spine_head, subnodes, type_spine, un_arrow,
+    STAR, applied, arrow, spine_head, type_spine, un_arrow,
 )
 from .subst import shift
 from .typecheck import (
-    CheckError, Diagnostic, check_decl, kind_of, pattern_type, _check, _fail,
+    CheckError, Diagnostic, check_decl, kind_of, look_up_names, pattern_type,
+    _check, _fail,
 )
 
 
@@ -44,36 +45,17 @@ class ElabOptions:
     resolve_depth: int = 32
 
 
-def _foralls(kinds: list[Node], body: Node) -> Node:
-    for k in reversed(kinds):
-        body = Forall(k, body)
-    return body
-
-
-def _arrows(doms: list[Node], cod: Node) -> Node:
-    for d in reversed(doms):
-        cod = arrow(d, cod)
-    return cod
-
-
-def _tylams(kinds: list[Node], body: Node) -> Node:
-    for k in reversed(kinds):
-        body = TyLam(k, body)
+def _under(binder, anns: list[Node], body: Node) -> Node:
+    """`body` under `binder(ann, ...)` for each of `anns`, the first
+    outermost: `Forall`, `TyLam`, `Lam` or `arrow`."""
+    for ann in reversed(anns):
+        body = binder(ann, body)
     return body
 
 
 def _class_dict(name: str, n: int) -> Node:
     """The class `name` applied to its `n` parameters, the innermost last."""
     return applied(name, [TVar(n - 1 - i) for i in range(n)])
-
-
-def _look_up_names(env: Env, types: list[Node]) -> None:
-    """Each type constant in `types`, left to right, looked up: the first
-    unbound one is reported as `kind_of` reports it."""
-    for t in types:
-        for n in subnodes(t):
-            if isinstance(n, TCon):
-                kind_of(env, n)
 
 
 def _witness_telescope(name: str, kinds: tuple[Node, ...], fd: FundepInfo):
@@ -95,7 +77,9 @@ class _Fixes:
     """The checker's elaboration hook for one term: each hole's
     dictionary, each annotation's erasure and each cast, kept as a function
     of the subterm under the path the checker names it by, in the order the
-    checker asks for them."""
+    checker asks for them. That order has every fix at a path after those
+    below it, so applying them one by one never needs a path a fix has
+    rewritten."""
 
     def __init__(self, elab: Elaborator):
         self.elab = elab
@@ -114,29 +98,19 @@ class _Fixes:
 
     def apply(self, term: Node) -> Node:
         """`term` with every fix applied where its path leads."""
-        tree: dict = {}  # segment -> subtree; None -> fixes at this node
         for path, fix in self.fixes:
-            segments = []
-            while path:
-                path, segment = path
-                segments.append(segment)
-            node = tree
-            for segment in reversed(segments):
-                node = node.setdefault(segment, {})
-            node.setdefault(None, []).append(fix)
-        return _rebuild(term, tree)
+            term = _fix_at(term, path, fix)
+        return term
 
 
-def _rebuild(n: Node, tree: dict) -> Node:
-    """`n` with each field `tree` names rebuilt, then the fixes at `n`."""
-    for segment, below in tree.items():
-        if segment is not None:
-            child = _rebuild(getattr(n, segment), below)
-            n = type(n)(*(child if f == segment else getattr(n, f)
-                          for f, _ in FIELDS[type(n)]))
-    for fix in tree.get(None, ()):
-        n = fix(n)
-    return n
+def _fix_at(n: Node, path, fix) -> Node:
+    """`n` with `fix` applied to its subterm at `path`."""
+    if not path:
+        return fix(n)
+    parent, segment = path
+    return _fix_at(n, parent, lambda p: type(p)(*(
+        fix(getattr(p, f)) if f == segment else getattr(p, f)
+        for f, _ in FIELDS[type(p)])))
 
 
 class Elaborator:
@@ -175,10 +149,13 @@ class Elaborator:
             k += 1
         return f"{base}{alt}{k}"
 
-    def _kinded(self, env: Env, types: list[Node]) -> None:
+    def _kinded(self, env: Env, types: list[Node], names: bool = True
+                ) -> None:
         """Kind types the user wrote, before anything built from them is
-        emitted: their names first, then each must have kind *."""
-        _look_up_names(env, types)
+        emitted: their names first (unless already looked up), then each
+        must have kind *."""
+        if names:
+            look_up_names(env, types)
         for t in types:
             k = kind_of(env, t)
             if k != STAR:
@@ -211,17 +188,8 @@ class Elaborator:
         return self.diags
 
     def do_decl(self, d: SDecl) -> None:
-        match d:
-            case SDataDecl(_, _, _):
-                self.do_data(d)
-            case SClassDecl(_, _, _, _, _):
-                self.do_class(d)
-            case SInstanceDecl(_, _, _, _, _):
-                self.do_instance(d)
-            case SLetDecl(_, _, _):
-                self.do_let(d)
-            case _:
-                raise TypeError(f"not a surface declaration: {d!r}")
+        {SDataDecl: self.do_data, SClassDecl: self.do_class,
+         SInstanceDecl: self.do_instance, SLetDecl: self.do_let}[type(d)](d)
 
     def do_data(self, d: SDataDecl) -> None:
         self.emit(DataDecl(d.name, d.kind))
@@ -241,7 +209,7 @@ class Elaborator:
         c_applied = _class_dict(c.name, len(kinds))
 
         def close(body: Node) -> Node:
-            return _foralls(kinds, body)
+            return _under(Forall, kinds, body)
 
         self.emit(OpenTypeDecl(c.name, c.kind))
         scope = self.env.push(*map(TyVarBind, kinds))
@@ -252,13 +220,13 @@ class Elaborator:
             self.emit(MethodDecl(mname, full))
             info.methods[mname] = full
         for pred in c.supers:
-            _look_up_names(scope, [pred])
+            look_up_names(scope, [pred])
             head = spine_head(pred)
             if not isinstance(head, TCon) or head.name not in self.registry.classes:
                 _fail("unknown-superclass",
                       f"superclass of {c.name!r} must be a declared class",
                       found=pred)
-            self._kinded(scope, [pred])
+            self._kinded(scope, [pred], names=False)
             proj = self.fresh_term_name(
                 c.name[0].lower() + c.name[1:] + head.name)
             self.emit(MethodDecl(proj, close(arrow(c_applied, pred))))
@@ -268,8 +236,8 @@ class Elaborator:
             fd = FundepInfo(self.fresh_term_name(base, c.name), tuple(dets),
                             det)
             qkinds, d1, d2, lhs, rhs = _witness_telescope(c.name, kinds, fd)
-            self.emit(MethodDecl(fd.name, _foralls(
-                qkinds, _arrows([d1, d2], EqTy(lhs, rhs, kinds[det])))))
+            self.emit(MethodDecl(fd.name, _under(Forall, qkinds, _under(
+                arrow, [d1, d2], EqTy(lhs, rhs, kinds[det])))))
             info.fundeps.append(fd)
         self.registry.classes[c.name] = info
 
@@ -290,21 +258,21 @@ class Elaborator:
             f"K_{ins.class_name}_{count}")
         if self.env.term_name_taken(ctor):
             _fail("duplicate-name", f"constructor {ctor!r} is already declared")
-        head_core, ctx_core = list(ins.head_args), list(ins.context)
+        head, context = ins.head_args, list(ins.context)
         self._kinded(self.env.push(*[TyVarBind(STAR)] * m),
-                     [applied(ins.class_name, head_core), *ctx_core])
+                     [applied(ins.class_name, head), *context])
 
         def a_var(i: int) -> Node:
             return TVar(m + n - 1 - i)
 
-        premises = [EqTy(head_core[i], a_var(i), info.param_kinds[i])
+        premises = [EqTy(head[i], a_var(i), info.param_kinds[i])
                     for i in range(n)]
         cod = applied(ins.class_name, [a_var(i) for i in range(n)])
-        self.emit(OpenCtorDecl(ctor, _foralls(
-            list(info.param_kinds) + [STAR] * m,
-            _arrows(premises + ctx_core, cod))))
+        self.emit(OpenCtorDecl(ctor, _under(
+            Forall, list(info.param_kinds) + [STAR] * m,
+            _under(arrow, premises + context, cod))))
         inst_info = InstanceInfo(ins.class_name, ctor, (STAR,) * m,
-                                 tuple(head_core), tuple(ctx_core))
+                                 head, ins.context)
         given = dict(ins.methods)
         for mname in given:
             if mname not in info.methods:
@@ -380,12 +348,10 @@ class Elaborator:
         if body is None:
             return
         for scrut, pat, res_kinds, arg_tys in reversed(opened):
-            for t in reversed(arg_tys):
-                body = Lam(t, body)
-            body = Guard(Var(scrut), pat, _tylams(res_kinds, body))
-        for t in reversed(dict_tys):
-            body = Lam(t, body)
-        self.emit(InstanceDecl(name, _tylams(kinds, body)))
+            body = _under(Lam, arg_tys, body)
+            body = Guard(Var(scrut), pat, _under(TyLam, res_kinds, body))
+        body = _under(Lam, dict_tys, body)
+        self.emit(InstanceDecl(name, _under(TyLam, kinds, body)))
 
     def _fd_witness(self, info: ClassInfo, fd: FundepInfo,
                     inst1: InstanceInfo, inst2: InstanceInfo) -> None:

@@ -201,6 +201,14 @@ class Parser(Cursor):
         super().__init__(text)
         self.stack: list[str] = []  # binder names, outer first
 
+    def bound(self, names: list[str], read):
+        """`read()` with `names` bound, the last innermost."""
+        self.stack += names
+        try:
+            return read()
+        finally:
+            del self.stack[len(self.stack) - len(names):]
+
     # ---------------------------------------------------------- types
 
     def type_(self) -> Node:
@@ -210,12 +218,7 @@ class Parser(Cursor):
             self.expect(":")
             k = self.kind()
             self.expect(".")
-            self.stack.append(name)
-            try:
-                body = self.type_()
-            finally:
-                self.stack.pop()
-            return Forall(k, body)
+            return Forall(k, self.bound([name], self.type_))
         return self.ty_arrow()
 
     def ty_arrow(self) -> Node:
@@ -303,10 +306,7 @@ class Parser(Cursor):
             kind_ann = FIELDS[binder][0][1] is KIND
             ann = self.kind() if kind_ann else self.type_()
             self.expect(".")
-            self.stack.append(name)
-            body = self.term()
-            self.stack.pop()
-            return binder(ann, body)
+            return binder(ann, self.bound([name], self.term))
         if text == "if":
             self.advance()
             scrut = self.term()

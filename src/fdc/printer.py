@@ -79,8 +79,8 @@ def print_kind(k: Node, level: int = 0) -> str:
 
 
 class _Printer:
-    def __init__(self) -> None:
-        self.stack: list[str] = []  # binder names, outermost first
+    def __init__(self, names: tuple[str, ...] = ()) -> None:
+        self.stack: list[str] = list(names)  # binder names, outermost first
         self.term_count = 0
         self.type_count = 0
 
@@ -194,9 +194,7 @@ class _Printer:
 
 def print_type(t: Node, names: tuple[str, ...] = ()) -> str:
     """`t` with its free variables named by `names`, the last innermost."""
-    p = _Printer()
-    p.stack = list(names)
-    return p.ty(t)
+    return _Printer(names).ty(t)
 
 
 def print_term(m: Node) -> str:

@@ -71,7 +71,7 @@ class SInstanceDecl(SDecl):
     methods: tuple[tuple[str, Node], ...]
     # the instance's variables, outermost first: in the order each first
     # occurs in the head, then the context
-    ivars: tuple[str, ...] = ()
+    ivars: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -86,17 +86,6 @@ class SLetDecl(SDecl):
 class SurfaceParser(Parser):
     """Reads declarations into core nodes over `Parser`'s binder stack."""
 
-    def at_name(self) -> bool:
-        return self.kinds[self.pos] == "name"
-
-    def bound(self, names: list[str], read):
-        """`read()` with `names` bound, the last innermost."""
-        self.stack += names
-        try:
-            return read()
-        finally:
-            del self.stack[len(self.stack) - len(names):]
-
     # ---- types
 
     def type_(self) -> Node:
@@ -108,18 +97,16 @@ class SurfaceParser(Parser):
         return self.ty_arrow()
 
     def binder_param(self) -> tuple[str, Node]:
-        if self.at("("):
+        """`a`, `a :: kind` or `(a :: kind)`."""
+        parens = self.at("(")
+        if parens:
             self.advance()
-            var = self.name()
+        var, kind = self.name(), STAR
+        if parens or self.at("::"):
             self.expect("::")
             kind = self.kind()
+        if parens:
             self.expect(")")
-            return var, kind
-        var = self.name()
-        kind: Node = STAR
-        if self.at("::"):
-            self.advance()
-            kind = self.kind()
         return var, kind
 
     def ty_arrow(self) -> Node:
@@ -131,12 +118,12 @@ class SurfaceParser(Parser):
 
     def ty_app(self) -> Node:
         f = self.ty_atom()
-        while self.at_name() or self.at("("):
+        while self.at("name", "("):
             f = TApp(f, self.ty_atom())
         return f
 
     def ty_atom(self) -> Node:
-        if self.at_name():
+        if self.at("name"):
             return self.resolve_type_name(self.advance())
         if self.at("("):
             self.advance()
@@ -158,24 +145,15 @@ class SurfaceParser(Parser):
     # ---- terms
 
     def term(self) -> Node:
-        if self.at("\\"):
-            self.advance()
+        if self.at("\\", "/\\"):  # `\x :: type.` or `/\a :: kind.`
+            binder = Lam if self.advance() == "\\" else TyLam
             var = self.name(upper=False)
-            ann = UNANNOTATED
+            ann = UNANNOTATED if binder is Lam else STAR
             if self.at("::"):
                 self.advance()
-                ann = self.type_()
+                ann = self.type_() if binder is Lam else self.kind()
             self.expect(".")
-            return Lam(ann, self.bound([var], self.term))
-        if self.at("/\\"):
-            self.advance()
-            var = self.name(upper=False)
-            kind: Node = STAR
-            if self.at("::"):
-                self.advance()
-                kind = self.kind()
-            self.expect(".")
-            return TyLam(kind, self.bound([var], self.term))
+            return binder(ann, self.bound([var], self.term))
         if self.at_kw("if"):
             self.advance()
             scrut = self.term()
@@ -195,13 +173,13 @@ class SurfaceParser(Parser):
                 t = self.type_()
                 self.expect("]")
                 f = TyApp(f, t)
-            elif self.at_name() or self.at("("):
+            elif self.at("name", "("):
                 f = App(f, self.atom())
             else:
                 return f
 
     def atom(self) -> Node:
-        if self.at_name():
+        if self.at("name"):
             name = self.advance()
             if name == "_":
                 self.fail("holes must be written (_ :: type)")
@@ -305,7 +283,7 @@ class SurfaceParser(Parser):
         name_at = self.pos
         name = self.name(upper=True)
         params: list[tuple[str, Node]] = []
-        while self.at_name() or self.at("("):
+        while self.at("name", "("):
             params.append(self.binder_param())
         param_names = [p for p, _ in params]
         if len(set(param_names)) != len(param_names):
@@ -353,7 +331,7 @@ class SurfaceParser(Parser):
             self.advance()
             while True:
                 dets = [self._param_index(params)]
-                while self.at_name():
+                while self.at("name"):
                     dets.append(self._param_index(params))
                 self.expect("->")
                 determined = self._param_index(params)
@@ -379,14 +357,16 @@ class SurfaceParser(Parser):
 
     def instance_decl(self) -> SDecl:
         ctor_name: Optional[str] = None
-        if (self.at_name() and self.texts[self.pos][0].isupper()
+        if (self.at("name") and self.texts[self.pos][0].isupper()
                 and self.kinds[self.pos + 1] == ":"):
             ctor_name = self.name(upper=True)
             self.expect(":")
         start = self.pos
         preds, head = self.context_then_head()
         head_con, head_args = type_spine(head)
-        if not isinstance(head_con, TCon) or is_variable_name(head_con.name):
+        # no class is named `->`: an arrow type, infix or prefix, is no head
+        if (not isinstance(head_con, TCon) or is_variable_name(head_con.name)
+                or head_con == ARROW and len(head_args) > 1):
             self.fail("instance head must name a class")
         # the head and context again, with the instance's variables bound
         ivars = list(dict.fromkeys(
@@ -418,12 +398,9 @@ def _check_annotations(t: Node, issues: list[Diagnostic], where: str) -> None:
                 issues.append(Diagnostic(
                     "annotation-required",
                     f"{where}: non-variable application head must be annotated"))
-            match t:
-                case App(f, a):
-                    _check_annotations(f, issues, where)
-                    _check_annotations(a, issues, where)
-                case TyApp(f, _):
-                    _check_annotations(f, issues, where)
+            _check_annotations(t.fun, issues, where)
+            if isinstance(t, App):
+                _check_annotations(t.arg, issues, where)
         case Lam(ann, body):
             if ann == UNANNOTATED:
                 issues.append(Diagnostic(
@@ -441,9 +418,8 @@ def _check_annotations(t: Node, issues: list[Diagnostic], where: str) -> None:
                 issues.append(Diagnostic(
                     "annotation-required",
                     f"{where}: if consequent must be annotated"))
-            _check_annotations(scrut, issues, where)
-            _check_annotations(cons, issues, where)
-            _check_annotations(alt, issues, where)
+            for part in (scrut, cons, alt):
+                _check_annotations(part, issues, where)
         case Annot(term, _):
             _check_annotations(term, issues, where)
         case _:

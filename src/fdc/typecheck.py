@@ -10,22 +10,26 @@ The checker builds the path to the current subterm as a cons list, `()` or
 flattens it into the tuple a `Diagnostic` holds. A term's path segments are
 the names of the fields it descends through.
 
-`infer_term` and `check_term` also elaborate. Given a hook, they type a
-parsed surface term by the same rules: at a `Hole` they ask the hook for a
-dictionary, at an `Annot` they check the term against the annotation and
-ask the hook to erase it, and where a type mismatch would fail (`_check`'s
-fallback, a lambda whose annotation or arrow does not fit, a scrutinee
-against its pattern's codomain) they ask it for a cast. Each request names
-the path of the subterm it fixes. Under a hook an application's argument
-and an `if`'s alternative are checked, not inferred and compared, so casts
-land as deep as they can. Without a hook, `Hole` and `Annot` are errors.
+`infer_term`, `check_term` and `_check` also elaborate. Given a hook
+(`elaborate._Fixes`), they type a parsed surface term by the same rules: at
+a `Hole` they call the hook's `hole` for a dictionary, at an `Annot` they
+check the term against the annotation and call `erase`, and where a type
+mismatch would fail (`_check`'s fallback, a lambda whose annotation or
+arrow does not fit, a scrutinee against its pattern's codomain) they call
+`cast`. Each call names the path of the subterm it fixes. Under a hook an
+application's argument and an `if`'s alternative are checked, not inferred
+and compared, so casts land as deep as they can; a type the source wrote
+has its names looked up, left to right, before it is kinded; and a term
+that is not a function or not quantified is reported without the core's
+description of what was expected. Without a hook, `Hole` and `Annot` are
+errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NoReturn, Optional, Protocol, Union
+from typing import NoReturn, Optional, Union
 
 from . import printer
 from .syntax import (
@@ -34,7 +38,7 @@ from .syntax import (
     Trans, CApp, Fst, Snd, Univ, CInst, Sim, Hole, Annot, Decl, DataDecl,
     CtorDecl, OpenTypeDecl, OpenCtorDecl, MethodDecl, InstanceDecl, LetDecl,
     Env, TyVarBind, TmVarBind, STAR, is_variable_name, spine_head,
-    split_ctor_type, un_arrow, arrow,
+    split_ctor_type, subnodes, un_arrow, arrow,
 )
 from .subst import (
     instantiate, instantiate_all, is_closed, shift, try_unshift,
@@ -56,17 +60,8 @@ TypeResult = Union[Exactly, AnyType]
 
 # `()`, or `(parent path, segment)`: see the module docstring.
 Path = tuple
-
-
-class ElabHook(Protocol):
-    """What elaboration adds to checking; see the module docstring."""
-
-    def hole(self, env: Env, goal: Node, path: Path) -> None: ...
-
-    def erase(self, path: Path) -> None: ...
-
-    def cast(self, env: Env, found: Node, expected: Node,
-             path: Path) -> None: ...
+# An elaboration hook, or None: see the module docstring.
+Hook = Optional[object]
 
 
 @dataclass(frozen=True)
@@ -184,6 +179,15 @@ def kind_of(env: Env, ty: Node, path: Path = ()) -> Node:
                       path, expected=k, found=kl if kl != k else kr)
             return STAR
     _fail("classification", "expected a type", path, found=ty)
+
+
+def look_up_names(env: Env, types) -> None:
+    """Each type constant in `types`, left to right, looked up: the first
+    unbound one is reported as `kind_of` reports it."""
+    for t in types:
+        for n in subnodes(t):
+            if isinstance(n, TCon):
+                kind_of(env, n)
 
 
 def is_data_head(env: Env, ty: Node) -> bool:
@@ -390,7 +394,7 @@ def _coerce(env: Env, eta: Node,
 # ------------------------------------------------------------- terms
 
 def infer_term(env: Env, m: Node, path: Path = (),
-               hook: Optional[ElabHook] = None) -> TypeResult:
+               hook: Hook = None) -> TypeResult:
     match m:
         case Var(i):
             entry = env.binder(i)
@@ -427,8 +431,9 @@ def infer_term(env: Env, m: Node, path: Path = (),
                 return ANY
             ac = un_arrow(gf.type)
             if ac is None:
-                _fail("not-arrow", "applied term is not a function",
-                      path, expected="a function type", found=gf.type)
+                _fail("not-arrow", "applied term is not a function", path,
+                      expected=None if hook else "a function type",
+                      found=gf.type)
             if hook is not None:
                 _check(env, a, ac[0], (path, "arg"), hook)
             elif isinstance(ga, Exactly) and ga.type != ac[0]:
@@ -445,6 +450,12 @@ def infer_term(env: Env, m: Node, path: Path = (),
             return Exactly(Forall(k, got.type))
         case TyApp(f, t):
             gf = infer_term(env, f, (path, "fun"), hook)
+            if hook is not None:  # `t` is kinded once `f` is quantified
+                look_up_names(env, (t,))
+                if not isinstance(gf.type, Forall):
+                    _fail("not-forall",
+                          "type application of an unquantified term",
+                          path, found=gf.type)
             kt = kind_of(env, t, (path, "type-arg"))
             if isinstance(gf, AnyType):
                 return ANY
@@ -495,7 +506,7 @@ def infer_term(env: Env, m: Node, path: Path = (),
             _fail("not-core", "holes and type annotations are surface syntax, "
                               "typed only by elaboration", path)
         case Hole(t):
-            _kind_star(env, t, path)
+            _kind_star(env, t, path, hook)
             hook.hole(env, t, path)
             return Exactly(t)
         case Annot(term, t):
@@ -506,13 +517,15 @@ def infer_term(env: Env, m: Node, path: Path = (),
 
 
 def _infer_lams(env: Env, m: Node, path: Path,
-                hook: Optional[ElabHook]) -> TypeResult:
+                hook: Hook) -> TypeResult:
     """A chain of lambdas in one pass: each annotation is kind-checked and
     its binder pushed, outermost first, and the innermost body is inferred
     once. Its type is unshifted once past the whole chain, and each
     annotation past the term binders before it."""
     anns = []
     while isinstance(m, Lam):
+        if hook is not None:
+            look_up_names(env, (m.ann,))
         ka = kind_of(env, m.ann, (path, "ann"))
         if ka != STAR:
             _fail("kind-mismatch", "lambda annotation must be a * type",
@@ -543,10 +556,12 @@ def _infer_lams(env: Env, m: Node, path: Path,
 
 def _infer_match(env: Env, scrut: Node, pat: Pattern, cons: Node,
                  alt: Optional[Node], path: Path,
-                 hook: Optional[ElabHook]) -> TypeResult:
+                 hook: Hook) -> TypeResult:
     which = "if" if alt is not None else "guard"
     gs = infer_term(env, scrut, (path, "scrut"), hook)
     scrut_ty = gs.type if isinstance(gs, Exactly) else None
+    if hook is not None:
+        look_up_names(env, pat.type_args)
     res_kinds, arg_tys, cod = pattern_type(
         env, pat, scrut_ty if hook is None else None, (path, "pattern"))
     if hook is not None and scrut_ty != cod:
@@ -579,12 +594,14 @@ def _infer_match(env: Env, scrut: Node, pat: Pattern, cons: Node,
 
 
 def check_term(env: Env, m: Node, expected: Node, path: Path = (),
-               hook: Optional[ElabHook] = None) -> None:
-    _kind_star(env, expected, path)
+               hook: Hook = None) -> None:
+    _kind_star(env, expected, path, hook)
     _check(env, m, expected, path, hook)
 
 
-def _kind_star(env: Env, t: Node, path: Path) -> None:
+def _kind_star(env: Env, t: Node, path: Path, hook: Hook = None) -> None:
+    if hook is not None:
+        look_up_names(env, (t,))
     k = kind_of(env, t, path)
     if k != STAR:
         _fail("kind-mismatch", "checked type must have kind *",
@@ -592,7 +609,7 @@ def _kind_star(env: Env, t: Node, path: Path) -> None:
 
 
 def _check(env: Env, m: Node, expected: Node, path: Path,
-           hook: Optional[ElabHook] = None) -> None:
+           hook: Hook = None) -> None:
     match m:
         case Zero():
             return
@@ -617,7 +634,7 @@ def _check(env: Env, m: Node, expected: Node, path: Path,
 
 
 def _check_inferred(env: Env, m: Node, expected: Node, path: Path,
-                    hook: Optional[ElabHook]) -> None:
+                    hook: Hook) -> None:
     """`m`'s inferred type against `expected`: where they differ, the hook
     casts `m`, and without one the check fails."""
     got = infer_term(env, m, path, hook)
@@ -630,7 +647,7 @@ def _check_inferred(env: Env, m: Node, expected: Node, path: Path,
 
 
 def _check_lams(env: Env, m: Node, expected: Node, path: Path,
-                hook: Optional[ElabHook]) -> None:
+                hook: Hook) -> None:
     """A chain of lambdas checked against an arrow telescope in one pass.
     The telescope stays over the binders outside the chain: each domain is
     shifted past the term binders before its lambda, and the codomain that

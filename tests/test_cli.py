@@ -523,16 +523,51 @@ def test_fuzz_reports_an_unusable_prelude(tmp_path, without_maybe, extra,
      "type argument kind mismatch (expected *, found * -> *)"),
     ("let f :: Bool -> Bool = \\ x :: Maybe. x;\n",
      "lambda annotation must be a * type (expected *, found * -> *)"),
-], ids=["method", "ctor", "instance", "lambda"])
+    # the same rule for every other type a program writes: each of these
+    # was `internal`, `no-coercion` or `no-instance`
+    ("class C a; class C Maybe => D a;\n",
+     "type argument kind mismatch (expected *, found * -> *)"),
+    ("class C a; instance C Maybe => C (Maybe a);\n",
+     "type argument kind mismatch (expected *, found * -> *)"),
+    ("let f :: Maybe = True;\n",
+     "declared type must have kind * (expected *, found * -> *)"),
+    ("class C a; let f :: Bool = (_ :: C Maybe);\n",
+     "type argument kind mismatch (expected *, found * -> *)"),
+    ("let f :: Bool = (True :: Maybe);\n",
+     "checked type must have kind * (expected *, found * -> *)"),
+], ids=["method", "ctor", "instance", "lambda", "superclass", "context",
+        "let", "hole", "annotation"])
 def test_user_kind_errors_are_user_errors(tmp_path, capsys, text, shown):
     # the types a program writes are kinded before anything built from them
-    # is emitted or searched for a coercion
+    # is emitted or searched for a dictionary or a coercion
     path = tmp_path / "kinds.hsk"
     path.write_text(text)
     for command in ("elab", "check"):
         code, out, err = run_cli(capsys, command, str(path))
         assert (code, out) == (1, ""), command
         assert err == f"{path}: kind-mismatch: {shown}\n", command
+
+
+@pytest.mark.parametrize("text, shown", [
+    # an unbound name is reported before a kind error to its left
+    ("let f :: Bool -> Bool = \\ x :: Maybe -> Foo. x;\n",
+     "unbound-con: type constant 'Foo' is not declared"),
+    # a type argument of an unquantified term is not kinded
+    ("let f :: Bool = not [Maybe Maybe] True;\n",
+     "not-forall: type application of an unquantified term "
+     "(found Bool -> Bool)"),
+    ("let f :: Bool = True [Bool];\n",
+     "not-forall: type application of an unquantified term (found Bool)"),
+    ("let f :: Bool = True True;\n",
+     "not-arrow: applied term is not a function (found Bool)"),
+], ids=["lookup-order", "tyapp-kind", "not-forall", "not-arrow"])
+def test_term_diagnostics_keep_their_elaboration_form(tmp_path, capsys, text,
+                                                      shown):
+    # elaboration types terms with the core checker, but reports these as
+    # it always has: no path, and no description of what was expected
+    path = tmp_path / "terms.hsk"
+    path.write_text(text)
+    assert run_cli(capsys, "elab", str(path)) == (1, "", f"{path}: {shown}\n")
 
 
 def test_a_prelude_byte_order_mark_is_dropped(tmp_path):

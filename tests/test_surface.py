@@ -124,6 +124,36 @@ def test_validate_paterson_counts_each_variable_in_context_order():
         for v in "ba"]
 
 
+def test_validate_paterson_prints_a_context_in_core_syntax():
+    # a context is a core type: a quantifier in it is printed with a
+    # generated binder name, not the one the source wrote
+    program = parse_surface(
+        "class C a; instance C (forall b. b) => C (Maybe a);")
+    assert validate_surface(program) == [Diagnostic(
+        "paterson", "instance C: context C (forall t0:*. t0) is not smaller "
+                    "than the instance head")]
+
+
+def test_validate_prefix_arrow_is_an_arrow():
+    # `(->) a b` parses to the same node as `a -> b`, so it has the arrow's
+    # binder shape and size
+    for ty in ("(->) Bool Bool", "Bool -> Bool"):
+        program = parse_surface(f"let f :: {ty} = \\ x :: Bool. x;")
+        assert validate_surface(program) == []
+    assert validate_surface(parse_surface(
+        "class F t; instance F ((->) a a) => F (Maybe a);")) == [Diagnostic(
+            "paterson", "instance F: context F (a -> a) is not smaller than "
+                        "the instance head"),
+        Diagnostic("paterson", "instance F: 'a' occurs more often in the "
+                               "context than in the head")]
+
+
+@pytest.mark.parametrize("head", ["a -> b", "(->) a b", "(Maybe a -> b) c"])
+def test_an_arrow_is_no_instance_head(head):
+    with pytest.raises(ParseError, match="instance head must name a class"):
+        parse_surface(f"class C a; instance ({head});")
+
+
 def test_validate_paterson_accepts_structural_instance():
     program = parse_surface(
         "class F t u; instance F a b => F (Maybe a) (Maybe b);")
