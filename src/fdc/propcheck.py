@@ -27,9 +27,9 @@ the bounded `EnvTable` memos outlive a case.
 A goal's productions are read off one static table per goal shape (an
 arrow, a `forall`, a reflexive equality, anything else) and `allow_zero`
 setting: `(weight, method)` entries in the fixed order the weighted pick
-reads. Inside the generator a production returns None when it gives up,
-and the canonical memo stores None for a goal with no canonical term; the
-public `Generator.term` and `Generator.canonical` raise `GiveUp` instead.
+reads. A production returns None when it gives up, and so do
+`Generator.term` when every production gave up and `Generator.canonical`
+for a goal with no canonical term, which its memo stores as None.
 Every draw goes through one of three methods: `_pick(weights, total)`, the
 weighted pick; `_index(n)`, a uniform index; and `_roll()`, a float in
 [0, 1) for a threshold. They call `random.Random._randbelow` and `random`,
@@ -66,7 +66,7 @@ from .syntax import (
 )
 from .synthesis import match_type
 from .typecheck import (
-    AnyType, CheckError, check_term, infer_term, kind_of, pattern_type,
+    CheckError, check_term, infer_term, kind_of, pattern_type,
 )
 
 PRELUDES = ("bool", "maybe", "eqord", "fundep")
@@ -187,10 +187,6 @@ WEIGHTS = {
     "coercion_ops": 4,
     "var": 4,
 }
-
-
-class GiveUp(Exception):
-    pass
 
 
 # Entries kept by each memo below. Seed-42 generation of 700 cases meets
@@ -365,18 +361,12 @@ class Generator:
 
     # -- terms: each production returns None when it gives up
 
-    def term(self, scope: tuple, goal: Node, size: int) -> Node:
-        """A term of the goal type; scope holds binder types, innermost
-        last, each expressed at its own binding point. Raises `GiveUp`
-        when every production fails."""
-        out = self._term(scope, goal, size)
-        if out is None:
-            raise GiveUp
-        return out
-
-    def _term(self, scope: tuple, goal: Node, size: int) -> Optional[Node]:
+    def term(self, scope: tuple, goal: Node, size: int) -> Optional[Node]:
+        """A term of the goal type, or None when every production gives
+        up; scope holds binder types, innermost last, each expressed at its
+        own binding point."""
         if size <= 0:
-            return self._canon(scope, goal)
+            return self.canonical(scope, goal)
         # weighted choice with fallback: failed productions defer to others
         weights, methods, total = _productions(self.allow_zero, goal)
         weights, methods = list(weights), list(methods)
@@ -388,17 +378,17 @@ class Generator:
                 return out
 
     def _canonical_production(self, scope, goal, size):
-        return self._canon(scope, goal)
+        return self.canonical(scope, goal)
 
     def _choice(self, scope, goal, size):
-        left = self._term(scope, goal, size // 2)
+        left = self.term(scope, goal, size // 2)
         if left is None:
             return None
-        right = self._term(scope, goal, size // 2)
+        right = self.term(scope, goal, size // 2)
         return None if right is None else Choice(left, right)
 
     def _zero_choice(self, scope, goal, size):
-        inhabited = self._term(scope, goal, size // 2)
+        inhabited = self.term(scope, goal, size // 2)
         if inhabited is None:
             return None
         if self._roll() < 0.5:
@@ -406,18 +396,18 @@ class Generator:
         return Choice(inhabited, ZERO)
 
     def _cast(self, scope, goal, size):
-        inner = self._term(scope, goal, size // 2)
+        inner = self.term(scope, goal, size // 2)
         if inner is None:
             return None
         return Cast(inner, self.coercion_node(scope, goal, size // 2))
 
     def _lambda(self, scope, goal, size):
         dom, cod = un_arrow(goal)
-        body = self._term(scope + (dom,), shift(cod, 1), size - 1)
+        body = self.term(scope + (dom,), shift(cod, 1), size - 1)
         return None if body is None else Lam(dom, body)
 
     def _type_lambda(self, scope, goal, size):
-        body = self._term(scope + (goal.kind,), goal.body, size - 1)
+        body = self.term(scope + (goal.kind,), goal.body, size - 1)
         return None if body is None else TyLam(goal.kind, body)
 
     def _coercion_ops(self, scope, goal, size):
@@ -457,7 +447,7 @@ class Generator:
         budget = max(size - 1, 0) // max(len(args), 1)
         spine_args = [(True, t) for t in type_args]
         for a in args:
-            arg = self._term(scope, a, budget)
+            arg = self.term(scope, a, budget)
             if arg is None:
                 return None
             spine_args.append((False, arg))
@@ -465,10 +455,10 @@ class Generator:
 
     def _app(self, scope, goal, size):
         dom = _APP_DOMAINS[self._index(len(_APP_DOMAINS))]
-        fun = self._term(scope, arrow(dom, goal), size // 2)
+        fun = self.term(scope, arrow(dom, goal), size // 2)
         if fun is None:
             return None
-        arg = self._term(scope, dom, size // 2)
+        arg = self.term(scope, dom, size // 2)
         return None if arg is None else App(fun, arg)
 
     def _if(self, scope, goal, size):
@@ -488,7 +478,7 @@ class Generator:
         pats = self.table.patterns(scrut_ty, ctors)  # after the draw
         if not pats:
             return None
-        scrut = self._term(scope, scrut_ty, size // 3)
+        scrut = self.term(scope, scrut_ty, size // 3)
         if scrut is None:
             return None
         pat, res_kinds, lams = pats[self._index(len(pats))]
@@ -497,11 +487,11 @@ class Generator:
             return None
         if guard:
             return Guard(scrut, pat, cons)
-        alt = self._term(scope, goal, size // 3)
+        alt = self.term(scope, goal, size // 3)
         return None if alt is None else If(scrut, pat, cons, alt)
 
     def _consequent(self, scope, res_kinds, lams, goal, size):
-        body = self._term(scope + res_kinds + lams,
+        body = self.term(scope + res_kinds + lams,
                           shift(goal, len(res_kinds) + len(lams)), size)
         if body is None:
             return None
@@ -542,16 +532,10 @@ class Generator:
 
     # -- canonical small inhabitants
 
-    def canonical(self, scope: tuple, goal: Node) -> Node:
+    def canonical(self, scope: tuple, goal: Node) -> Optional[Node]:
         """The innermost variable of type `goal` in scope, else a small
-        inhabitant read off the goal's shape or the environment. Raises
-        `GiveUp` when there is none."""
-        out = self._canon(scope, goal)
-        if out is None:
-            raise GiveUp
-        return out
-
-    def _canon(self, scope: tuple, goal: Node) -> Optional[Node]:
+        inhabitant read off the goal's shape or the environment, or None
+        when there is none."""
         key = (scope, goal)
         out = self._canonical.get(key, _UNSEEN)
         if out is _UNSEEN:  # None is memoized too: the goal has no term
@@ -564,10 +548,10 @@ class Generator:
             return hits[0]
         match goal:
             case TApp(TApp(TCon("->"), dom), cod):
-                body = self._canon(scope + (dom,), shift(cod, 1))
+                body = self.canonical(scope + (dom,), shift(cod, 1))
                 return None if body is None else Lam(dom, body)
             case Forall(k, body):
-                body = self._canon(scope + (k,), body)
+                body = self.canonical(scope + (k,), body)
                 return None if body is None else TyLam(k, body)
             case EqTy(l, r, _) if l == r:
                 return Refl(l)
@@ -644,7 +628,7 @@ def gen_well_typed(cfg: GenConfig, case_index: int = 0,
     pool = _goal_pool(name)
     for _ in range(20):
         goal = pool[gen._index(len(pool))]
-        term = gen._term((), goal, cfg.size)
+        term = gen.term((), goal, cfg.size)
         if term is not None:
             return env, term, goal
     raise RuntimeError("generation retry budget exhausted")
@@ -731,13 +715,13 @@ def _prop_uniqueness(env, term, ty) -> Optional[str]:
         return None
     first = infer_term(env, term)
     second = infer_term(env, term)
-    if isinstance(first, AnyType) or isinstance(second, AnyType):
-        return f"zero-free term inferred AnyType: {print_term(term)}"
-    if first.type != second.type:
+    if first is None or second is None:
+        return f"zero-free term inferred no type: {print_term(term)}"
+    if first != second:
         return "inference is not deterministic"
-    if first.type != ty:
+    if first != ty:
         return (f"inferred type differs from the generated type: "
-                f"{print_type(first.type)} vs {print_type(ty)}")
+                f"{print_type(first)} vs {print_type(ty)}")
     return None
 
 

@@ -1,9 +1,11 @@
 """Environment formation, kinding, term and coercion typing, declaration
 checking, and the data/open head judgments.
 
-Inference is total and deterministic: `0` infers `AnyType`, which merges with
-an `Exactly` branch at a choice by taking the exact side; everything else is
-syntax-directed. Type equality is structural equality of de Bruijn trees.
+Inference is total and deterministic. It returns the type node, or None for
+a term with every type: `0`, and a choice, cast or match whose result is
+all `0`. At a choice None merges with a typed side by taking that side, as
+`_coerce`'s None does for coercions; everything else is syntax-directed.
+Type equality is structural equality of de Bruijn trees.
 
 The checker builds the path to the current subterm as a cons list, `()` or
 `(parent, segment)`, so a step down costs one pair and no copy; `_fail`
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NoReturn, Optional, Union
+from typing import NoReturn, Optional
 
 from . import printer
 from .syntax import (
@@ -44,19 +46,6 @@ from .subst import (
     instantiate, instantiate_all, is_closed, shift, try_unshift,
 )
 
-
-@dataclass(frozen=True)
-class Exactly:
-    type: Node
-
-
-@dataclass(frozen=True)
-class AnyType:
-    """Inferred "type" of a bare 0 or an all-zero choice tree."""
-
-
-ANY = AnyType()
-TypeResult = Union[Exactly, AnyType]
 
 # `()`, or `(parent path, segment)`: see the module docstring.
 Path = tuple
@@ -382,19 +371,20 @@ def _coerce(env: Env, eta: Node,
             return EqTy(ga[0], gb[0], k), EqTy(ga[1], gb[1], k), STAR
         case _:
             got = infer_term(env, eta, path)
-            if isinstance(got, AnyType):
-                return None
-            match got.type:
+            match got:
+                case None:
+                    return None
                 case EqTy(l, r, k):
                     return l, r, k
             _fail("coercion-shape", "term used as a coercion",
-                  path, expected="an equality type", found=got.type)
+                  path, expected="an equality type", found=got)
 
 
 # ------------------------------------------------------------- terms
 
 def infer_term(env: Env, m: Node, path: Path = (),
-               hook: Hook = None) -> TypeResult:
+               hook: Hook = None) -> Optional[Node]:
+    """`m`'s type in `env`, or None when `m` has every type."""
     match m:
         case Var(i):
             entry = env.binder(i)
@@ -402,84 +392,82 @@ def infer_term(env: Env, m: Node, path: Path = (),
                 _fail("unbound-var", f"term variable #{i} is not in scope", path)
             if not isinstance(entry, TmVarBind):
                 _fail("classification", f"variable #{i} is a type variable", path)
-            return Exactly(shift(entry.type, i + 1))
+            return shift(entry.type, i + 1)
         case Con(name):
             sig = env.ctor_sig(name)
             if sig is None:
                 _fail("unbound-con", f"constructor {name!r} is not declared", path)
-            return Exactly(sig.type)
+            return sig.type
         case Ref(name):
             msig = env.method_sig(name)
             if msig is not None:
-                return Exactly(msig.type)
+                return msig.type
             lsig = env.let_sig(name)
             if lsig is not None:
-                return Exactly(lsig.type)
+                return lsig.type
             # under a hook the name is one the source wrote and no binder bound
             what = ("in scope" if hook is not None
                     else "a declared open function or let")
             _fail("unbound-var", f"{name!r} is not {what}", path)
         case Zero():
-            return ANY
+            return None
         case Lam():
             return _infer_lams(env, m, path, hook)
         case App(f, a):
             gf = infer_term(env, f, (path, "fun"), hook)
             if hook is None:
                 ga = infer_term(env, a, (path, "arg"))
-            if isinstance(gf, AnyType):
-                return ANY
-            ac = un_arrow(gf.type)
+            if gf is None:
+                return None
+            ac = un_arrow(gf)
             if ac is None:
                 _fail("not-arrow", "applied term is not a function", path,
                       expected=None if hook else "a function type",
-                      found=gf.type)
+                      found=gf)
             if hook is not None:
                 _check(env, a, ac[0], (path, "arg"), hook)
-            elif isinstance(ga, Exactly) and ga.type != ac[0]:
+            elif ga is not None and ga != ac[0]:
                 _fail("type-mismatch", "argument type mismatch",
-                      path, expected=ac[0], found=ga.type)
-            return Exactly(ac[1])
+                      path, expected=ac[0], found=ga)
+            return ac[1]
         case TyLam(k, body):
             if not is_kind(k):
                 _fail("bad-kind", "malformed kind annotation", path)
             got = infer_term(env.push(TyVarBind(k)), body, (path, "body"),
                              hook)
-            if isinstance(got, AnyType):
-                return ANY
-            return Exactly(Forall(k, got.type))
+            return None if got is None else Forall(k, got)
         case TyApp(f, t):
             gf = infer_term(env, f, (path, "fun"), hook)
             if hook is not None:  # `t` is kinded once `f` is quantified
                 look_up_names(env, (t,))
-                if not isinstance(gf.type, Forall):
+                if not isinstance(gf, Forall):
                     _fail("not-forall",
                           "type application of an unquantified term",
-                          path, found=gf.type)
+                          path, found=gf)
             kt = kind_of(env, t, (path, "type-arg"))
-            if isinstance(gf, AnyType):
-                return ANY
-            match gf.type:
+            match gf:
+                case None:
+                    return None
                 case Forall(k, body):
                     if k != kt:
                         _fail("kind-mismatch", "type argument kind mismatch",
                               path, expected=k, found=kt)
-                    return Exactly(instantiate(body, t))
+                    return instantiate(body, t)
             _fail("not-forall", "type application of an unquantified term",
-                  path, expected="a quantified type", found=gf.type)
+                  path, expected="a quantified type", found=gf)
         case Cast(subj, co):
             got = _coerce(env, co, (path, "coercion"))
             gs = infer_term(env, subj, (path, "subject"))
             if got is None:
-                return ANY
+                return None
             l, r, k = got
             if k != STAR:
                 _fail("kind-mismatch", "term-level casts require a * coercion",
                       path, expected=STAR, found=k)
-            if isinstance(gs, Exactly) and gs.type != l:
+            if gs is not None and gs != l:
                 _fail("type-mismatch", "cast subject does not match the coercion",
-                      path, expected=l, found=gs.type)
-            return Exactly(r)
+                      path, expected=l, found=gs)
+            return r
         case If(scrut, pat, cons, alt):
             return _infer_match(env, scrut, pat, cons, alt, path, hook)
         case Guard(scrut, pat, cons):
@@ -487,37 +475,32 @@ def infer_term(env: Env, m: Node, path: Path = (),
         case Choice(l, r):
             gl = infer_term(env, l, (path, "left"))
             gr = infer_term(env, r, (path, "right"))
-            if isinstance(gl, AnyType):
+            if gl is None:
                 return gr
-            if isinstance(gr, AnyType):
-                return gl
-            if gl.type != gr.type:
+            if gr is not None and gl != gr:
                 _fail("type-mismatch", "choice alternatives have different types",
-                      path, expected=gl.type, found=gr.type)
+                      path, expected=gl, found=gr)
             return gl
         case Refl() | Sym() | Trans() | CApp() | Fst() | Snd() | Univ() \
                 | CInst() | Sim():
             got = _coerce(env, m, path)
-            if got is None:
-                return ANY
-            l, r, k = got
-            return Exactly(EqTy(l, r, k))
+            return None if got is None else EqTy(*got)
         case Hole() | Annot() if hook is None:
             _fail("not-core", "holes and type annotations are surface syntax, "
                               "typed only by elaboration", path)
         case Hole(t):
             _kind_star(env, t, path, hook)
             hook.hole(env, t, path)
-            return Exactly(t)
+            return t
         case Annot(term, t):
             check_term(env, term, t, (path, "term"), hook)
             hook.erase(path)
-            return Exactly(t)
+            return t
     _fail("classification", "expected a term", path, found=m)
 
 
 def _infer_lams(env: Env, m: Node, path: Path,
-                hook: Hook) -> TypeResult:
+                hook: Hook) -> Optional[Node]:
     """A chain of lambdas in one pass: each annotation is kind-checked and
     its binder pushed, outermost first, and the innermost body is inferred
     once. Its type is unshifted once past the whole chain, and each
@@ -534,16 +517,16 @@ def _infer_lams(env: Env, m: Node, path: Path,
         env = env.push(TmVarBind(m.ann))
         m, path = m.body, (path, "body")
     got = infer_term(env, m, path, hook)
-    if isinstance(got, AnyType):
-        return ANY
-    ty = try_unshift(got.type, len(anns))
+    if got is None:
+        return None
+    ty = try_unshift(got, len(anns))
     if ty is not None:
         for j in reversed(range(len(anns))):
             ty = arrow(shift(anns[j], -j), ty)
-        return Exactly(ty)
+        return ty
     # the body type names a binder of the chain: the per-layer rule,
     # innermost first, finds the layer whose binder it is
-    ty = got.type
+    ty = got
     for ann in reversed(anns):
         path = path[0]
         cod = try_unshift(ty, 1)
@@ -551,15 +534,14 @@ def _infer_lams(env: Env, m: Node, path: Path,
             _fail("dependent-type", "body type mentions the term binder",
                   path, found=ty)
         ty = arrow(ann, cod)
-    return Exactly(ty)
+    return ty
 
 
 def _infer_match(env: Env, scrut: Node, pat: Pattern, cons: Node,
                  alt: Optional[Node], path: Path,
-                 hook: Hook) -> TypeResult:
+                 hook: Hook) -> Optional[Node]:
     which = "if" if alt is not None else "guard"
-    gs = infer_term(env, scrut, (path, "scrut"), hook)
-    scrut_ty = gs.type if isinstance(gs, Exactly) else None
+    scrut_ty = infer_term(env, scrut, (path, "scrut"), hook)
     if hook is not None:
         look_up_names(env, pat.type_args)
     res_kinds, arg_tys, cod = pattern_type(
@@ -575,22 +557,21 @@ def _infer_match(env: Env, scrut: Node, pat: Pattern, cons: Node,
         if not is_open_head(env, scrut_ty):
             _fail("not-open", "guard scrutinee must be an open data type",
                   path, found=scrut_ty)
-    gc = infer_term(env, cons, (path, "cons"), hook)
-    result: Optional[Node] = None
-    if isinstance(gc, Exactly):
-        result = _match_consequent(res_kinds, arg_tys, gc.type,
+    result = infer_term(env, cons, (path, "cons"), hook)
+    if result is not None:
+        result = _match_consequent(res_kinds, arg_tys, result,
                                    (path, "cons"))
     if hook is not None and alt is not None:
         _check(env, alt, result, (path, "alt"), hook)
     elif alt is not None:
         ga = infer_term(env, alt, (path, "alt"))
-        if isinstance(ga, Exactly):
-            if result is not None and result != ga.type:
+        if ga is not None:
+            if result is not None and result != ga:
                 _fail("type-mismatch",
                       f"{which} branches have different types",
-                      path, expected=result, found=ga.type)
-            result = ga.type
-    return Exactly(result) if result is not None else ANY
+                      path, expected=result, found=ga)
+            result = ga
+    return result
 
 
 def check_term(env: Env, m: Node, expected: Node, path: Path = (),
@@ -638,12 +619,12 @@ def _check_inferred(env: Env, m: Node, expected: Node, path: Path,
     """`m`'s inferred type against `expected`: where they differ, the hook
     casts `m`, and without one the check fails."""
     got = infer_term(env, m, path, hook)
-    if isinstance(got, AnyType) or got.type == expected:
+    if got is None or got == expected:
         return
     if hook is None:
         _fail("type-mismatch", "term type mismatch",
-              path, expected=expected, found=got.type)
-    hook.cast(env, got.type, expected, path)
+              path, expected=expected, found=got)
+    hook.cast(env, got, expected, path)
 
 
 def _check_lams(env: Env, m: Node, expected: Node, path: Path,

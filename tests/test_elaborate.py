@@ -15,7 +15,7 @@ from fdc.syntax import (
     OpenCtorDecl, OpenTypeDecl, Ref, Refl, TApp, TCon, TVar, TmVarBind, TyApp,
     TyVarBind, Var, Zero, STAR, arrow, subnodes,
 )
-from fdc.typecheck import Exactly, check_program, infer_term
+from fdc.typecheck import check_program, infer_term
 from test_synthesis import CASES, fundep_program
 
 BOOL = TCon("Bool")
@@ -284,7 +284,7 @@ def test_synth_double_cast_from_hypothesis(prelude):
     h = Var(0)
     assert eta == CApp(CApp(Refl(ARROW), h),
                        CApp(CApp(Refl(ARROW), h), Refl(BOOL)))
-    assert infer_term(env, eta) == Exactly(EqTy(frm, to, STAR))
+    assert infer_term(env, eta) == EqTy(frm, to, STAR)
 
 
 def test_synth_improvement_through_fundep(prelude):
@@ -299,7 +299,7 @@ def test_synth_improvement_through_fundep(prelude):
     )
     # the dictionary variable is Var(0); the type variable is one step out
     assert eta == expected
-    assert infer_term(env, eta) == Exactly(EqTy(BOOL, TVar(1), STAR))
+    assert infer_term(env, eta) == EqTy(BOOL, TVar(1), STAR)
 
 
 def test_synth_failure(prelude):
@@ -380,7 +380,7 @@ def test_synth_congruence_under_quantifier(prelude):
     frm = parse_type("forall t:*. Bool -> t")
     to = Forall(STAR, arrow(TVar(2), TVar(0)))  # forall t. u -> t
     eta = r.synth(frm, to)
-    assert infer_term(env, eta) == Exactly(EqTy(frm, to, STAR))
+    assert infer_term(env, eta) == EqTy(frm, to, STAR)
 
 
 def test_unnamed_instances_get_scheme_names(prelude):
