@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .corpus import prelude_env
+from .printer import print_type
 from .surface import (
     SDecl, SDataDecl, SClassDecl, SInstanceDecl, SLetDecl, validate_surface,
 )
@@ -225,7 +226,7 @@ class Elaborator:
             if not isinstance(head, TCon) or head.name not in self.registry.classes:
                 _fail("unknown-superclass",
                       f"superclass of {c.name!r} must be a declared class",
-                      found=pred)
+                      found=print_type(pred, tuple(p for p, _ in c.params)))
             self._kinded(scope, [pred], names=False)
             proj = self.fresh_term_name(
                 c.name[0].lower() + c.name[1:] + head.name)

@@ -27,9 +27,10 @@ the bounded `EnvTable` memos outlive a case.
 A goal's productions are read off one static table per goal shape (an
 arrow, a `forall`, a reflexive equality, anything else) and `allow_zero`
 setting: `(weight, method)` entries in the fixed order the weighted pick
-reads. A production returns None when it gives up, and so do
-`Generator.term` when every production gave up and `Generator.canonical`
-for a goal with no canonical term, which its memo stores as None.
+reads. A production returns None when it gives up; so does
+`Generator.term` when all of a goal's productions give up, and
+`Generator.canonical` for a goal with no canonical term, which its memo
+stores as None.
 Every draw goes through one of three methods: `_pick(weights, total)`, the
 weighted pick; `_index(n)`, a uniform index; and `_roll()`, a float in
 [0, 1) for a threshold. They call `random.Random._randbelow` and `random`,
@@ -492,7 +493,7 @@ class Generator:
 
     def _consequent(self, scope, res_kinds, lams, goal, size):
         body = self.term(scope + res_kinds + lams,
-                          shift(goal, len(res_kinds) + len(lams)), size)
+                         shift(goal, len(res_kinds) + len(lams)), size)
         if body is None:
             return None
         for ann in reversed(lams):

@@ -84,7 +84,20 @@ class SLetDecl(SDecl):
 # ---------------------------------------------------------------- parser
 
 class SurfaceParser(Parser):
-    """Reads declarations into core nodes over `Parser`'s binder stack."""
+    """Reads declarations into core nodes over `Parser`'s binder stack,
+    whose entries here are `(sort, name)` pairs: a name is looked up only
+    among the binders of its own sort, "type" or "term", though binders of
+    both sorts count towards its index."""
+
+    def binding(self, sort: str, names: list[str], read):
+        """`read()` with `names` bound as binders of `sort`."""
+        return self.bound([(sort, n) for n in names], read)
+
+    def lookup(self, sort: str, name: str) -> Optional[int]:
+        """The index of the innermost binder of `sort` named `name`, or
+        None when there is none."""
+        key = (sort, name)
+        return self.stack[::-1].index(key) if key in self.stack else None
 
     # ---- types
 
@@ -93,7 +106,7 @@ class SurfaceParser(Parser):
             self.advance()
             var, kind = self.binder_param()
             self.expect(".")
-            return Forall(kind, self.bound([var], self.type_))
+            return Forall(kind, self.binding("type", [var], self.type_))
         return self.ty_arrow()
 
     def binder_param(self) -> tuple[str, Node]:
@@ -137,10 +150,18 @@ class SurfaceParser(Parser):
         self.fail("expected a type", frozenset({"name", "("}))
 
     def resolve_type_name(self, name: str) -> Node:
-        """A bound name's variable, and any other name's type constant."""
-        if name in self.stack:
-            return TVar(self.stack[::-1].index(name))
-        return TCon(name)
+        """A bound type variable's index, and any other name's type
+        constant."""
+        i = self.lookup("type", name)
+        return TCon(name) if i is None else TVar(i)
+
+    def resolve_term_name(self, name: str) -> Node:
+        """A bound term variable's index, and any other name's constructor
+        or reference."""
+        i = self.lookup("term", name)
+        if i is not None:
+            return Var(i)
+        return Con(name) if name[0].isupper() else Ref(name)
 
     # ---- terms
 
@@ -153,7 +174,8 @@ class SurfaceParser(Parser):
                 self.advance()
                 ann = self.type_() if binder is Lam else self.kind()
             self.expect(".")
-            return binder(ann, self.bound([var], self.term))
+            sort = "term" if binder is Lam else "type"
+            return binder(ann, self.binding(sort, [var], self.term))
         if self.at_kw("if"):
             self.advance()
             scrut = self.term()
@@ -290,10 +312,10 @@ class SurfaceParser(Parser):
             self.fail_at(name_at, f"class {name!r} has repeated parameters")
         if supers:  # read again, with the parameters they name bound
             end, self.pos = self.pos, start
-            supers = self.bound(param_names, self._superclasses)
+            supers = self.binding("type", param_names, self._superclasses)
             self.pos = end
-        return self.bound(param_names,
-                          lambda: self._finish_class(name, params, supers))
+        return self.binding("type", param_names,
+                            lambda: self._finish_class(name, params, supers))
 
     def _superclasses(self) -> list[Node]:
         """`Super a =>` or `(S1 a, S2 a) =>`, read up to the `=>`, or
@@ -373,12 +395,12 @@ class SurfaceParser(Parser):
             n.name for t in head_args + preds for n in subnodes(t)
             if isinstance(n, TCon) and is_variable_name(n.name)))
         self.pos = start
-        preds, head = self.bound(ivars, self.context_then_head)
+        preds, head = self.binding("type", ivars, self.context_then_head)
         methods: list[tuple[str, Node]] = []
         if self.at_kw("where"):
             self.advance()
-            methods = self.bound(ivars,
-                                 lambda: self.braced(self._method_def_item))
+            methods = self.binding(
+                "type", ivars, lambda: self.braced(self._method_def_item))
         self.expect(";")
         return SInstanceDecl(head_con.name, ctor_name, tuple(preds),
                              tuple(type_spine(head)[1]), tuple(methods),

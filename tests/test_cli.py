@@ -600,3 +600,63 @@ def test_undeclared_type_constant_is_a_user_error(tmp_path, capsys, text):
     assert code == 1
     record = json.loads(out)
     assert record["code"] == "unbound-con" and "internal" not in out
+
+
+@pytest.mark.parametrize("text, shown", [
+    # `x` is a term variable, so `x` in a type is a type name not in scope
+    ("let f :: Bool -> Bool = \\ x :: Bool. "
+     "((\\ y :: x. y) :: Bool -> Bool) x;\n",
+     "unbound-tyvar: type variable 'x' is not in scope"),
+    # `a` is a type variable, so `a` in a term is a term name not in scope
+    ("let g :: forall a. a -> a = /\\ a. \\ y :: a. a;\n",
+     "unbound-var: 'a' is not in scope"),
+], ids=["term-name-in-a-type", "type-name-in-a-term"])
+def test_a_name_is_looked_up_among_binders_of_its_sort(tmp_path, capsys,
+                                                       text, shown):
+    path = tmp_path / "sorts.hsk"
+    path.write_text(text)
+    assert run_cli(capsys, "elab", str(path)) == (1, "", f"{path}: {shown}\n")
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("class C a b | a -> a;\n",
+     "fundep-index: class 'C': determined parameter is also a determiner"),
+    ("let f :: Bool = if not True is True then False else True;\n",
+     "annotation-required: let f: if scrutinee must be annotated"),
+    ("let f :: Bool -> Bool = \\ x :: Bool. "
+     "if x is True then not False else True;\n",
+     "annotation-required: let f: if consequent must be annotated"),
+    ("let f :: Bool = (\\ x :: Bool. x) True;\n",
+     "annotation-required: let f: non-variable application head must be "
+     "annotated"),
+    ("class C a where { m :: a -> a; };\n"
+     "instance C Bool where { m = \\ x :: Bool. x; };\n",
+     "annotation-required: instance C.m: instance method bodies must be "
+     "annotated"),
+    ("let f :: Bool =\n  not _;\n",
+     "2:8: parse-error: holes must be written (_ :: type)"),
+    ("data X :: *;\nclass C a a;\n",
+     "2:7: parse-error: class 'C' has repeated parameters"),
+    ("class C a b | a -> v;\n",
+     "1:20: parse-error: 'v' is not a class parameter"),
+    ("instance Nope Bool;\n",
+     "unknown-class: instance of undeclared class 'Nope'"),
+    ("class C a; instance C Bool Bool;\n",
+     "class-arity: class 'C' takes 1 parameters, instance supplies 2"),
+    ("class C a where { m :: a -> a; };\n"
+     "instance C Bool where { n = ((\\ x :: Bool. x) :: Bool -> Bool); };\n",
+     "unknown-method: 'n' is not a method of 'C'"),
+    ("class C a; class C a;\n",
+     "duplicate-name: class 'C' is already declared"),
+    # the superclass is printed with the class's parameter names
+    ("data T :: * -> *;\nclass T b a => D a b;\n",
+     "unknown-superclass: superclass of 'D' must be a declared class "
+     "(found T b a)"),
+], ids=["fundep-index", "if-scrutinee", "if-consequent", "application-head",
+        "method-body", "bare-hole", "repeated-parameter", "not-a-parameter",
+        "unknown-class", "class-arity", "unknown-method", "duplicate-class",
+        "unknown-superclass"])
+def test_surface_diagnostics_are_pinned(tmp_path, capsys, text, shown):
+    path = tmp_path / "diag.hsk"
+    path.write_text(text)
+    assert run_cli(capsys, "elab", str(path)) == (1, "", f"{path}: {shown}\n")

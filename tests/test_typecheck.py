@@ -203,6 +203,25 @@ def test_coerce_type_shape_errors(prelude):
         infer_term(prelude, parse_term("refl(Bool) @[Int]"))
 
 
+# h : (forall a:*. a -> a) ~ (forall a:*. a -> Bool), instantiated at a type
+CINST = "\\h:(forall a:*. a -> a) ~ (forall a:*. a -> Bool). h @[{}]"
+
+
+def test_coercion_instantiation_types_both_sides(prelude):
+    # `h @[t]` proves sigma[t] ~ tau[t]: each side instantiated on its own
+    got = infer_term(prelude, parse_term(CINST.format("Int")))
+    assert got == arrow(
+        parse_type("(forall a:*. a -> a) ~ (forall a:*. a -> Bool)"),
+        parse_type("(Int -> Int) ~ (Int -> Bool)"))
+
+
+def test_coercion_instantiation_kinds_its_argument(prelude):
+    got = _diagnostic(lambda: infer_term(prelude,
+                                         parse_term(CINST.format("Maybe"))))
+    assert str(got) == ("kind-mismatch: coercion instantiation kind mismatch "
+                        "at body (expected *, found * -> *)")
+
+
 def test_pattern_type_eqbool(superclasses_env):
     env = superclasses_env.push(TyVarBind(STAR))
     res, args, cod = pattern_type(env, Pattern("EqBool", (TVar(0),)),
