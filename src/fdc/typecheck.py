@@ -2,10 +2,11 @@
 checking, and the data/open head judgments.
 
 Inference is total and deterministic. It returns the type node, or None for
-a term with every type: `0`, and a choice, cast or match whose result is
-all `0`. At a choice None merges with a typed side by taking that side, as
-`_coerce`'s None does for coercions; everything else is syntax-directed.
-Type equality is structural equality of de Bruijn trees.
+a term that has every type: `0`, and a term whose type could only come from
+a `0` in it, such as an all-zero choice tree or a cast by a zero coercion.
+None is the answer `_coerce` gives for such a coercion too. At a choice it
+merges with a typed side by taking that side; everything else is
+syntax-directed. Type equality is structural equality of de Bruijn trees.
 
 The checker builds the path to the current subterm as a cons list, `()` or
 `(parent, segment)`, so a step down costs one pair and no copy; `_fail`
